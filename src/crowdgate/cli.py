@@ -72,19 +72,6 @@ class PipelineConfig:
     merge_gap_frames: int | None = None
     density_model_path: str | None = None
 
-    _FIELDS = (
-        "fps_override",
-        "count_ceiling",
-        "min_score",
-        "person_class_id",
-        "smoothing_divisor",
-        "tie_break",
-        "abnormal_threshold",
-        "min_duration_frames",
-        "merge_gap_frames",
-        "density_model_path",
-    )
-
     @classmethod
     def load(cls, config_path: str | None, overrides: dict) -> "PipelineConfig":
         """Config file first, then flag overrides (flags win)."""
@@ -96,7 +83,7 @@ class PipelineConfig:
                 raise ConfigError(f"cannot read config {config_path}: {exc}") from exc
             if not isinstance(raw, dict):
                 raise ConfigError(f"config {config_path} must be a JSON object")
-            unknown = set(raw) - set(cls._FIELDS)
+            unknown = set(raw) - {f.name for f in dataclasses.fields(cls)}
             if unknown:
                 raise ConfigError(f"unknown config key(s): {sorted(unknown)}")
             for key, value in raw.items():
@@ -165,8 +152,12 @@ def _write(out_dir: Path, name: str, data) -> bytes:
 # ---------------------------------------------------------------------------
 
 
-def stage_count(detections_bytes: bytes, config: PipelineConfig):
-    """Detections bytes -> routed CountSeries + rendered raw-counts CSV bytes."""
+def stage_count(detections_bytes: bytes, config: PipelineConfig, gray_frames=None):
+    """Detections bytes -> routed CountSeries + rendered raw-counts CSV bytes.
+
+    ``gray_frames`` (decoded from a gray container) feed density estimation
+    for frames over the count ceiling.
+    """
     frames, meta = parse_detections(detections_bytes)
     fps = config.fps_override or meta.fps
     policy = RoutingPolicy(
@@ -182,12 +173,12 @@ def stage_count(detections_bytes: bytes, config: PipelineConfig):
             # route_counts raises the canonical RoutingError naming the frames
             route_counts(series, policy, None)
         regressor = regressor_from_json(_read_bytes(config.density_model_path).decode("utf-8"))
-        if getattr(config, "_gray_frames", None) is None:
+        if gray_frames is None:
             raise StageError(
                 "frames exceed the count ceiling but no gray frame container was "
                 f"supplied (frames: {needed[:10]})"
             )
-        density_counts = estimate_density_counts(config._gray_frames, regressor, needed)
+        density_counts = estimate_density_counts(gray_frames, regressor, needed)
         log.info("density-estimated %d over-ceiling frame(s)", len(needed))
     routed = route_counts(series, policy, density_counts)
     stage_cfg = {
@@ -310,12 +301,13 @@ def run_pipeline(
             config, density_model_path=str(out / "density_model.json")
         )
         input_hashes["density_model"] = _sha256(model_bytes)
+    gray_frames = None
     if gray_frames_path is not None:
         gray_bytes = _read_bytes(gray_frames_path)
         input_hashes["gray_frames"] = _sha256(gray_bytes)
-        config._gray_frames = load_gray_frames(gray_bytes)
+        gray_frames = load_gray_frames(gray_bytes)
 
-    _, raw_csv, meta = stage_count(detections_bytes, config)
+    _, raw_csv, meta = stage_count(detections_bytes, config, gray_frames=gray_frames)
     _write(out, "raw_counts.csv", raw_csv)
 
     _, smoothed_csv, params = stage_smooth(raw_csv, config)
@@ -446,9 +438,10 @@ def count(detections, out, config_path, count_ceiling, min_score, person_class_i
             "fps_override": _parse_fps_flag(fps_flag),
         },
     )
+    gray_frames = None
     if gray_path is not None:
-        config._gray_frames = load_gray_frames(_read_bytes(gray_path))
-    _, csv_bytes, _ = stage_count(_read_bytes(detections), config)
+        gray_frames = load_gray_frames(_read_bytes(gray_path))
+    _, csv_bytes, _ = stage_count(_read_bytes(detections), config, gray_frames=gray_frames)
     _write(Path(out), "raw_counts.csv", csv_bytes)
 
 

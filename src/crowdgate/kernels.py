@@ -1,9 +1,9 @@
-"""Pure-Python smoothing kernel; the import-time fallback when ``_fast`` is not built.
+"""The smoothing kernel: the jitter-correction pass over a count array.
 
 It computes exactly what the frame-by-frame pass in ``smooth_counts``'s
 docstring describes, but visits only the frames that pass can change. The
 literal frame-by-frame pass is kept in ``tests/test_kernels.py`` as the
-reference this kernel (and ``_fast``) must match bit for bit.
+reference this kernel must match bit for bit.
 """
 
 from collections import Counter

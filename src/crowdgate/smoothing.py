@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-import numpy as np
-
 from . import kernels
 from .counting import PROV_SMOOTHED, CountSeries
 
@@ -45,30 +43,6 @@ class SmoothingParams:
         return cls(window_length(fps, divisor), divisor, tie_break)
 
 
-@dataclass(frozen=True)
-class WindowHistogram:
-    """Value -> frequency map over one correction window.
-
-    Kept as an explicit type so both readings of the window statistic are
-    auditable: ``max_frequency`` (the literal maximum count) and ``mode``
-    (the value attaining it, which is what replacement uses).
-    """
-
-    entries: dict[int, int]
-
-    def max_frequency(self) -> int:
-        if not self.entries:
-            raise ValueError("empty histogram")
-        return max(self.entries.values())
-
-    def mode(self, last_value: int, tie_break: TieBreak) -> int:
-        best = self.max_frequency()
-        tied = sorted(v for v, c in self.entries.items() if c == best)
-        if tie_break is TieBreak.PREFER_LAST_VALUE and last_value in tied:
-            return last_value
-        return tied[0]
-
-
 def window_length(fps, divisor: int = 3) -> int:
     """Correction-window radius: floor(fps / divisor), at least 1."""
     fps = Fraction(fps)
@@ -79,29 +53,12 @@ def window_length(fps, divisor: int = 3) -> int:
     return max(1, math.floor(fps / divisor))
 
 
-def window_histogram(values, center: int, half_length: int) -> WindowHistogram:
-    """Frequencies of the values at indices center +- half_length, clamped to bounds."""
-    values = np.asarray(values)
-    if not 0 <= center < len(values):
-        raise ValueError(f"center {center} out of range for length {len(values)}")
-    lo = max(0, center - half_length)
-    hi = min(len(values) - 1, center + half_length)
-    entries: dict[int, int] = {}
-    for v in values[lo : hi + 1]:
-        v = int(v)
-        entries[v] = entries.get(v, 0) + 1
-    return WindowHistogram(entries)
-
-
-def window_mode(hist: WindowHistogram, last_value: int, tie_break: TieBreak) -> int:
-    return hist.mode(last_value, tie_break)
-
-
 def smooth_series(series: CountSeries, params: SmoothingParams) -> CountSeries:
     """Run the jitter-correction pass; replaced frames get Smoothed provenance."""
     if len(series) == 0:
         raise ValueError("empty series")
     prefer_last = params.tie_break is TieBreak.PREFER_LAST_VALUE
+    # looked up on the module at call time, so a wrapper installed there sees it
     corrected, replaced = kernels.smooth_counts(
         series.counts, params.window_half_length, prefer_last
     )

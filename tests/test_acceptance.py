@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from crowdgate import KERNEL_BACKEND
 from crowdgate.cli import main
 from crowdgate.counting import CountSeries, read_count_series
 from crowdgate.density import (
@@ -23,7 +24,6 @@ from crowdgate.density import (
 )
 from crowdgate.evaluation import JitterSpec, ap_d, generate_synthetic
 from crowdgate.ingest import GrayFrame
-from crowdgate.kernels import BACKEND
 from crowdgate.segmenting import SegmentPolicy, extract_segments
 from crowdgate.smoothing import SmoothingParams, smooth_series, window_length
 
@@ -274,5 +274,5 @@ def test_criterion_11_throughput_one_million_frames():
     report(
         11,
         elapsed < 1.0,
-        f"1,000,000 frames in {elapsed:.3f} s ({BACKEND} kernel)",
+        f"1,000,000 frames in {elapsed:.3f} s ({KERNEL_BACKEND} kernel)",
     )

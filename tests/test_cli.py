@@ -5,9 +5,17 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from crowdgate.cli import EXIT_CONFIG_ERROR, EXIT_INPUT_ERROR, EXIT_STAGE_ERROR, main
+from crowdgate.cli import (
+    EXIT_CONFIG_ERROR,
+    EXIT_INPUT_ERROR,
+    EXIT_STAGE_ERROR,
+    PipelineConfig,
+    main,
+    run_pipeline,
+)
 from crowdgate.counting import read_count_series
 from crowdgate.density import DensityRegressor, regressor_to_json
+from crowdgate.errors import StageError
 from crowdgate.ingest import GrayFrame, save_gray_frames
 
 from conftest import detections_bytes
@@ -21,6 +29,18 @@ def runner():
 def write_detections(path, counts, fps=9):
     Path(path).write_bytes(detections_bytes(counts, fps=fps))
     return str(path)
+
+
+def write_density_inputs(tmp_path, n_frames):
+    """A static gray stream (zero foreground) and a model predicting its intercept, 24."""
+    frames = [
+        GrayFrame(8, 8, np.full((8, 8), 60, dtype=np.uint8), i) for i in range(n_frames)
+    ]
+    gray = tmp_path / "frames.cgry"
+    gray.write_bytes(save_gray_frames(frames))
+    model = tmp_path / "model.json"
+    model.write_text(regressor_to_json(DensityRegressor(0.0, 0.0, 24.0)))
+    return str(gray), str(model)
 
 
 def run_cli(runner, args):
@@ -168,29 +188,32 @@ class TestPipelineRun:
 
     def test_density_route_through_pipeline(self, runner, tmp_path):
         det = write_detections(tmp_path / "d.jsonl", [3, 30, 3], fps=9)
-        # static gray stream: zero foreground, so the density count is the
-        # regressor intercept
-        frames = [
-            GrayFrame(8, 8, np.full((8, 8), 60, dtype=np.uint8), i) for i in range(3)
-        ]
-        gray = tmp_path / "frames.cgry"
-        gray.write_bytes(save_gray_frames(frames))
-        model = tmp_path / "model.json"
-        model.write_text(regressor_to_json(DensityRegressor(0.0, 0.0, 24.0)))
+        gray, model = write_density_inputs(tmp_path, 3)
         result = run_cli(
             runner,
             [
                 "run", det,
                 "--out", str(tmp_path / "o"),
                 "--threshold", "5",
-                "--gray", str(gray),
-                "--model", str(model),
+                "--gray", gray,
+                "--model", model,
             ],
         )
         assert result.exit_code == 0
         raw = read_count_series((tmp_path / "o" / "raw_counts.csv").read_bytes())
         assert raw.counts.tolist() == [3, 24, 3]
         assert raw.provenance[1] == "Density"
+
+    def test_gray_frames_not_kept_on_config(self, tmp_path):
+        det = write_detections(tmp_path / "d.jsonl", [3, 30, 3], fps=9)
+        gray, model = write_density_inputs(tmp_path, 3)
+        config = PipelineConfig(abnormal_threshold=5, density_model_path=model)
+        before = dict(vars(config))
+        run_pipeline(det, config, tmp_path / "o1", gray_frames_path=gray)
+        assert vars(config) == before
+        # a later run without a container must not reuse the first run's frames
+        with pytest.raises(StageError, match="no gray frame container"):
+            run_pipeline(det, config, tmp_path / "o2")
 
     def test_missing_threshold_exit_3(self, runner, tmp_path):
         det = write_detections(tmp_path / "d.jsonl", [1, 2])

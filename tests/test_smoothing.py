@@ -6,15 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crowdgate.counting import PROV_DETECTOR, PROV_SMOOTHED
-from crowdgate.smoothing import (
-    SmoothingParams,
-    TieBreak,
-    WindowHistogram,
-    smooth_series,
-    window_histogram,
-    window_length,
-    window_mode,
-)
+from crowdgate.smoothing import SmoothingParams, TieBreak, smooth_series, window_length
 
 from conftest import series
 
@@ -39,43 +31,46 @@ class TestWindowLength:
             window_length(30, 0)
 
 
+def smoothed(values, half_length, tie_break=TieBreak.PREFER_LAST_VALUE):
+    out = smooth_series(series(values), SmoothingParams(half_length, tie_break=tie_break))
+    return out.counts.tolist(), [x for x, p in enumerate(out.provenance) if p == PROV_SMOOTHED]
+
+
 class TestWindowHistogram:
-    def test_basic(self):
-        assert window_histogram([5, 5, 6, 5, 5], 2, 2).entries == {5: 4, 6: 1}
+    """A change point's window is the frames within half-length, clipped at both ends."""
 
     def test_single_element(self):
-        assert window_histogram([7], 0, 5).entries == {7: 1}
+        assert smoothed([7], 5) == ([7], [])
 
     def test_left_clamp(self):
-        assert window_histogram([1, 2, 3], 0, 2).entries == {1: 1, 2: 1, 3: 1}
+        # frame 1's window is frames 0..4: three 4s against two 6s
+        assert smoothed([4, 6, 6, 4, 4, 4, 4], 3) == ([4] * 7, [1, 2])
 
     def test_right_clamp(self):
-        assert window_histogram([1, 2, 3], 2, 2).entries == {1: 1, 2: 1, 3: 1}
-
-    def test_frequencies_sum_to_window_size(self, rng):
-        values = rng.integers(0, 5, 50)
-        for center in (0, 10, 49):
-            hist = window_histogram(values, center, 7)
-            lo, hi = max(0, center - 7), min(49, center + 7)
-            assert sum(hist.entries.values()) == hi - lo + 1
+        # frame 3's window is frames 0..5, a 3:3 tie that goes to 4 either way;
+        # a final run no longer than the half-length is a spike
+        for tie in TieBreak:
+            assert smoothed([4, 4, 4, 6, 6, 6], 3, tie) == ([4] * 6, [3, 4, 5])
 
 
 class TestWindowMode:
+    """The replacement value: the window's mode, ties broken by TieBreak."""
+
     def test_unique_max(self):
-        assert window_mode(WindowHistogram({5: 4, 6: 1}), 0, TieBreak.PREFER_LAST_VALUE) == 5
+        for tie in TieBreak:
+            assert smoothed([5, 5, 6, 5, 5], 2, tie) == ([5] * 5, [2])
 
     def test_tie_prefers_last_value(self):
-        assert window_mode(WindowHistogram({4: 2, 5: 2}), 5, TieBreak.PREFER_LAST_VALUE) == 5
-
-    def test_tie_last_value_absent_falls_back_smallest(self):
-        assert window_mode(WindowHistogram({4: 2, 5: 2}), 9, TieBreak.PREFER_LAST_VALUE) == 4
+        # frames 1 and 2 see a tie that holds the last accepted 5
+        assert smoothed([5, 4, 6], 1) == ([5, 5, 5], [1, 2])
 
     def test_prefer_smallest(self):
-        assert window_mode(WindowHistogram({4: 2, 5: 2}), 5, TieBreak.PREFER_SMALLEST) == 4
+        # frame 1's three-way tie goes to 4, which keeps it; frame 2 ties 4 and 6
+        assert smoothed([5, 4, 6], 1, TieBreak.PREFER_SMALLEST) == ([5, 4, 4], [2])
 
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            window_mode(WindowHistogram({}), 0, TieBreak.PREFER_SMALLEST)
+    def test_tie_last_value_absent_falls_back_smallest(self):
+        # at frame 1, 2 and 3 tie and the last value 1 is not among them
+        assert smoothed([1, 3, 2, 3, 2], 3) == ([1, 2, 2, 2, 2], [1, 3])
 
 
 class TestSmoothSeries:
