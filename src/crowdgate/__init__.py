@@ -3,7 +3,6 @@
 from .counting import (
     CountSeries,
     RoutingPolicy,
-    count_frame,
     count_series,
     read_count_series,
     route_counts,
@@ -21,7 +20,8 @@ from .density import (
 )
 from .evaluation import JitterSpec, ap_d, compare_methods, generate_synthetic, matched_ap_d
 from .ingest import (
-    BoundingBox,
+    Boxes,
+    Detections,
     FrameDetections,
     GrayFrame,
     StreamMeta,

@@ -97,6 +97,15 @@ class PipelineConfig:
         return config
 
     def validate(self):
+        for key in ("count_ceiling", "person_class_id", "smoothing_divisor"):
+            _expect_type(key, getattr(self, key), int, "an integer")
+        for key in ("abnormal_threshold", "min_duration_frames", "merge_gap_frames"):
+            _expect_type(key, getattr(self, key), (int, type(None)), "an integer or null")
+        _expect_type("min_score", self.min_score, (int, float), "a number")
+        _expect_type("tie_break", self.tie_break, str, "a string")
+        _expect_type(
+            "density_model_path", self.density_model_path, (str, type(None)), "a string or null"
+        )
         if self.count_ceiling < 1:
             raise ConfigError(f"count_ceiling must be >= 1, got {self.count_ceiling}")
         if not 0.0 <= self.min_score <= 1.0:
@@ -122,6 +131,12 @@ class PipelineConfig:
         if out["fps_override"] is not None:
             out["fps_override"] = format_fps(out["fps_override"])
         return out
+
+
+def _expect_type(key, value, types, expected):
+    # bool is an int subclass, but true/false is never a count or a score
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise ConfigError(f"{key} must be {expected}, got {value!r}")
 
 
 def _canonical(obj) -> str:

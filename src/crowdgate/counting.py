@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import InputFormatError, RoutingError
-from .ingest import FrameDetections, format_fps, parse_fps
+from .ingest import Detections, format_fps, parse_fps
 
 PROV_DETECTOR = "Detector"
 PROV_DENSITY = "Density"
@@ -70,20 +70,17 @@ class RoutingPolicy:
             raise ValueError(f"min_score must be in [0, 1], got {self.min_score}")
 
 
-def count_frame(frame: FrameDetections, policy: RoutingPolicy) -> int:
-    """Number of person boxes at or above the confidence floor."""
-    return sum(
-        1
-        for box in frame.boxes
-        if box.class_id == policy.person_class_id and box.score >= policy.min_score
-    )
+def count_series(detections: Detections, meta, policy: RoutingPolicy) -> CountSeries:
+    """Detector counts for a whole stream, in frame order.
 
-
-def count_series(frames, meta, policy: RoutingPolicy) -> CountSeries:
-    """Detector counts for a whole stream, in frame order."""
-    counts = np.fromiter(
-        (count_frame(f, policy) for f in frames), dtype=np.int64, count=len(frames)
-    )
+    A frame's count is its number of person boxes at or above the
+    confidence floor.
+    """
+    n = len(detections)
+    boxes = detections.boxes
+    owner = np.repeat(np.arange(n), np.diff(detections.offsets))
+    person = (boxes.class_id == policy.person_class_id) & (boxes.score >= policy.min_score)
+    counts = np.bincount(owner[person], minlength=n)
     return CountSeries.from_counts(counts, meta.fps)
 
 

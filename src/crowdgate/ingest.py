@@ -9,13 +9,20 @@ Two on-disk formats are handled here:
   width, height, frame count) followed by ``frame_count * width * height``
   bytes of row-major 8-bit intensities. FFmpeg can emit this layout from
   any video via ``-f rawvideo -pix_fmt gray`` plus a prepended header.
+
+Parsed detections are held column-wise (:class:`Detections`): numpy arrays
+with one entry per frame or per box, so no Python object per box outlives
+the parse.
 """
 
 from __future__ import annotations
 
+import bisect
 import io
 import json
+import operator
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -26,38 +33,80 @@ from .errors import InputFormatError
 GRAY_MAGIC = b"CGRY"
 _GRAY_HEADER = struct.Struct("<4sIII")
 
-
-@dataclass(frozen=True)
-class BoundingBox:
-    """Axis-aligned detector box in pixel coordinates (x, y = top-left corner)."""
-
-    x: float
-    y: float
-    w: float
-    h: float
-    score: float
-    class_id: int
-
-    def __post_init__(self):
-        if self.w <= 0 or self.h <= 0:
-            raise ValueError(f"box width/height must be > 0, got w={self.w}, h={self.h}")
-        if not 0.0 <= self.score <= 1.0:
-            raise ValueError(f"score must be in [0, 1], got {self.score}")
+_BOX_FIELDS = ("x", "y", "w", "h", "score", "class_id")
+_box_values = operator.itemgetter(*_BOX_FIELDS)
+_class_id = operator.itemgetter(_BOX_FIELDS.index("class_id"))
+# Frames whose boxes are collected as Python tuples before they become numpy
+# columns; bounds the Python objects alive during a parse.
+_BLOCK_FRAMES = 4096
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
+class Boxes:
+    """Detector boxes as columns; row k of every column is one box.
+
+    Pixel coordinates (``x``, ``y`` = top-left corner), size, confidence
+    ``score`` (float64) and ``class_id`` (int64).
+    """
+
+    x: np.ndarray
+    y: np.ndarray
+    w: np.ndarray
+    h: np.ndarray
+    score: np.ndarray
+    class_id: np.ndarray
+
+    def __len__(self):
+        return len(self.x)
+
+    def __getitem__(self, rows: slice) -> "Boxes":
+        return Boxes(
+            self.x[rows], self.y[rows], self.w[rows], self.h[rows],
+            self.score[rows], self.class_id[rows],
+        )
+
+
+@dataclass(frozen=True, eq=False)
 class FrameDetections:
-    """All detector boxes for one frame."""
+    """One frame of a :class:`Detections`; ``boxes`` is a row slice of its columns."""
 
     frame_index: int
     timestamp_ms: int
-    boxes: tuple[BoundingBox, ...]
+    boxes: Boxes
 
-    def __post_init__(self):
-        if self.frame_index < 0:
-            raise ValueError(f"frame_index must be >= 0, got {self.frame_index}")
-        if self.timestamp_ms < 0:
-            raise ValueError(f"timestamp_ms must be >= 0, got {self.timestamp_ms}")
+
+@dataclass(frozen=True, eq=False)
+class Detections:
+    """A parsed detections stream, column-wise.
+
+    ``frame_index`` and ``timestamp_ms`` are int64 with one entry per frame;
+    frame i owns rows ``offsets[i]:offsets[i + 1]`` of ``boxes``. Indexing
+    and iterating yield :class:`FrameDetections` views.
+    """
+
+    frame_index: np.ndarray
+    timestamp_ms: np.ndarray
+    offsets: np.ndarray
+    boxes: Boxes
+
+    def __len__(self):
+        return len(self.frame_index)
+
+    def __getitem__(self, i: int) -> FrameDetections:
+        i = range(len(self))[i]
+        return FrameDetections(
+            int(self.frame_index[i]),
+            int(self.timestamp_ms[i]),
+            self.boxes[self.offsets[i] : self.offsets[i + 1]],
+        )
+
+    def __iter__(self):
+        # plain ints and list offsets: cheaper than __getitem__ per frame
+        offsets = self.offsets.tolist()
+        stamps = self.timestamp_ms.tolist()
+        for i, index in enumerate(self.frame_index.tolist()):
+            yield FrameDetections(index, stamps[i], self.boxes[offsets[i] : offsets[i + 1]])
 
 
 @dataclass(frozen=True)
@@ -114,85 +163,208 @@ def format_fps(fps: Fraction):
     return f"{fps.numerator}/{fps.denominator}"
 
 
-def _parse_box(raw, line):
-    try:
-        return BoundingBox(
-            x=float(raw["x"]),
-            y=float(raw["y"]),
-            w=float(raw["w"]),
-            h=float(raw["h"]),
-            score=float(raw["score"]),
-            class_id=int(raw["class_id"]),
-        )
-    except KeyError as exc:
-        raise InputFormatError(f"box missing field {exc.args[0]!r}", line=line) from exc
-    except (TypeError, ValueError) as exc:
-        raise InputFormatError(f"bad box: {exc}", line=line) from exc
+def parse_detections(source) -> tuple[Detections, StreamMeta]:
+    """Parse a detections stream into columns plus stream metadata.
 
-
-def parse_detections(source) -> tuple[list[FrameDetections], StreamMeta]:
-    """Parse a detections stream into frame records plus stream metadata.
-
-    ``source`` may be a bytes object, a text/binary file object, or a path.
-    Records must arrive in strictly increasing frame_index order; duplicates
-    are rejected, missing indices are tolerated and reported as gaps.
+    ``source`` may be a bytes object, a text/binary file object, or a path;
+    it is read line by line. Records must arrive in strictly increasing
+    frame_index order; duplicates are rejected, missing indices are
+    tolerated and reported as gaps. Box values must be JSON numbers. Every
+    rejected input raises InputFormatError naming its line.
     """
-    text = _as_text(source)
     header = None
-    frames: list[FrameDetections] = []
+    block = _Block()
+    blocks = []
     last_index = None
     gaps: list[tuple[int, int]] = []
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped:
-            continue
-        try:
-            obj = json.loads(stripped)
-        except json.JSONDecodeError as exc:
-            raise InputFormatError(f"invalid JSON: {exc.msg}", line=line_no) from exc
-        if header is None:
-            if "fps" not in obj:
-                raise InputFormatError("header missing 'fps'", line=line_no)
-            header = (parse_fps(obj["fps"]), str(obj.get("source_id", "")))
-            continue
-        try:
-            frame_index = int(obj["frame_index"])
-            timestamp_ms = int(obj["timestamp_ms"])
-            raw_boxes = obj["boxes"]
-        except KeyError as exc:
-            raise InputFormatError(f"record missing field {exc.args[0]!r}", line=line_no) from exc
-        boxes = tuple(_parse_box(b, line_no) for b in raw_boxes)
-        try:
-            record = FrameDetections(frame_index, timestamp_ms, boxes)
-        except ValueError as exc:
-            raise InputFormatError(str(exc), line=line_no) from exc
-        if last_index is not None:
-            if frame_index == last_index:
-                raise InputFormatError(
-                    f"duplicate frame_index {frame_index}", line=line_no
-                )
-            if frame_index < last_index:
-                raise InputFormatError(
-                    f"non-monotone frame_index {frame_index} after {last_index}",
-                    line=line_no,
-                )
-            if frame_index > last_index + 1:
-                gaps.append((last_index + 1, frame_index - 1))
-        last_index = frame_index
-        frames.append(record)
+    with _lines(source) as lines:
+        for line_no, line in enumerate(lines, start=1):
+            try:
+                if isinstance(line, bytes):
+                    try:
+                        line = line.decode("utf-8")
+                    except UnicodeDecodeError as exc:
+                        raise InputFormatError(f"invalid UTF-8: {exc}", line=line_no) from None
+                stripped = line.strip()
+                if not stripped:
+                    continue
+                try:
+                    obj = json.loads(stripped)
+                except json.JSONDecodeError as exc:
+                    raise InputFormatError(f"invalid JSON: {exc.msg}", line=line_no) from exc
+                if header is None:
+                    header = _header(obj, line_no)
+                    continue
+                frame_index = block.add_record(obj, line_no)
+                if last_index is not None:
+                    if frame_index == last_index:
+                        raise InputFormatError(
+                            f"duplicate frame_index {frame_index}", line=line_no
+                        )
+                    if frame_index < last_index:
+                        raise InputFormatError(
+                            f"non-monotone frame_index {frame_index} after {last_index}",
+                            line=line_no,
+                        )
+                    if frame_index > last_index + 1:
+                        gaps.append((last_index + 1, frame_index - 1))
+            except InputFormatError:
+                block.columns()  # a bad box on an earlier line is reported first
+                raise
+            last_index = frame_index
+            if len(block.frame_index) == _BLOCK_FRAMES:
+                blocks.append(block.columns())
+                block = _Block()
     if header is None:
         raise InputFormatError("empty detections stream (no header)")
+    blocks.append(block.columns())
+    frame_index, timestamp_ms, counts, values, class_id = (
+        np.concatenate(parts, axis=-1) for parts in zip(*blocks)
+    )
+    offsets = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    detections = Detections(frame_index, timestamp_ms, offsets, Boxes(*values, class_id))
     meta = StreamMeta(
         fps=header[0],
-        frame_count=len(frames),
+        frame_count=len(detections),
         source_id=header[1],
         gaps=tuple(gaps),
     )
-    return frames, meta
+    return detections, meta
 
 
-def serialize_detections(frames, meta: StreamMeta) -> bytes:
-    """Write frames + metadata back to the detections file format."""
+class _Block:
+    """Up to _BLOCK_FRAMES frames of a parse, still as Python values.
+
+    ``starts[k]`` is the first row in ``rows`` of the k-th record added and
+    ``lines[k]`` its line number, so a bad row maps back to its line.
+    """
+
+    def __init__(self):
+        self.frame_index: list[int] = []
+        self.timestamp_ms: list[int] = []
+        self.starts: list[int] = []
+        self.lines: list[int] = []
+        self.rows: list[tuple] = []
+
+    def add_record(self, obj, line_no) -> int:
+        """Append one frame record; returns its frame_index."""
+        if not isinstance(obj, dict):
+            raise InputFormatError("record must be a JSON object", line=line_no)
+        frame_index = _int_field(obj, "frame_index", line_no)
+        timestamp_ms = _int_field(obj, "timestamp_ms", line_no)
+        if "boxes" not in obj:
+            raise InputFormatError("record missing field 'boxes'", line=line_no)
+        raw_boxes = obj["boxes"]
+        if not isinstance(raw_boxes, list):
+            raise InputFormatError(
+                f"boxes must be a JSON array, got {raw_boxes!r}", line=line_no
+            )
+        self.starts.append(len(self.rows))
+        self.lines.append(line_no)
+        try:
+            self.rows.extend(map(_box_values, raw_boxes))
+        except KeyError as exc:
+            raise InputFormatError(f"box missing field {exc.args[0]!r}", line=line_no) from exc
+        except TypeError:
+            raise InputFormatError("box must be a JSON object", line=line_no) from None
+        for name, value in (("frame_index", frame_index), ("timestamp_ms", timestamp_ms)):
+            if value < 0:
+                raise InputFormatError(f"{name} must be >= 0, got {value}", line=line_no)
+            if value > _INT64_MAX:
+                raise InputFormatError(f"{name} must be <= {_INT64_MAX}, got {value}", line=line_no)
+        self.frame_index.append(frame_index)
+        self.timestamp_ms.append(timestamp_ms)
+        return frame_index
+
+    def line_of(self, row: int) -> int:
+        return self.lines[bisect.bisect_right(self.starts, row) - 1]
+
+    def columns(self):
+        """(frame_index, timestamp_ms, box counts, (5, m) x/y/w/h/score, class_id) arrays.
+
+        Raises InputFormatError for the first box whose values are not
+        numbers or are out of range.
+        """
+        rows = self.rows
+        try:
+            values, class_id = _box_arrays(rows)
+        except (TypeError, ValueError, OverflowError) as exc:
+            # the first box that fails on its own is the one to report
+            for r in range(len(rows)):
+                try:
+                    one, _ = _box_arrays(rows[r : r + 1])
+                except (TypeError, ValueError, OverflowError):
+                    raise InputFormatError(
+                        f"bad box: values must be numbers, got {dict(zip(_BOX_FIELDS, rows[r]))}",
+                        line=self.line_of(r),
+                    ) from None
+                self._check_ranges(one, r)
+            raise InputFormatError(f"bad box: {exc}", line=self.lines[0]) from exc
+        self._check_ranges(values, 0)
+        return (
+            np.array(self.frame_index, dtype=np.int64),
+            np.array(self.timestamp_ms, dtype=np.int64),
+            np.diff(self.starts + [len(rows)]),
+            np.ascontiguousarray(values[:, :5].T),
+            class_id,
+        )
+
+    def _check_ranges(self, values, first_row):
+        """Reject the first row of ``values`` (row ``first_row`` of the block) out of range."""
+        w, h, score = values[:, 2], values[:, 3], values[:, 4]
+        bad = (w <= 0) | (h <= 0) | ~((0.0 <= score) & (score <= 1.0))
+        if not bad.any():
+            return
+        r = int(np.argmax(bad))
+        w, h, score = float(w[r]), float(h[r]), float(score[r])
+        if w <= 0 or h <= 0:
+            message = f"box width/height must be > 0, got w={w}, h={h}"
+        else:
+            message = f"score must be in [0, 1], got {score}"
+        raise InputFormatError(f"bad box: {message}", line=self.line_of(first_row + r))
+
+
+def _box_arrays(rows):
+    """(m, 6) float64 box values and exact int64 class ids of box tuples.
+
+    numpy infers a numeric dtype only when every value is a number (JSON
+    true/false count as 1/0, as ``float`` reads them); anything else raises.
+    """
+    values = np.array(rows)
+    if values.dtype.kind not in "biuf":
+        raise TypeError(f"non-numeric box values ({values.dtype})")
+    values = values.reshape(len(rows), len(_BOX_FIELDS)).astype(np.float64, copy=False)
+    class_id = np.fromiter(map(_class_id, rows), dtype=np.int64, count=len(rows))
+    return values, class_id
+
+
+def _header(obj, line_no) -> tuple[Fraction, str]:
+    """(fps, source_id) of the header line."""
+    if not isinstance(obj, dict):
+        raise InputFormatError("header must be a JSON object", line=line_no)
+    if "fps" not in obj:
+        raise InputFormatError("header missing 'fps'", line=line_no)
+    try:
+        fps = parse_fps(obj["fps"])
+    except InputFormatError as exc:
+        raise InputFormatError(str(exc), line=line_no) from None
+    return fps, str(obj.get("source_id", ""))
+
+
+def _int_field(obj, name, line_no) -> int:
+    try:
+        return int(obj[name])
+    except KeyError:
+        raise InputFormatError(f"record missing field {name!r}", line=line_no) from None
+    except (TypeError, ValueError, OverflowError):
+        raise InputFormatError(
+            f"{name} must be an integer, got {obj[name]!r}", line=line_no
+        ) from None
+
+
+def serialize_detections(detections: Detections, meta: StreamMeta) -> bytes:
+    """Write detections + metadata back to the detections file format."""
     out = io.StringIO()
     json.dump(
         {"fps": format_fps(meta.fps), "source_id": meta.source_id},
@@ -200,23 +372,17 @@ def serialize_detections(frames, meta: StreamMeta) -> bytes:
         separators=(",", ":"),
     )
     out.write("\n")
-    for frame in frames:
+    b = detections.boxes
+    rows = list(zip(*(c.tolist() for c in (b.x, b.y, b.w, b.h, b.score, b.class_id))))
+    offsets = detections.offsets.tolist()
+    stamps = detections.timestamp_ms.tolist()
+    for i, index in enumerate(detections.frame_index.tolist()):
         record = {
-            "frame_index": frame.frame_index,
-            "timestamp_ms": frame.timestamp_ms,
-            "boxes": [
-                {
-                    "x": b.x,
-                    "y": b.y,
-                    "w": b.w,
-                    "h": b.h,
-                    "score": b.score,
-                    "class_id": b.class_id,
-                }
-                for b in frame.boxes
-            ],
+            "frame_index": index,
+            "timestamp_ms": stamps[i],
+            "boxes": [dict(zip(_BOX_FIELDS, row)) for row in rows[offsets[i] : offsets[i + 1]]],
         }
-        json.dump(record, out, separators=(",", ":"))
+        out.write(json.dumps(record, separators=(",", ":")))
         out.write("\n")
     return out.getvalue().encode("utf-8")
 
@@ -267,14 +433,16 @@ def save_gray_frames(frames) -> bytes:
     return bytes(out)
 
 
-def _as_text(source) -> str:
+@contextmanager
+def _lines(source):
+    """Line iterator over a path, bytes object or file object."""
     if isinstance(source, str):
         with open(source, "rb") as fh:
-            return fh.read().decode("utf-8")
-    if isinstance(source, (bytes, bytearray)):
-        return bytes(source).decode("utf-8")
-    data = source.read()
-    return data.decode("utf-8") if isinstance(data, bytes) else data
+            yield fh
+    elif isinstance(source, (bytes, bytearray)):
+        yield io.BytesIO(source)
+    else:
+        yield source
 
 
 def _as_bytes(source) -> bytes:

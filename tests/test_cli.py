@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from crowdgate import cli
 from crowdgate.cli import (
     EXIT_CONFIG_ERROR,
     EXIT_INPUT_ERROR,
@@ -12,6 +13,7 @@ from crowdgate.cli import (
     PipelineConfig,
     main,
     run_pipeline,
+    stage_count,
 )
 from crowdgate.counting import read_count_series
 from crowdgate.density import DensityRegressor, regressor_to_json
@@ -88,6 +90,77 @@ class TestCountCommand:
             runner, ["count", det, "--out", str(tmp_path / "o"), "--config", str(cfg)]
         )
         assert result.exit_code == EXIT_CONFIG_ERROR
+
+
+    @pytest.mark.parametrize(
+        "data,line",
+        [
+            (b'{"fps":9}\n{"frame_index":0,"timestamp_ms":0,"boxes":5}\n', 2),
+            (b'{"fps":9}\n[1,2]\n', 2),
+            (b"5\n", 1),
+            (b'{"fps":9}\n{"frame_index":null,"timestamp_ms":0,"boxes":[]}\n', 2),
+            (b'{"fps":9}\n\n{"frame_index":"abc","timestamp_ms":0,"boxes":[]}\n', 3),
+            (b'{"fps":9}\n{"frame_index":0,"timestamp_ms":0,"boxes":[]}\n{"\xff":1}\n', 3),
+        ],
+        ids=["boxes-not-array", "record-not-object", "header-not-object",
+             "null-index", "string-index", "invalid-utf8"],
+    )
+    def test_malformed_detections_exit_2(self, runner, tmp_path, data, line):
+        det = tmp_path / "d.jsonl"
+        det.write_bytes(data)
+        result = run_cli(runner, ["count", str(det), "--out", str(tmp_path / "o")])
+        assert result.exit_code == EXIT_INPUT_ERROR
+        assert f"error: line {line}: " in result.output
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"count_ceiling": "abc"},
+            {"count_ceiling": True},
+            {"smoothing_divisor": 2.5},
+            {"abnormal_threshold": "5"},
+            {"min_score": "0.5"},
+            {"tie_break": 3},
+            {"density_model_path": 7},
+        ],
+    )
+    def test_config_value_types_exit_3(self, runner, tmp_path, config):
+        det = write_detections(tmp_path / "d.jsonl", [1])
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        result = run_cli(
+            runner, ["count", det, "--out", str(tmp_path / "o"), "--config", str(cfg)]
+        )
+        assert result.exit_code == EXIT_CONFIG_ERROR
+        assert f"error: {next(iter(config))} must be" in result.output
+
+
+def test_stage_count_calls_parse_and_count_through_module(monkeypatch):
+    # stage_count must look parse_detections and count_series up on
+    # crowdgate.cli at call time: the benchmark's tracer wraps them there,
+    # passes the detections bytes on, and sums len(f.boxes) over the frames
+    calls = []
+
+    def spy(name):
+        original = getattr(cli, name)
+
+        def wrapper(*args):
+            result = original(*args)
+            calls.append((name, args, result))
+            return result
+
+        monkeypatch.setattr(cli, name, wrapper)
+
+    spy("parse_detections")
+    spy("count_series")
+    data = detections_bytes([3, 0, 2])
+    series, _, _ = stage_count(data, PipelineConfig())
+    assert [c[0] for c in calls] == ["parse_detections", "count_series"]
+    (_, parse_args, (detections, _)), (_, count_args, _) = calls
+    assert parse_args == (data,) and isinstance(parse_args[0], bytes)
+    assert count_args[0] is detections
+    assert sum(len(f.boxes) for f in detections) == 5
+    assert series.counts.tolist() == [3, 0, 2]
 
 
 class TestSynthCommand:

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -6,54 +8,80 @@ from crowdgate.counting import (
     PROV_DETECTOR,
     CountSeries,
     RoutingPolicy,
-    count_frame,
+    count_series,
     frames_needing_density,
     read_count_series,
     route_counts,
     write_count_series,
 )
 from crowdgate.errors import RoutingError
-from crowdgate.ingest import BoundingBox, FrameDetections
+from crowdgate.ingest import Boxes, Detections, StreamMeta
 
 from conftest import series
 
 
-def frame(scores_and_classes, index=0):
-    boxes = tuple(
-        BoundingBox(0.0, 0.0, 1.0, 1.0, score, cid) for score, cid in scores_and_classes
+def stream(frames):
+    """Detections whose i-th frame holds the (score, class_id) boxes ``frames[i]``."""
+    rows = [box for boxes in frames for box in boxes]
+    m = len(rows)
+    n = len(frames)
+    return Detections(
+        frame_index=np.arange(n, dtype=np.int64),
+        timestamp_ms=np.zeros(n, dtype=np.int64),
+        offsets=np.cumsum([0] + [len(boxes) for boxes in frames]),
+        boxes=Boxes(
+            x=np.zeros(m),
+            y=np.zeros(m),
+            w=np.ones(m),
+            h=np.ones(m),
+            score=np.array([s for s, _ in rows], dtype=np.float64),
+            class_id=np.array([c for _, c in rows], dtype=np.int64),
+        ),
     )
-    return FrameDetections(index, 0, boxes)
+
+
+def counts(frames, policy):
+    meta = StreamMeta(fps=Fraction(30), frame_count=len(frames), source_id="t")
+    out = count_series(stream(frames), meta, policy)
+    assert out.counts.dtype == np.int64
+    assert out.fps == 30
+    return out.counts.tolist()
 
 
 class TestCountFrame:
+    """Per-frame counts, through count_series."""
+
     def test_empty(self):
-        assert count_frame(frame([]), RoutingPolicy()) == 0
+        assert counts([[]], RoutingPolicy()) == [0]
+        assert counts([], RoutingPolicy()) == []
 
     def test_score_filter(self):
-        f = frame([(0.9, 0)] * 3 + [(0.3, 0)])
-        assert count_frame(f, RoutingPolicy(min_score=0.5)) == 3
+        f = [(0.9, 0)] * 3 + [(0.3, 0)] + [(0.5, 0)]
+        assert counts([f], RoutingPolicy(min_score=0.5)) == [4]
 
     def test_class_filter(self):
-        f = frame([(0.9, 0), (0.9, 1), (0.9, 0)])
-        assert count_frame(f, RoutingPolicy(person_class_id=0)) == 2
+        f = [(0.9, 0), (0.9, 1), (0.9, 0)]
+        assert counts([f], RoutingPolicy(person_class_id=0)) == [2]
 
     def test_brute_force_oracle(self, rng):
+        # many frames are empty, including the first and last: a per-frame
+        # reduction that mishandles empty frames shifts or merges counts
         policy = RoutingPolicy(min_score=0.6, person_class_id=2)
         for _ in range(50):
-            boxes = [
-                (float(rng.uniform(0, 1)), int(rng.integers(0, 4)))
-                for _ in range(int(rng.integers(0, 30)))
+            frames = [
+                [
+                    (float(rng.uniform(0, 1)), int(rng.integers(0, 4)))
+                    for _ in range(int(rng.choice([0, 0, rng.integers(1, 30)])))
+                ]
+                for _ in range(int(rng.integers(1, 40)))
             ]
-            expected = sum(1 for s, c in boxes if c == 2 and s >= 0.6)
-            assert count_frame(frame(boxes), policy) == expected
+            expected = [sum(1 for s, c in f if c == 2 and s >= 0.6) for f in frames]
+            assert counts(frames, policy) == expected
 
     def test_monotone_in_min_score(self, rng):
-        boxes = [(float(rng.uniform(0, 1)), 0) for _ in range(40)]
-        f = frame(boxes)
-        counts = [
-            count_frame(f, RoutingPolicy(min_score=t)) for t in np.linspace(0, 1, 21)
-        ]
-        assert counts == sorted(counts, reverse=True)
+        f = [(float(rng.uniform(0, 1)), 0) for _ in range(40)]
+        by_floor = [counts([f], RoutingPolicy(min_score=t))[0] for t in np.linspace(0, 1, 21)]
+        assert by_floor == sorted(by_floor, reverse=True)
 
 
 class TestRouteCounts:
