@@ -125,6 +125,10 @@ class PipelineConfig:
             raise ConfigError(
                 f"abnormal_threshold must be >= 1, got {self.abnormal_threshold}"
             )
+        for key in ("min_duration_frames", "merge_gap_frames"):
+            value = getattr(self, key)
+            if value is not None and value < 0:
+                raise ConfigError(f"{key} must be >= 0, got {value}")
 
     def effective(self) -> dict:
         out = dataclasses.asdict(self)

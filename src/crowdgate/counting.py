@@ -8,21 +8,35 @@ pixel-based density estimate.
 
 from __future__ import annotations
 
-import csv
-import io
+import re
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Mapping, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InputFormatError, RoutingError
-from .ingest import Detections, format_fps, parse_fps
+from .ingest import Detections, decode_line, format_fps, parse_fps, source_bytes
 
 PROV_DETECTOR = "Detector"
 PROV_DENSITY = "Density"
 PROV_SMOOTHED = "Smoothed"
 _PROVENANCE_VALUES = (PROV_DETECTOR, PROV_DENSITY, PROV_SMOOTHED)
+_PROVENANCE = np.array(_PROVENANCE_VALUES, dtype="<U8")
+
+_HEADER = ["frame_index", "count", "provenance"]
+_INT64_MAX = int(np.iinfo(np.int64).max)
+_MAX_DIGITS = len(str(_INT64_MAX))
+# One count-series row, as the line check splits it. A sign is matched only
+# so that a negative count or frame_index gets its own message.
+_ROW = re.compile(r'(-?[0-9]+),(-?[0-9]+),([^\s",]*)')
+# Each provenance word as the little-endian uint64 of its bytes, zero-padded to 8.
+_PROVENANCE_KEYS = np.array(
+    [int.from_bytes(p.encode().ljust(8, b"\0"), "little") for p in _PROVENANCE_VALUES],
+    dtype=np.uint64,
+)
+_PROVENANCE_WIDTHS = np.array([len(p) for p in _PROVENANCE_VALUES])
 
 
 @dataclass(frozen=True)
@@ -133,74 +147,205 @@ def write_count_series(series: CountSeries, comments: Sequence[str] = ()) -> byt
     ``#``-prefixed comment lines (fps plus any caller-supplied provenance
     metadata) precede the header; readers skip them.
     """
-    out = io.StringIO(newline="")
-    out.write(f"# fps={format_fps(series.fps)}\n")
-    for comment in comments:
-        out.write(f"# {comment}\n")
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["frame_index", "count", "provenance"])
-    for i, (count, prov) in enumerate(zip(series.counts, series.provenance)):
-        writer.writerow([i, int(count), prov])
-    return out.getvalue().encode("utf-8")
+    head = [f"# fps={format_fps(series.fps)}\n"]
+    head += [f"# {comment}\n" for comment in comments]
+    head.append(",".join(_HEADER) + "\n")
+    rows = zip(series.counts.tolist(), series.provenance.tolist())
+    body = "".join([f"{i},{count},{prov}\n" for i, (count, prov) in enumerate(rows)])
+    return ("".join(head) + body).encode("utf-8")
 
 
 def read_count_series(source, fps=None) -> CountSeries:
     """Parse the CSV count-series format.
 
-    ``fps`` overrides (or supplies, when no ``# fps=`` comment is present)
-    the frame rate.
+    ``source`` is a bytes object, a path or a file object. Blank lines and
+    ``#`` comment lines may appear anywhere, with LF or CRLF line ends; the
+    last ``# fps=`` comment gives the frame rate, which ``fps`` overrides
+    (or supplies, when there is none). The first other line is the header
+    ``frame_index,count,provenance``. Every line after it that is not blank
+    or a comment must be a row as write_count_series emits it: frame_index
+    counting up from 0, a count of at most 19 ASCII digits within int64, and
+    one of the three provenance words, with no quotes, signs or spaces.
+    Every rejected input raises InputFormatError naming its line.
     """
-    if isinstance(source, str):
-        with open(source, "rb") as fh:
-            text = fh.read().decode("utf-8")
-    elif isinstance(source, (bytes, bytearray)):
-        text = bytes(source).decode("utf-8")
-    else:
-        data = source.read()
-        text = data.decode("utf-8") if isinstance(data, bytes) else data
-
-    lines = text.splitlines()
-    rows = []
-    file_fps = None
-    header_seen = False
-    for line_no, line in enumerate(lines, start=1):
-        stripped = line.strip()
-        if not stripped:
-            continue
-        if stripped.startswith("#"):
-            comment = stripped.lstrip("#").strip()
-            if comment.startswith("fps="):
-                file_fps = parse_fps(comment[4:])
-            continue
-        fields = next(csv.reader([stripped]))
-        if not header_seen:
-            if [f.strip() for f in fields] != ["frame_index", "count", "provenance"]:
-                raise InputFormatError(
-                    f"bad count-series header {stripped!r}", line=line_no
-                )
-            header_seen = True
-            continue
-        try:
-            index, count, prov = int(fields[0]), int(fields[1]), fields[2]
-        except (IndexError, ValueError) as exc:
-            raise InputFormatError(f"bad count row {stripped!r}", line=line_no) from exc
-        if count < 0:
-            raise InputFormatError(f"negative count {count}", line=line_no)
-        if prov not in _PROVENANCE_VALUES:
-            raise InputFormatError(f"unknown provenance {prov!r}", line=line_no)
-        if index != len(rows):
-            raise InputFormatError(
-                f"expected frame_index {len(rows)}, got {index}", line=line_no
-            )
-        rows.append((count, prov))
-    if not header_seen:
-        raise InputFormatError("count-series file has no header row")
+    data = source_bytes(source)
+    file_fps, header_line, offset = _read_preamble(data)
+    scanned = _scan_body(data, offset, header_line)
+    if scanned is None:
+        _raise_first_error(data, offset, header_line)
+    counts, provenance, body_fps = scanned
+    if body_fps is not None:
+        file_fps = body_fps
     effective_fps = Fraction(fps) if fps is not None else file_fps
     if effective_fps is None:
         raise InputFormatError("no fps available: file carries no '# fps=' and none was supplied")
-    counts = np.array([r[0] for r in rows], dtype=np.int64)
-    prov = np.array([r[1] for r in rows], dtype="<U8")
-    return CountSeries(counts, effective_fps, prov)
+    return CountSeries(counts, effective_fps, provenance)
+
+
+def _read_preamble(data: bytes) -> tuple[Fraction | None, int, int]:
+    """(fps of the last '# fps=' comment, header line number, offset of the body)."""
+    file_fps = None
+    pos = line_no = 0
+    while pos < len(data):
+        end = data.find(b"\n", pos)
+        if end < 0:
+            end = len(data)
+        line_no += 1
+        text = decode_line(data[pos:end], line_no).strip()
+        pos = end + 1
+        if not text:
+            continue
+        if text.startswith("#"):
+            file_fps = _comment_fps(text, line_no) or file_fps
+            continue
+        if [f.strip() for f in text.split(",")] != _HEADER:
+            raise InputFormatError(f"bad count-series header {text!r}", line=line_no)
+        return file_fps, line_no, min(pos, len(data))
+    raise InputFormatError("count-series file has no header row")
+
+
+def _comment_fps(text: str, line_no: int) -> Fraction | None:
+    """The frame rate a '# fps=' comment line sets; None for other comments."""
+    comment = text.lstrip("#").strip()
+    if not comment.startswith("fps="):
+        return None
+    try:
+        return parse_fps(comment[4:])
+    except InputFormatError as exc:
+        raise InputFormatError(str(exc), line=line_no) from None
+
+
+def _scan_body(data: bytes, offset: int, header_line: int):
+    """(counts, provenance, fps of the last '# fps=' comment or None) of the
+    lines after the header, scanned as whole arrays; None if any line is bad.
+
+    A line starting with a digit is a row. Other lines (blank, comments and
+    bad lines, few in practice) are looked at one by one.
+    """
+    size = len(data) - offset
+    if not size:
+        return np.zeros(0, dtype=np.int64), _PROVENANCE[:0], None
+    # the body, with zero bytes before and after it, so that a fixed-width
+    # window ending at any field's end, or starting at any field's start,
+    # stays inside the buffer
+    buf = np.zeros(_MAX_DIGITS + size + 8, dtype=np.uint8)
+    body = buf[_MAX_DIGITS : _MAX_DIGITS + size]
+    body[:] = np.frombuffer(data, dtype=np.uint8, offset=offset)
+    newlines = np.flatnonzero(body == ord("\n"))
+    starts = np.concatenate(([0], newlines + 1))
+    stops = np.append(newlines, size)
+    stops -= (stops > starts) & (buf[_MAX_DIGITS - 1 + stops] == ord("\r"))
+    first = buf[_MAX_DIGITS + starts]
+    is_row = (stops > starts) & (first >= ord("0")) & (first <= ord("9"))
+
+    body_fps = None
+    for k in np.flatnonzero((stops > starts) & ~is_row).tolist():
+        line_no = header_line + 1 + k
+        try:
+            text = decode_line(data[offset + starts[k] : offset + stops[k]], line_no).strip()
+            if text and not text.startswith("#"):
+                return None
+            body_fps = _comment_fps(text, line_no) or body_fps
+        except InputFormatError:  # _raise_first_error reports errors in file order
+            return None
+
+    starts, stops = starts[is_row], stops[is_row]
+    commas = np.flatnonzero(body == ord(","))
+    k = np.searchsorted(commas, starts)
+    if (np.searchsorted(commas, stops) - k != 2).any():
+        return None
+    comma1, comma2 = commas[k], commas[k + 1]
+    index = _digit_fields(buf, starts, comma1)
+    counts = _digit_fields(buf, comma1 + 1, comma2)
+    code = _provenance_codes(buf, comma2 + 1, stops)
+    if (
+        index is None
+        or counts is None
+        or code is None
+        or not np.array_equal(index, np.arange(len(index), dtype=np.uint64))
+        or (len(counts) and counts.max() > _INT64_MAX)
+    ):
+        return None
+    return counts.astype(np.int64), _PROVENANCE[code], body_fps
+
+
+def _digit_fields(buf: np.ndarray, starts: np.ndarray, stops: np.ndarray):
+    """uint64 values of the body fields ``starts[i]:stops[i]``, or None unless
+    every field is 1 to 19 ASCII digits.
+
+    The fields are read as one right-aligned digit matrix, one row a field.
+    """
+    width = stops - starts
+    if not len(width):
+        return np.zeros(0, dtype=np.uint64)
+    if width.min() < 1 or width.max() > _MAX_DIGITS:
+        return None
+    cols = int(width.max())
+    digits = sliding_window_view(buf, cols)[_MAX_DIGITS + stops - cols]
+    digits[np.arange(cols) < (cols - width)[:, None]] = ord("0")
+    digits -= np.uint8(ord("0"))
+    if digits.max() > 9:
+        return None
+    value = np.zeros(len(width), dtype=np.uint64)
+    for column in digits.T:
+        value = value * np.uint64(10) + column
+    return value
+
+
+def _provenance_codes(buf: np.ndarray, starts: np.ndarray, stops: np.ndarray):
+    """Index into _PROVENANCE of each body field ``starts[i]:stops[i]``, or
+    None unless every field is one of the words.
+
+    Each field's first 8 bytes, zero-padded, are compared as one uint64
+    key, and its width with the word's.
+    """
+    width = stops - starts
+    words = sliding_window_view(buf, 8)[_MAX_DIGITS + starts]
+    words[np.arange(8) >= width[:, None]] = 0
+    keys = words.view("<u8")[:, 0]
+    code = np.full(len(keys), -1)
+    for i, key in enumerate(_PROVENANCE_KEYS):
+        code[keys == key] = i
+    if (code < 0).any() or not np.array_equal(_PROVENANCE_WIDTHS[code], width):
+        return None
+    return code
+
+
+def _raise_first_error(data: bytes, offset: int, header_line: int):
+    """Raise the InputFormatError of the first bad line after the header.
+
+    Runs only on a body _scan_body rejected, and applies its rules one line
+    at a time.
+    """
+    expected = 0
+    lines = data[offset:].split(b"\n")
+    for line_no, line in enumerate(lines, start=header_line + 1):
+        text = decode_line(line.removesuffix(b"\r"), line_no)
+        stripped = text.strip()
+        if not stripped:
+            continue
+        if stripped.startswith("#"):
+            _comment_fps(stripped, line_no)
+            continue
+        row = _ROW.fullmatch(text)
+        if row is None:
+            raise InputFormatError(f"bad count row {text!r}", line=line_no)
+        index, count, prov = row.groups()
+        if count.startswith("-"):
+            raise InputFormatError(f"negative count {count}", line=line_no)
+        if len(count) > _MAX_DIGITS or int(count) > _INT64_MAX:
+            raise InputFormatError(
+                f"count {count} is over {_INT64_MAX} or longer than {_MAX_DIGITS} digits",
+                line=line_no,
+            )
+        if prov not in _PROVENANCE_VALUES:
+            raise InputFormatError(f"unknown provenance {prov!r}", line=line_no)
+        if index.startswith("-") or len(index) > _MAX_DIGITS or int(index) != expected:
+            raise InputFormatError(
+                f"expected frame_index {expected}, got {index}", line=line_no
+            )
+        expected += 1
+    raise RuntimeError("the count-series scan rejected a body its line check accepts")
 
 
 def with_fps(series: CountSeries, fps) -> CountSeries:

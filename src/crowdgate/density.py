@@ -9,7 +9,6 @@ with a fitted linear regressor.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
 from dataclasses import dataclass, replace
@@ -17,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InputFormatError, RankDeficientError
-from .ingest import GrayFrame
+from .ingest import GrayFrame, decode_line, source_bytes
 
 DEFAULT_MOTION_THRESHOLD = 15.0
 DEFAULT_LEARNING_RATE = 0.05
@@ -226,17 +225,9 @@ def regressor_from_json(text: str) -> DensityRegressor:
 
 def read_calibration_csv(source) -> list[tuple[ForegroundFeatures, int]]:
     """Parse the calibration CSV: frame_index,area,edge,true_count."""
-    if isinstance(source, str):
-        with open(source, "rb") as fh:
-            text = fh.read().decode("utf-8")
-    elif isinstance(source, (bytes, bytearray)):
-        text = bytes(source).decode("utf-8")
-    else:
-        text = source.read()
-        if isinstance(text, bytes):
-            text = text.decode("utf-8")
+    lines = source_bytes(source).split(b"\n")
     samples = []
-    reader = csv.reader(io.StringIO(text))
+    reader = csv.reader(decode_line(line, n) for n, line in enumerate(lines, start=1))
     header_seen = False
     for line_no, fields in enumerate(reader, start=1):
         if not fields or not "".join(fields).strip():

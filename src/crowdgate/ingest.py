@@ -181,10 +181,7 @@ def parse_detections(source) -> tuple[Detections, StreamMeta]:
         for line_no, line in enumerate(lines, start=1):
             try:
                 if isinstance(line, bytes):
-                    try:
-                        line = line.decode("utf-8")
-                    except UnicodeDecodeError as exc:
-                        raise InputFormatError(f"invalid UTF-8: {exc}", line=line_no) from None
+                    line = decode_line(line, line_no)
                 stripped = line.strip()
                 if not stripped:
                     continue
@@ -389,7 +386,7 @@ def serialize_detections(detections: Detections, meta: StreamMeta) -> bytes:
 
 def load_gray_frames(source) -> list[GrayFrame]:
     """Read a CGRY container into a list of GrayFrames."""
-    data = _as_bytes(source)
+    data = source_bytes(source)
     if len(data) < _GRAY_HEADER.size:
         raise InputFormatError("gray container shorter than its 16-byte header")
     magic, width, height, count = _GRAY_HEADER.unpack_from(data)
@@ -445,10 +442,20 @@ def _lines(source):
         yield source
 
 
-def _as_bytes(source) -> bytes:
+def source_bytes(source) -> bytes:
+    """The whole content of a path, bytes object or (binary or text) file object."""
     if isinstance(source, str):
         with open(source, "rb") as fh:
             return fh.read()
     if isinstance(source, (bytes, bytearray)):
         return bytes(source)
-    return source.read()
+    data = source.read()
+    return data.encode("utf-8") if isinstance(data, str) else data
+
+
+def decode_line(line: bytes, line_no: int) -> str:
+    """One input line as text; invalid UTF-8 raises InputFormatError naming the line."""
+    try:
+        return line.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise InputFormatError(f"invalid UTF-8: {exc}", line=line_no) from None

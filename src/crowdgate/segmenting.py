@@ -56,6 +56,10 @@ class SegmentPolicy:
             raise ValueError(
                 f"abnormal_threshold must be >= 1, got {self.abnormal_threshold}"
             )
+        for name in ("min_duration_frames", "merge_gap_frames"):
+            value = getattr(self, name)
+            if value is not None and value < 0:
+                raise ValueError(f"{name} must be >= 0, got {value}")
 
     def resolved(self, window_half_length: int) -> "SegmentPolicy":
         return SegmentPolicy(

@@ -14,6 +14,9 @@ from crowdgate.cli import (
     main,
     run_pipeline,
     stage_count,
+    stage_eval,
+    stage_segment,
+    stage_smooth,
 )
 from crowdgate.counting import read_count_series
 from crowdgate.density import DensityRegressor, regressor_to_json
@@ -163,6 +166,82 @@ def test_stage_count_calls_parse_and_count_through_module(monkeypatch):
     assert series.counts.tolist() == [3, 0, 2]
 
 
+def test_stages_call_csv_reader_and_writer_through_module(monkeypatch):
+    # the stages must look read_count_series and write_count_series up on
+    # crowdgate.cli at call time: the benchmark's tracer wraps them there,
+    # passes the CSV bytes on, and counts len(result) as rows read
+    calls = []
+
+    def spy(name):
+        original = getattr(cli, name)
+
+        def wrapper(*args, **kwargs):
+            result = original(*args, **kwargs)
+            calls.append((name, args, result))
+            return result
+
+        monkeypatch.setattr(cli, name, wrapper)
+
+    spy("read_count_series")
+    spy("write_count_series")
+    config = PipelineConfig(abnormal_threshold=2)
+    _, raw_csv, _ = stage_count(detections_bytes([3, 0, 2]), config)
+    _, smoothed_csv, _ = stage_smooth(raw_csv, config)
+    stage_segment(smoothed_csv, config, source="s")
+    stage_eval(raw_csv, raw_csv, smoothed_csv)
+    assert [name for name, _, _ in calls] == [
+        "write_count_series",  # stage_count
+        "read_count_series",  # stage_smooth
+        "write_count_series",
+        "read_count_series",  # stage_segment
+        "read_count_series",  # stage_eval: truth, raw, smoothed
+        "read_count_series",
+        "read_count_series",
+    ]
+    reads = [args[0] for name, args, _ in calls if name == "read_count_series"]
+    assert reads == [raw_csv, smoothed_csv, raw_csv, raw_csv, smoothed_csv]
+    assert all(type(data) is bytes for data in reads)
+    assert [len(result) for name, _, result in calls if name == "read_count_series"] == [3] * 5
+    assert [result for name, _, result in calls if name == "write_count_series"] == [
+        raw_csv,
+        smoothed_csv,
+    ]
+
+
+class TestCountCsvInput:
+    """Count CSVs the stages reject: line-numbered, exit 2."""
+
+    PREFIX = b"# fps=30\nframe_index,count,provenance\n0,1,Detector\n1,2,Detector\n"
+
+    @pytest.mark.parametrize(
+        "data,line",
+        [
+            (PREFIX + b"2,\xff,Detector\n", 5),
+            (PREFIX + b"2,99999999999999999999,Detector\n", 5),
+            (PREFIX + b"99999999999999999999,3,Detector\n", 5),
+            (b"# fps=abc\n" + PREFIX[9:], 1),
+            (PREFIX + b'2,3,"Detector"\n', 5),
+        ],
+        ids=["invalid-utf8", "count-overflow", "index-overflow", "bad-fps-comment",
+             "quoted-field"],
+    )
+    def test_smooth_exit_2(self, runner, tmp_path, data, line):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(data)
+        result = run_cli(runner, ["smooth", str(path), "--out", str(tmp_path / "o")])
+        assert result.exit_code == EXIT_INPUT_ERROR
+        assert f"error: line {line}: " in result.output
+
+    def test_calibration_invalid_utf8_exit_2(self, runner, tmp_path):
+        calib = tmp_path / "calib.csv"
+        calib.write_bytes(b"frame_index,area,edge,true_count\n0,100,20,3\n1,\xff,40,7\n")
+        result = run_cli(
+            runner, ["density-fit", str(calib), "--out", str(tmp_path / "m.json")]
+        )
+        assert result.exit_code == EXIT_INPUT_ERROR
+        assert "error: line 3: invalid UTF-8" in result.output
+
+
 class TestSynthCommand:
     def test_reproducible(self, runner, tmp_path):
         for out in ("a", "b"):
@@ -287,6 +366,22 @@ class TestPipelineRun:
         # a later run without a container must not reuse the first run's frames
         with pytest.raises(StageError, match="no gray frame container"):
             run_pipeline(det, config, tmp_path / "o2")
+
+    @pytest.mark.parametrize(
+        "config", [{"min_duration_frames": -5}, {"merge_gap_frames": -3}]
+    )
+    def test_negative_frame_counts_exit_3(self, runner, tmp_path, config):
+        det = write_detections(tmp_path / "d.jsonl", [1, 7, 7, 1])
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        result = run_cli(
+            runner,
+            ["run", det, "--out", str(tmp_path / "o"), "--threshold", "5", "--config", str(cfg)],
+        )
+        assert result.exit_code == EXIT_CONFIG_ERROR
+        key, value = next(iter(config.items()))
+        assert f"error: {key} must be >= 0, got {value}" in result.output
+        assert not (tmp_path / "o").exists()
 
     def test_missing_threshold_exit_3(self, runner, tmp_path):
         det = write_detections(tmp_path / "d.jsonl", [1, 2])

@@ -1,3 +1,5 @@
+import csv
+import io
 from fractions import Fraction
 
 import numpy as np
@@ -6,6 +8,7 @@ import pytest
 from crowdgate.counting import (
     PROV_DENSITY,
     PROV_DETECTOR,
+    PROV_SMOOTHED,
     CountSeries,
     RoutingPolicy,
     count_series,
@@ -14,10 +17,111 @@ from crowdgate.counting import (
     route_counts,
     write_count_series,
 )
-from crowdgate.errors import RoutingError
-from crowdgate.ingest import Boxes, Detections, StreamMeta
+from crowdgate.errors import InputFormatError, RoutingError
+from crowdgate.ingest import Boxes, Detections, StreamMeta, format_fps, parse_fps
 
 from conftest import series
+
+PROVENANCES = (PROV_DETECTOR, PROV_DENSITY, PROV_SMOOTHED)
+INT64_MAX = 2**63 - 1
+HEADER = "frame_index,count,provenance"
+
+
+def reference_write_count_series(series, comments=()) -> bytes:
+    """The csv-module writer the joined one replaced, kept as the oracle."""
+    out = io.StringIO(newline="")
+    out.write(f"# fps={format_fps(series.fps)}\n")
+    for comment in comments:
+        out.write(f"# {comment}\n")
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["frame_index", "count", "provenance"])
+    for i, (count, prov) in enumerate(zip(series.counts, series.provenance)):
+        writer.writerow([i, int(count), prov])
+    return out.getvalue().encode("utf-8")
+
+
+def reference_read_count_series(data: bytes, fps=None) -> CountSeries:
+    """The row-by-row csv-module reader the columnar one replaced, kept as the oracle."""
+    rows = []
+    file_fps = None
+    header_seen = False
+    for line_no, line in enumerate(data.decode("utf-8").splitlines(), start=1):
+        stripped = line.strip()
+        if not stripped:
+            continue
+        if stripped.startswith("#"):
+            comment = stripped.lstrip("#").strip()
+            if comment.startswith("fps="):
+                file_fps = parse_fps(comment[4:])
+            continue
+        fields = next(csv.reader([stripped]))
+        if not header_seen:
+            if [f.strip() for f in fields] != ["frame_index", "count", "provenance"]:
+                raise InputFormatError(f"bad count-series header {stripped!r}", line=line_no)
+            header_seen = True
+            continue
+        try:
+            index, count, prov = int(fields[0]), int(fields[1]), fields[2]
+        except (IndexError, ValueError) as exc:
+            raise InputFormatError(f"bad count row {stripped!r}", line=line_no) from exc
+        if count < 0:
+            raise InputFormatError(f"negative count {count}", line=line_no)
+        if prov not in PROVENANCES:
+            raise InputFormatError(f"unknown provenance {prov!r}", line=line_no)
+        if index != len(rows):
+            raise InputFormatError(f"expected frame_index {len(rows)}, got {index}", line=line_no)
+        rows.append((count, prov))
+    if not header_seen:
+        raise InputFormatError("count-series file has no header row")
+    effective_fps = Fraction(fps) if fps is not None else file_fps
+    if effective_fps is None:
+        raise InputFormatError("no fps available: file carries no '# fps=' and none was supplied")
+    counts = np.array([r[0] for r in rows], dtype=np.int64)
+    prov = np.array([r[1] for r in rows], dtype="<U8")
+    return CountSeries(counts, effective_fps, prov)
+
+
+def random_series(rng, n=None) -> CountSeries:
+    n = int(rng.integers(0, 301)) if n is None else n
+    scale = rng.choice([50, 10**6, INT64_MAX])
+    counts = rng.integers(0, scale, n, dtype=np.int64, endpoint=True)
+    prov = np.array(PROVENANCES, dtype="<U8")[rng.integers(0, 3, n)]
+    fps = rng.choice([Fraction(30), Fraction(25), Fraction(30000, 1001)])
+    return CountSeries(counts, fps, prov)
+
+
+def csv_lines(series, rng, fps_comment=True) -> list[str]:
+    """The lines of a count CSV for ``series``, with blank and comment lines mixed in."""
+    lines = [f"# fps={format_fps(series.fps)}"] if fps_comment else []
+    lines += ["# seed=7", HEADER]
+    for i, (count, prov) in enumerate(zip(series.counts.tolist(), series.provenance.tolist())):
+        if rng.random() < 0.1:
+            lines.append(str(rng.choice(["", "  ", "\t", "# note, with a comma", " # indented"])))
+        lines.append(f"{i},{count},{prov}")
+    return lines
+
+
+def csv_bytes(lines, rng) -> bytes:
+    """Join ``lines`` with LF or CRLF, with or without a final line end."""
+    end = str(rng.choice(["\n", "\r\n"]))
+    text = end.join(lines) + (end if rng.random() < 0.7 else "")
+    return text.encode("utf-8")
+
+
+def assert_same_series(got: CountSeries, expected: CountSeries):
+    assert got.counts.dtype == np.int64 and got.provenance.dtype == np.dtype("<U8")
+    assert got.counts.tolist() == expected.counts.tolist()
+    assert got.provenance.tolist() == expected.provenance.tolist()
+    assert got.fps == expected.fps
+
+
+def assert_same_rejection(data: bytes, fps=None):
+    with pytest.raises(InputFormatError) as expected:
+        reference_read_count_series(data, fps=fps)
+    with pytest.raises(InputFormatError) as got:
+        read_count_series(data, fps=fps)
+    assert str(got.value) == str(expected.value)
+    assert got.value.line == expected.value.line
 
 
 def stream(frames):
@@ -161,3 +265,167 @@ class TestCountSeriesCsv:
     def test_negative_count_rejected(self):
         with pytest.raises(ValueError):
             series([1, -1])
+
+    def test_empty_body(self):
+        data = b"# fps=30\nframe_index,count,provenance\n"
+        for body in (b"", b"\n\n# only a comment\n", b"\r\n"):
+            got = read_count_series(data + body)
+            assert len(got) == 0 and got.counts.dtype == np.int64
+            assert got.provenance.dtype == np.dtype("<U8")
+
+    def test_header_with_spaces(self):
+        data = b"# fps=30\n frame_index , count,provenance \n0,3,Density\n"
+        assert read_count_series(data).counts.tolist() == [3]
+
+    def test_later_fps_comment_wins(self):
+        data = b"# fps=30\nframe_index,count,provenance\n0,3,Density\n# fps=25\n1,4,Smoothed"
+        got = read_count_series(data)
+        assert got.fps == 25 and got.counts.tolist() == [3, 4]
+
+    def test_path_and_file_object_sources(self, tmp_path):
+        data = write_count_series(series([4, 0, 7], fps=30))
+        path = tmp_path / "c.csv"
+        path.write_bytes(data)
+        for source in (str(path), io.BytesIO(data), io.StringIO(data.decode())):
+            assert read_count_series(source).counts.tolist() == [4, 0, 7]
+
+
+class TestReferenceParity:
+    """The columnar reader and joined writer against the csv-module oracles."""
+
+    def test_random_series(self, rng):
+        for _ in range(200):
+            s = random_series(rng)
+            data = csv_bytes(csv_lines(s, rng), rng)
+            fps = rng.choice([None, None, Fraction(24)])
+            expected = reference_read_count_series(data, fps=fps)
+            assert_same_series(read_count_series(data, fps=fps), expected)
+
+    def test_fps_comment_in_body_overrides(self, rng):
+        s = random_series(rng, n=20)
+        lines = csv_lines(s, rng)
+        lines.insert(int(rng.integers(3, len(lines))), "# fps=12")
+        data = csv_bytes(lines, rng)
+        got = read_count_series(data)
+        assert got.fps == 12
+        assert_same_series(got, reference_read_count_series(data))
+
+    def test_writer_byte_identical(self, rng):
+        for _ in range(100):
+            s = random_series(rng)
+            comments = [f"seed={int(rng.integers(0, 100))}", 'config={"a":1,"b":"x y"}']
+            comments = comments[: int(rng.integers(0, 3))]
+            data = write_count_series(s, comments=comments)
+            assert data == reference_write_count_series(s, comments=comments)
+            assert_same_series(read_count_series(data), s)
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda i, c, p: f"{i + 1},{c},{p}",
+            lambda i, c, p: f"{i - 1},{c},{p}",
+            lambda i, c, p: f"{i},-{c + 1},{p}",
+            lambda i, c, p: f"{i},{c},Bogus",
+            lambda i, c, p: f"{i},{c}",
+            lambda i, c, p: f"{i},x{c},{p}",
+            lambda i, c, p: f"{i}a,{c},{p}",
+        ],
+        ids=["gap", "duplicate", "negative-count", "unknown-provenance",
+             "two-fields", "non-digit-count", "non-digit-index"],
+    )
+    def test_row_mutation_same_error(self, rng, mutate):
+        for _ in range(30):
+            s = random_series(rng, n=int(rng.integers(2, 40)))
+            lines = csv_lines(s, rng)
+            rows = [k for k, line in enumerate(lines) if line[:1].isdigit()]
+            k = rows[int(rng.integers(1, len(rows)))]
+            i, c, p = lines[k].split(",")
+            lines[k] = mutate(int(i), int(c), p)
+            assert_same_rejection(csv_bytes(lines, rng))
+
+    def test_bad_header_same_error(self, rng):
+        lines = csv_lines(random_series(rng, n=5), rng)
+        lines[lines.index(HEADER)] = "frame,count,provenance"
+        assert_same_rejection(csv_bytes(lines, rng))
+        assert_same_rejection(b"# fps=30\n\n")
+
+    def test_missing_fps_same_error(self, rng):
+        lines = csv_lines(random_series(rng, n=5), rng, fps_comment=False)
+        assert_same_rejection(csv_bytes(lines, rng))
+
+    def test_scan_and_line_check_agree(self, rng):
+        # a one-byte change either leaves a file the oracle reads the same
+        # way, or is rejected with a line-numbered error, never by the
+        # internal disagreement guard
+        for _ in range(400):
+            s = random_series(rng, n=int(rng.integers(1, 12)))
+            data = bytearray(write_count_series(s))
+            pos = int(rng.integers(len(data) // 3, len(data)))
+            data[pos : pos + 1] = bytes([int(rng.choice(list(b"07,- #x\xff\"\n\x00")))])
+            try:
+                got = read_count_series(bytes(data))
+            except InputFormatError as exc:
+                assert exc.line is not None or "fps" in str(exc) or "header" in str(exc)
+            else:
+                assert_same_series(got, reference_read_count_series(bytes(data)))
+
+
+class TestRejectedCsvInput:
+    """Line-numbered rejections, including inputs the csv-module reader took."""
+
+    PREFIX = b"# fps=30\nframe_index,count,provenance\n0,1,Detector\n"
+
+    @pytest.mark.parametrize(
+        "row",
+        [b'1,2,"Detector"', b'"1",2,Detector', b" 1,2,Detector", b"1, 2,Detector",
+         b"1,2,Detector ", b"1,+2,Detector", b"1,1_0,Detector", "1,\u0662,Detector".encode(),
+         b"1,2,Detector,x", b"1,2,Detecto", b"1,2,Detectors", b"1,2,Density\x00",
+         b"-1,2,Detector", b"1,,Detector", b",2,Detector", b"1,2,", b"1,2:,Detector",
+         b"1/,2,Detector"],
+        ids=["quoted-provenance", "quoted-index", "padded-index", "padded-count",
+             "padded-provenance", "plus-sign", "underscore", "non-ascii-digit",
+             "fourth-field", "short-word", "long-word", "nul-padded-word",
+             "negative-index", "empty-count", "empty-index", "empty-provenance",
+             "byte-after-nine", "byte-before-zero"],
+    )
+    def test_row_outside_writer_syntax(self, row):
+        with pytest.raises(InputFormatError) as exc:
+            read_count_series(self.PREFIX + row + b"\n")
+        assert exc.value.line == 4
+
+    def test_invalid_utf8_names_line(self):
+        data = self.PREFIX + b"1,2,Detector\n2,\xff,Detector\n"
+        with pytest.raises(InputFormatError, match="line 5: invalid UTF-8"):
+            read_count_series(data)
+        with pytest.raises(InputFormatError, match="line 2: invalid UTF-8"):
+            read_count_series(b"# fps=30\n# \xff\nframe_index,count,provenance\n")
+
+    @pytest.mark.parametrize(
+        "row,message",
+        [
+            (b"1,99999999999999999999,Detector", "count [0-9]+ is over 9223372036854775807"),
+            (b"1,9223372036854775808,Detector", "count [0-9]+ is over 9223372036854775807"),
+            (b"99999999999999999999,2,Detector", "expected frame_index 1"),
+        ],
+    )
+    def test_out_of_range_integer_names_line(self, row, message):
+        with pytest.raises(InputFormatError, match=f"line 4: {message}"):
+            read_count_series(self.PREFIX + row + b"\n")
+
+    def test_int64_max_count_accepted(self):
+        got = read_count_series(self.PREFIX + b"1,9223372036854775807,Smoothed")
+        assert got.counts.tolist() == [1, INT64_MAX]
+
+    def test_bad_fps_comment_names_line(self):
+        with pytest.raises(InputFormatError, match="line 1: cannot parse fps 'abc'"):
+            read_count_series(b"# fps=abc\nframe_index,count,provenance\n0,1,Detector\n")
+        with pytest.raises(InputFormatError, match="line 4: fps must be > 0"):
+            read_count_series(self.PREFIX + b"# fps=0\n")
+
+    def test_first_error_in_file_order(self):
+        data = self.PREFIX + b"1,2,Bogus\n# fps=abc\n 2,3,Detector\n"
+        with pytest.raises(InputFormatError, match="line 4: unknown provenance"):
+            read_count_series(data)
+        data = self.PREFIX + b"# fps=abc\n1,2,Bogus\n"
+        with pytest.raises(InputFormatError, match="line 4: cannot parse fps"):
+            read_count_series(data)

@@ -15,7 +15,7 @@ from crowdgate.density import (
     regressor_to_json,
     update_background,
 )
-from crowdgate.errors import RankDeficientError
+from crowdgate.errors import InputFormatError, RankDeficientError
 
 from conftest import gray_frame
 
@@ -199,6 +199,15 @@ class TestCalibrationCsv:
             (ForegroundFeatures(100, 20, 0), 3),
             (ForegroundFeatures(250, 40, 1), 7),
         ]
+
+    def test_invalid_utf8_names_line(self):
+        data = b"frame_index,area,edge,true_count\n0,100,20,3\n1,2\xff0,40,7\n"
+        with pytest.raises(InputFormatError, match="line 3: invalid UTF-8"):
+            read_calibration_csv(data)
+
+    def test_crlf_and_comments(self):
+        data = b"# calibration\r\nframe_index,area,edge,true_count\r\n\r\n0,100,20,3\r\n"
+        assert read_calibration_csv(data) == [(ForegroundFeatures(100, 20, 0), 3)]
 
 
 class TestEstimateDensityCounts:

@@ -149,3 +149,10 @@ def test_policy_resolution_defaults():
     explicit = SegmentPolicy(5, min_duration_frames=2, merge_gap_frames=0).resolved(10)
     assert explicit.min_duration_frames == 2
     assert explicit.merge_gap_frames == 0
+
+
+@pytest.mark.parametrize("field", ["min_duration_frames", "merge_gap_frames"])
+def test_policy_rejects_negative_frames(field):
+    with pytest.raises(ValueError, match=f"{field} must be >= 0, got -1"):
+        SegmentPolicy(5, **{field: -1})
+    assert getattr(SegmentPolicy(5, **{field: 0}), field) == 0
