@@ -58,15 +58,37 @@ class CountSeries:
             raise ValueError(f"fps must be > 0, got {self.fps}")
         if len(self.counts) and self.counts.min() < 0:
             raise ValueError("counts must be nonnegative")
+        if not _all_known_provenance(self.provenance):
+            unknown = self.provenance[~np.isin(self.provenance, _PROVENANCE)]
+            raise ValueError(f"unknown provenance {str(unknown.flat[0])!r}")
 
     def __len__(self):
         return len(self.counts)
 
     @classmethod
     def from_counts(cls, counts, fps, provenance=PROV_DETECTOR) -> "CountSeries":
+        if provenance not in _PROVENANCE_VALUES:
+            # checked here too: "<U8" would truncate "Detectors" to a known word
+            raise ValueError(f"unknown provenance {provenance!r}")
         counts = np.asarray(counts, dtype=np.int64)
         prov = np.full(counts.shape, provenance, dtype="<U8")
         return cls(counts, Fraction(fps), prov)
+
+
+def _all_known_provenance(provenance: np.ndarray) -> bool:
+    """Whether every entry is one of the three provenance words.
+
+    A "<U8" array, the dtype this module builds, is checked through its
+    UTF-32 code units: when all are ASCII, each entry packs into the
+    uint64 key of its bytes, which is several times faster than comparing
+    strings on long series.
+    """
+    if provenance.dtype == _PROVENANCE.dtype:
+        codes = np.ascontiguousarray(provenance).view(np.uint32)
+        if codes.max(initial=0) < 128:
+            packed = codes.astype(np.uint8).view(np.uint64)
+            return bool(np.isin(packed, _PROVENANCE_KEYS).all())
+    return bool(np.isin(provenance, _PROVENANCE).all())
 
 
 @dataclass(frozen=True)

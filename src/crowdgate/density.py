@@ -22,6 +22,9 @@ DEFAULT_MOTION_THRESHOLD = 15.0
 DEFAULT_LEARNING_RATE = 0.05
 DEFAULT_FG_THRESHOLD = 25.0
 
+_CALIBRATION_HEADER = ["frame_index", "area", "edge", "true_count"]
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
 
 @dataclass(frozen=True)
 class BackgroundModel:
@@ -84,12 +87,7 @@ def update_background(
     rate; moving pixels leave the background untouched, so people never
     pollute it.
     """
-    _check_dims(model, prev)
-    _check_dims(model, curr)
-    if curr.frame_index != prev.frame_index + 1:
-        raise ValueError(
-            f"frames must be consecutive: got {prev.frame_index} then {curr.frame_index}"
-        )
+    _check_pair(model, prev, curr)
     prev_f = prev.pixels.astype(np.float64)
     curr_f = curr.pixels.astype(np.float64)
     static = np.abs(curr_f - prev_f) < model.motion_threshold
@@ -177,7 +175,10 @@ def estimate_density_counts(
     """Density counts for the requested frames of one gray-frame stream.
 
     Runs the background model sequentially over the whole stream (it is
-    order-dependent) and predicts only at the requested indices.
+    order-dependent) and predicts only at the requested indices. The
+    background is updated in place; it stays bit-identical to folding
+    ``update_background`` over the stream, and each mask to
+    ``extract_foreground``.
     """
     wanted = set(frame_indices)
     if not frames:
@@ -185,16 +186,48 @@ def estimate_density_counts(
     out_of_range = sorted(i for i in wanted if not 0 <= i < len(frames))
     if out_of_range:
         raise ValueError(f"frame indices outside the gray stream: {out_of_range}")
+    counts, _ = _density_loop(frames, regressor, wanted)
+    return counts
+
+
+def _density_loop(frames, regressor: DensityRegressor, wanted):
+    """The loop of ``estimate_density_counts``; returns (counts, final background).
+
+    ``frames`` is non-empty. Every frame is checked before any work is done.
+    The per-frame steps write into buffers allocated once, using the same
+    float operations in the same order as ``update_background`` and
+    ``extract_foreground``.
+    """
     model = BackgroundModel.from_first_frame(frames[0])
+    for i in range(1, len(frames)):
+        _check_pair(model, frames[i - 1], frames[i])
+    alpha = model.learning_rate
+    keep = 1.0 - alpha
+    background = model.background  # a fresh copy, private to this loop
+    prev = background.copy()
+    curr = np.empty_like(background)
+    scratch = np.empty_like(background)
+    static = np.empty(background.shape, dtype=bool)
+    mask = np.empty(background.shape, dtype=bool)
     results: dict[int, int] = {}
     for i, frame in enumerate(frames):
         if i > 0:
-            model = update_background(model, frames[i - 1], frame)
+            np.copyto(curr, frame.pixels)
+            np.subtract(curr, prev, out=scratch)
+            np.abs(scratch, out=scratch)
+            np.less(scratch, model.motion_threshold, out=static)
+            np.multiply(background, keep, out=background, where=static)
+            np.multiply(curr, alpha, out=scratch, where=static)
+            np.add(background, scratch, out=background, where=static)
+            prev, curr = curr, prev
         if i in wanted:
-            mask = extract_foreground(model, frame, regressor.fg_threshold)
+            # ``prev`` holds this frame as float64.
+            np.subtract(prev, background, out=scratch)
+            np.abs(scratch, out=scratch)
+            np.greater(scratch, regressor.fg_threshold, out=mask)
             features = compute_features(mask, frame_index=i)
             results[i] = predict_count(regressor, features)
-    return results
+    return results, background
 
 
 def regressor_to_json(regressor: DensityRegressor) -> str:
@@ -224,7 +257,11 @@ def regressor_from_json(text: str) -> DensityRegressor:
 
 
 def read_calibration_csv(source) -> list[tuple[ForegroundFeatures, int]]:
-    """Parse the calibration CSV: frame_index,area,edge,true_count."""
+    """Parse the calibration CSV: frame_index,area,edge,true_count.
+
+    Every value is a non-negative int64 and ``edge`` is at most ``area``;
+    a row breaking either raises InputFormatError naming its line.
+    """
     lines = source_bytes(source).split(b"\n")
     samples = []
     reader = csv.reader(decode_line(line, n) for n, line in enumerate(lines, start=1))
@@ -235,18 +272,34 @@ def read_calibration_csv(source) -> list[tuple[ForegroundFeatures, int]]:
         if fields[0].strip().startswith("#"):
             continue
         if not header_seen:
-            if [f.strip() for f in fields] != ["frame_index", "area", "edge", "true_count"]:
+            if [f.strip() for f in fields] != _CALIBRATION_HEADER:
                 raise InputFormatError(f"bad calibration header {fields!r}", line=line_no)
             header_seen = True
             continue
         try:
-            frame_index, area, edge, count = (int(f) for f in fields)
+            frame_index, area, edge, count = values = [int(f) for f in fields]
         except ValueError as exc:
             raise InputFormatError(f"bad calibration row {fields!r}", line=line_no) from exc
+        for name, value in zip(_CALIBRATION_HEADER, values):
+            if value < 0:
+                raise InputFormatError(f"negative {name} {value}", line=line_no)
+            if value > _INT64_MAX:
+                raise InputFormatError(f"{name} {value} exceeds int64", line=line_no)
+        if edge > area:
+            raise InputFormatError(f"edge {edge} exceeds area {area}", line=line_no)
         samples.append((ForegroundFeatures(area, edge, frame_index), count))
     if not header_seen:
         raise InputFormatError("calibration file has no header row")
     return samples
+
+
+def _check_pair(model: BackgroundModel, prev: GrayFrame, curr: GrayFrame):
+    _check_dims(model, prev)
+    _check_dims(model, curr)
+    if curr.frame_index != prev.frame_index + 1:
+        raise ValueError(
+            f"frames must be consecutive: got {prev.frame_index} then {curr.frame_index}"
+        )
 
 
 def _check_dims(model: BackgroundModel, frame: GrayFrame):

@@ -12,7 +12,6 @@ it for diagnostics.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -149,10 +148,6 @@ def render_table(results: dict[str, dict[str, float]]) -> str:
             cells.append(("-" if value is None else f"{value:.4f}").rjust(w))
         lines.append("  ".join([method.ljust(method_width)] + cells))
     return "".join(line + "\n" for line in lines)
-
-
-def report_to_json(results: dict[str, dict[str, float]]) -> str:
-    return json.dumps(results, indent=2) + "\n"
 
 
 def generate_synthetic(

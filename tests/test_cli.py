@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -242,6 +245,22 @@ class TestCountCsvInput:
         assert "error: line 3: invalid UTF-8" in result.output
 
 
+    @pytest.mark.parametrize(
+        "row, message",
+        [("1,250,40,-7", "negative true_count -7"), ("1,100,200,7", "edge 200 exceeds area 100")],
+        ids=["negative-count", "edge-over-area"],
+    )
+    def test_calibration_out_of_range_exit_2(self, runner, tmp_path, row, message):
+        calib = tmp_path / "calib.csv"
+        rows = ["frame_index,area,edge,true_count", "0,100,20,3", row, "2,900,80,12", "3,1600,110,20"]
+        calib.write_text("\n".join(rows) + "\n")
+        model = tmp_path / "m.json"
+        result = run_cli(runner, ["density-fit", str(calib), "--out", str(model)])
+        assert result.exit_code == EXIT_INPUT_ERROR
+        assert f"error: line 3: {message}" in result.output
+        assert not model.exists()
+
+
 class TestSynthCommand:
     def test_reproducible(self, runner, tmp_path):
         for out in ("a", "b"):
@@ -467,3 +486,15 @@ class TestEvalCommand:
         assert report["ap_d"]["raw"] == ap_d(raw, truth)
         assert "smoothed" in report["ap_d"]
         assert (tmp_path / "eval" / "eval_report.txt").read_text().startswith("method")
+
+
+def test_python_m_crowdgate_runs_from_source_tree():
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    result = subprocess.run(
+        [sys.executable, "-m", "crowdgate", "--help"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.startswith("Usage: crowdgate ")
+    assert "density-fit" in result.stdout

@@ -266,6 +266,31 @@ class TestCountSeriesCsv:
         with pytest.raises(ValueError):
             series([1, -1])
 
+    @pytest.mark.parametrize("word", ["Manual", "Detectors", "detector", ""])
+    def test_unknown_provenance_rejected(self, word):
+        with pytest.raises(ValueError, match=f"unknown provenance '{word}'"):
+            CountSeries.from_counts([1, 2], 30, provenance=word)
+
+    @pytest.mark.parametrize(
+        "prov",
+        [
+            np.array(["Detector", "Manual", "Density"], dtype="<U8"),
+            np.array(["Detector", "Dénsity", "Density"], dtype="<U8"),
+            np.array(["Detector", "Detecto", "Density"], dtype="<U8"),
+            np.array(["Detector", "Detector2", "Density"]),
+            np.array(["Detector", "Manual", "Density"], dtype=object),
+        ],
+        ids=["ascii", "non-ascii", "prefix", "wider-dtype", "object"],
+    )
+    def test_constructor_rejects_unknown_provenance(self, prov):
+        with pytest.raises(ValueError, match=f"unknown provenance '{prov[1]}'"):
+            CountSeries(np.zeros(3, dtype=np.int64), 30, prov)
+
+    def test_known_provenance_in_any_string_dtype(self):
+        for dtype in ("<U8", "<U12", object):
+            prov = np.array(["Density", "Smoothed", "Detector"], dtype=dtype)
+            assert CountSeries(np.zeros(3, dtype=np.int64), 30, prov).provenance is prov
+
     def test_empty_body(self):
         data = b"# fps=30\nframe_index,count,provenance\n"
         for body in (b"", b"\n\n# only a comment\n", b"\r\n"):

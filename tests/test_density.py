@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from crowdgate.density import (
     BackgroundModel,
@@ -15,6 +18,7 @@ from crowdgate.density import (
     regressor_to_json,
     update_background,
 )
+from crowdgate.density import _density_loop
 from crowdgate.errors import InputFormatError, RankDeficientError
 
 from conftest import gray_frame
@@ -209,6 +213,30 @@ class TestCalibrationCsv:
         data = b"# calibration\r\nframe_index,area,edge,true_count\r\n\r\n0,100,20,3\r\n"
         assert read_calibration_csv(data) == [(ForegroundFeatures(100, 20, 0), 3)]
 
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("-1,100,20,3", "line 3: negative frame_index -1"),
+            ("1,-100,20,3", "line 3: negative area -100"),
+            ("1,100,-20,3", "line 3: negative edge -20"),
+            ("1,100,20,-7", "line 3: negative true_count -7"),
+            ("1,100,200,3", "line 3: edge 200 exceeds area 100"),
+            ("1,99999999999999999999,20,3", "line 3: area 99999999999999999999 exceeds int64"),
+            ("9223372036854775808,100,20,3", "line 3: frame_index 9223372036854775808 exceeds"),
+        ],
+        ids=["frame-index", "area", "edge", "true-count", "edge-over-area", "area-overflow",
+             "index-overflow"],
+    )
+    def test_out_of_range_value_names_line(self, row, message):
+        data = f"frame_index,area,edge,true_count\n0,100,20,3\n{row}\n".encode()
+        with pytest.raises(InputFormatError, match=message):
+            read_calibration_csv(data)
+
+    def test_int64_max_and_edge_equal_area_accepted(self):
+        top = 2**63 - 1
+        data = f"frame_index,area,edge,true_count\n{top},{top},{top},{top}\n".encode()
+        assert read_calibration_csv(data) == [(ForegroundFeatures(top, top, top), top)]
+
 
 class TestEstimateDensityCounts:
     def test_selected_frames_only(self):
@@ -222,3 +250,83 @@ class TestEstimateDensityCounts:
         frames = [constant_frame(50, 0)]
         with pytest.raises(ValueError, match="outside"):
             estimate_density_counts(frames, DensityRegressor(1, 0, 0), [2])
+
+    def test_empty_stream(self):
+        with pytest.raises(ValueError, match="no gray frames"):
+            estimate_density_counts([], DensityRegressor(1, 0, 0), [])
+
+    def test_frame_of_other_size_names_it(self):
+        frames = [constant_frame(50, 0), constant_frame(50, 1), constant_frame(50, 2, (4, 8))]
+        with pytest.raises(ValueError, match="frame 2 is 8x4, model is 8x8"):
+            estimate_density_counts(frames, DensityRegressor(1, 0, 0), [0])
+
+    def test_non_consecutive_frame_index(self):
+        frames = [constant_frame(50, 0), constant_frame(50, 1), constant_frame(50, 3)]
+        with pytest.raises(ValueError, match="frames must be consecutive: got 1 then 3"):
+            estimate_density_counts(frames, DensityRegressor(1, 0, 0), [0])
+
+
+# Per-pixel steps between frames. +-15 is the motion threshold, which is not
+# static; +-10 and +-25 land a moving pixel exactly on a foreground threshold.
+_STEPS = st.one_of(
+    st.sampled_from([-15, 15, -14, 14, 0, -10, 10, -25, 25]), st.integers(-255, 255)
+)
+
+
+@st.composite
+def gray_streams(draw):
+    height, width = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    n = draw(st.integers(1, 12))
+    first = draw(arrays(np.int16, (height, width), elements=st.integers(0, 255)))
+    steps = draw(arrays(np.int16, (n - 1, height, width), elements=_STEPS))
+    pixels = [first]
+    for step in steps:
+        pixels.append(np.clip(pixels[-1] + step, 0, 255))
+    start = draw(st.integers(0, 3))
+    frames = [gray_frame(p, start + i) for i, p in enumerate(pixels)]
+    wanted = draw(st.just(set(range(n))) | st.sets(st.integers(0, n - 1)))
+    return frames, wanted
+
+
+# Pixel (0, 0) moves by exactly the foreground threshold, (0, 1) by exactly
+# the motion threshold, and (1, 0) by one less, so it is blended.
+_BOUNDARY_STREAM = (
+    [gray_frame(np.full((2, 2), 100), 0), gray_frame([[125, 115], [114, 100]], 1)],
+    {0, 1},
+)
+
+
+def reference_density(frames, regressor, wanted):
+    """Fold ``update_background`` over the stream; predict at the wanted frames."""
+    model = BackgroundModel.from_first_frame(frames[0])
+    counts = {}
+    for i, frame in enumerate(frames):
+        if i > 0:
+            model = update_background(model, frames[i - 1], frame)
+        if i in wanted:
+            mask = extract_foreground(model, frame, regressor.fg_threshold)
+            counts[i] = predict_count(regressor, compute_features(mask, frame_index=i))
+    return counts, model.background
+
+
+class TestInPlaceLoopParity:
+    @settings(max_examples=200, deadline=None)
+    @example(stream=_BOUNDARY_STREAM, regressor=DensityRegressor(1.0, 0.0, 0.0, 25.0))
+    @given(
+        stream=gray_streams(),
+        regressor=st.builds(
+            DensityRegressor,
+            coef_area=st.sampled_from([0.0, 0.7, 1.3]),
+            coef_edge=st.sampled_from([0.0, 0.4, -0.2]),
+            intercept=st.sampled_from([0.0, 0.5, 2.0]),
+            fg_threshold=st.sampled_from([25.0, 10.0, 0.5]),
+        ),
+    )
+    def test_counts_and_background_match_fold(self, stream, regressor):
+        frames, wanted = stream
+        expected_counts, expected_background = reference_density(frames, regressor, wanted)
+        assert estimate_density_counts(frames, regressor, wanted) == expected_counts
+        counts, background = _density_loop(frames, regressor, wanted)
+        assert counts == expected_counts
+        assert background.dtype == np.float64
+        assert background.tobytes() == expected_background.tobytes()  # bit for bit
