@@ -16,6 +16,7 @@ import functools
 import hashlib
 import json
 import logging
+import math
 import os
 import sys
 from fractions import Fraction
@@ -471,6 +472,8 @@ def count(detections, out, config_path, count_ceiling, min_score, person_class_i
 @cli_command
 def density_fit(calibration, out, fg_threshold):
     """Fit the (area, edge) -> count regressor from a calibration CSV."""
+    if not (math.isfinite(fg_threshold) and fg_threshold >= 0):
+        raise ConfigError(f"--fg-threshold must be finite and >= 0, got {fg_threshold}")
     samples = read_calibration_csv(_read_bytes(calibration))
     regressor = fit_regressor(samples, fg_threshold=fg_threshold)
     Path(out).parent.mkdir(parents=True, exist_ok=True)

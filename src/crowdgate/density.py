@@ -11,6 +11,9 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
+import re
+import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -24,6 +27,10 @@ DEFAULT_FG_THRESHOLD = 25.0
 
 _CALIBRATION_HEADER = ["frame_index", "area", "edge", "true_count"]
 _INT64_MAX = int(np.iinfo(np.int64).max)
+# ASCII digits, as in count CSVs; int() also takes "+1", " 1", "1_0" and "\u0663".
+_INTEGER = re.compile("-?[0-9]+")
+# Pixels per band of ``_density_loop``: a band's float64 buffers then fit in L2.
+_BAND_PIXELS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -75,6 +82,13 @@ class DensityRegressor:
     coef_edge: float
     intercept: float
     fg_threshold: float = DEFAULT_FG_THRESHOLD
+
+    def __post_init__(self):
+        for name in ("coef_area", "coef_edge", "intercept"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        if not (math.isfinite(self.fg_threshold) and self.fg_threshold >= 0):
+            raise ValueError(f"fg_threshold must be finite and >= 0, got {self.fg_threshold}")
 
 
 def update_background(
@@ -165,6 +179,8 @@ def predict_count(regressor: DensityRegressor, features: ForegroundFeatures) -> 
         + regressor.coef_edge * features.edge
         + regressor.intercept
     )
+    if not math.isfinite(raw):  # finite coefficients can still overflow
+        raise ValueError(f"density prediction for frame {features.frame_index} is {raw}")
     clamped = max(0.0, raw)
     return int(math.floor(clamped + 0.5))
 
@@ -175,10 +191,10 @@ def estimate_density_counts(
     """Density counts for the requested frames of one gray-frame stream.
 
     Runs the background model sequentially over the whole stream (it is
-    order-dependent) and predicts only at the requested indices. The
-    background is updated in place; it stays bit-identical to folding
-    ``update_background`` over the stream, and each mask to
-    ``extract_foreground``.
+    order-dependent) and predicts only at the requested indices. The frame
+    is processed in bands of rows, on up to one thread per usable CPU; the
+    background stays bit-identical to folding ``update_background`` over
+    the stream, and each mask to ``extract_foreground``.
     """
     wanted = set(frame_indices)
     if not frames:
@@ -194,40 +210,140 @@ def _density_loop(frames, regressor: DensityRegressor, wanted):
     """The loop of ``estimate_density_counts``; returns (counts, final background).
 
     ``frames`` is non-empty. Every frame is checked before any work is done.
-    The per-frame steps write into buffers allocated once, using the same
-    float operations in the same order as ``update_background`` and
-    ``extract_foreground``.
+    The frame is cut into bands of whole rows, and each band runs over the
+    whole stream on its own (``_band``), so its buffers stay in cache and
+    bands can run on separate threads. Each pixel's background evolves
+    independently of every other pixel and the per-band features are integer
+    sums, so counts and background are bit-identical for any band height and
+    any number of threads. Counts are predicted here, in ascending frame
+    order, in the calling thread.
     """
     model = BackgroundModel.from_first_frame(frames[0])
     for i in range(1, len(frames)):
         _check_pair(model, frames[i - 1], frames[i])
+    order = sorted(set(wanted))
+    rows = max(1, _BAND_PIXELS // max(model.width, 1))
+    # A frame with no rows still gets one (empty) band.
+    bands = [(r0, min(r0 + rows, model.height)) for r0 in range(0, max(model.height, 1), rows)]
+    parts = _map_bands(
+        lambda band: _band(frames, band, order, model, regressor.fg_threshold), bands
+    )
+    area = sum(part[0] for part in parts)
+    interior = sum(part[1] for part in parts)
+    background = model.background  # a fresh array, private to this loop
+    np.concatenate([part[2] for part in parts], out=background)
+    results: dict[int, int] = {}
+    for k, i in enumerate(order):
+        features = ForegroundFeatures(
+            area=int(area[k]), edge=int(area[k] - interior[k]), frame_index=i
+        )
+        results[i] = predict_count(regressor, features)
+    return results, background
+
+
+def _band(frames, rows, order, model: BackgroundModel, fg_threshold: float):
+    """Run image rows ``rows = (r0, r1)`` over the whole stream.
+
+    Returns the int64 foreground area and interior-pixel count of these rows
+    at each frame of ``order`` (ascending frame positions), and the rows'
+    final background. The band also keeps the background of the row above
+    and the row below it (its halo rows), which give its edge rows their
+    vertical neighbours; rows outside the image count as background, as in
+    ``compute_features``. The per-frame steps write into buffers allocated
+    once, using the same float operations in the same order as
+    ``update_background`` and ``extract_foreground``.
+    """
+    r0, r1 = rows
+    a0, a1 = max(r0 - 1, 0), min(r1 + 1, model.height)
     alpha = model.learning_rate
     keep = 1.0 - alpha
-    background = model.background  # a fresh copy, private to this loop
+    background = frames[0].pixels[a0:a1].astype(np.float64)
     prev = background.copy()
     curr = np.empty_like(background)
     scratch = np.empty_like(background)
     static = np.empty(background.shape, dtype=bool)
-    mask = np.empty(background.shape, dtype=bool)
-    results: dict[int, int] = {}
+    # Mask rows r0 - 1 .. r1; a halo row outside the image stays False.
+    padded = np.zeros((r1 - r0 + 2, model.width), dtype=bool)
+    mask = padded[a0 - r0 + 1 : a1 - r0 + 1]
+    own = padded[1:-1]
+    vertical = np.empty(own.shape, dtype=bool)
+    interior = np.empty((own.shape[0], max(model.width - 2, 0)), dtype=bool)
+    areas = np.zeros(len(order), dtype=np.int64)
+    interiors = np.zeros(len(order), dtype=np.int64)
+    k = 0
     for i, frame in enumerate(frames):
         if i > 0:
-            np.copyto(curr, frame.pixels)
+            np.copyto(curr, frame.pixels[a0:a1])
             np.subtract(curr, prev, out=scratch)
             np.abs(scratch, out=scratch)
             np.less(scratch, model.motion_threshold, out=static)
-            np.multiply(background, keep, out=background, where=static)
-            np.multiply(curr, alpha, out=scratch, where=static)
-            np.add(background, scratch, out=background, where=static)
+            # Blend every pixel, then keep the static ones: the same float
+            # operations per pixel as ``update_background``, and cheaper
+            # than masking each of them. ``prev`` is free from here on.
+            np.multiply(background, keep, out=prev)
+            np.multiply(curr, alpha, out=scratch)
+            np.add(prev, scratch, out=prev)
+            np.copyto(background, prev, where=static)
             prev, curr = curr, prev
-        if i in wanted:
+        if k < len(order) and order[k] == i:
             # ``prev`` holds this frame as float64.
             np.subtract(prev, background, out=scratch)
             np.abs(scratch, out=scratch)
-            np.greater(scratch, regressor.fg_threshold, out=mask)
-            features = compute_features(mask, frame_index=i)
-            results[i] = predict_count(regressor, features)
-    return results, background
+            np.greater(scratch, fg_threshold, out=mask)
+            # Interior: foreground with all four neighbours foreground. The
+            # first and last columns border the outside, so never qualify.
+            np.logical_and(padded[:-2], padded[2:], out=vertical)
+            np.logical_and(vertical, own, out=vertical)
+            np.logical_and(vertical[:, 1:-1], own[:, :-2], out=interior)
+            np.logical_and(interior, own[:, 2:], out=interior)
+            areas[k] = np.count_nonzero(own)
+            interiors[k] = np.count_nonzero(interior)
+            k += 1
+    return areas, interiors, background[r0 - a0 : r1 - a0]
+
+
+def _map_bands(work, bands):
+    """``[work(band) for band in bands]`` on up to one thread per usable CPU.
+
+    The calling thread is one of the workers; no thread is started for a
+    single band or a single CPU. The first exception a band raises is
+    re-raised here once every worker has stopped.
+    """
+    workers = min(len(bands), _usable_cpus())
+    if workers <= 1:
+        return [work(band) for band in bands]
+    results = [None] * len(bands)
+    errors = []
+    lock = threading.Lock()
+    pending = iter(range(len(bands)))
+
+    def worker():
+        while not errors:
+            with lock:
+                index = next(pending, None)
+            if index is None:
+                return
+            try:
+                results[index] = work(bands[index])
+            except BaseException as exc:  # noqa: BLE001 - re-raised in the calling thread
+                errors.append(exc)
+
+    threads = [threading.Thread(target=worker) for _ in range(workers - 1)]
+    for thread in threads:
+        thread.start()
+    worker()
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
+    return results
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        return os.cpu_count() or 1
 
 
 def regressor_to_json(regressor: DensityRegressor) -> str:
@@ -252,15 +368,16 @@ def regressor_from_json(text: str) -> DensityRegressor:
             intercept=float(obj["intercept"]),
             fg_threshold=float(obj["fg_threshold"]),
         )
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputFormatError(f"bad density model file: {exc}") from exc
 
 
 def read_calibration_csv(source) -> list[tuple[ForegroundFeatures, int]]:
     """Parse the calibration CSV: frame_index,area,edge,true_count.
 
-    Every value is a non-negative int64 and ``edge`` is at most ``area``;
-    a row breaking either raises InputFormatError naming its line.
+    Every value is ASCII digits (a leading ``-`` is reported as negative)
+    making a non-negative int64, and ``edge`` is at most ``area``; a row
+    breaking any of these raises InputFormatError naming its line.
     """
     lines = source_bytes(source).split(b"\n")
     samples = []
@@ -276,10 +393,9 @@ def read_calibration_csv(source) -> list[tuple[ForegroundFeatures, int]]:
                 raise InputFormatError(f"bad calibration header {fields!r}", line=line_no)
             header_seen = True
             continue
-        try:
-            frame_index, area, edge, count = values = [int(f) for f in fields]
-        except ValueError as exc:
-            raise InputFormatError(f"bad calibration row {fields!r}", line=line_no) from exc
+        if len(fields) != 4 or not all(_INTEGER.fullmatch(f) for f in fields):
+            raise InputFormatError(f"bad calibration row {fields!r}", line=line_no)
+        frame_index, area, edge, count = values = [int(f) for f in fields]
         for name, value in zip(_CALIBRATION_HEADER, values):
             if value < 0:
                 raise InputFormatError(f"negative {name} {value}", line=line_no)

@@ -247,8 +247,9 @@ class TestCountCsvInput:
 
     @pytest.mark.parametrize(
         "row, message",
-        [("1,250,40,-7", "negative true_count -7"), ("1,100,200,7", "edge 200 exceeds area 100")],
-        ids=["negative-count", "edge-over-area"],
+        [("1,250,40,-7", "negative true_count -7"), ("1,100,200,7", "edge 200 exceeds area 100"),
+         ("1,1_000,+20, 3", "bad calibration row"), ("1,\u0663,0,3", "bad calibration row")],
+        ids=["negative-count", "edge-over-area", "int-literal-syntax", "non-ascii-digit"],
     )
     def test_calibration_out_of_range_exit_2(self, runner, tmp_path, row, message):
         calib = tmp_path / "calib.csv"
@@ -451,6 +452,31 @@ class TestDensityCommands:
         assert lines[0] == "frame_index,count"
         assert len(lines) == 3
 
+    @pytest.mark.parametrize("value", ["Infinity", "NaN"])
+    def test_predict_non_finite_model_exit_2(self, runner, tmp_path, value):
+        gray, _ = write_density_inputs(tmp_path, 2)
+        model = tmp_path / "bad.json"
+        model.write_text(
+            f'{{"coef_area": {value}, "coef_edge": 0.0, "intercept": 1.0, "fg_threshold": 25.0}}'
+        )
+        out_csv = tmp_path / "pred.csv"
+        result = run_cli(runner, ["density-predict", gray, str(model), "--out", str(out_csv)])
+        assert result.exit_code == EXIT_INPUT_ERROR
+        assert "error: bad density model file: coef_area must be finite" in result.output
+        assert not out_csv.exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    def test_fit_bad_fg_threshold_exit_3(self, runner, tmp_path, value):
+        calib = tmp_path / "calib.csv"
+        calib.write_text("frame_index,area,edge,true_count\n0,100,20,3\n1,400,50,8\n2,900,80,12\n")
+        model = tmp_path / "model.json"
+        result = run_cli(
+            runner, ["density-fit", str(calib), "--out", str(model), "--fg-threshold", value]
+        )
+        assert result.exit_code == EXIT_CONFIG_ERROR
+        assert "error: --fg-threshold must be finite and >= 0" in result.output
+        assert not model.exists()
+
 
 class TestEvalCommand:
     def test_report_matches_library(self, runner, tmp_path):
@@ -498,3 +524,15 @@ def test_python_m_crowdgate_runs_from_source_tree():
     assert result.returncode == 0, result.stderr
     assert result.stdout.startswith("Usage: crowdgate ")
     assert "density-fit" in result.stdout
+
+
+def test_cli_import_loads_no_concurrent_futures():
+    # Every CLI invocation pays for what importing the CLI loads.
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    code = "import sys, crowdgate.cli; print('concurrent.futures' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"

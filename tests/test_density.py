@@ -1,3 +1,8 @@
+import contextlib
+import math
+import threading
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -18,6 +23,7 @@ from crowdgate.density import (
     regressor_to_json,
     update_background,
 )
+from crowdgate import density
 from crowdgate.density import _density_loop
 from crowdgate.errors import InputFormatError, RankDeficientError
 
@@ -187,12 +193,36 @@ class TestRegressor:
         assert predict_count(reg, ForegroundFeatures(1000, 20, 0)) == 22
         assert predict_count(DensityRegressor(0.0, 0.0, -5.0), ForegroundFeatures(0, 0, 0)) == 0
 
+    @pytest.mark.parametrize("coefs", [(1e308, 0.0), (1e308, -1e308)], ids=["inf", "nan"])
+    def test_predict_overflow_rejected(self, coefs):
+        with pytest.raises(ValueError, match="density prediction for frame 7 is"):
+            predict_count(DensityRegressor(*coefs, 0.0), ForegroundFeatures(4, 4, 7))
+
     def test_predict_rounds_half_up(self):
         assert predict_count(DensityRegressor(0.0, 0.0, 2.5), ForegroundFeatures(0, 0, 0)) == 3
 
     def test_json_round_trip(self):
         reg = DensityRegressor(0.0123, -0.5, 2.75, 30.0)
         assert regressor_from_json(regressor_to_json(reg)) == reg
+
+    @pytest.mark.parametrize(
+        "values",
+        [(math.inf, 0.0, 0.0, 25.0), (0.0, math.nan, 0.0, 25.0), (0.0, 0.0, -math.inf, 25.0),
+         (0.0, 0.0, 0.0, math.nan), (0.0, 0.0, 0.0, math.inf), (0.0, 0.0, 0.0, -1.0)],
+        ids=["inf-area", "nan-edge", "inf-intercept", "nan-threshold", "inf-threshold",
+             "negative-threshold"],
+    )
+    def test_non_finite_or_negative_rejected(self, values):
+        with pytest.raises(ValueError, match="must be finite"):
+            DensityRegressor(*values)
+
+    @pytest.mark.parametrize(
+        "value", ["Infinity", "NaN", "1" + "0" * 400], ids=["infinity", "nan", "huge-int"]
+    )
+    def test_json_non_finite_coefficient_is_bad_file(self, value):
+        text = f'{{"coef_area": {value}, "coef_edge": 0, "intercept": 0, "fg_threshold": 25}}'
+        with pytest.raises(InputFormatError, match="bad density model file"):
+            regressor_from_json(text)
 
 
 class TestCalibrationCsv:
@@ -230,6 +260,18 @@ class TestCalibrationCsv:
     def test_out_of_range_value_names_line(self, row, message):
         data = f"frame_index,area,edge,true_count\n0,100,20,3\n{row}\n".encode()
         with pytest.raises(InputFormatError, match=message):
+            read_calibration_csv(data)
+
+    @pytest.mark.parametrize(
+        "row",
+        ["1,1_000,20,3", "1,+100,20,3", "1,100,20, 3", "1,100 ,20,3", "1,\u0663,0,3",
+         "1,100,20,3,4", "1,100,20"],
+        ids=["underscore", "plus-sign", "leading-space", "trailing-space", "arabic-indic-digit",
+             "extra-field", "missing-field"],
+    )
+    def test_non_digit_value_names_line(self, row):
+        data = f"frame_index,area,edge,true_count\n0,100,20,3\n{row}\n".encode()
+        with pytest.raises(InputFormatError, match="line 3: bad calibration row"):
             read_calibration_csv(data)
 
     def test_int64_max_and_edge_equal_area_accepted(self):
@@ -275,7 +317,7 @@ _STEPS = st.one_of(
 
 @st.composite
 def gray_streams(draw):
-    height, width = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    height, width = draw(st.integers(1, 9)), draw(st.integers(1, 6))
     n = draw(st.integers(1, 12))
     first = draw(arrays(np.int16, (height, width), elements=st.integers(0, 255)))
     steps = draw(arrays(np.int16, (n - 1, height, width), elements=_STEPS))
@@ -309,9 +351,33 @@ def reference_density(frames, regressor, wanted):
     return counts, model.background
 
 
+@contextlib.contextmanager
+def banded(band_rows, workers, width):
+    """Cut frames of ``width`` into bands of ``band_rows`` rows (None: the
+    default height) and run them on ``workers`` threads."""
+    pixels = density._BAND_PIXELS if band_rows is None else band_rows * width
+    with mock.patch.object(density, "_BAND_PIXELS", pixels), \
+            mock.patch.object(density, "_usable_cpus", lambda: workers):
+        yield
+
+
+# Nine rows in bands of four: the last band is one row.
+_SHORT_LAST_BAND = (
+    [gray_frame(np.full((9, 3), 100), 0), gray_frame(np.full((9, 3), 200), 1)],
+    {0, 1},
+)
+
+
 class TestInPlaceLoopParity:
-    @settings(max_examples=200, deadline=None)
-    @example(stream=_BOUNDARY_STREAM, regressor=DensityRegressor(1.0, 0.0, 0.0, 25.0))
+    @settings(max_examples=300, deadline=None)
+    @example(
+        stream=_BOUNDARY_STREAM, regressor=DensityRegressor(1.0, 0.0, 0.0, 25.0),
+        band_rows=None, workers=1,
+    )
+    @example(
+        stream=_SHORT_LAST_BAND, regressor=DensityRegressor(1.0, 0.4, 0.0, 25.0),
+        band_rows=4, workers=2,
+    )
     @given(
         stream=gray_streams(),
         regressor=st.builds(
@@ -321,12 +387,91 @@ class TestInPlaceLoopParity:
             intercept=st.sampled_from([0.0, 0.5, 2.0]),
             fg_threshold=st.sampled_from([25.0, 10.0, 0.5]),
         ),
+        band_rows=st.sampled_from([None, 1, 2, 3, 4]),
+        workers=st.sampled_from([1, 2]),
     )
-    def test_counts_and_background_match_fold(self, stream, regressor):
+    def test_counts_and_background_match_fold(self, stream, regressor, band_rows, workers):
         frames, wanted = stream
         expected_counts, expected_background = reference_density(frames, regressor, wanted)
-        assert estimate_density_counts(frames, regressor, wanted) == expected_counts
-        counts, background = _density_loop(frames, regressor, wanted)
+        with banded(band_rows, workers, frames[0].width):
+            assert estimate_density_counts(frames, regressor, wanted) == expected_counts
+            counts, background = _density_loop(frames, regressor, wanted)
         assert counts == expected_counts
+        assert list(counts) == sorted(counts)
         assert background.dtype == np.float64
         assert background.tobytes() == expected_background.tobytes()  # bit for bit
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_blob_across_band_seam(self, workers):
+        # A 4x4 blob over rows 1-4 of an 8-row frame in bands of three rows:
+        # the seam between rows 2 and 3 cuts it, and its interior pixels at
+        # rows 2 and 3 need the other band's row as their neighbour.
+        still = np.full((8, 10), 100)
+        blob = still.copy()
+        blob[1:5, 3:7] = 200
+        frames = [gray_frame(still, 0), gray_frame(blob, 1)]
+        regressor = DensityRegressor(1.0, 1000.0, 0.0)
+        with banded(3, workers, 10):
+            counts, background = _density_loop(frames, regressor, {1})
+        assert counts == {1: 16 + 1000 * 12}  # area 16, edge 12
+        expected_counts, expected_background = reference_density(frames, regressor, {1})
+        assert counts == expected_counts
+        assert background.tobytes() == expected_background.tobytes()
+
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 5), (5, 0)])
+    def test_empty_frames(self, shape):
+        frames = [gray_frame(np.zeros(shape), i) for i in range(3)]
+        counts, background = _density_loop(frames, DensityRegressor(1.0, 0.0, 2.0), {0, 2})
+        assert counts == {0: 2, 2: 2}
+        assert background.shape == shape
+
+
+class TestBandThreads:
+    """Threads of ``_map_bands``; the CPU count is only ever patched down."""
+
+    real_cpus = density._usable_cpus()
+
+    def stream(self):
+        rng = np.random.default_rng(5)
+        return [gray_frame(rng.integers(0, 256, (8, 4)), i) for i in range(4)]
+
+    @pytest.mark.parametrize("failing_band", [0, 3])
+    def test_band_exception_reaches_caller(self, monkeypatch, failing_band):
+        error = RuntimeError("band failed")
+        real_band = density._band
+
+        def band(frames, rows, *args):
+            if rows[0] == failing_band * 2:
+                raise error
+            return real_band(frames, rows, *args)
+
+        monkeypatch.setattr(density, "_band", band)
+        monkeypatch.setattr(density, "_BAND_PIXELS", 2 * 4)  # four bands
+        monkeypatch.setattr(density, "_usable_cpus", lambda: min(2, self.real_cpus))
+        before = threading.active_count()
+        with pytest.raises(RuntimeError) as info:
+            _density_loop(self.stream(), DensityRegressor(1.0, 0.0, 0.0), {1, 3})
+        assert info.value is error
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("band_rows", [1, 3, 8])
+    @pytest.mark.parametrize("cpus", sorted({1, min(2, real_cpus), real_cpus}))
+    def test_threads_started_at_most_bands_and_cpus(self, monkeypatch, band_rows, cpus):
+        started = []
+
+        class CountingThread(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(density.threading, "Thread", CountingThread)
+        monkeypatch.setattr(density, "_BAND_PIXELS", band_rows * 4)
+        monkeypatch.setattr(density, "_usable_cpus", lambda: cpus)
+        before = threading.active_count()
+        frames = self.stream()
+        counts, _ = _density_loop(frames, DensityRegressor(1.0, 0.4, 0.0), {0, 2, 3})
+        bands = -(-8 // band_rows)
+        # The calling thread is one of the workers.
+        assert len(started) == min(bands, cpus) - 1
+        assert threading.active_count() == before
+        assert counts == reference_density(frames, DensityRegressor(1.0, 0.4, 0.0), {0, 2, 3})[0]
