@@ -18,12 +18,11 @@ from .density import (
     predict_count,
     update_background,
 )
-from .evaluation import JitterSpec, ap_d, compare_methods, generate_synthetic, matched_ap_d
+from .evaluation import JitterSpec, ap_d, generate_synthetic, matched_ap_d
 from .ingest import (
     Boxes,
     Detections,
     FrameDetections,
-    GrayFrame,
     StreamMeta,
     load_gray_frames,
     parse_detections,

@@ -172,11 +172,14 @@ def _write(out_dir: Path, name: str, data) -> bytes:
 # ---------------------------------------------------------------------------
 
 
-def stage_count(detections_bytes: bytes, config: PipelineConfig, gray_frames=None):
+def stage_count(
+    detections_bytes: bytes, config: PipelineConfig, gray_frames=None, regressor=None
+):
     """Detections bytes -> routed CountSeries + rendered raw-counts CSV bytes.
 
-    ``gray_frames`` (decoded from a gray container) feed density estimation
-    for frames over the count ceiling.
+    Frames over the count ceiling get their counts from ``regressor`` (a
+    ``DensityRegressor``) run over ``gray_frames``, the (n, height, width)
+    array of a gray container.
     """
     frames, meta = parse_detections(detections_bytes)
     fps = config.fps_override or meta.fps
@@ -189,10 +192,9 @@ def stage_count(detections_bytes: bytes, config: PipelineConfig, gray_frames=Non
     needed = frames_needing_density(series, policy)
     density_counts = None
     if needed:
-        if config.density_model_path is None:
+        if regressor is None:
             # route_counts raises the canonical RoutingError naming the frames
             route_counts(series, policy, None)
-        regressor = regressor_from_json(_read_bytes(config.density_model_path).decode("utf-8"))
         if gray_frames is None:
             raise StageError(
                 "frames exceed the count ceiling but no gray frame container was "
@@ -312,22 +314,28 @@ def run_pipeline(
     detections_bytes = _read_bytes(detections_path)
     input_hashes = {"detections": _sha256(detections_bytes)}
 
-    if calibration_path is not None and config.density_model_path is None:
+    # The configured model wins over one fitted from the calibration CSV.
+    model_bytes = None
+    if config.density_model_path is not None:
+        model_bytes = _read_bytes(config.density_model_path)
+    elif calibration_path is not None:
         calibration_bytes = _read_bytes(calibration_path)
         input_hashes["calibration"] = _sha256(calibration_bytes)
-        regressor = fit_regressor(read_calibration_csv(calibration_bytes))
-        model_bytes = _write(out, "density_model.json", regressor_to_json(regressor))
-        config = dataclasses.replace(
-            config, density_model_path=str(out / "density_model.json")
-        )
+        fitted = fit_regressor(read_calibration_csv(calibration_bytes))
+        model_bytes = _write(out, "density_model.json", regressor_to_json(fitted))
+    regressor = None
+    if model_bytes is not None:
         input_hashes["density_model"] = _sha256(model_bytes)
+        regressor = regressor_from_json(model_bytes)
     gray_frames = None
     if gray_frames_path is not None:
         gray_bytes = _read_bytes(gray_frames_path)
         input_hashes["gray_frames"] = _sha256(gray_bytes)
         gray_frames = load_gray_frames(gray_bytes)
 
-    _, raw_csv, meta = stage_count(detections_bytes, config, gray_frames=gray_frames)
+    _, raw_csv, meta = stage_count(
+        detections_bytes, config, gray_frames=gray_frames, regressor=regressor
+    )
     _write(out, "raw_counts.csv", raw_csv)
 
     _, smoothed_csv, params = stage_smooth(raw_csv, config)
@@ -458,10 +466,15 @@ def count(detections, out, config_path, count_ceiling, min_score, person_class_i
             "fps_override": _parse_fps_flag(fps_flag),
         },
     )
+    regressor = None
+    if config.density_model_path is not None:
+        regressor = regressor_from_json(_read_bytes(config.density_model_path))
     gray_frames = None
     if gray_path is not None:
         gray_frames = load_gray_frames(_read_bytes(gray_path))
-    _, csv_bytes, _ = stage_count(_read_bytes(detections), config, gray_frames=gray_frames)
+    _, csv_bytes, _ = stage_count(
+        _read_bytes(detections), config, gray_frames=gray_frames, regressor=regressor
+    )
     _write(Path(out), "raw_counts.csv", csv_bytes)
 
 
@@ -492,7 +505,7 @@ def density_fit(calibration, out, fg_threshold):
 def density_predict(gray, model, out):
     """Predict a density count for every frame of a gray container."""
     frames = load_gray_frames(_read_bytes(gray))
-    regressor = regressor_from_json(_read_bytes(model).decode("utf-8"))
+    regressor = regressor_from_json(_read_bytes(model))
     counts = estimate_density_counts(frames, regressor, range(len(frames)))
     lines = ["frame_index,count"] + [f"{i},{counts[i]}" for i in range(len(frames))]
     Path(out).parent.mkdir(parents=True, exist_ok=True)

@@ -128,27 +128,19 @@ def frames_needing_density(series: CountSeries, policy: RoutingPolicy) -> list[i
 def route_counts(
     series: CountSeries,
     policy: RoutingPolicy,
-    density_counts: Mapping[int, int] | Sequence[int] | None = None,
+    density_counts: Mapping[int, int] | None = None,
 ) -> CountSeries:
     """Replace over-ceiling detector counts with density estimates.
 
-    ``density_counts`` is either a full-length per-frame sequence or a
-    mapping from frame index to count; only over-ceiling frames are read.
-    A frame count equal to the ceiling stays on the detector path (routing
-    triggers strictly above).
+    ``density_counts`` maps frame index to count; only over-ceiling frames
+    are read. A frame count equal to the ceiling stays on the detector path
+    (routing triggers strictly above).
     """
     over = frames_needing_density(series, policy)
     if not over:
         return series
     if density_counts is None:
         raise RoutingError(over)
-    if not isinstance(density_counts, Mapping):
-        seq = np.asarray(density_counts, dtype=np.int64)
-        if len(seq) != len(series):
-            raise ValueError(
-                f"density_counts length {len(seq)} != series length {len(series)}"
-            )
-        density_counts = {i: int(seq[i]) for i in over}
     missing = [i for i in over if i not in density_counts]
     if missing:
         raise RoutingError(missing)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InputFormatError, RankDeficientError
-from .ingest import GrayFrame, decode_line, source_bytes
+from .ingest import decode_line, source_bytes
 
 DEFAULT_MOTION_THRESHOLD = 15.0
 DEFAULT_LEARNING_RATE = 0.05
@@ -35,32 +35,21 @@ _BAND_PIXELS = 1 << 15
 
 @dataclass(frozen=True)
 class BackgroundModel:
-    """Running background estimate; ``background`` is float64, shape (height, width)."""
+    """Running background estimate; ``background`` is float64, shape (height, width).
 
-    width: int
-    height: int
+    A stream's model starts from its first frame verbatim, so static scenes
+    are a fixed point.
+    """
+
     background: np.ndarray
     motion_threshold: float = DEFAULT_MOTION_THRESHOLD
     learning_rate: float = DEFAULT_LEARNING_RATE
 
     def __post_init__(self):
-        if self.background.shape != (self.height, self.width):
-            raise ValueError(
-                f"background shape {self.background.shape} does not match "
-                f"{self.height}x{self.width}"
-            )
+        if self.background.ndim != 2:
+            raise ValueError(f"background must be 2-D, got shape {self.background.shape}")
         if not 0.0 < self.learning_rate <= 1.0:
             raise ValueError(f"learning_rate must be in (0, 1], got {self.learning_rate}")
-
-    @classmethod
-    def from_first_frame(cls, frame: GrayFrame, **kwargs) -> "BackgroundModel":
-        """Initialize from the first frame verbatim (static scenes are a fixed point)."""
-        return cls(
-            width=frame.width,
-            height=frame.height,
-            background=frame.pixels.astype(np.float64),
-            **kwargs,
-        )
 
 
 @dataclass(frozen=True)
@@ -92,18 +81,21 @@ class DensityRegressor:
 
 
 def update_background(
-    model: BackgroundModel, prev: GrayFrame, curr: GrayFrame
+    model: BackgroundModel, prev: np.ndarray, curr: np.ndarray
 ) -> BackgroundModel:
     """Blend the current frame into the background wherever it is not moving.
 
-    A pixel whose inter-frame change is below the motion threshold is
-    considered static and moves toward the current frame by the learning
-    rate; moving pixels leave the background untouched, so people never
-    pollute it.
+    ``prev`` and ``curr`` are consecutive 2-D frames. A pixel whose
+    inter-frame change is below the motion threshold is considered static
+    and moves toward the current frame by the learning rate; moving pixels
+    leave the background untouched, so people never pollute it.
     """
-    _check_pair(model, prev, curr)
-    prev_f = prev.pixels.astype(np.float64)
-    curr_f = curr.pixels.astype(np.float64)
+    prev_f = np.asarray(prev, dtype=np.float64)
+    curr_f = np.asarray(curr, dtype=np.float64)
+    if not prev_f.shape == curr_f.shape == model.background.shape:
+        raise ValueError(
+            f"frames are {prev_f.shape} and {curr_f.shape}, model is {model.background.shape}"
+        )
     static = np.abs(curr_f - prev_f) < model.motion_threshold
     alpha = model.learning_rate
     background = model.background.copy()
@@ -112,11 +104,13 @@ def update_background(
 
 
 def extract_foreground(
-    model: BackgroundModel, frame: GrayFrame, fg_threshold: float = DEFAULT_FG_THRESHOLD
+    model: BackgroundModel, frame: np.ndarray, fg_threshold: float = DEFAULT_FG_THRESHOLD
 ) -> np.ndarray:
     """Boolean mask of pixels deviating from the background by more than the threshold."""
-    _check_dims(model, frame)
-    return np.abs(frame.pixels.astype(np.float64) - model.background) > fg_threshold
+    frame_f = np.asarray(frame, dtype=np.float64)
+    if frame_f.shape != model.background.shape:
+        raise ValueError(f"frame is {frame_f.shape}, model is {model.background.shape}")
+    return np.abs(frame_f - model.background) > fg_threshold
 
 
 def compute_features(mask: np.ndarray, frame_index: int = 0) -> ForegroundFeatures:
@@ -186,9 +180,9 @@ def predict_count(regressor: DensityRegressor, features: ForegroundFeatures) -> 
 
 
 def estimate_density_counts(
-    frames, regressor: DensityRegressor, frame_indices
+    frames: np.ndarray, regressor: DensityRegressor, frame_indices
 ) -> dict[int, int]:
-    """Density counts for the requested frames of one gray-frame stream.
+    """Density counts for the requested frames of one (n, height, width) gray stream.
 
     Runs the background model sequentially over the whole stream (it is
     order-dependent) and predicts only at the requested indices. The frame
@@ -197,7 +191,7 @@ def estimate_density_counts(
     the stream, and each mask to ``extract_foreground``.
     """
     wanted = set(frame_indices)
-    if not frames:
+    if len(frames) == 0:
         raise ValueError("no gray frames supplied")
     out_of_range = sorted(i for i in wanted if not 0 <= i < len(frames))
     if out_of_range:
@@ -209,22 +203,21 @@ def estimate_density_counts(
 def _density_loop(frames, regressor: DensityRegressor, wanted):
     """The loop of ``estimate_density_counts``; returns (counts, final background).
 
-    ``frames`` is non-empty. Every frame is checked before any work is done.
-    The frame is cut into bands of whole rows, and each band runs over the
-    whole stream on its own (``_band``), so its buffers stay in cache and
-    bands can run on separate threads. Each pixel's background evolves
-    independently of every other pixel and the per-band features are integer
-    sums, so counts and background are bit-identical for any band height and
-    any number of threads. Counts are predicted here, in ascending frame
-    order, in the calling thread.
+    ``frames`` is a non-empty (n, height, width) array, so every frame has
+    the same shape. The frame is cut into bands of whole rows, and each band
+    runs over the whole stream on its own (``_band``), so its buffers stay in
+    cache and bands can run on separate threads. Each pixel's background
+    evolves independently of every other pixel and the per-band features are
+    integer sums, so counts and background are bit-identical for any band
+    height and any number of threads. Counts are predicted here, in ascending
+    frame order, in the calling thread.
     """
-    model = BackgroundModel.from_first_frame(frames[0])
-    for i in range(1, len(frames)):
-        _check_pair(model, frames[i - 1], frames[i])
+    model = BackgroundModel(frames[0].astype(np.float64))
     order = sorted(set(wanted))
-    rows = max(1, _BAND_PIXELS // max(model.width, 1))
+    height, width = model.background.shape
+    rows = max(1, _BAND_PIXELS // max(width, 1))
     # A frame with no rows still gets one (empty) band.
-    bands = [(r0, min(r0 + rows, model.height)) for r0 in range(0, max(model.height, 1), rows)]
+    bands = [(r0, min(r0 + rows, height)) for r0 in range(0, max(height, 1), rows)]
     parts = _map_bands(
         lambda band: _band(frames, band, order, model, regressor.fg_threshold), bands
     )
@@ -254,26 +247,27 @@ def _band(frames, rows, order, model: BackgroundModel, fg_threshold: float):
     ``update_background`` and ``extract_foreground``.
     """
     r0, r1 = rows
-    a0, a1 = max(r0 - 1, 0), min(r1 + 1, model.height)
+    height, width = model.background.shape
+    a0, a1 = max(r0 - 1, 0), min(r1 + 1, height)
     alpha = model.learning_rate
     keep = 1.0 - alpha
-    background = frames[0].pixels[a0:a1].astype(np.float64)
+    background = model.background[a0:a1].copy()
     prev = background.copy()
     curr = np.empty_like(background)
     scratch = np.empty_like(background)
     static = np.empty(background.shape, dtype=bool)
     # Mask rows r0 - 1 .. r1; a halo row outside the image stays False.
-    padded = np.zeros((r1 - r0 + 2, model.width), dtype=bool)
+    padded = np.zeros((r1 - r0 + 2, width), dtype=bool)
     mask = padded[a0 - r0 + 1 : a1 - r0 + 1]
     own = padded[1:-1]
     vertical = np.empty(own.shape, dtype=bool)
-    interior = np.empty((own.shape[0], max(model.width - 2, 0)), dtype=bool)
+    interior = np.empty((own.shape[0], max(width - 2, 0)), dtype=bool)
     areas = np.zeros(len(order), dtype=np.int64)
     interiors = np.zeros(len(order), dtype=np.int64)
     k = 0
-    for i, frame in enumerate(frames):
+    for i in range(len(frames)):
         if i > 0:
-            np.copyto(curr, frame.pixels[a0:a1])
+            np.copyto(curr, frames[i, a0:a1])
             np.subtract(curr, prev, out=scratch)
             np.abs(scratch, out=scratch)
             np.less(scratch, model.motion_threshold, out=static)
@@ -359,9 +353,10 @@ def regressor_to_json(regressor: DensityRegressor) -> str:
     ) + "\n"
 
 
-def regressor_from_json(text: str) -> DensityRegressor:
+def regressor_from_json(data: bytes) -> DensityRegressor:
+    """Parse a density model file's bytes (UTF-8 JSON, as ``regressor_to_json`` writes)."""
     try:
-        obj = json.loads(text)
+        obj = json.loads(data.decode("utf-8"))
         return DensityRegressor(
             coef_area=float(obj["coef_area"]),
             coef_edge=float(obj["coef_edge"]),
@@ -407,20 +402,3 @@ def read_calibration_csv(source) -> list[tuple[ForegroundFeatures, int]]:
     if not header_seen:
         raise InputFormatError("calibration file has no header row")
     return samples
-
-
-def _check_pair(model: BackgroundModel, prev: GrayFrame, curr: GrayFrame):
-    _check_dims(model, prev)
-    _check_dims(model, curr)
-    if curr.frame_index != prev.frame_index + 1:
-        raise ValueError(
-            f"frames must be consecutive: got {prev.frame_index} then {curr.frame_index}"
-        )
-
-
-def _check_dims(model: BackgroundModel, frame: GrayFrame):
-    if (frame.width, frame.height) != (model.width, model.height):
-        raise ValueError(
-            f"frame {frame.frame_index} is {frame.width}x{frame.height}, "
-            f"model is {model.width}x{model.height}"
-        )

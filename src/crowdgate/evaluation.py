@@ -115,17 +115,6 @@ def evaluate(truth, raw, smoothed) -> EvalReport:
     )
 
 
-def compare_methods(truth, candidates: dict) -> dict[str, float]:
-    """One metric value per named candidate series, in insertion order."""
-    results = {}
-    for name, series in candidates.items():
-        try:
-            results[name] = ap_d(series, truth)
-        except ValueError as exc:
-            raise ValueError(f"candidate {name!r}: {exc}") from exc
-    return results
-
-
 def render_table(results: dict[str, dict[str, float]]) -> str:
     """Plain-text table, methods as rows and scenes as columns."""
     scenes: list[str] = []

@@ -123,23 +123,6 @@ class StreamMeta:
             raise ValueError(f"fps must be > 0, got {self.fps}")
 
 
-@dataclass(frozen=True)
-class GrayFrame:
-    """One 8-bit grayscale frame; ``pixels`` has shape (height, width)."""
-
-    width: int
-    height: int
-    pixels: np.ndarray
-    frame_index: int
-
-    def __post_init__(self):
-        if self.pixels.shape != (self.height, self.width):
-            raise ValueError(
-                f"pixel buffer shape {self.pixels.shape} does not match "
-                f"{self.height}x{self.width}"
-            )
-
-
 def parse_fps(value) -> Fraction:
     """Accept a JSON number or a "num/den" string; reject non-positive rates."""
     if isinstance(value, str):
@@ -384,8 +367,11 @@ def serialize_detections(detections: Detections, meta: StreamMeta) -> bytes:
     return out.getvalue().encode("utf-8")
 
 
-def load_gray_frames(source) -> list[GrayFrame]:
-    """Read a CGRY container into a list of GrayFrames."""
+def load_gray_frames(source) -> np.ndarray:
+    """Read a CGRY container as one read-only (n, height, width) uint8 array.
+
+    The array is a view of the container's bytes, not a copy.
+    """
     data = source_bytes(source)
     if len(data) < _GRAY_HEADER.size:
         raise InputFormatError("gray container shorter than its 16-byte header")
@@ -403,31 +389,26 @@ def load_gray_frames(source) -> list[GrayFrame]:
         )
     if len(data) > expected:
         raise InputFormatError(f"{len(data) - expected} trailing bytes after last frame")
-    frames = []
-    offset = _GRAY_HEADER.size
-    for index in range(count):
-        pixels = np.frombuffer(
-            data, dtype=np.uint8, count=frame_size, offset=offset
-        ).reshape(height, width)
-        frames.append(GrayFrame(width, height, pixels, index))
-        offset += frame_size
-    return frames
+    pixels = np.frombuffer(
+        data, dtype=np.uint8, count=count * frame_size, offset=_GRAY_HEADER.size
+    )
+    return pixels.reshape(count, height, width)
 
 
 def save_gray_frames(frames) -> bytes:
-    """Write GrayFrames out as a CGRY container (inverse of load_gray_frames)."""
-    if not frames:
-        raise ValueError("cannot serialize an empty frame list")
-    width, height = frames[0].width, frames[0].height
-    out = bytearray(_GRAY_HEADER.pack(GRAY_MAGIC, width, height, len(frames)))
-    for frame in frames:
-        if (frame.width, frame.height) != (width, height):
-            raise ValueError(
-                f"frame {frame.frame_index} is {frame.width}x{frame.height}, "
-                f"stream is {width}x{height}"
-            )
-        out += frame.pixels.tobytes()
-    return bytes(out)
+    """Write an (n, height, width) uint8 array as a CGRY container.
+
+    The inverse of ``load_gray_frames``; an array that is not 3-D, is empty
+    or is not uint8 would make a container the loader rejects.
+    """
+    frames = np.asarray(frames)
+    if frames.ndim != 3 or frames.dtype != np.uint8 or frames.size == 0:
+        raise ValueError(
+            "gray frames must be a non-empty (n, height, width) uint8 array, "
+            f"got shape {frames.shape} of {frames.dtype}"
+        )
+    count, height, width = frames.shape
+    return _GRAY_HEADER.pack(GRAY_MAGIC, width, height, count) + frames.tobytes()
 
 
 @contextmanager

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from crowdgate.counting import CountSeries
-from crowdgate.ingest import GrayFrame
 
 
 def detections_bytes(counts, fps=9, source_id="cam1", score=0.9, class_id=0):
@@ -21,9 +20,9 @@ def detections_bytes(counts, fps=9, source_id="cam1", score=0.9, class_id=0):
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
-def gray_frame(values, index=0):
-    pixels = np.asarray(values, dtype=np.uint8)
-    return GrayFrame(pixels.shape[1], pixels.shape[0], pixels, index)
+def gray_stream(frames):
+    """An (n, height, width) uint8 gray stream from 2-D pixel arrays."""
+    return np.stack([np.asarray(frame, dtype=np.uint8) for frame in frames])
 
 
 def series(counts, fps=30):

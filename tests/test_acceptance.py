@@ -23,7 +23,6 @@ from crowdgate.density import (
     update_background,
 )
 from crowdgate.evaluation import JitterSpec, ap_d, generate_synthetic
-from crowdgate.ingest import GrayFrame
 from crowdgate.segmenting import SegmentPolicy, extract_segments
 from crowdgate.smoothing import SmoothingParams, smooth_series, window_length
 
@@ -199,8 +198,8 @@ def test_criterion_8_least_squares_recovery():
 
 def test_criterion_9_background_convergence():
     scene = 255
-    model = BackgroundModel(4, 4, np.zeros((4, 4)), learning_rate=0.05)
-    frame = lambda i: GrayFrame(4, 4, np.full((4, 4), scene, dtype=np.uint8), i)
+    model = BackgroundModel(np.zeros((4, 4)), learning_rate=0.05)
+    frame = lambda i: np.full((4, 4), scene, dtype=np.uint8)
     bound = int(np.ceil(np.log(1 / 255) / np.log(0.95)))  # 109
     updates = 0
     while np.abs(model.background - scene).max() >= 1.0:

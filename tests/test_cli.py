@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -24,7 +25,7 @@ from crowdgate.cli import (
 from crowdgate.counting import read_count_series
 from crowdgate.density import DensityRegressor, regressor_to_json
 from crowdgate.errors import StageError
-from crowdgate.ingest import GrayFrame, save_gray_frames
+from crowdgate.ingest import save_gray_frames
 
 from conftest import detections_bytes
 
@@ -41,11 +42,8 @@ def write_detections(path, counts, fps=9):
 
 def write_density_inputs(tmp_path, n_frames):
     """A static gray stream (zero foreground) and a model predicting its intercept, 24."""
-    frames = [
-        GrayFrame(8, 8, np.full((8, 8), 60, dtype=np.uint8), i) for i in range(n_frames)
-    ]
     gray = tmp_path / "frames.cgry"
-    gray.write_bytes(save_gray_frames(frames))
+    gray.write_bytes(save_gray_frames(np.full((n_frames, 8, 8), 60, dtype=np.uint8)))
     model = tmp_path / "model.json"
     model.write_text(regressor_to_json(DensityRegressor(0.0, 0.0, 24.0)))
     return str(gray), str(model)
@@ -209,6 +207,39 @@ def test_stages_call_csv_reader_and_writer_through_module(monkeypatch):
         raw_csv,
         smoothed_csv,
     ]
+
+
+def test_run_loads_density_inputs_through_module(monkeypatch, tmp_path):
+    # run_pipeline must look load_gray_frames, regressor_from_json and
+    # estimate_density_counts up on crowdgate.cli at call time: the
+    # benchmark's tracer wraps them there and counts len(frames) as frames
+    # scanned
+    calls = []
+
+    def spy(name):
+        original = getattr(cli, name)
+
+        def wrapper(*args, **kwargs):
+            result = original(*args, **kwargs)
+            calls.append((name, args, result))
+            return result
+
+        monkeypatch.setattr(cli, name, wrapper)
+
+    for name in ("load_gray_frames", "regressor_from_json", "estimate_density_counts"):
+        spy(name)
+    det = write_detections(tmp_path / "d.jsonl", [3, 30, 3], fps=9)
+    gray, model = write_density_inputs(tmp_path, 3)
+    config = PipelineConfig(abnormal_threshold=5, density_model_path=model)
+    run_pipeline(det, config, tmp_path / "o", gray_frames_path=gray)
+    assert [name for name, _, _ in calls] == [
+        "regressor_from_json", "load_gray_frames", "estimate_density_counts"
+    ]
+    (_, (model_bytes,), regressor), (_, _, frames), (_, density_args, counts) = calls
+    assert model_bytes == Path(model).read_bytes()
+    assert frames.shape == (3, 8, 8) and frames.dtype == np.uint8
+    assert density_args[0] is frames and density_args[1] is regressor
+    assert len(density_args[0]) == 3 and counts == {1: 24}
 
 
 class TestCountCsvInput:
@@ -387,6 +418,56 @@ class TestPipelineRun:
         with pytest.raises(StageError, match="no gray frame container"):
             run_pipeline(det, config, tmp_path / "o2")
 
+    def test_bad_model_fails_with_no_frame_routed(self, runner, tmp_path):
+        det = write_detections(tmp_path / "d.jsonl", [3, 4, 3])
+        model = tmp_path / "bad.json"
+        model.write_text("not a model")
+        result = run_cli(
+            runner, ["count", det, "--out", str(tmp_path / "o"), "--model", str(model)]
+        )
+        assert result.exit_code == EXIT_INPUT_ERROR
+        assert "error: bad density model file" in result.output
+        assert not (tmp_path / "o").exists()
+
+    def test_model_run_hashes_model_bytes(self, runner, tmp_path):
+        det = write_detections(tmp_path / "d.jsonl", [3, 30, 3], fps=9)
+        gray, model = write_density_inputs(tmp_path, 3)
+        args = ["run", det, "--out", str(tmp_path / "o"), "--threshold", "5", "--gray", gray]
+        result = run_cli(runner, args + ["--model", model])
+        assert result.exit_code == 0
+        manifest = json.loads((tmp_path / "o" / "run_manifest.json").read_text())
+        digest = hashlib.sha256(Path(model).read_bytes()).hexdigest()
+        assert manifest["input_sha256"]["density_model"] == digest
+        assert manifest["effective_config"]["density_model_path"] == model
+        assert not (tmp_path / "o" / "density_model.json").exists()
+
+    def test_calibration_run_independent_of_output_dir(self, runner, tmp_path):
+        det = write_detections(tmp_path / "d.jsonl", [3, 30, 3], fps=9)
+        gray, _ = write_density_inputs(tmp_path, 3)
+        calib = tmp_path / "calib.csv"
+        calib.write_text(
+            "frame_index,area,edge,true_count\n0,100,20,5\n1,400,50,9\n2,900,80,13\n"
+        )
+        outs = [tmp_path / "o1", tmp_path / "sub" / "o2"]
+        for out in outs:
+            result = run_cli(
+                runner,
+                ["run", det, "--out", str(out), "--threshold", "5", "--gray", gray,
+                 "--calibration", str(calib)],
+            )
+            assert result.exit_code == 0
+        names = sorted(path.name for path in outs[0].iterdir())
+        assert "density_model.json" in names
+        assert names == sorted(path.name for path in outs[1].iterdir())
+        for name in names:
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+        manifest = json.loads((outs[0] / "run_manifest.json").read_text())
+        assert manifest["effective_config"]["density_model_path"] is None
+        digest = hashlib.sha256((outs[0] / "density_model.json").read_bytes()).hexdigest()
+        assert manifest["input_sha256"]["density_model"] == digest
+        raw = read_count_series((outs[0] / "raw_counts.csv").read_bytes())
+        assert raw.provenance[1] == "Density"
+
     @pytest.mark.parametrize(
         "config", [{"min_duration_frames": -5}, {"merge_gap_frames": -3}]
     )
@@ -438,11 +519,8 @@ class TestDensityCommands:
         assert result.exit_code == 0
         assert model.exists()
 
-        frames = [
-            GrayFrame(8, 8, np.full((8, 8), 60, dtype=np.uint8), i) for i in range(2)
-        ]
         gray = tmp_path / "g.cgry"
-        gray.write_bytes(save_gray_frames(frames))
+        gray.write_bytes(save_gray_frames(np.full((2, 8, 8), 60, dtype=np.uint8)))
         out_csv = tmp_path / "pred.csv"
         result = run_cli(
             runner, ["density-predict", str(gray), str(model), "--out", str(out_csv)]
@@ -464,6 +542,26 @@ class TestDensityCommands:
         assert result.exit_code == EXIT_INPUT_ERROR
         assert "error: bad density model file: coef_area must be finite" in result.output
         assert not out_csv.exists()
+
+    @pytest.mark.parametrize("command", ["density-predict", "run"])
+    def test_invalid_utf8_model_exit_2(self, runner, tmp_path, command):
+        gray, _ = write_density_inputs(tmp_path, 2)
+        model = tmp_path / "bad.json"
+        model.write_bytes(
+            b'{"coef_area": 0, "coef_edge": 0, "intercept": 1, "fg_threshold": 25, "\xff": 0}'
+        )
+        out = tmp_path / "o"
+        if command == "density-predict":
+            args = ["density-predict", gray, str(model), "--out", str(out / "pred.csv")]
+        else:
+            det = write_detections(tmp_path / "d.jsonl", [3, 30])
+            args = ["run", det, "--out", str(out), "--threshold", "5", "--gray", gray,
+                    "--model", str(model)]
+        result = run_cli(runner, args)
+        assert result.exit_code == EXIT_INPUT_ERROR
+        message = "error: bad density model file: 'utf-8' codec can't decode byte 0xff"
+        assert message in result.output
+        assert not out.exists()
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
     def test_fit_bad_fg_threshold_exit_3(self, runner, tmp_path, value):

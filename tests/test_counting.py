@@ -204,7 +204,7 @@ class TestRouteCounts:
 
     def test_routes_over_ceiling(self):
         s = series([20, 30, 22])
-        out = route_counts(s, RoutingPolicy(count_ceiling=25), [19, 28, 23])
+        out = route_counts(s, RoutingPolicy(count_ceiling=25), {0: 19, 1: 28, 2: 23})
         assert np.array_equal(out.counts, [20, 28, 22])
         assert list(out.provenance) == [PROV_DETECTOR, PROV_DENSITY, PROV_DETECTOR]
 
@@ -227,7 +227,7 @@ class TestRouteCounts:
         for _ in range(20):
             counts = rng.integers(0, 50, int(rng.integers(1, 100)))
             s = series(counts)
-            density = rng.integers(0, 50, len(counts))
+            density = dict(enumerate(rng.integers(0, 50, len(counts)).tolist()))
             out = route_counts(s, RoutingPolicy(count_ceiling=25), density)
             assert len(out) == len(s)
 

@@ -27,91 +27,88 @@ from crowdgate import density
 from crowdgate.density import _density_loop
 from crowdgate.errors import InputFormatError, RankDeficientError
 
-from conftest import gray_frame
+from conftest import gray_stream
 
 
-def constant_frame(value, index, shape=(8, 8)):
-    return gray_frame(np.full(shape, value, dtype=np.uint8), index)
+def constant_frame(value, shape=(8, 8)):
+    return np.full(shape, value, dtype=np.uint8)
+
+
+def first_frame_model(frame):
+    return BackgroundModel(np.asarray(frame, dtype=np.float64))
 
 
 class TestUpdateBackground:
     def test_static_scene_fixed_point(self):
-        model = BackgroundModel.from_first_frame(constant_frame(100, 0))
-        out = update_background(model, constant_frame(100, 0), constant_frame(100, 1))
+        model = first_frame_model(constant_frame(100))
+        out = update_background(model, constant_frame(100), constant_frame(100))
         np.testing.assert_array_equal(out.background, model.background)
 
     def test_geometric_convergence(self):
         # constant scene v from a zero background: gap shrinks by (1-alpha) per update
-        model = BackgroundModel(8, 8, np.zeros((8, 8)), learning_rate=0.05)
+        model = BackgroundModel(np.zeros((8, 8)), learning_rate=0.05)
         for k in range(1, 30):
-            model = update_background(
-                model, constant_frame(100, k - 1), constant_frame(100, k)
-            )
+            model = update_background(model, constant_frame(100), constant_frame(100))
             expected = 100.0 * (1.0 - 0.95**k)
             np.testing.assert_allclose(model.background, expected, atol=1e-9)
 
     def test_moving_pixel_never_updates(self):
         bg = np.full((4, 4), 128.0)
-        model = BackgroundModel(4, 4, bg, motion_threshold=15.0)
-        frames = [
-            constant_frame(value, i, (4, 4))
-            for i, value in enumerate([0, 255, 0, 255])
-        ]
+        model = BackgroundModel(bg, motion_threshold=15.0)
+        frames = [constant_frame(value, (4, 4)) for value in [0, 255, 0, 255]]
         for prev, curr in zip(frames, frames[1:]):
             model = update_background(model, prev, curr)
         np.testing.assert_array_equal(model.background, bg)
 
     def test_gated_pixels_bit_identical(self, rng):
         bg = rng.uniform(0, 255, (16, 16))
-        model = BackgroundModel(16, 16, bg.copy())
-        prev = gray_frame(rng.integers(0, 256, (16, 16)).astype(np.uint8), 0)
-        curr = gray_frame(rng.integers(0, 256, (16, 16)).astype(np.uint8), 1)
+        model = BackgroundModel(bg.copy())
+        prev = rng.integers(0, 256, (16, 16)).astype(np.uint8)
+        curr = rng.integers(0, 256, (16, 16)).astype(np.uint8)
         out = update_background(model, prev, curr)
-        moving = np.abs(
-            curr.pixels.astype(float) - prev.pixels.astype(float)
-        ) >= model.motion_threshold
+        moving = np.abs(curr.astype(float) - prev.astype(float)) >= model.motion_threshold
         np.testing.assert_array_equal(out.background[moving], bg[moving])
         # static pixels move toward the frame, never past it
         static = ~moving
-        low = np.minimum(bg, curr.pixels.astype(float))
-        high = np.maximum(bg, curr.pixels.astype(float))
+        low = np.minimum(bg, curr.astype(float))
+        high = np.maximum(bg, curr.astype(float))
         assert np.all(out.background[static] >= low[static])
         assert np.all(out.background[static] <= high[static])
 
     def test_dimension_mismatch(self):
-        model = BackgroundModel.from_first_frame(constant_frame(0, 0))
-        with pytest.raises(ValueError, match="model is"):
-            update_background(
-                model, constant_frame(0, 0, (4, 4)), constant_frame(0, 1, (4, 4))
-            )
-
-    def test_non_consecutive_frames(self):
-        model = BackgroundModel.from_first_frame(constant_frame(0, 0))
-        with pytest.raises(ValueError, match="consecutive"):
-            update_background(model, constant_frame(0, 0), constant_frame(0, 5))
+        model = first_frame_model(constant_frame(0))
+        for shapes in [((4, 4), (4, 4)), ((8, 8), (4, 8))]:
+            prev, curr = (constant_frame(0, shape) for shape in shapes)
+            with pytest.raises(ValueError, match=r"model is \(8, 8\)"):
+                update_background(model, prev, curr)
 
 
 class TestExtractForeground:
     def test_frame_equals_background(self):
-        model = BackgroundModel.from_first_frame(constant_frame(77, 0))
-        mask = extract_foreground(model, constant_frame(77, 1))
+        model = first_frame_model(constant_frame(77))
+        mask = extract_foreground(model, constant_frame(77))
         assert not mask.any()
 
     def test_single_deviating_pixel(self):
-        model = BackgroundModel.from_first_frame(constant_frame(100, 0))
-        pixels = np.full((8, 8), 100, dtype=np.uint8)
+        model = first_frame_model(constant_frame(100))
+        pixels = constant_frame(100)
         pixels[2, 3] = 150
-        mask = extract_foreground(model, gray_frame(pixels, 1), fg_threshold=25)
+        mask = extract_foreground(model, pixels, fg_threshold=25)
         assert mask.sum() == 1 and mask[2, 3]
 
     def test_pixelwise_oracle(self, rng):
         bg = rng.uniform(0, 255, (12, 12))
-        model = BackgroundModel(12, 12, bg)
-        frame = gray_frame(rng.integers(0, 256, (12, 12)).astype(np.uint8), 0)
+        model = BackgroundModel(bg)
+        frame = rng.integers(0, 256, (12, 12)).astype(np.uint8)
         mask = extract_foreground(model, frame, fg_threshold=25)
         for r in range(12):
             for c in range(12):
-                assert mask[r, c] == (abs(float(frame.pixels[r, c]) - bg[r, c]) > 25)
+                assert mask[r, c] == (abs(float(frame[r, c]) - bg[r, c]) > 25)
+
+    def test_dimension_mismatch(self):
+        model = first_frame_model(constant_frame(0))
+        with pytest.raises(ValueError, match=r"frame is \(8, 4\), model is \(8, 8\)"):
+            extract_foreground(model, constant_frame(0, (8, 4)))
 
 
 class TestComputeFeatures:
@@ -203,7 +200,7 @@ class TestRegressor:
 
     def test_json_round_trip(self):
         reg = DensityRegressor(0.0123, -0.5, 2.75, 30.0)
-        assert regressor_from_json(regressor_to_json(reg)) == reg
+        assert regressor_from_json(regressor_to_json(reg).encode()) == reg
 
     @pytest.mark.parametrize(
         "values",
@@ -222,7 +219,7 @@ class TestRegressor:
     def test_json_non_finite_coefficient_is_bad_file(self, value):
         text = f'{{"coef_area": {value}, "coef_edge": 0, "intercept": 0, "fg_threshold": 25}}'
         with pytest.raises(InputFormatError, match="bad density model file"):
-            regressor_from_json(text)
+            regressor_from_json(text.encode())
 
 
 class TestCalibrationCsv:
@@ -282,30 +279,22 @@ class TestCalibrationCsv:
 
 class TestEstimateDensityCounts:
     def test_selected_frames_only(self):
-        frames = [constant_frame(50, i) for i in range(5)]
+        frames = np.full((5, 8, 8), 50, dtype=np.uint8)
         reg = DensityRegressor(1.0, 0.0, 4.0)
         counts = estimate_density_counts(frames, reg, [0, 3])
         # static scene: background equals the frames, no foreground anywhere
         assert counts == {0: 4, 3: 4}
 
     def test_out_of_range_frame(self):
-        frames = [constant_frame(50, 0)]
+        frames = np.full((1, 8, 8), 50, dtype=np.uint8)
         with pytest.raises(ValueError, match="outside"):
             estimate_density_counts(frames, DensityRegressor(1, 0, 0), [2])
 
     def test_empty_stream(self):
         with pytest.raises(ValueError, match="no gray frames"):
-            estimate_density_counts([], DensityRegressor(1, 0, 0), [])
-
-    def test_frame_of_other_size_names_it(self):
-        frames = [constant_frame(50, 0), constant_frame(50, 1), constant_frame(50, 2, (4, 8))]
-        with pytest.raises(ValueError, match="frame 2 is 8x4, model is 8x8"):
-            estimate_density_counts(frames, DensityRegressor(1, 0, 0), [0])
-
-    def test_non_consecutive_frame_index(self):
-        frames = [constant_frame(50, 0), constant_frame(50, 1), constant_frame(50, 3)]
-        with pytest.raises(ValueError, match="frames must be consecutive: got 1 then 3"):
-            estimate_density_counts(frames, DensityRegressor(1, 0, 0), [0])
+            estimate_density_counts(
+                np.empty((0, 8, 8), dtype=np.uint8), DensityRegressor(1, 0, 0), []
+            )
 
 
 # Per-pixel steps between frames. +-15 is the motion threshold, which is not
@@ -324,8 +313,7 @@ def gray_streams(draw):
     pixels = [first]
     for step in steps:
         pixels.append(np.clip(pixels[-1] + step, 0, 255))
-    start = draw(st.integers(0, 3))
-    frames = [gray_frame(p, start + i) for i, p in enumerate(pixels)]
+    frames = gray_stream(pixels)
     wanted = draw(st.just(set(range(n))) | st.sets(st.integers(0, n - 1)))
     return frames, wanted
 
@@ -333,14 +321,14 @@ def gray_streams(draw):
 # Pixel (0, 0) moves by exactly the foreground threshold, (0, 1) by exactly
 # the motion threshold, and (1, 0) by one less, so it is blended.
 _BOUNDARY_STREAM = (
-    [gray_frame(np.full((2, 2), 100), 0), gray_frame([[125, 115], [114, 100]], 1)],
+    gray_stream([np.full((2, 2), 100), [[125, 115], [114, 100]]]),
     {0, 1},
 )
 
 
 def reference_density(frames, regressor, wanted):
     """Fold ``update_background`` over the stream; predict at the wanted frames."""
-    model = BackgroundModel.from_first_frame(frames[0])
+    model = first_frame_model(frames[0])
     counts = {}
     for i, frame in enumerate(frames):
         if i > 0:
@@ -363,7 +351,7 @@ def banded(band_rows, workers, width):
 
 # Nine rows in bands of four: the last band is one row.
 _SHORT_LAST_BAND = (
-    [gray_frame(np.full((9, 3), 100), 0), gray_frame(np.full((9, 3), 200), 1)],
+    gray_stream([np.full((9, 3), 100), np.full((9, 3), 200)]),
     {0, 1},
 )
 
@@ -393,7 +381,7 @@ class TestInPlaceLoopParity:
     def test_counts_and_background_match_fold(self, stream, regressor, band_rows, workers):
         frames, wanted = stream
         expected_counts, expected_background = reference_density(frames, regressor, wanted)
-        with banded(band_rows, workers, frames[0].width):
+        with banded(band_rows, workers, frames.shape[2]):
             assert estimate_density_counts(frames, regressor, wanted) == expected_counts
             counts, background = _density_loop(frames, regressor, wanted)
         assert counts == expected_counts
@@ -409,7 +397,7 @@ class TestInPlaceLoopParity:
         still = np.full((8, 10), 100)
         blob = still.copy()
         blob[1:5, 3:7] = 200
-        frames = [gray_frame(still, 0), gray_frame(blob, 1)]
+        frames = gray_stream([still, blob])
         regressor = DensityRegressor(1.0, 1000.0, 0.0)
         with banded(3, workers, 10):
             counts, background = _density_loop(frames, regressor, {1})
@@ -420,7 +408,7 @@ class TestInPlaceLoopParity:
 
     @pytest.mark.parametrize("shape", [(0, 0), (0, 5), (5, 0)])
     def test_empty_frames(self, shape):
-        frames = [gray_frame(np.zeros(shape), i) for i in range(3)]
+        frames = np.zeros((3, *shape), dtype=np.uint8)
         counts, background = _density_loop(frames, DensityRegressor(1.0, 0.0, 2.0), {0, 2})
         assert counts == {0: 2, 2: 2}
         assert background.shape == shape
@@ -433,7 +421,7 @@ class TestBandThreads:
 
     def stream(self):
         rng = np.random.default_rng(5)
-        return [gray_frame(rng.integers(0, 256, (8, 4)), i) for i in range(4)]
+        return rng.integers(0, 256, (4, 8, 4)).astype(np.uint8)
 
     @pytest.mark.parametrize("failing_band", [0, 3])
     def test_band_exception_reaches_caller(self, monkeypatch, failing_band):

@@ -4,7 +4,6 @@ import pytest
 from crowdgate.evaluation import (
     JitterSpec,
     ap_d,
-    compare_methods,
     generate_synthetic,
     matched_ap_d,
     per_count_table,
@@ -69,19 +68,6 @@ class TestPerCountTable:
 
 
 class TestCompareMethods:
-    def test_single_perfect_candidate(self):
-        truth = series([2, 3])
-        assert compare_methods(truth, {"only": truth}) == {"only": 1.0}
-
-    def test_wrong_length_names_candidate(self):
-        with pytest.raises(ValueError, match="'bad'"):
-            compare_methods(series([1, 2]), {"bad": series([1])})
-
-    def test_ordering_stable(self):
-        truth = series([2, 3])
-        results = compare_methods(truth, {"b": truth, "a": truth})
-        assert list(results) == ["b", "a"]
-
     def test_render_table_layout(self):
         text = render_table(
             {"raw": {"scene1": 0.9, "scene2": 1.1}, "smoothed": {"scene1": 1.0}}

@@ -9,7 +9,6 @@ from crowdgate.errors import InputFormatError
 from crowdgate.ingest import (
     Boxes,
     Detections,
-    GrayFrame,
     StreamMeta,
     load_gray_frames,
     parse_detections,
@@ -389,35 +388,75 @@ def _meta(n):
     return StreamMeta(fps=Fraction(30000, 1001), frame_count=n, source_id="rt")
 
 
+def gray_header(width, height, count):
+    return b"CGRY" + b"".join(v.to_bytes(4, "little") for v in (width, height, count))
+
+
 class TestGrayContainer:
     def test_single_frame(self):
-        payload = b"CGRY" + (4).to_bytes(4, "little") * 2 + (1).to_bytes(4, "little")
-        payload += bytes(range(16))
+        frames = load_gray_frames(gray_header(4, 4, 1) + bytes(range(16)))
+        assert frames.shape == (1, 4, 4) and frames.dtype == np.uint8
+        assert frames[0, 3, 3] == 15
+
+    def test_rows_of_width_pixels(self):
+        frames = load_gray_frames(gray_header(3, 2, 2) + bytes(range(12)))
+        assert frames.shape == (2, 2, 3)
+        assert frames[1].tolist() == [[6, 7, 8], [9, 10, 11]]
+
+    def test_read_only_view_of_the_container(self):
+        payload = gray_header(2, 2, 1) + bytes(4)
         frames = load_gray_frames(payload)
-        assert len(frames) == 1
-        assert frames[0].pixels.shape == (4, 4)
-        assert frames[0].pixels[3, 3] == 15
+        assert not frames.flags.writeable
+        with pytest.raises(ValueError):
+            frames[0, 0, 0] = 1
+
+    def test_zero_frames(self):
+        frames = load_gray_frames(gray_header(5, 3, 0))
+        assert frames.shape == (0, 3, 5)
+
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            (b"CGRY" + bytes(11), "shorter than its 16-byte header"),
+            (gray_header(0, 4, 1), "zero frame dimension 0x4"),
+            (gray_header(4, 0, 1), "zero frame dimension 4x0"),
+            (gray_header(4, 4, 1) + bytes(17), "1 trailing bytes after last frame"),
+        ],
+        ids=["short-header", "zero-width", "zero-height", "trailing"],
+    )
+    def test_rejected_container(self, payload, message):
+        with pytest.raises(InputFormatError, match=message):
+            load_gray_frames(payload)
 
     def test_truncated_payload(self):
-        payload = b"CGRY" + (4).to_bytes(4, "little") * 2 + (2).to_bytes(4, "little")
-        payload += bytes(16)
         with pytest.raises(InputFormatError, match="truncated"):
-            load_gray_frames(payload)
+            load_gray_frames(gray_header(4, 4, 2) + bytes(16))
 
     def test_bad_magic(self):
         with pytest.raises(InputFormatError, match="magic"):
             load_gray_frames(b"XGRY" + bytes(12))
 
     def test_round_trip_bit_exact(self, rng):
-        frames = [
-            GrayFrame(64, 64, rng.integers(0, 256, (64, 64)).astype(np.uint8), i)
-            for i in range(100)
-        ]
+        frames = rng.integers(0, 256, (100, 48, 64)).astype(np.uint8)
         data = save_gray_frames(frames)
         loaded = load_gray_frames(data)
         assert save_gray_frames(loaded) == data
-        for a, b in zip(frames, loaded):
-            assert np.array_equal(a.pixels, b.pixels)
+        assert np.array_equal(loaded, frames)
+
+    @pytest.mark.parametrize(
+        "frames",
+        [
+            np.zeros((2, 2, 2), dtype=np.int64),
+            [[[0, 1], [2, 3]], [[4, 5], [6, 7]]],
+            np.zeros((2, 2), dtype=np.uint8),
+            np.zeros((0, 2, 2), dtype=np.uint8),
+            np.zeros((2, 0, 2), dtype=np.uint8),
+        ],
+        ids=["int64", "nested-lists", "2-d", "no-frames", "zero-height"],
+    )
+    def test_save_rejects_what_load_would(self, frames):
+        with pytest.raises(ValueError, match=r"non-empty \(n, height, width\) uint8 array"):
+            save_gray_frames(frames)
 
 
 def test_parse_fps_forms():
