@@ -1,10 +1,10 @@
 """Command-line pipeline: each stage as a subcommand, plus ``run`` for the whole chain.
 
-``run`` and the individual subcommands share the same stage functions, so
-composing subcommands reproduces ``run``'s artifacts byte for byte. Every
-stage artifact carries its effective stage config and the SHA-256 of its
-input (as ``#`` comment lines in the text formats), making runs auditable
-and reproducible.
+``run`` hands each stage's CountSeries to the next in memory. A subcommand
+reads its count CSV input and calls the same stage step, so composing
+subcommands reproduces ``run``'s artifacts byte for byte. Every stage
+artifact carries its stage's policy and the SHA-256 of its input (as ``#``
+comment lines in the text formats), making runs auditable and reproducible.
 
 Exit codes: 0 success, 2 input error, 3 config error, 4 stage failure.
 """
@@ -75,29 +75,27 @@ class PipelineConfig:
 
     @classmethod
     def load(cls, config_path: str | None, overrides: dict) -> "PipelineConfig":
-        """Config file first, then flag overrides (flags win)."""
-        config = cls()
+        """Config file first, then flag overrides (flags win; None means unset)."""
+        settings = {}
         if config_path is not None:
             try:
-                raw = json.loads(Path(config_path).read_text("utf-8"))
+                settings = json.loads(Path(config_path).read_text("utf-8"))
             except (OSError, json.JSONDecodeError) as exc:
                 raise ConfigError(f"cannot read config {config_path}: {exc}") from exc
-            if not isinstance(raw, dict):
+            if not isinstance(settings, dict):
                 raise ConfigError(f"config {config_path} must be a JSON object")
-            unknown = set(raw) - {f.name for f in dataclasses.fields(cls)}
+            unknown = set(settings) - {f.name for f in dataclasses.fields(cls)}
             if unknown:
                 raise ConfigError(f"unknown config key(s): {sorted(unknown)}")
-            for key, value in raw.items():
-                if key == "fps_override" and value is not None:
-                    value = parse_fps(value)
-                setattr(config, key, value)
-        for key, value in overrides.items():
-            if value is not None:
-                setattr(config, key, value)
+            if settings.get("fps_override") is not None:
+                settings["fps_override"] = parse_fps(settings["fps_override"])
+        settings.update((key, value) for key, value in overrides.items() if value is not None)
+        config = cls(**settings)
         config.validate()
         return config
 
     def validate(self):
+        """Type-check every setting; the policies range-check them."""
         for key in ("count_ceiling", "person_class_id", "smoothing_divisor"):
             _expect_type(key, getattr(self, key), int, "an integer")
         for key in ("abnormal_threshold", "min_duration_frames", "merge_gap_frames"):
@@ -107,10 +105,8 @@ class PipelineConfig:
         _expect_type(
             "density_model_path", self.density_model_path, (str, type(None)), "a string or null"
         )
-        if self.count_ceiling < 1:
-            raise ConfigError(f"count_ceiling must be >= 1, got {self.count_ceiling}")
-        if not 0.0 <= self.min_score <= 1.0:
-            raise ConfigError(f"min_score must be in [0, 1], got {self.min_score}")
+        self.routing_policy()
+        # SmoothingParams needs the stream's fps, so the divisor is checked here
         if self.smoothing_divisor < 1:
             raise ConfigError(
                 f"smoothing_divisor must be >= 1, got {self.smoothing_divisor}"
@@ -122,20 +118,37 @@ class PipelineConfig:
                 f"tie_break must be one of {[t.value for t in TieBreak]}, "
                 f"got {self.tie_break!r}"
             ) from None
-        if self.abnormal_threshold is not None and self.abnormal_threshold < 1:
-            raise ConfigError(
-                f"abnormal_threshold must be >= 1, got {self.abnormal_threshold}"
-            )
-        for key in ("min_duration_frames", "merge_gap_frames"):
-            value = getattr(self, key)
-            if value is not None and value < 0:
-                raise ConfigError(f"{key} must be >= 0, got {value}")
+        # the frame settings are checked even where no threshold is needed
+        threshold = 1 if self.abnormal_threshold is None else self.abnormal_threshold
+        _policy(SegmentPolicy, threshold, self.min_duration_frames, self.merge_gap_frames)
+
+    def routing_policy(self) -> RoutingPolicy:
+        return _policy(RoutingPolicy, self.count_ceiling, self.min_score, self.person_class_id)
+
+    def smoothing_params(self, fps) -> SmoothingParams:
+        return SmoothingParams.from_fps(fps, self.smoothing_divisor, TieBreak(self.tie_break))
+
+    def segment_policy(self) -> SegmentPolicy:
+        """The unresolved policy: unset frame settings take the smoothing window later."""
+        if self.abnormal_threshold is None:
+            raise ConfigError("abnormal_threshold is required for segment extraction")
+        return _policy(
+            SegmentPolicy, self.abnormal_threshold, self.min_duration_frames, self.merge_gap_frames
+        )
 
     def effective(self) -> dict:
         out = dataclasses.asdict(self)
         if out["fps_override"] is not None:
             out["fps_override"] = format_fps(out["fps_override"])
         return out
+
+
+def _policy(cls, *args):
+    """``cls(*args)``, with the policy's range errors raised as config errors."""
+    try:
+        return cls(*args)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _expect_type(key, value, types, expected):
@@ -145,7 +158,16 @@ def _expect_type(key, value, types, expected):
 
 
 def _canonical(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    # an enum setting (TieBreak) is written as its value
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), default=lambda o: o.value)
+
+
+def _provenance(policy, input_sha256: str) -> list[str]:
+    """The comment lines of a stage artifact: the stage's policy and its input's hash."""
+    return [
+        f"config={_canonical(dataclasses.asdict(policy))}",
+        f"input_sha256={input_sha256}",
+    ]
 
 
 def _sha256(data: bytes) -> str:
@@ -168,7 +190,8 @@ def _write(out_dir: Path, name: str, data) -> bytes:
 
 
 # ---------------------------------------------------------------------------
-# Stage functions (shared between subcommands and `run`)
+# Stages: series steps, which ``run`` chains, and bytes entry points, which
+# read a CSV and call the same step
 # ---------------------------------------------------------------------------
 
 
@@ -181,14 +204,9 @@ def stage_count(
     ``DensityRegressor``) run over ``gray_frames``, the (n, height, width)
     array of a gray container.
     """
+    policy = config.routing_policy()
     frames, meta = parse_detections(detections_bytes)
-    fps = config.fps_override or meta.fps
-    policy = RoutingPolicy(
-        count_ceiling=config.count_ceiling,
-        min_score=config.min_score,
-        person_class_id=config.person_class_id,
-    )
-    series = with_fps(count_series(frames, meta, policy), fps)
+    series = with_fps(count_series(frames, meta, policy), config.fps_override or meta.fps)
     needed = frames_needing_density(series, policy)
     density_counts = None
     if needed:
@@ -203,72 +221,50 @@ def stage_count(
         density_counts = estimate_density_counts(gray_frames, regressor, needed)
         log.info("density-estimated %d over-ceiling frame(s)", len(needed))
     routed = route_counts(series, policy, density_counts)
-    stage_cfg = {
-        "count_ceiling": config.count_ceiling,
-        "min_score": config.min_score,
-        "person_class_id": config.person_class_id,
-    }
     csv_bytes = write_count_series(
-        routed,
-        comments=[
-            f"config={_canonical(stage_cfg)}",
-            f"input_sha256={_sha256(detections_bytes)}",
-        ],
+        routed, comments=_provenance(policy, _sha256(detections_bytes))
     )
     return routed, csv_bytes, meta
 
 
-def stage_smooth(counts_csv: bytes, config: PipelineConfig, fps=None):
-    """Counts CSV bytes -> smoothed CountSeries + rendered CSV bytes."""
-    series = read_count_series(counts_csv, fps=config.fps_override or fps)
-    params = SmoothingParams.from_fps(
-        series.fps, config.smoothing_divisor, TieBreak(config.tie_break)
-    )
+def smooth_step(series, config: PipelineConfig, input_sha256: str):
+    """CountSeries -> smoothed CountSeries, its CSV bytes and the SmoothingParams."""
+    params = config.smoothing_params(series.fps)
     smoothed = smooth_series(series, params)
-    stage_cfg = {
-        "divisor": config.smoothing_divisor,
-        "tie_break": config.tie_break,
-        "window_half_length": params.window_half_length,
-    }
-    csv_bytes = write_count_series(
-        smoothed,
-        comments=[
-            f"config={_canonical(stage_cfg)}",
-            f"input_sha256={_sha256(counts_csv)}",
-        ],
-    )
+    csv_bytes = write_count_series(smoothed, comments=_provenance(params, input_sha256))
     return smoothed, csv_bytes, params
 
 
-def stage_segment(smoothed_csv: bytes, config: PipelineConfig, source: str, fps=None):
-    """Smoothed CSV bytes -> segments + (segments.json, cutlist.txt) bytes."""
-    if config.abnormal_threshold is None:
-        raise ConfigError("abnormal_threshold is required for segment extraction")
-    series = read_count_series(smoothed_csv, fps=config.fps_override or fps)
-    half_length = window_length(series.fps, config.smoothing_divisor)
-    policy = SegmentPolicy(
-        abnormal_threshold=config.abnormal_threshold,
-        min_duration_frames=config.min_duration_frames,
-        merge_gap_frames=config.merge_gap_frames,
-    ).resolved(half_length)
+def stage_smooth(counts_csv: bytes, config: PipelineConfig):
+    """Counts CSV bytes -> smooth_step of the series they hold."""
+    series = read_count_series(counts_csv, fps=config.fps_override)
+    return smooth_step(series, config, _sha256(counts_csv))
+
+
+def segment_step(series, policy: SegmentPolicy, source: str, input_sha256: str):
+    """Smoothed CountSeries -> segments + (segments.json, cutlist.txt) bytes.
+
+    ``policy`` is resolved against the smoothing window.
+    """
     segments = extract_segments(series, policy)
     report, sheet = emit_cutlist(segments, source)
-    stage_cfg = {
-        "abnormal_threshold": policy.abnormal_threshold,
-        "min_duration_frames": policy.min_duration_frames,
-        "merge_gap_frames": policy.merge_gap_frames,
-    }
-    header = (
-        f"# config={_canonical(stage_cfg)}\n"
-        f"# input_sha256={_sha256(smoothed_csv)}\n"
-    )
+    header = "".join(f"# {line}\n" for line in _provenance(policy, input_sha256))
     return segments, report.encode("utf-8"), (header + sheet).encode("utf-8")
 
 
-def stage_eval(truth_csv: bytes, raw_csv: bytes, smoothed_csv: bytes, fps=None):
-    truth = read_count_series(truth_csv, fps=fps)
-    raw = read_count_series(raw_csv, fps=fps)
-    smoothed = read_count_series(smoothed_csv, fps=fps)
+def stage_segment(smoothed_csv: bytes, config: PipelineConfig, source: str):
+    """Smoothed CSV bytes -> segment_step of the series they hold."""
+    policy = config.segment_policy()
+    series = read_count_series(smoothed_csv, fps=config.fps_override)
+    resolved = policy.resolved(window_length(series.fps, config.smoothing_divisor))
+    return segment_step(series, resolved, source, _sha256(smoothed_csv))
+
+
+def eval_step(truth, raw, smoothed, input_sha256: dict):
+    """Truth, raw and smoothed CountSeries -> report + (JSON bytes, text table).
+
+    ``input_sha256`` maps "truth", "raw" and "smoothed" to their CSVs' hashes.
+    """
     report = evaluate(truth, raw, smoothed)
     payload = {
         "ap_d": {"raw": report.ap_d_raw, "smoothed": report.ap_d_smoothed},
@@ -282,11 +278,7 @@ def stage_eval(truth_csv: bytes, raw_csv: bytes, smoothed_csv: bytes, fps=None):
             str(c): {"detected_frames": m1, "true_frames": m2}
             for c, (m1, m2) in report.per_count_table.items()
         },
-        "input_sha256": {
-            "truth": _sha256(truth_csv),
-            "raw": _sha256(raw_csv),
-            "smoothed": _sha256(smoothed_csv),
-        },
+        "input_sha256": input_sha256,
     }
     table = render_table(
         {
@@ -295,6 +287,13 @@ def stage_eval(truth_csv: bytes, raw_csv: bytes, smoothed_csv: bytes, fps=None):
         }
     )
     return report, (json.dumps(payload, indent=2) + "\n").encode("utf-8"), table
+
+
+def stage_eval(truth_csv: bytes, raw_csv: bytes, smoothed_csv: bytes, fps=None):
+    """Truth, raw and smoothed CSV bytes -> eval_step of the series they hold."""
+    data = {"truth": truth_csv, "raw": raw_csv, "smoothed": smoothed_csv}
+    truth, raw, smoothed = (read_count_series(csv, fps=fps) for csv in data.values())
+    return eval_step(truth, raw, smoothed, {k: _sha256(csv) for k, csv in data.items()})
 
 
 def run_pipeline(
@@ -308,8 +307,11 @@ def run_pipeline(
     """End-to-end pipeline; writes all artifacts into ``output_dir``.
 
     Returns a manifest dict (also written as run_manifest.json). Identical
-    inputs and config yield byte-identical artifacts.
+    inputs and config yield byte-identical artifacts. Every setting is
+    checked before any input is read, so a bad config writes nothing.
     """
+    config.validate()
+    segment_policy = config.segment_policy()
     out = Path(output_dir)
     detections_bytes = _read_bytes(detections_path)
     input_hashes = {"detections": _sha256(detections_bytes)}
@@ -333,16 +335,21 @@ def run_pipeline(
         input_hashes["gray_frames"] = _sha256(gray_bytes)
         gray_frames = load_gray_frames(gray_bytes)
 
-    _, raw_csv, meta = stage_count(
+    raw, raw_csv, meta = stage_count(
         detections_bytes, config, gray_frames=gray_frames, regressor=regressor
     )
     _write(out, "raw_counts.csv", raw_csv)
+    csv_hashes = {"raw": _sha256(raw_csv)}
 
-    _, smoothed_csv, params = stage_smooth(raw_csv, config)
+    smoothed, smoothed_csv, params = smooth_step(raw, config, csv_hashes["raw"])
     _write(out, "smoothed_counts.csv", smoothed_csv)
+    csv_hashes["smoothed"] = _sha256(smoothed_csv)
 
-    segments, report_bytes, cutlist_bytes = stage_segment(
-        smoothed_csv, config, source=meta.source_id or str(detections_path)
+    segments, report_bytes, cutlist_bytes = segment_step(
+        smoothed,
+        segment_policy.resolved(params.window_half_length),
+        meta.source_id or str(detections_path),
+        csv_hashes["smoothed"],
     )
     _write(out, "segments.json", report_bytes)
     _write(out, "cutlist.txt", cutlist_bytes)
@@ -350,8 +357,9 @@ def run_pipeline(
     if truth_path is not None:
         truth_bytes = _read_bytes(truth_path)
         input_hashes["truth"] = _sha256(truth_bytes)
-        _, eval_bytes, table = stage_eval(
-            truth_bytes, raw_csv, smoothed_csv, fps=config.fps_override or meta.fps
+        truth = read_count_series(truth_bytes, fps=raw.fps)
+        _, eval_bytes, table = eval_step(
+            truth, raw, smoothed, {"truth": input_hashes["truth"], **csv_hashes}
         )
         _write(out, "eval_report.json", eval_bytes)
         _write(out, "eval_report.txt", table)
@@ -410,6 +418,12 @@ def _parse_fps_flag(value):
     return parse_fps(value) if value is not None else None
 
 
+def _load_config(config_path, settings: dict, fps_flag) -> PipelineConfig:
+    """A command's config; ``settings`` holds its options named after config keys."""
+    overrides = {**settings, "fps_override": _parse_fps_flag(fps_flag)}
+    return PipelineConfig.load(config_path, overrides)
+
+
 @click.group()
 @click.version_option(__version__)
 def main():
@@ -451,21 +465,12 @@ def ingest(detections, out):
 @click.option("--min-score", type=float, default=None)
 @click.option("--person-class", "person_class_id", type=int, default=None)
 @click.option("--gray", "gray_path", default=None, type=click.Path(exists=True, dir_okay=False), help="Gray frame container for the density path.")
-@click.option("--model", "model_path", default=None, type=click.Path(exists=True, dir_okay=False), help="Fitted density model JSON.")
+@click.option("--model", "density_model_path", default=None, type=click.Path(exists=True, dir_okay=False), help="Fitted density model JSON.")
 @_fps_option
 @cli_command
-def count(detections, out, config_path, count_ceiling, min_score, person_class_id, gray_path, model_path, fps_flag):
+def count(detections, out, config_path, gray_path, fps_flag, **settings):
     """Count people per frame and route over-ceiling frames to density estimation."""
-    config = PipelineConfig.load(
-        config_path,
-        {
-            "count_ceiling": count_ceiling,
-            "min_score": min_score,
-            "person_class_id": person_class_id,
-            "density_model_path": model_path,
-            "fps_override": _parse_fps_flag(fps_flag),
-        },
-    )
+    config = _load_config(config_path, settings, fps_flag)
     regressor = None
     if config.density_model_path is not None:
         regressor = regressor_from_json(_read_bytes(config.density_model_path))
@@ -520,16 +525,9 @@ def density_predict(gray, model, out):
 @click.option("--tie-break", type=click.Choice([t.value for t in TieBreak]), default=None)
 @_fps_option
 @cli_command
-def smooth(counts_csv, out, config_path, smoothing_divisor, tie_break, fps_flag):
+def smooth(counts_csv, out, config_path, fps_flag, **settings):
     """Remove detection jitter from a count series CSV."""
-    config = PipelineConfig.load(
-        config_path,
-        {
-            "smoothing_divisor": smoothing_divisor,
-            "tie_break": tie_break,
-            "fps_override": _parse_fps_flag(fps_flag),
-        },
-    )
+    config = _load_config(config_path, settings, fps_flag)
     _, csv_bytes, _ = stage_smooth(_read_bytes(counts_csv), config)
     _write(Path(out), "smoothed_counts.csv", csv_bytes)
 
@@ -545,18 +543,9 @@ def smooth(counts_csv, out, config_path, smoothing_divisor, tie_break, fps_flag)
 @click.option("--source", default=None, help="Source video path used in the cut list.")
 @_fps_option
 @cli_command
-def segment(counts_csv, out, config_path, abnormal_threshold, min_duration_frames, merge_gap_frames, smoothing_divisor, source, fps_flag):
+def segment(counts_csv, out, config_path, source, fps_flag, **settings):
     """Extract abnormal segments and emit the segment report and FFmpeg cut list."""
-    config = PipelineConfig.load(
-        config_path,
-        {
-            "abnormal_threshold": abnormal_threshold,
-            "min_duration_frames": min_duration_frames,
-            "merge_gap_frames": merge_gap_frames,
-            "smoothing_divisor": smoothing_divisor,
-            "fps_override": _parse_fps_flag(fps_flag),
-        },
-    )
+    config = _load_config(config_path, settings, fps_flag)
     data = _read_bytes(counts_csv)
     segments, report_bytes, cutlist_bytes = stage_segment(
         data, config, source=source or counts_csv
@@ -630,28 +619,14 @@ def synth(profile, seed, spike_probability, magnitude, run_length, out, fps_flag
 @click.option("--divisor", "smoothing_divisor", type=int, default=None)
 @click.option("--tie-break", type=click.Choice([t.value for t in TieBreak]), default=None)
 @click.option("--gray", "gray_path", default=None, type=click.Path(exists=True, dir_okay=False))
-@click.option("--model", "model_path", default=None, type=click.Path(exists=True, dir_okay=False))
+@click.option("--model", "density_model_path", default=None, type=click.Path(exists=True, dir_okay=False))
 @click.option("--calibration", "calibration_path", default=None, type=click.Path(exists=True, dir_okay=False))
 @click.option("--truth", "truth_path", default=None, type=click.Path(exists=True, dir_okay=False))
 @_fps_option
 @cli_command
-def run(detections, out, config_path, count_ceiling, min_score, person_class_id, abnormal_threshold, min_duration_frames, merge_gap_frames, smoothing_divisor, tie_break, gray_path, model_path, calibration_path, truth_path, fps_flag):
+def run(detections, out, config_path, gray_path, calibration_path, truth_path, fps_flag, **settings):
     """Run the whole pipeline: count, route, smooth, segment, (optionally) evaluate."""
-    config = PipelineConfig.load(
-        config_path,
-        {
-            "count_ceiling": count_ceiling,
-            "min_score": min_score,
-            "person_class_id": person_class_id,
-            "abnormal_threshold": abnormal_threshold,
-            "min_duration_frames": min_duration_frames,
-            "merge_gap_frames": merge_gap_frames,
-            "smoothing_divisor": smoothing_divisor,
-            "tie_break": tie_break,
-            "density_model_path": model_path,
-            "fps_override": _parse_fps_flag(fps_flag),
-        },
-    )
+    config = _load_config(config_path, settings, fps_flag)
     manifest = run_pipeline(
         detections,
         config,

@@ -9,6 +9,7 @@ report and as an FFmpeg command sheet for external re-encoding.
 from __future__ import annotations
 
 import json
+import shlex
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -144,7 +145,8 @@ def emit_cutlist(segments, source_path: str) -> tuple[str, str]:
     """Render (JSON segment report, FFmpeg trim command sheet).
 
     Trim windows use millisecond-precision seconds; the end bound is
-    end-exclusive, matching Segment.end_ms.
+    end-exclusive, matching Segment.end_ms. The input and output names are
+    shell-quoted, so any ``source_path`` stays one word of each command.
     """
     ordered = list(segments)
     for prev, curr in zip(ordered, ordered[1:]):
@@ -154,13 +156,14 @@ def emit_cutlist(segments, source_path: str) -> tuple[str, str]:
                 f"{curr.start_frame}..{curr.end_frame}"
             )
     report = json.dumps(segment_report(ordered), indent=2) + "\n"
+    source = shlex.quote(source_path)
     lines = []
     for k, seg in enumerate(ordered):
         start_s = seg.start_ms / 1000.0
         end_s = seg.end_ms / 1000.0
         lines.append(
-            f"ffmpeg -i {source_path} -ss {start_s:.3f} -to {end_s:.3f} "
-            f"-c copy {source_path}_seg{k}.mp4"
+            f"ffmpeg -i {source} -ss {start_s:.3f} -to {end_s:.3f} "
+            f"-c copy {shlex.quote(f'{source_path}_seg{k}.mp4')}"
         )
     sheet = "".join(line + "\n" for line in lines)
     return report, sheet

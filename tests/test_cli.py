@@ -22,12 +22,12 @@ from crowdgate.cli import (
     stage_segment,
     stage_smooth,
 )
-from crowdgate.counting import read_count_series
+from crowdgate.counting import read_count_series, write_count_series
 from crowdgate.density import DensityRegressor, regressor_to_json
 from crowdgate.errors import StageError
 from crowdgate.ingest import save_gray_frames
 
-from conftest import detections_bytes
+from conftest import detections_bytes, series
 
 
 @pytest.fixture
@@ -209,6 +209,39 @@ def test_stages_call_csv_reader_and_writer_through_module(monkeypatch):
     ]
 
 
+def test_run_hands_series_between_stages(monkeypatch, tmp_path):
+    # with --truth, run_pipeline writes the raw and smoothed CSVs and reads
+    # only the truth CSV: the stages get the series themselves, not the bytes
+    calls = []
+
+    def spy(name):
+        original = getattr(cli, name)
+
+        def wrapper(*args, **kwargs):
+            result = original(*args, **kwargs)
+            calls.append((name, args, result))
+            return result
+
+        monkeypatch.setattr(cli, name, wrapper)
+
+    spy("read_count_series")
+    spy("write_count_series")
+    counts = [2, 2, 9, 9, 9, 9, 2, 2, 2]
+    det = write_detections(tmp_path / "d.jsonl", counts)
+    truth = tmp_path / "truth.csv"
+    truth.write_bytes(write_count_series(series(counts, fps=9)))
+    out = tmp_path / "o"
+    run_pipeline(det, PipelineConfig(abnormal_threshold=5), out, truth_path=truth)
+    assert [name for name, _, _ in calls] == [
+        "write_count_series", "write_count_series", "read_count_series"
+    ]
+    assert calls[2][1] == (truth.read_bytes(),)
+    assert [result for _, _, result in calls[:2]] == [
+        (out / "raw_counts.csv").read_bytes(),
+        (out / "smoothed_counts.csv").read_bytes(),
+    ]
+
+
 def test_run_loads_density_inputs_through_module(monkeypatch, tmp_path):
     # run_pipeline must look load_gray_frames, regressor_from_json and
     # estimate_density_counts up on crowdgate.cli at call time: the
@@ -357,28 +390,37 @@ class TestPipelineRun:
             ).read_bytes(), name
 
     def test_composition_matches_run(self, runner, tmp_path):
-        det = write_detections(tmp_path / "d.jsonl", [2, 2, 9, 9, 9, 9, 2, 2, 2], fps=9)
-        run_cli(runner, self.pipeline_args(det, tmp_path / "whole"))
+        counts = [2, 2, 9, 9, 9, 9, 2, 2, 2]
+        det = write_detections(tmp_path / "d.jsonl", counts, fps=9)
+        truth = tmp_path / "truth.csv"
+        truth.write_bytes(write_count_series(series([2, 2, 2, 9, 9, 9, 9, 2, 2], fps=9)))
+        for fps in ([], ["--fps", "30000/1001"]):
+            whole = tmp_path / f"whole{len(fps)}"
+            result = run_cli(
+                runner, self.pipeline_args(det, whole) + ["--truth", str(truth)] + fps
+            )
+            assert result.exit_code == 0, result.output
 
-        staged = tmp_path / "staged"
-        run_cli(runner, ["count", det, "--out", str(staged)])
-        run_cli(
-            runner,
-            ["smooth", str(staged / "raw_counts.csv"), "--out", str(staged)],
-        )
-        run_cli(
-            runner,
-            [
-                "segment", str(staged / "smoothed_counts.csv"),
-                "--out", str(staged),
-                "--threshold", "5",
-                "--source", "cam1",
-            ],
-        )
-        for name in ("raw_counts.csv", "smoothed_counts.csv", "segments.json", "cutlist.txt"):
-            assert (staged / name).read_bytes() == (
-                tmp_path / "whole" / name
-            ).read_bytes(), name
+            staged = tmp_path / f"staged{len(fps)}"
+            raw, smoothed = str(staged / "raw_counts.csv"), str(staged / "smoothed_counts.csv")
+            for args in (
+                ["count", det],
+                ["smooth", raw],
+                ["segment", smoothed, "--threshold", "5", "--source", "cam1"],
+                ["eval", "--truth", str(truth), "--raw", raw, "--smoothed", smoothed],
+            ):
+                result = run_cli(runner, args + ["--out", str(staged)] + fps)
+                assert result.exit_code == 0, result.output
+            for name in (
+                "raw_counts.csv",
+                "smoothed_counts.csv",
+                "segments.json",
+                "cutlist.txt",
+                "eval_report.json",
+                "eval_report.txt",
+            ):
+                assert (staged / name).read_bytes() == (whole / name).read_bytes(), name
+        assert b"# fps=30000/1001\n" in (tmp_path / "whole2" / "raw_counts.csv").read_bytes()
 
     def test_over_ceiling_needs_gray_frames(self, runner, tmp_path):
         det = write_detections(tmp_path / "d.jsonl", [3, 30, 3], fps=9)
@@ -488,6 +530,8 @@ class TestPipelineRun:
         det = write_detections(tmp_path / "d.jsonl", [1, 2])
         result = run_cli(runner, ["run", det, "--out", str(tmp_path / "o")])
         assert result.exit_code == EXIT_CONFIG_ERROR
+        assert "error: abnormal_threshold is required for segment extraction" in result.output
+        assert not (tmp_path / "o").exists()
 
     def test_flags_override_config_file(self, runner, tmp_path):
         det = write_detections(tmp_path / "d.jsonl", [7, 7, 7, 9, 7, 7, 7], fps=9)
@@ -505,6 +549,36 @@ class TestPipelineRun:
         assert result.exit_code == 0
         manifest = json.loads((tmp_path / "o" / "run_manifest.json").read_text())
         assert manifest["effective_config"]["abnormal_threshold"] == 5
+
+
+@pytest.mark.parametrize("command", ["count", "smooth", "segment", "run"])
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        ({"abnormal_threshold": 0}, "abnormal_threshold must be >= 1, got 0"),
+        ({"min_duration_frames": -5}, "min_duration_frames must be >= 0, got -5"),
+        ({"merge_gap_frames": -3}, "merge_gap_frames must be >= 0, got -3"),
+        ({"count_ceiling": 0}, "count_ceiling must be >= 1, got 0"),
+        ({"min_score": 1.5}, "min_score must be in [0, 1], got 1.5"),
+        ({"smoothing_divisor": 0}, "smoothing_divisor must be >= 1, got 0"),
+    ],
+    ids=["threshold", "min-duration", "merge-gap", "ceiling", "min-score", "divisor"],
+)
+def test_out_of_range_config_exit_3(runner, tmp_path, command, config, message):
+    # rejected when the config loads, whether or not the command needs the
+    # setting and whether or not a threshold is set
+    if command in ("count", "run"):
+        source = write_detections(tmp_path / "d.jsonl", [1, 7, 7, 1])
+    else:
+        source = tmp_path / "counts.csv"
+        source.write_bytes(write_count_series(series([1, 7, 7, 1])))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "o"
+    result = run_cli(runner, [command, str(source), "--out", str(out), "--config", str(cfg)])
+    assert result.exit_code == EXIT_CONFIG_ERROR
+    assert f"error: {message}" in result.output
+    assert not out.exists()
 
 
 class TestDensityCommands:

@@ -4,6 +4,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from crowdgate.counting import (
     PROV_DENSITY,
@@ -313,6 +316,32 @@ class TestCountSeriesCsv:
         path.write_bytes(data)
         for source in (str(path), io.BytesIO(data), io.StringIO(data.decode())):
             assert read_count_series(source).counts.tolist() == [4, 0, 7]
+
+
+@st.composite
+def count_series_values(draw):
+    n = draw(st.integers(0, 40))
+    counts = draw(arrays(np.int64, n, elements=st.integers(0, INT64_MAX)))
+    prov = draw(st.lists(st.sampled_from(PROVENANCES), min_size=n, max_size=n))
+    fps = draw(
+        st.sampled_from([Fraction(30), Fraction(30000, 1001), Fraction(2997, 100)])
+        | st.fractions(min_value=Fraction(1, 1000), max_value=1000, max_denominator=10**6)
+    )
+    return CountSeries(counts, fps, np.array(prov, dtype="<U8"))
+
+
+class TestWriteReadRoundTrip:
+    """``run`` hands series from stage to stage in memory while the subcommands
+    read them back from the CSVs; both give the same artifacts only if
+    reading what was written gives the series back."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(s=count_series_values())
+    @example(s=CountSeries.from_counts([7], Fraction(30000, 1001), PROV_DENSITY))
+    @example(s=CountSeries.from_counts([], Fraction(30000, 1001)))
+    def test_read_inverts_write(self, s):
+        data = write_count_series(s, comments=['config={"divisor":3}', "input_sha256=ab"])
+        assert_same_series(read_count_series(data), s)
 
 
 class TestReferenceParity:

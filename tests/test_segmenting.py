@@ -1,4 +1,5 @@
 import json
+import shlex
 
 import numpy as np
 import pytest
@@ -128,6 +129,24 @@ class TestEmitCutlist:
         assert len(lines) == 2
         assert "-ss 0.000" in lines[0] and "-ss 5.000" in lines[1]
         assert lines[0].endswith("v.mp4_seg0.mp4") and lines[1].endswith("v.mp4_seg1.mp4")
+
+    @pytest.mark.parametrize(
+        "source", ["cam 1; echo INJECTED", "it's \"a\" $(clip) `x`.mp4", "caf\u00e9 *.mp4"]
+    )
+    def test_names_are_one_shell_word(self, source):
+        segs = [Segment(0, 1, 0, 2000, 7, 7.0), Segment(5, 6, 5000, 7000, 8, 8.0)]
+        _, sheet = emit_cutlist(segs, source)
+        for k, line in enumerate(sheet.splitlines()):
+            words = shlex.split(line)
+            assert len(words) == 10
+            assert words[2] == source and words[-1] == f"{source}_seg{k}.mp4"
+
+    @pytest.mark.parametrize("source", ["cam1", "bench-detector", "bench-dense", "bench-series"])
+    def test_shell_safe_names_unquoted(self, source):
+        _, sheet = emit_cutlist([Segment(2, 4, 2000, 5000, 9, 9.0)], source)
+        assert sheet == (
+            f"ffmpeg -i {source} -ss 2.000 -to 5.000 -c copy {source}_seg0.mp4\n"
+        )
 
     def test_overlap_rejected(self):
         segs = [Segment(0, 5, 0, 6000, 7, 7.0), Segment(3, 8, 3000, 9000, 8, 8.0)]
