@@ -11,14 +11,18 @@ Exit codes: 0 success, 2 input error, 3 config error, 4 stage failure.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import functools
 import hashlib
 import json
 import logging
 import math
+import mmap
 import os
+import stat
 import sys
+import threading
 from fractions import Fraction
 from pathlib import Path
 
@@ -181,6 +185,60 @@ def _read_bytes(path) -> bytes:
         raise InputFormatError(f"cannot read {path}: {exc}") from exc
 
 
+def _map_bytes(path):
+    """A read-only ``mmap`` of a non-empty regular file; anything else read whole.
+
+    Mapping copies nothing: pages come from the OS page cache as they are
+    touched, and the mapping is released when the last array viewing it is
+    freed. A FIFO, an empty file, or a file that cannot be mapped is read
+    into ``bytes`` as ``_read_bytes`` would.
+    """
+    try:
+        with open(path, "rb") as fh:
+            info = os.fstat(fh.fileno())
+            if stat.S_ISREG(info.st_mode) and info.st_size > 0:
+                try:
+                    return mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+                except (OSError, ValueError):
+                    pass  # e.g. a file system without mmap, or a file emptied meanwhile
+            return fh.read()
+    except OSError as exc:
+        raise InputFormatError(f"cannot read {path}: {exc}") from exc
+
+
+class _BackgroundSha256:
+    """The SHA-256 of ``data``, hashed on its own thread from construction on.
+
+    ``hashlib`` releases the GIL while it hashes a large buffer, so the hash
+    overlaps the caller's work. As a context manager it joins the thread on
+    exit, however the block exits. The thread calls none of the functions
+    the benchmark's tracer wraps: its span stack assumes one thread.
+    """
+
+    def __init__(self, data):
+        self._result = None
+        self._thread = threading.Thread(target=self._hash, args=(data,))
+        self._thread.start()
+
+    def _hash(self, data):
+        try:
+            self._result = _sha256(data)
+        except Exception as exc:  # noqa: BLE001 - re-raised by hexdigest
+            self._result = exc
+
+    def hexdigest(self) -> str:
+        self._thread.join()
+        if isinstance(self._result, Exception):
+            raise self._result
+        return self._result
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self._thread.join()
+
+
 def _write(out_dir: Path, name: str, data) -> bytes:
     if isinstance(data, str):
         data = data.encode("utf-8")
@@ -196,13 +254,18 @@ def _write(out_dir: Path, name: str, data) -> bytes:
 
 
 def stage_count(
-    detections_bytes: bytes, config: PipelineConfig, gray_frames=None, regressor=None
+    detections_bytes: bytes,
+    config: PipelineConfig,
+    gray_frames=None,
+    regressor=None,
+    input_sha256: str | None = None,
 ):
     """Detections bytes -> routed CountSeries + rendered raw-counts CSV bytes.
 
     Frames over the count ceiling get their counts from ``regressor`` (a
     ``DensityRegressor``) run over ``gray_frames``, the (n, height, width)
-    array of a gray container.
+    array of a gray container. ``input_sha256`` is the detections' hash, if
+    the caller has it already.
     """
     policy = config.routing_policy()
     frames, meta = parse_detections(detections_bytes)
@@ -221,9 +284,9 @@ def stage_count(
         density_counts = estimate_density_counts(gray_frames, regressor, needed)
         log.info("density-estimated %d over-ceiling frame(s)", len(needed))
     routed = route_counts(series, policy, density_counts)
-    csv_bytes = write_count_series(
-        routed, comments=_provenance(policy, _sha256(detections_bytes))
-    )
+    if input_sha256 is None:
+        input_sha256 = _sha256(detections_bytes)
+    csv_bytes = write_count_series(routed, comments=_provenance(policy, input_sha256))
     return routed, csv_bytes, meta
 
 
@@ -329,41 +392,51 @@ def run_pipeline(
     if model_bytes is not None:
         input_hashes["density_model"] = _sha256(model_bytes)
         regressor = regressor_from_json(model_bytes)
-    gray_frames = None
-    if gray_frames_path is not None:
-        gray_bytes = _read_bytes(gray_frames_path)
-        input_hashes["gray_frames"] = _sha256(gray_bytes)
-        gray_frames = load_gray_frames(gray_bytes)
 
-    raw, raw_csv, meta = stage_count(
-        detections_bytes, config, gray_frames=gray_frames, regressor=regressor
-    )
-    _write(out, "raw_counts.csv", raw_csv)
-    csv_hashes = {"raw": _sha256(raw_csv)}
+    with contextlib.ExitStack() as stack:
+        # The gray container is mapped, not copied, and hashed on a thread
+        # while the stages run; only the manifest needs its hash.
+        gray_frames = gray_sha256 = None
+        if gray_frames_path is not None:
+            gray = _map_bytes(gray_frames_path)
+            gray_sha256 = stack.enter_context(_BackgroundSha256(gray))
+            gray_frames = load_gray_frames(gray)
 
-    smoothed, smoothed_csv, params = smooth_step(raw, config, csv_hashes["raw"])
-    _write(out, "smoothed_counts.csv", smoothed_csv)
-    csv_hashes["smoothed"] = _sha256(smoothed_csv)
-
-    segments, report_bytes, cutlist_bytes = segment_step(
-        smoothed,
-        segment_policy.resolved(params.window_half_length),
-        meta.source_id or str(detections_path),
-        csv_hashes["smoothed"],
-    )
-    _write(out, "segments.json", report_bytes)
-    _write(out, "cutlist.txt", cutlist_bytes)
-
-    if truth_path is not None:
-        truth_bytes = _read_bytes(truth_path)
-        input_hashes["truth"] = _sha256(truth_bytes)
-        truth = read_count_series(truth_bytes, fps=raw.fps)
-        _, eval_bytes, table = eval_step(
-            truth, raw, smoothed, {"truth": input_hashes["truth"], **csv_hashes}
+        raw, raw_csv, meta = stage_count(
+            detections_bytes,
+            config,
+            gray_frames=gray_frames,
+            regressor=regressor,
+            input_sha256=input_hashes["detections"],
         )
-        _write(out, "eval_report.json", eval_bytes)
-        _write(out, "eval_report.txt", table)
+        _write(out, "raw_counts.csv", raw_csv)
+        csv_hashes = {"raw": _sha256(raw_csv)}
 
+        smoothed, smoothed_csv, params = smooth_step(raw, config, csv_hashes["raw"])
+        _write(out, "smoothed_counts.csv", smoothed_csv)
+        csv_hashes["smoothed"] = _sha256(smoothed_csv)
+
+        segments, report_bytes, cutlist_bytes = segment_step(
+            smoothed,
+            segment_policy.resolved(params.window_half_length),
+            meta.source_id or str(detections_path),
+            csv_hashes["smoothed"],
+        )
+        _write(out, "segments.json", report_bytes)
+        _write(out, "cutlist.txt", cutlist_bytes)
+
+        if truth_path is not None:
+            truth_bytes = _read_bytes(truth_path)
+            input_hashes["truth"] = _sha256(truth_bytes)
+            truth = read_count_series(truth_bytes, fps=raw.fps)
+            _, eval_bytes, table = eval_step(
+                truth, raw, smoothed, {"truth": input_hashes["truth"], **csv_hashes}
+            )
+            _write(out, "eval_report.json", eval_bytes)
+            _write(out, "eval_report.txt", table)
+
+        if gray_sha256 is not None:
+            input_hashes["gray_frames"] = gray_sha256.hexdigest()
     manifest = {
         "version": __version__,
         "effective_config": config.effective(),
@@ -476,7 +549,7 @@ def count(detections, out, config_path, gray_path, fps_flag, **settings):
         regressor = regressor_from_json(_read_bytes(config.density_model_path))
     gray_frames = None
     if gray_path is not None:
-        gray_frames = load_gray_frames(_read_bytes(gray_path))
+        gray_frames = load_gray_frames(_map_bytes(gray_path))
     _, csv_bytes, _ = stage_count(
         _read_bytes(detections), config, gray_frames=gray_frames, regressor=regressor
     )
@@ -509,7 +582,7 @@ def density_fit(calibration, out, fg_threshold):
 @cli_command
 def density_predict(gray, model, out):
     """Predict a density count for every frame of a gray container."""
-    frames = load_gray_frames(_read_bytes(gray))
+    frames = load_gray_frames(_map_bytes(gray))
     regressor = regressor_from_json(_read_bytes(model))
     counts = estimate_density_counts(frames, regressor, range(len(frames)))
     lines = ["frame_index,count"] + [f"{i},{counts[i]}" for i in range(len(frames))]

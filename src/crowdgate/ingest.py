@@ -20,6 +20,7 @@ from __future__ import annotations
 import bisect
 import io
 import json
+import mmap
 import operator
 import struct
 from contextlib import contextmanager
@@ -370,9 +371,10 @@ def serialize_detections(detections: Detections, meta: StreamMeta) -> bytes:
 def load_gray_frames(source) -> np.ndarray:
     """Read a CGRY container as one read-only (n, height, width) uint8 array.
 
-    The array is a view of the container's bytes, not a copy.
+    ``source`` is the container's bytes, an ``mmap`` of it, a path or a file
+    object. The array is a view of the bytes or of the mapping, not a copy.
     """
-    data = source_bytes(source)
+    data = source if isinstance(source, (bytes, mmap.mmap)) else source_bytes(source)
     if len(data) < _GRAY_HEADER.size:
         raise InputFormatError("gray container shorter than its 16-byte header")
     magic, width, height, count = _GRAY_HEADER.unpack_from(data)
@@ -392,6 +394,7 @@ def load_gray_frames(source) -> np.ndarray:
     pixels = np.frombuffer(
         data, dtype=np.uint8, count=count * frame_size, offset=_GRAY_HEADER.size
     )
+    pixels.flags.writeable = False  # a writable mapping stays read-only here
     return pixels.reshape(count, height, width)
 
 

@@ -1,8 +1,11 @@
+import gc
 import hashlib
 import json
 import os
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -23,9 +26,9 @@ from crowdgate.cli import (
     stage_smooth,
 )
 from crowdgate.counting import read_count_series, write_count_series
-from crowdgate.density import DensityRegressor, regressor_to_json
-from crowdgate.errors import StageError
-from crowdgate.ingest import save_gray_frames
+from crowdgate.density import DensityRegressor, estimate_density_counts, regressor_to_json
+from crowdgate.errors import InputFormatError, StageError
+from crowdgate.ingest import load_gray_frames, save_gray_frames
 
 from conftest import detections_bytes, series
 
@@ -273,6 +276,231 @@ def test_run_loads_density_inputs_through_module(monkeypatch, tmp_path):
     assert frames.shape == (3, 8, 8) and frames.dtype == np.uint8
     assert density_args[0] is frames and density_args[1] is regressor
     assert len(density_args[0]) == 3 and counts == {1: 24}
+
+
+def write_moving_gray(path, n_frames):
+    """Random frames: every frame has foreground, so density counts vary."""
+    frames = np.random.default_rng(5).integers(0, 256, (n_frames, 12, 16), dtype=np.uint8)
+    path.write_bytes(save_gray_frames(frames))
+    return str(path)
+
+
+def write_calibration(path):
+    rows = ["frame_index,area,edge,true_count"]
+    for i, (area, edge) in enumerate([(100, 20), (400, 50), (900, 80), (1600, 110)]):
+        rows.append(f"{i},{area},{edge},{round(0.01 * area + 0.1 * edge + 2)}")
+    path.write_text("\n".join(rows) + "\n")
+    return str(path)
+
+
+def test_run_hashes_each_input_once(monkeypatch, runner, tmp_path):
+    # raw_counts.csv reuses the manifest's detections hash, and the gray
+    # container is hashed once, on a thread
+    sha256 = hashlib.sha256
+    fed = []
+
+    def spy(data):
+        fed.append(bytes(data))
+        return sha256(data)
+
+    monkeypatch.setattr(cli.hashlib, "sha256", spy)
+    counts = [3, 30, 3, 30, 3, 3]
+    det = write_detections(tmp_path / "d.jsonl", counts)
+    gray = write_moving_gray(tmp_path / "g.cgry", len(counts))
+    calibration = write_calibration(tmp_path / "calib.csv")
+    truth = tmp_path / "truth.csv"
+    truth.write_bytes(write_count_series(series(counts, fps=9)))
+    out = tmp_path / "o"
+    result = run_cli(
+        runner,
+        ["run", det, "--out", str(out), "--threshold", "5", "--gray", gray,
+         "--calibration", calibration, "--truth", str(truth)],
+    )
+    assert result.exit_code == 0, result.output
+    inputs = [Path(path).read_bytes() for path in (det, gray, calibration, truth)]
+    written = ("density_model.json", "raw_counts.csv", "smoothed_counts.csv")
+    expected = inputs + [(out / name).read_bytes() for name in written]
+    assert sorted(fed) == sorted(expected)
+
+
+def _gray_args(command, tmp_path, gray):
+    """``command``'s arguments with ``gray`` as its gray container."""
+    _, model = write_density_inputs(tmp_path, 3)
+    out = str(tmp_path / "o")
+    if command == "density-predict":
+        return ["density-predict", gray, model, "--out", out + "/pred.csv"]
+    det = write_detections(tmp_path / "d.jsonl", [3, 30, 3])
+    args = [command, det, "--out", out, "--gray", gray, "--model", model]
+    return args + ["--threshold", "5"] if command == "run" else args
+
+
+class TestGrayContainerPath:
+    """A non-empty regular file is mapped; anything else is read whole, as before."""
+
+    @pytest.mark.parametrize("command", ["run", "count", "density-predict"])
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            (b"", "gray container shorter than its 16-byte header"),
+            (b"CGRY", "gray container shorter than its 16-byte header"),
+            (b"XGRY" + bytes(12), "bad magic b'XGRY', expected b'CGRY'"),
+            (
+                save_gray_frames(np.full((3, 8, 8), 60, dtype=np.uint8))[:80],
+                "truncated payload: header declares 3 frames of 64 bytes (208 total), "
+                "got 80 bytes",
+            ),
+        ],
+        ids=["empty", "4-bytes", "bad-magic", "truncated"],
+    )
+    def test_rejected_file_exit_2(self, runner, tmp_path, command, payload, message):
+        gray = tmp_path / "g.cgry"
+        gray.write_bytes(payload)
+        result = run_cli(runner, _gray_args(command, tmp_path, str(gray)))
+        assert result.exit_code == EXIT_INPUT_ERROR
+        assert f"error: {message}" in result.output
+        assert not (tmp_path / "o" / "raw_counts.csv").exists()
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no os.mkfifo")
+    def test_fifo_is_read_whole(self, runner, tmp_path):
+        det = write_detections(tmp_path / "d.jsonl", [3, 30, 3])
+        gray, model = write_density_inputs(tmp_path, 3)
+        data = Path(gray).read_bytes()
+        fifo = tmp_path / "g.fifo"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_bytes, args=(data,))
+        writer.start()
+        try:
+            result = run_cli(
+                runner,
+                ["run", det, "--out", str(tmp_path / "o"), "--threshold", "5",
+                 "--gray", str(fifo), "--model", model],
+            )
+        finally:
+            if writer.is_alive():  # the run failed before opening the FIFO
+                os.close(os.open(fifo, os.O_RDONLY | os.O_NONBLOCK))
+            writer.join(timeout=60)
+        assert result.exit_code == 0, result.output
+        manifest = json.loads((tmp_path / "o" / "run_manifest.json").read_text())
+        assert manifest["input_sha256"]["gray_frames"] == hashlib.sha256(data).hexdigest()
+        raw = read_count_series((tmp_path / "o" / "raw_counts.csv").read_bytes())
+        assert raw.counts.tolist() == [3, 24, 3]
+
+    @pytest.mark.parametrize("kind", ["directory", "missing"])
+    def test_unreadable_path_exit_2(self, runner, tmp_path, kind):
+        det = write_detections(tmp_path / "d.jsonl", [3, 30, 3])
+        _, model = write_density_inputs(tmp_path, 3)
+        gray = tmp_path / "g.cgry"
+        if kind == "directory":
+            gray.mkdir()
+        config = PipelineConfig(abnormal_threshold=5, density_model_path=model)
+        with pytest.raises(InputFormatError, match=f"cannot read {gray}: ") as info:
+            run_pipeline(det, config, tmp_path / "o", gray_frames_path=gray)
+        assert cli._exit_code_for(info.value) == EXIT_INPUT_ERROR
+        assert not (tmp_path / "o" / "raw_counts.csv").exists()
+
+    def test_manifest_hash_is_the_file_hash(self, tmp_path):
+        det = write_detections(tmp_path / "d.jsonl", [3, 30, 30, 3, 3, 3])
+        gray = write_moving_gray(tmp_path / "g.cgry", 6)
+        _, model = write_density_inputs(tmp_path, 6)
+        config = PipelineConfig(abnormal_threshold=5, density_model_path=model)
+        manifest = run_pipeline(det, config, tmp_path / "o", gray_frames_path=gray)
+        expected = hashlib.sha256(Path(gray).read_bytes()).hexdigest()
+        assert manifest["input_sha256"]["gray_frames"] == expected
+
+    def test_mapped_outputs_match_copied(self, runner, tmp_path):
+        # count --gray and density-predict map the container; their output
+        # is what the stage functions give on a copy of its bytes
+        det = write_detections(tmp_path / "d.jsonl", [3, 30, 30, 3, 30, 3])
+        gray = write_moving_gray(tmp_path / "g.cgry", 6)
+        regressor = DensityRegressor(0.01, 0.1, 2.0)
+        model = tmp_path / "model.json"
+        model.write_text(regressor_to_json(regressor))
+        frames = load_gray_frames(Path(gray).read_bytes())
+        counts = estimate_density_counts(frames, regressor, range(6))
+        assert len(set(counts.values())) > 1
+
+        result = run_cli(
+            runner,
+            ["count", det, "--out", str(tmp_path / "c"), "--gray", gray, "--model", str(model)],
+        )
+        assert result.exit_code == 0, result.output
+        _, expected, _ = stage_count(
+            Path(det).read_bytes(), PipelineConfig(), gray_frames=frames, regressor=regressor
+        )
+        assert (tmp_path / "c" / "raw_counts.csv").read_bytes() == expected
+
+        pred = tmp_path / "pred.csv"
+        result = run_cli(runner, ["density-predict", gray, str(model), "--out", str(pred)])
+        assert result.exit_code == 0, result.output
+        lines = ["frame_index,count"] + [f"{i},{counts[i]}" for i in range(6)]
+        assert pred.read_text() == "".join(line + "\n" for line in lines)
+
+
+class TestGrayMappingHygiene:
+    """``run_pipeline`` leaves no hash thread and no mapping behind."""
+
+    @pytest.fixture(autouse=True)
+    def slow_background_hash(self, monkeypatch):
+        # a hash thread that outlives run_pipeline would still be counted
+        sha256 = cli._sha256
+
+        def slow(data):
+            if threading.current_thread() is not threading.main_thread():
+                time.sleep(0.2)
+            return sha256(data)
+
+        monkeypatch.setattr(cli, "_sha256", slow)
+
+    def test_no_thread_after_return(self, tmp_path):
+        det = write_detections(tmp_path / "d.jsonl", [3, 30, 3])
+        gray, model = write_density_inputs(tmp_path, 3)
+        config = PipelineConfig(abnormal_threshold=5, density_model_path=model)
+        before = threading.active_count()
+        run_pipeline(det, config, tmp_path / "o", gray_frames_path=gray)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("failure", ["bad-magic", "overflow"])
+    def test_no_thread_after_raise(self, tmp_path, failure):
+        # both fail after the container's hash has started
+        det = write_detections(tmp_path / "d.jsonl", [3, 30, 3])
+        gray = write_moving_gray(tmp_path / "g.cgry", 3)
+        coef_area = 1.0
+        if failure == "bad-magic":
+            data = Path(gray).read_bytes()
+            Path(gray).write_bytes(b"XGRY" + data[4:])
+        else:
+            coef_area = 1e308  # finite, but area * coef_area is not
+        model = tmp_path / "model.json"
+        model.write_text(regressor_to_json(DensityRegressor(coef_area, 0.0, 0.0)))
+        config = PipelineConfig(abnormal_threshold=5, density_model_path=str(model))
+        before = threading.active_count()
+        match = "bad magic" if failure == "bad-magic" else "density prediction for frame 1 is inf"
+        with pytest.raises((InputFormatError, ValueError), match=match):
+            run_pipeline(det, config, tmp_path / "o", gray_frames_path=gray)
+        assert threading.active_count() == before
+
+    @pytest.mark.skipif(not Path("/proc/self/maps").exists(), reason="no /proc/self/maps")
+    def test_mapping_released_after_return(self, monkeypatch, tmp_path):
+        det = write_detections(tmp_path / "d.jsonl", [3, 30, 3])
+        gray, model = write_density_inputs(tmp_path, 3)
+        real_path = os.path.realpath(gray)
+
+        def mapped():
+            return real_path in Path("/proc/self/maps").read_text()
+
+        seen = []
+        original = cli.load_gray_frames
+
+        def spy(source):
+            seen.append(mapped())
+            return original(source)
+
+        monkeypatch.setattr(cli, "load_gray_frames", spy)
+        config = PipelineConfig(abnormal_threshold=5, density_model_path=model)
+        run_pipeline(det, config, tmp_path / "o", gray_frames_path=gray)
+        gc.collect()
+        assert seen == [True]
+        assert not mapped()
 
 
 class TestCountCsvInput:
@@ -583,13 +811,9 @@ def test_out_of_range_config_exit_3(runner, tmp_path, command, config, message):
 
 class TestDensityCommands:
     def test_fit_then_predict(self, runner, tmp_path):
-        calib = tmp_path / "calib.csv"
-        rows = ["frame_index,area,edge,true_count"]
-        for i, (area, edge) in enumerate([(100, 20), (400, 50), (900, 80), (1600, 110)]):
-            rows.append(f"{i},{area},{edge},{round(0.01 * area + 0.1 * edge + 2)}")
-        calib.write_text("\n".join(rows) + "\n")
+        calib = write_calibration(tmp_path / "calib.csv")
         model = tmp_path / "model.json"
-        result = run_cli(runner, ["density-fit", str(calib), "--out", str(model)])
+        result = run_cli(runner, ["density-fit", calib, "--out", str(model)])
         assert result.exit_code == 0
         assert model.exists()
 

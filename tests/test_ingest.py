@@ -1,4 +1,6 @@
 import json
+import mmap
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -409,6 +411,30 @@ class TestGrayContainer:
         assert not frames.flags.writeable
         with pytest.raises(ValueError):
             frames[0, 0, 0] = 1
+
+    def test_mapped_container_is_not_copied(self, tmp_path):
+        path = tmp_path / "g.cgry"
+        pixels = (bytes(range(256)) * 39_063)[:10_000_000]
+        path.write_bytes(gray_header(1000, 1000, 10) + pixels)
+        with open(path, "rb") as fh, mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as data:
+            tracemalloc.start()
+            try:
+                frames = load_gray_frames(data)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert frames.shape == (10, 1000, 1000)
+            assert frames[9, 999, 999] == 9_999_999 % 256 and not frames.flags.writeable
+            del frames  # a mapping with a live view cannot be closed
+        assert peak < 1 << 20
+
+    def test_writable_mapping_loads_read_only(self, tmp_path):
+        path = tmp_path / "g.cgry"
+        path.write_bytes(gray_header(2, 2, 1) + bytes(4))
+        with open(path, "rb") as fh, mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_COPY) as data:
+            frames = load_gray_frames(data)
+            assert not frames.flags.writeable
+            del frames
 
     def test_zero_frames(self):
         frames = load_gray_frames(gray_header(5, 3, 0))
