@@ -11,15 +11,13 @@ from __future__ import annotations
 import csv
 import json
 import math
-import os
 import re
-import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import InputFormatError, RankDeficientError
-from .ingest import decode_line, source_bytes
+from .ingest import _map_threads, decode_line, source_bytes
 
 DEFAULT_MOTION_THRESHOLD = 15.0
 DEFAULT_LEARNING_RATE = 0.05
@@ -218,7 +216,7 @@ def _density_loop(frames, regressor: DensityRegressor, wanted):
     rows = max(1, _BAND_PIXELS // max(width, 1))
     # A frame with no rows still gets one (empty) band.
     bands = [(r0, min(r0 + rows, height)) for r0 in range(0, max(height, 1), rows)]
-    parts = _map_bands(
+    parts = _map_threads(
         lambda band: _band(frames, band, order, model, regressor.fg_threshold), bands
     )
     area = sum(part[0] for part in parts)
@@ -294,50 +292,6 @@ def _band(frames, rows, order, model: BackgroundModel, fg_threshold: float):
             interiors[k] = np.count_nonzero(interior)
             k += 1
     return areas, interiors, background[r0 - a0 : r1 - a0]
-
-
-def _map_bands(work, bands):
-    """``[work(band) for band in bands]`` on up to one thread per usable CPU.
-
-    The calling thread is one of the workers; no thread is started for a
-    single band or a single CPU. The first exception a band raises is
-    re-raised here once every worker has stopped.
-    """
-    workers = min(len(bands), _usable_cpus())
-    if workers <= 1:
-        return [work(band) for band in bands]
-    results = [None] * len(bands)
-    errors = []
-    lock = threading.Lock()
-    pending = iter(range(len(bands)))
-
-    def worker():
-        while not errors:
-            with lock:
-                index = next(pending, None)
-            if index is None:
-                return
-            try:
-                results[index] = work(bands[index])
-            except BaseException as exc:  # noqa: BLE001 - re-raised in the calling thread
-                errors.append(exc)
-
-    threads = [threading.Thread(target=worker) for _ in range(workers - 1)]
-    for thread in threads:
-        thread.start()
-    worker()
-    for thread in threads:
-        thread.join()
-    if errors:
-        raise errors[0]
-    return results
-
-
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # not on every platform
-        return os.cpu_count() or 1
 
 
 def regressor_to_json(regressor: DensityRegressor) -> str:

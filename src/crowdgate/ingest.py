@@ -12,7 +12,8 @@ Two on-disk formats are handled here:
 
 Parsed detections are held column-wise (:class:`Detections`): numpy arrays
 with one entry per frame or per box, so no Python object per box outlives
-the parse.
+the parse. Lines in the form ``serialize_detections`` writes are read as
+whole numpy arrays, in blocks on all CPUs (see ``parse_detections``).
 """
 
 from __future__ import annotations
@@ -22,8 +23,9 @@ import io
 import json
 import mmap
 import operator
+import os
 import struct
-from contextlib import contextmanager
+import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -37,10 +39,10 @@ _GRAY_HEADER = struct.Struct("<4sIII")
 _BOX_FIELDS = ("x", "y", "w", "h", "score", "class_id")
 _box_values = operator.itemgetter(*_BOX_FIELDS)
 _class_id = operator.itemgetter(_BOX_FIELDS.index("class_id"))
-# Frames whose boxes are collected as Python tuples before they become numpy
-# columns; bounds the Python objects alive during a parse.
-_BLOCK_FRAMES = 4096
 _INT64_MAX = int(np.iinfo(np.int64).max)
+# parse_detections cuts the body into blocks of this many bytes, each ended
+# at the next line end.
+_BLOCK_BYTES = 1 << 18
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,75 +149,145 @@ def format_fps(fps: Fraction):
     return f"{fps.numerator}/{fps.denominator}"
 
 
-def parse_detections(source) -> tuple[Detections, StreamMeta]:
+def parse_detections(data) -> tuple[Detections, StreamMeta]:
     """Parse a detections stream into columns plus stream metadata.
 
-    ``source`` may be a bytes object, a text/binary file object, or a path;
-    it is read line by line. Records must arrive in strictly increasing
-    frame_index order; duplicates are rejected, missing indices are
-    tolerated and reported as gaps. Box values must be JSON numbers. Every
+    ``data`` is the whole stream: bytes, or an ``mmap`` of a file.
+    Records must arrive in strictly increasing frame_index order;
+    duplicates are rejected, missing indices are tolerated and reported as
+    gaps. Box values must be JSON numbers; frame_index, timestamp_ms and
+    class_id must be integers (``1.0`` counts, ``0.5`` does not). Every
     rejected input raises InputFormatError naming its line.
+
+    After the header line, the body is cut at line ends into blocks of
+    about ``_BLOCK_BYTES``. The blocks are scanned on the threads the
+    density loop uses (``_map_threads``, one per usable CPU) and joined in
+    file order. A block whose lines are all canonical is read as whole
+    numpy arrays (``scan.scan_block``). Canonical is what
+    ``serialize_detections``, and so ``crowdgate ingest``, writes: compact
+    separators, the keys in the order frame_index, timestamp_ms, boxes and
+    x, y, w, h, score, class_id, and numbers as Python writes them (a
+    float is scanned when it has at most 15 significant digits and no
+    exponent). Any other block, valid JSON laid out otherwise or a line to
+    reject, is parsed a line at a time with ``json.loads``
+    (``_parse_lines``) at the old per-line speed, and that code reports
+    every error. Both give the same columns, bit for bit. A detector
+    adapter that wants the scan writes the canonical form, or runs
+    ``crowdgate ingest`` once and reads its ``normalized.jsonl``.
     """
-    header = None
-    block = _Block()
+    (fps, source_id), body, line_no = _read_header(data)
     blocks = []
+    while body < len(data):
+        end = data.find(b"\n", body + _BLOCK_BYTES - 1)
+        end = len(data) if end < 0 else end + 1
+        blocks.append((body, end))
+        body = end
+    # Imported here: without cached bytecode, compiling the scan would cost
+    # every command at start-up, also those that parse no detections.
+    from .scan import scan_block
+
+    scanned = _map_threads(lambda block: scan_block(data, *block), blocks)
+    # One list per column of the blocks' parts; an empty part first, so that
+    # a stream without records joins too.
+    columns = [[part] for part in _Block().columns()]
     last_index = None
-    gaps: list[tuple[int, int]] = []
-    with _lines(source) as lines:
-        for line_no, line in enumerate(lines, start=1):
-            try:
-                if isinstance(line, bytes):
-                    line = decode_line(line, line_no)
-                stripped = line.strip()
-                if not stripped:
-                    continue
-                try:
-                    obj = json.loads(stripped)
-                except json.JSONDecodeError as exc:
-                    raise InputFormatError(f"invalid JSON: {exc.msg}", line=line_no) from exc
-                if header is None:
-                    header = _header(obj, line_no)
-                    continue
-                frame_index = block.add_record(obj, line_no)
-                if last_index is not None:
-                    if frame_index == last_index:
-                        raise InputFormatError(
-                            f"duplicate frame_index {frame_index}", line=line_no
-                        )
-                    if frame_index < last_index:
-                        raise InputFormatError(
-                            f"non-monotone frame_index {frame_index} after {last_index}",
-                            line=line_no,
-                        )
-                    if frame_index > last_index + 1:
-                        gaps.append((last_index + 1, frame_index - 1))
-            except InputFormatError:
-                block.columns()  # a bad box on an earlier line is reported first
-                raise
-            last_index = frame_index
-            if len(block.frame_index) == _BLOCK_FRAMES:
-                blocks.append(block.columns())
-                block = _Block()
-    if header is None:
-        raise InputFormatError("empty detections stream (no header)")
-    blocks.append(block.columns())
-    frame_index, timestamp_ms, counts, values, class_id = (
-        np.concatenate(parts, axis=-1) for parts in zip(*blocks)
-    )
+    for (start, end), part in zip(blocks, scanned):
+        if part is not None and _increasing(part[0], last_index):
+            line_no += len(part[0])  # a canonical line is one record
+        else:
+            # not canonical, or out of frame order: the per-line code parses
+            # the block or raises its first error
+            part, lines = _parse_lines(data, start, end, line_no, last_index)
+            line_no += lines
+        for column, values in zip(columns, part):
+            column.append(values)
+        if len(part[0]):
+            last_index = int(part[0][-1])
+    # From here only `columns` holds the parts. They are joined a column at
+    # a time, each column's parts dropped once joined, so the parse peaks
+    # near its output, not at twice it.
+    scanned.clear()
+    frame_index, timestamp_ms, counts, *boxes = (_join(column) for column in columns)
     offsets = np.zeros(len(counts) + 1, dtype=np.int64)
     np.cumsum(counts, out=offsets[1:])
-    detections = Detections(frame_index, timestamp_ms, offsets, Boxes(*values, class_id))
+    detections = Detections(frame_index, timestamp_ms, offsets, Boxes(*boxes))
+    before_gap = np.flatnonzero(np.diff(frame_index) > 1)
+    gaps = zip((frame_index[before_gap] + 1).tolist(), (frame_index[before_gap + 1] - 1).tolist())
     meta = StreamMeta(
-        fps=header[0],
-        frame_count=len(detections),
-        source_id=header[1],
-        gaps=tuple(gaps),
+        fps=fps, frame_count=len(detections), source_id=source_id, gaps=tuple(gaps)
     )
     return detections, meta
 
 
+def _join(parts: list) -> np.ndarray:
+    joined = np.concatenate(parts)
+    parts.clear()
+    return joined
+
+
+def _read_header(data) -> tuple[tuple[Fraction, str], int, int]:
+    """((fps, source_id), offset of the next line, its line number) of the header.
+
+    The header is the first line that is not blank.
+    """
+    start, line_no = 0, 1
+    while start < len(data):
+        end = data.find(b"\n", start)
+        end = len(data) if end < 0 else end + 1
+        text = decode_line(data[start:end], line_no).strip()
+        if text:
+            return _header(_loads(text, line_no), line_no), end, line_no + 1
+        start, line_no = end, line_no + 1
+    raise InputFormatError("empty detections stream (no header)")
+
+
+def _loads(text, line_no):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InputFormatError(f"invalid JSON: {exc.msg}", line=line_no) from exc
+
+
+def _increasing(frame_index, last_index) -> bool:
+    """Whether ``frame_index`` rises strictly, from above ``last_index`` if given."""
+    if last_index is not None and len(frame_index) and frame_index[0] <= last_index:
+        return False
+    return bool((np.diff(frame_index) > 0).all())
+
+
+def _parse_lines(data, start, end, line_no, last_index):
+    """Columns of the records in ``data[start:end]``, one ``json.loads`` per line.
+
+    ``line_no`` is the number of the first line and ``last_index`` the
+    frame_index of the record before it (None for the first record).
+    Returns the columns, as ``_Block.columns``, and the number of line ends
+    in the range.
+    """
+    block = _Block()
+    lines = data[start:end].split(b"\n")
+    for line_no, line in enumerate(lines, start=line_no):
+        try:
+            text = decode_line(line, line_no).strip()
+            if not text:
+                continue
+            frame_index = block.add_record(_loads(text, line_no), line_no)
+            if last_index is not None:
+                if frame_index == last_index:
+                    raise InputFormatError(f"duplicate frame_index {frame_index}", line=line_no)
+                if frame_index < last_index:
+                    raise InputFormatError(
+                        f"non-monotone frame_index {frame_index} after {last_index}",
+                        line=line_no,
+                    )
+        except InputFormatError:
+            block.columns()  # a bad box on an earlier line is reported first
+            raise
+        last_index = frame_index
+    return block.columns(), len(lines) - 1
+
+
 class _Block:
-    """Up to _BLOCK_FRAMES frames of a parse, still as Python values.
+    """The records of a per-line parse, still as Python values.
 
     ``starts[k]`` is the first row in ``rows`` of the k-th record added and
     ``lines[k]`` its line number, so a bad row maps back to its line.
@@ -262,7 +334,7 @@ class _Block:
         return self.lines[bisect.bisect_right(self.starts, row) - 1]
 
     def columns(self):
-        """(frame_index, timestamp_ms, box counts, (5, m) x/y/w/h/score, class_id) arrays.
+        """Columns: frame_index, timestamp_ms, box counts, x, y, w, h, score, class_id.
 
         Raises InputFormatError for the first box whose values are not
         numbers or are out of range.
@@ -287,19 +359,25 @@ class _Block:
             np.array(self.frame_index, dtype=np.int64),
             np.array(self.timestamp_ms, dtype=np.int64),
             np.diff(self.starts + [len(rows)]),
-            np.ascontiguousarray(values[:, :5].T),
+            *np.ascontiguousarray(values[:, :5].T),
             class_id,
         )
 
     def _check_ranges(self, values, first_row):
-        """Reject the first row of ``values`` (row ``first_row`` of the block) out of range."""
-        w, h, score = values[:, 2], values[:, 3], values[:, 4]
-        bad = (w <= 0) | (h <= 0) | ~((0.0 <= score) & (score <= 1.0))
+        """Reject the first row of ``values`` (row ``first_row`` of the block) out of range.
+
+        A class_id must be integral; ``_box_arrays`` truncates it.
+        """
+        w, h, score, class_id = values[:, 2], values[:, 3], values[:, 4], values[:, 5]
+        fractional = class_id != np.floor(class_id)
+        bad = fractional | (w <= 0) | (h <= 0) | ~((0.0 <= score) & (score <= 1.0))
         if not bad.any():
             return
         r = int(np.argmax(bad))
         w, h, score = float(w[r]), float(h[r]), float(score[r])
-        if w <= 0 or h <= 0:
+        if fractional[r]:
+            message = f"class_id must be an integer, got {float(class_id[r])}"
+        elif w <= 0 or h <= 0:
             message = f"box width/height must be > 0, got w={w}, h={h}"
         else:
             message = f"score must be in [0, 1], got {score}"
@@ -334,14 +412,17 @@ def _header(obj, line_no) -> tuple[Fraction, str]:
 
 
 def _int_field(obj, name, line_no) -> int:
+    """``obj[name]`` as an int; a float must be integral (``int`` would truncate it)."""
     try:
-        return int(obj[name])
+        value = obj[name]
     except KeyError:
         raise InputFormatError(f"record missing field {name!r}", line=line_no) from None
+    try:
+        if isinstance(value, float) and not value.is_integer():
+            raise ValueError(value)
+        return int(value)
     except (TypeError, ValueError, OverflowError):
-        raise InputFormatError(
-            f"{name} must be an integer, got {obj[name]!r}", line=line_no
-        ) from None
+        raise InputFormatError(f"{name} must be an integer, got {value!r}", line=line_no) from None
 
 
 def serialize_detections(detections: Detections, meta: StreamMeta) -> bytes:
@@ -414,18 +495,6 @@ def save_gray_frames(frames) -> bytes:
     return _GRAY_HEADER.pack(GRAY_MAGIC, width, height, count) + frames.tobytes()
 
 
-@contextmanager
-def _lines(source):
-    """Line iterator over a path, bytes object or file object."""
-    if isinstance(source, str):
-        with open(source, "rb") as fh:
-            yield fh
-    elif isinstance(source, (bytes, bytearray)):
-        yield io.BytesIO(source)
-    else:
-        yield source
-
-
 def source_bytes(source) -> bytes:
     """The whole content of a path, bytes object or (binary or text) file object."""
     if isinstance(source, str):
@@ -443,3 +512,49 @@ def decode_line(line: bytes, line_no: int) -> str:
         return line.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise InputFormatError(f"invalid UTF-8: {exc}", line=line_no) from None
+
+
+def _map_threads(work, items):
+    """``[work(item) for item in items]`` on up to one thread per usable CPU.
+
+    The one pool of the package: the density loop runs its row bands here
+    and the detections parse its blocks. The calling thread is one of the
+    workers; no thread is started for a single item or a single CPU. The
+    first exception an item raises is re-raised here once every worker has
+    stopped.
+    """
+    workers = min(len(items), _usable_cpus())
+    if workers <= 1:
+        return [work(item) for item in items]
+    results = [None] * len(items)
+    errors = []
+    lock = threading.Lock()
+    pending = iter(range(len(items)))
+
+    def worker():
+        while not errors:
+            with lock:
+                index = next(pending, None)
+            if index is None:
+                return
+            try:
+                results[index] = work(items[index])
+            except BaseException as exc:  # noqa: BLE001 - re-raised in the calling thread
+                errors.append(exc)
+
+    threads = [threading.Thread(target=worker) for _ in range(workers - 1)]
+    for thread in threads:
+        thread.start()
+    worker()
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
+    return results
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        return os.cpu_count() or 1

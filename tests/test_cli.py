@@ -922,6 +922,19 @@ def test_python_m_crowdgate_runs_from_source_tree():
     assert "density-fit" in result.stdout
 
 
+def test_cli_import_leaves_the_detections_scan_unloaded():
+    # Compiled on every start when there is no bytecode cache, so only the
+    # detections parse imports it.
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    code = "import sys, crowdgate.cli; print('crowdgate.scan' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
+
+
 def test_cli_import_loads_no_concurrent_futures():
     # Every CLI invocation pays for what importing the CLI loads.
     src = Path(cli.__file__).resolve().parents[1]

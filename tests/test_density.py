@@ -23,7 +23,7 @@ from crowdgate.density import (
     regressor_to_json,
     update_background,
 )
-from crowdgate import density
+from crowdgate import density, ingest
 from crowdgate.density import _density_loop
 from crowdgate.errors import InputFormatError, RankDeficientError
 
@@ -345,7 +345,7 @@ def banded(band_rows, workers, width):
     default height) and run them on ``workers`` threads."""
     pixels = density._BAND_PIXELS if band_rows is None else band_rows * width
     with mock.patch.object(density, "_BAND_PIXELS", pixels), \
-            mock.patch.object(density, "_usable_cpus", lambda: workers):
+            mock.patch.object(ingest, "_usable_cpus", lambda: workers):
         yield
 
 
@@ -415,9 +415,9 @@ class TestInPlaceLoopParity:
 
 
 class TestBandThreads:
-    """Threads of ``_map_bands``; the CPU count is only ever patched down."""
+    """Threads of ``ingest._map_threads``; the CPU count is only ever patched down."""
 
-    real_cpus = density._usable_cpus()
+    real_cpus = ingest._usable_cpus()
 
     def stream(self):
         rng = np.random.default_rng(5)
@@ -435,7 +435,7 @@ class TestBandThreads:
 
         monkeypatch.setattr(density, "_band", band)
         monkeypatch.setattr(density, "_BAND_PIXELS", 2 * 4)  # four bands
-        monkeypatch.setattr(density, "_usable_cpus", lambda: min(2, self.real_cpus))
+        monkeypatch.setattr(ingest, "_usable_cpus", lambda: min(2, self.real_cpus))
         before = threading.active_count()
         with pytest.raises(RuntimeError) as info:
             _density_loop(self.stream(), DensityRegressor(1.0, 0.0, 0.0), {1, 3})
@@ -452,9 +452,9 @@ class TestBandThreads:
                 started.append(self)
                 super().start()
 
-        monkeypatch.setattr(density.threading, "Thread", CountingThread)
+        monkeypatch.setattr(ingest.threading, "Thread", CountingThread)
         monkeypatch.setattr(density, "_BAND_PIXELS", band_rows * 4)
-        monkeypatch.setattr(density, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(ingest, "_usable_cpus", lambda: cpus)
         before = threading.active_count()
         frames = self.stream()
         counts, _ = _density_loop(frames, DensityRegressor(1.0, 0.4, 0.0), {0, 2, 3})
