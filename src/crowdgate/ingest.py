@@ -43,6 +43,9 @@ _INT64_MAX = int(np.iinfo(np.int64).max)
 # parse_detections cuts the body into blocks of this many bytes, each ended
 # at the next line end.
 _BLOCK_BYTES = 1 << 18
+# Blocks scanned at once, at most, whatever the CPU count: a scan holds
+# about 15 times its block in temporaries.
+_SCAN_THREADS = 4
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,20 +163,26 @@ def parse_detections(data) -> tuple[Detections, StreamMeta]:
     rejected input raises InputFormatError naming its line.
 
     After the header line, the body is cut at line ends into blocks of
-    about ``_BLOCK_BYTES``. The blocks are scanned on the threads the
-    density loop uses (``_map_threads``, one per usable CPU) and joined in
-    file order. A block whose lines are all canonical is read as whole
-    numpy arrays (``scan.scan_block``). Canonical is what
+    about ``_BLOCK_BYTES``. A block whose lines are all canonical is read
+    as whole numpy arrays (``scan.scan_block``). Canonical is what
     ``serialize_detections``, and so ``crowdgate ingest``, writes: compact
     separators, the keys in the order frame_index, timestamp_ms, boxes and
-    x, y, w, h, score, class_id, and numbers as Python writes them (a
-    float is scanned when it has at most 15 significant digits and no
-    exponent). Any other block, valid JSON laid out otherwise or a line to
-    reject, is parsed a line at a time with ``json.loads``
+    x, y, w, h, score, class_id, and numbers as Python writes them, where
+    a float is scanned only when it has at most 15 significant digits and
+    no exponent. Any other block, valid JSON laid out otherwise or a line
+    to reject, is parsed a line at a time with ``json.loads``
     (``_parse_lines``) at the old per-line speed, and that code reports
-    every error. Both give the same columns, bit for bit. A detector
-    adapter that wants the scan writes the canonical form, or runs
-    ``crowdgate ingest`` once and reads its ``normalized.jsonl``.
+    every error. Both give the same columns, bit for bit. The first block
+    is scanned alone: if it is not canonical, no other block is scanned,
+    so another form costs one block's scan. Otherwise the other blocks
+    are scanned on the threads the density loop uses (``_map_threads``,
+    one per usable CPU, at most ``_SCAN_THREADS``), and all are joined in
+    file order; a later block in another form costs its scan on top of
+    its per-line parse. A detector adapter that wants the scan writes the
+    canonical form with floats rounded to at most 15 significant digits.
+    Python's float repr often has 16 or 17 (``0.1 + 0.2`` is
+    ``0.30000000000000004``), so ``normalized.jsonl`` is scanned only when
+    the input's floats were so rounded.
     """
     (fps, source_id), body, line_no = _read_header(data)
     blocks = []
@@ -186,7 +195,16 @@ def parse_detections(data) -> tuple[Detections, StreamMeta]:
     # every command at start-up, also those that parse no detections.
     from .scan import scan_block
 
-    scanned = _map_threads(lambda block: scan_block(data, *block), blocks)
+    # The first block decides: a stream written in another form is so
+    # throughout, as a rule, and its other blocks go straight to the
+    # per-line parse instead of each paying a scan first.
+    scanned = [None] * len(blocks)
+    if blocks:
+        scanned[0] = scan_block(data, *blocks[0])
+    if scanned and scanned[0] is not None:
+        scanned[1:] = _map_threads(
+            lambda block: scan_block(data, *block), blocks[1:], _SCAN_THREADS
+        )
     # One list per column of the blocks' parts; an empty part first, so that
     # a stream without records joins too.
     columns = [[part] for part in _Block().columns()]
@@ -514,16 +532,16 @@ def decode_line(line: bytes, line_no: int) -> str:
         raise InputFormatError(f"invalid UTF-8: {exc}", line=line_no) from None
 
 
-def _map_threads(work, items):
+def _map_threads(work, items, most=None):
     """``[work(item) for item in items]`` on up to one thread per usable CPU.
 
     The one pool of the package: the density loop runs its row bands here
-    and the detections parse its blocks. The calling thread is one of the
-    workers; no thread is started for a single item or a single CPU. The
-    first exception an item raises is re-raised here once every worker has
-    stopped.
+    and the detections parse its blocks, on at most ``most`` threads. The
+    calling thread is one of the workers; no thread is started for a
+    single item or a single CPU. The first exception an item raises is
+    re-raised here once every worker has stopped.
     """
-    workers = min(len(items), _usable_cpus())
+    workers = min(len(items), _usable_cpus(), most or len(items))
     if workers <= 1:
         return [work(item) for item in items]
     results = [None] * len(items)

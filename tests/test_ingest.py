@@ -1,6 +1,7 @@
 import contextlib
 import json
 import mmap
+import threading
 import tracemalloc
 from fractions import Fraction
 from unittest import mock
@@ -666,10 +667,13 @@ class TestIntegerFields:
 
 
 class TestParseMemory:
-    def test_peak_is_columns_plus_blocks(self, monkeypatch):
-        # A 3 MiB canonical stream, scanned in 12 blocks of 256 KiB on two
-        # threads. Measured: the parse peaks 7.0 MiB above its output columns
-        # (3.9 MiB on one thread); scanning the whole buffer at once, 47 MiB.
+    @pytest.mark.parametrize("cpus", [2, 8])
+    def test_peak_is_columns_plus_blocks(self, monkeypatch, cpus):
+        # A 3 MiB canonical stream, scanned in 12 blocks of 256 KiB. Each
+        # scan running at once holds about 3 MiB: measured 3.9 MiB above the
+        # output columns on one thread, 5.9-7.0 on two and, with eight CPUs
+        # patched in, 10.7-14.1 with the scans capped at four (20.0-25.9
+        # without the cap); scanning the whole buffer at once, 47 MiB.
         rng = np.random.default_rng(8)
         lines, i = [HEADER], 0
         while sum(map(len, lines)) < 3 << 20:
@@ -681,7 +685,7 @@ class TestParseMemory:
             lines.append(f'{{"frame_index":{i},"timestamp_ms":{33 * i},"boxes":[{boxes}]}}')
             i += 1
         data = ("\n".join(lines) + "\n").encode()
-        monkeypatch.setattr(ingest, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(ingest, "_usable_cpus", lambda: cpus)
         tracemalloc.start()
         try:
             detections, _ = parse_detections(data)
@@ -692,7 +696,62 @@ class TestParseMemory:
         columns = (detections.frame_index, detections.timestamp_ms, detections.offsets,
                    b.x, b.y, b.w, b.h, b.score, b.class_id)
         assert len(detections) == i
-        assert peak < sum(c.nbytes for c in columns) + (10 << 20)
+        scans = min(cpus, 4)  # at most four scans at once, on any CPU count
+        assert peak < sum(c.nbytes for c in columns) + scans * (7 << 19) + (3 << 20)
+
+    def test_scans_run_on_at_most_scan_threads(self, monkeypatch):
+        started = []
+
+        class CountingThread(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(ingest.threading, "Thread", CountingThread)
+        monkeypatch.setattr(ingest, "_usable_cpus", lambda: 8)
+        monkeypatch.setattr(ingest, "_BLOCK_BYTES", 1)
+        data = ("\n".join([HEADER] + canonical_lines(20)) + "\n").encode()
+        assert len(parse_detections(data)[0]) == 20
+        # the calling thread is one of the workers
+        assert len(started) == ingest._SCAN_THREADS - 1
+
+
+class TestFirstBlockDecides:
+    """The first block is scanned alone; the others are scanned only if it is canonical."""
+
+    def scans(self, monkeypatch, data):
+        calls = []
+        real = scan.scan_block
+        monkeypatch.setattr(
+            scan, "scan_block", lambda *args: calls.append(args[1:]) or real(*args)
+        )
+        with parsed_in(300, 2), contextlib.suppress(InputFormatError):
+            parse_detections(data)
+        return calls
+
+    def test_canonical_stream_scans_every_block(self, monkeypatch):
+        data = ("\n".join([HEADER] + canonical_lines(12)) + "\n").encode()
+        assert len(self.scans(monkeypatch, data)) == 4
+
+    @pytest.mark.parametrize("form", ["spaced", "17 digits", "bad first line"])
+    def test_other_first_block_is_the_only_scan(self, monkeypatch, form):
+        lines = canonical_lines(12)
+        if form == "spaced":
+            lines = [json.dumps(json.loads(line)) for line in lines]
+        elif form == "17 digits":
+            lines = canonical_lines(12, box={**VALID_BOX, "x": 0.30000000000000004})
+        else:
+            lines[0] = lines[0].replace('"w":3.0', '"w":0.0')
+        data = ("\n".join([HEADER] + lines) + "\n").encode()
+        assert len(self.scans(monkeypatch, data)) == 1
+        assert_like_reference(data)
+
+    def test_later_blocks_in_another_form_fall_back(self, monkeypatch):
+        lines = canonical_lines(12)
+        lines[7:] = [json.dumps(json.loads(line)) for line in lines[7:]]
+        data = ("\n".join([HEADER] + lines) + "\n").encode()
+        assert len(self.scans(monkeypatch, data)) > 1
+        assert_matches_reference(data)
 
 
 def _meta(n):
