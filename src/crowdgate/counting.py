@@ -14,16 +14,16 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InputFormatError, RoutingError
-from .ingest import Detections, decode_line, format_fps, parse_fps, source_bytes
+from .ingest import Detections, decode_line, format_fps, parse_fps
 
 PROV_DETECTOR = "Detector"
 PROV_DENSITY = "Density"
 PROV_SMOOTHED = "Smoothed"
-_PROVENANCE_VALUES = (PROV_DETECTOR, PROV_DENSITY, PROV_SMOOTHED)
-_PROVENANCE = np.array(_PROVENANCE_VALUES, dtype="<U8")
+# The provenance words; a CountSeries holds each frame's as its index here.
+PROVENANCE = (PROV_DETECTOR, PROV_DENSITY, PROV_SMOOTHED)
+CODE_DETECTOR, CODE_DENSITY, CODE_SMOOTHED = range(len(PROVENANCE))
 
 _HEADER = ["frame_index", "count", "provenance"]
 _INT64_MAX = int(np.iinfo(np.int64).max)
@@ -33,18 +33,32 @@ _MAX_DIGITS = len(str(_INT64_MAX))
 _ROW = re.compile(r'(-?[0-9]+),(-?[0-9]+),([^\s",]*)')
 # Each provenance word as the little-endian uint64 of its bytes, zero-padded to 8.
 _PROVENANCE_KEYS = np.array(
-    [int.from_bytes(p.encode().ljust(8, b"\0"), "little") for p in _PROVENANCE_VALUES],
+    [int.from_bytes(p.encode().ljust(8, b"\0"), "little") for p in PROVENANCE],
     dtype=np.uint64,
 )
-_PROVENANCE_WIDTHS = np.array([len(p) for p in _PROVENANCE_VALUES])
+_PROVENANCE_WIDTHS = np.array([len(p) for p in PROVENANCE])
+# The end of a row, by code: the word and its line end, zero-padded, and
+# which of those bytes are written.
+_ROW_ENDS = np.array(
+    [np.frombuffer(f"{p}\n".encode().ljust(9, b"\0"), np.uint8) for p in PROVENANCE]
+)
+_ROW_END_KEPT = _ROW_ENDS != 0
+# The reader's buffer holds this many zero bytes before the body, so that
+# the three 8-byte words ending at any field's end lie inside it.
+_PAD = 24
+_ONES = np.uint64(0x0101010101010101)  # times a byte: that byte in all 8
+# _FIRST_BYTES[n]: the first n bytes of a little-endian word
+_FIRST_BYTES = np.array([(1 << 8 * n) - 1 for n in range(9)], np.uint64)
 
 
 @dataclass(frozen=True)
 class CountSeries:
     """Ordered per-frame counts with frame rate and per-frame provenance.
 
-    ``counts`` is int64, ``provenance`` a same-length unicode array holding
-    one of "Detector", "Density", "Smoothed".
+    ``counts`` is int64. ``provenance`` is a same-length uint8 array of
+    codes, each the index of a word in ``PROVENANCE``: ``CODE_DETECTOR``
+    ("Detector"), ``CODE_DENSITY`` ("Density") or ``CODE_SMOOTHED``
+    ("Smoothed"). The count CSV holds the words.
     """
 
     counts: np.ndarray
@@ -56,39 +70,26 @@ class CountSeries:
             raise ValueError("counts and provenance must be aligned")
         if self.fps <= 0:
             raise ValueError(f"fps must be > 0, got {self.fps}")
+        if self.counts.dtype != np.int64:
+            raise ValueError(f"counts must be int64, got {self.counts.dtype}")
         if len(self.counts) and self.counts.min() < 0:
             raise ValueError("counts must be nonnegative")
-        if not _all_known_provenance(self.provenance):
-            unknown = self.provenance[~np.isin(self.provenance, _PROVENANCE)]
-            raise ValueError(f"unknown provenance {str(unknown.flat[0])!r}")
+        if self.provenance.dtype != np.uint8:
+            raise ValueError(f"provenance must be uint8 codes, got {self.provenance.dtype}")
+        if len(self.provenance) and self.provenance.max() >= len(PROVENANCE):
+            raise ValueError(f"unknown provenance code {int(self.provenance.max())}")
 
     def __len__(self):
         return len(self.counts)
 
     @classmethod
     def from_counts(cls, counts, fps, provenance=PROV_DETECTOR) -> "CountSeries":
-        if provenance not in _PROVENANCE_VALUES:
-            # checked here too: "<U8" would truncate "Detectors" to a known word
+        """A series whose every frame has the provenance word ``provenance``."""
+        if provenance not in PROVENANCE:
             raise ValueError(f"unknown provenance {provenance!r}")
         counts = np.asarray(counts, dtype=np.int64)
-        prov = np.full(counts.shape, provenance, dtype="<U8")
-        return cls(counts, Fraction(fps), prov)
-
-
-def _all_known_provenance(provenance: np.ndarray) -> bool:
-    """Whether every entry is one of the three provenance words.
-
-    A "<U8" array, the dtype this module builds, is checked through its
-    UTF-32 code units: when all are ASCII, each entry packs into the
-    uint64 key of its bytes, which is several times faster than comparing
-    strings on long series.
-    """
-    if provenance.dtype == _PROVENANCE.dtype:
-        codes = np.ascontiguousarray(provenance).view(np.uint32)
-        if codes.max(initial=0) < 128:
-            packed = codes.astype(np.uint8).view(np.uint64)
-            return bool(np.isin(packed, _PROVENANCE_KEYS).all())
-    return bool(np.isin(provenance, _PROVENANCE).all())
+        codes = np.full(counts.shape, PROVENANCE.index(provenance), dtype=np.uint8)
+        return cls(counts, Fraction(fps), codes)
 
 
 @dataclass(frozen=True)
@@ -144,14 +145,14 @@ def route_counts(
     missing = [i for i in over if i not in density_counts]
     if missing:
         raise RoutingError(missing)
-    counts = series.counts.copy()
-    prov = series.provenance.copy()
-    for i in over:
-        value = int(density_counts[i])
+    values = [int(density_counts[i]) for i in over]
+    for i, value in zip(over, values):
         if value < 0:
             raise ValueError(f"density count for frame {i} is negative: {value}")
-        counts[i] = value
-        prov[i] = PROV_DENSITY
+    counts = series.counts.copy()
+    prov = series.provenance.copy()
+    counts[over] = values
+    prov[over] = CODE_DENSITY
     return CountSeries(counts, series.fps, prov)
 
 
@@ -164,25 +165,63 @@ def write_count_series(series: CountSeries, comments: Sequence[str] = ()) -> byt
     head = [f"# fps={format_fps(series.fps)}\n"]
     head += [f"# {comment}\n" for comment in comments]
     head.append(",".join(_HEADER) + "\n")
-    rows = zip(series.counts.tolist(), series.provenance.tolist())
-    body = "".join([f"{i},{count},{prov}\n" for i, (count, prov) in enumerate(rows)])
-    return ("".join(head) + body).encode("utf-8")
+    return "".join(head).encode("utf-8") + _render_rows(series.counts, series.provenance)
 
 
-def read_count_series(source, fps=None) -> CountSeries:
-    """Parse the CSV count-series format.
+def _render_rows(counts: np.ndarray, codes: np.ndarray) -> bytes:
+    """The rows ``{i},{count},{word}\n`` of a series, rendered as arrays.
 
-    ``source`` is a bytes object, a path or a file object. Blank lines and
-    ``#`` comment lines may appear anywhere, with LF or CRLF line ends; the
-    last ``# fps=`` comment gives the frame rate, which ``fps`` overrides
-    (or supplies, when there is none). The first other line is the header
-    ``frame_index,count,provenance``. Every line after it that is not blank
-    or a comment must be a row as write_count_series emits it: frame_index
-    counting up from 0, a count of at most 19 ASCII digits within int64, and
-    one of the three provenance words, with no quotes, signs or spaces.
-    Every rejected input raises InputFormatError naming its line.
+    Each row is laid out in one row of a byte matrix: the index and the
+    count right-aligned in columns as wide as the widest, each followed by
+    a comma, then the word and its line end. A mask of the same shape keeps
+    every byte but the leading zeros and the padding after short words,
+    and compressing the matrix by it gives the rows in order.
     """
-    data = source_bytes(source)
+    n = len(counts)
+    if not n:
+        return b""
+    index_width = len(str(n - 1))
+    count_width = len(str(int(counts.max())))
+    row = np.empty((n, index_width + count_width + 2 + _ROW_ENDS.shape[1]), np.uint8)
+    kept = np.empty(row.shape, bool)
+    comma = index_width + 1 + count_width
+    _render_digits(np.arange(n), row[:, :index_width], kept[:, :index_width])
+    _render_digits(counts, row[:, index_width + 1 : comma], kept[:, index_width + 1 : comma])
+    row[:, [index_width, comma]] = ord(",")
+    kept[:, [index_width, comma]] = True
+    row[:, comma + 1 :] = _ROW_ENDS.take(codes, axis=0)
+    kept[:, comma + 1 :] = _ROW_END_KEPT.take(codes, axis=0)
+    return row[kept].tobytes()
+
+
+def _render_digits(values: np.ndarray, digits: np.ndarray, kept: np.ndarray):
+    """Write the decimal digits of nonnegative int64 ``values`` right-aligned
+    into the columns of ``digits``, and into ``kept`` which of them are not
+    leading zeros."""
+    width = digits.shape[1]
+    # uint32 arithmetic is several times faster, where the values fit
+    rest = values.astype(np.uint32 if width < 10 else np.uint64)
+    for power in range(width):
+        quotient = rest // 10
+        digits[:, -1 - power] = rest - quotient * 10
+        kept[:, -1 - power] = values >= 10**power if power else True
+        rest = quotient
+    digits += np.uint8(ord("0"))
+
+
+def read_count_series(data: bytes, fps=None) -> CountSeries:
+    """Parse the CSV count-series format from the bytes of a file.
+
+    Blank lines and ``#`` comment lines may appear anywhere, with LF or
+    CRLF line ends; the last ``# fps=`` comment gives the frame rate, which
+    ``fps`` overrides (or supplies, when there is none). The first other
+    line is the header ``frame_index,count,provenance``. Every line after
+    it that is not blank or a comment must be a row as write_count_series
+    emits it: frame_index counting up from 0, a count of at most 19 ASCII
+    digits within int64, and one of the three provenance words, with no
+    quotes, signs or spaces. Every rejected input raises InputFormatError
+    naming its line.
+    """
     file_fps, header_line, offset = _read_preamble(data)
     scanned = _scan_body(data, offset, header_line)
     if scanned is None:
@@ -230,30 +269,31 @@ def _comment_fps(text: str, line_no: int) -> Fraction | None:
 
 
 def _scan_body(data: bytes, offset: int, header_line: int):
-    """(counts, provenance, fps of the last '# fps=' comment or None) of the
-    lines after the header, scanned as whole arrays; None if any line is bad.
+    """(counts, provenance codes, fps of the last '# fps=' comment or None)
+    of the lines after the header, scanned as whole arrays; None if any line
+    is bad.
 
     A line starting with a digit is a row. Other lines (blank, comments and
     bad lines, few in practice) are looked at one by one.
     """
     size = len(data) - offset
     if not size:
-        return np.zeros(0, dtype=np.int64), _PROVENANCE[:0], None
-    # the body, with zero bytes before and after it, so that a fixed-width
-    # window ending at any field's end, or starting at any field's start,
-    # stays inside the buffer
-    buf = np.zeros(_MAX_DIGITS + size + 8, dtype=np.uint8)
-    body = buf[_MAX_DIGITS : _MAX_DIGITS + size]
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.uint8), None
+    # the body, with zero bytes before and after it, so that a word ending
+    # at any field's end, or starting at any field's start, stays inside
+    buf = np.zeros(_PAD + size + 8, dtype=np.uint8)
+    body = buf[_PAD : _PAD + size]
     body[:] = np.frombuffer(data, dtype=np.uint8, offset=offset)
     newlines = np.flatnonzero(body == ord("\n"))
     starts = np.concatenate(([0], newlines + 1))
     stops = np.append(newlines, size)
-    stops -= (stops > starts) & (buf[_MAX_DIGITS - 1 + stops] == ord("\r"))
-    first = buf[_MAX_DIGITS + starts]
-    is_row = (stops > starts) & (first >= ord("0")) & (first <= ord("9"))
+    stops -= (stops > starts) & (buf[_PAD - 1 + stops] == ord("\r"))
+    is_row = (stops > starts) & (buf[_PAD + starts] - np.uint8(ord("0")) < 10)
+    commas = np.flatnonzero(body == ord(","))
 
     body_fps = None
-    for k in np.flatnonzero((stops > starts) & ~is_row).tolist():
+    others = np.flatnonzero((stops > starts) & ~is_row)
+    for k in others.tolist():
         line_no = header_line + 1 + k
         try:
             text = decode_line(data[offset + starts[k] : offset + stops[k]], line_no).strip()
@@ -262,67 +302,94 @@ def _scan_body(data: bytes, offset: int, header_line: int):
             body_fps = _comment_fps(text, line_no) or body_fps
         except InputFormatError:  # _raise_first_error reports errors in file order
             return None
+    if len(others):  # only the rows' commas are paired below
+        in_comment = np.zeros(len(commas), dtype=bool)
+        for lo, hi in zip(
+            np.searchsorted(commas, starts[others]).tolist(),
+            np.searchsorted(commas, stops[others]).tolist(),
+        ):
+            in_comment[lo:hi] = True
+        commas = commas[~in_comment]
 
+    # With 2 commas per row in all, and each row holding its pair, every
+    # row holds exactly two, so each field below lies within its row.
     starts, stops = starts[is_row], stops[is_row]
-    commas = np.flatnonzero(body == ord(","))
-    k = np.searchsorted(commas, starts)
-    if (np.searchsorted(commas, stops) - k != 2).any():
+    if len(commas) != 2 * len(starts):
         return None
-    comma1, comma2 = commas[k], commas[k + 1]
+    comma1, comma2 = commas[0::2], commas[1::2]
+    if not ((starts < comma1).all() and (comma2 < stops).all()):
+        return None
     index = _digit_fields(buf, starts, comma1)
-    counts = _digit_fields(buf, comma1 + 1, comma2)
-    code = _provenance_codes(buf, comma2 + 1, stops)
-    if (
-        index is None
-        or counts is None
-        or code is None
-        or not np.array_equal(index, np.arange(len(index), dtype=np.uint64))
-        or (len(counts) and counts.max() > _INT64_MAX)
-    ):
+    if index is None or not np.array_equal(index, np.arange(len(index), dtype=np.uint64)):
         return None
-    return counts.astype(np.int64), _PROVENANCE[code], body_fps
+    counts = _digit_fields(buf, comma1 + 1, comma2)
+    if counts is None or (len(counts) and counts.max() > _INT64_MAX):
+        return None
+    codes = _provenance_codes(buf, comma2 + 1, stops)
+    if codes is None:
+        return None
+    return counts.view(np.int64), codes, body_fps
+
+
+def _words(buf: np.ndarray) -> np.ndarray:
+    """The little-endian uint64 of the 8 bytes at each offset of ``buf``."""
+    return np.ndarray((len(buf) - 7,), "<u8", buf, strides=(1,))
 
 
 def _digit_fields(buf: np.ndarray, starts: np.ndarray, stops: np.ndarray):
     """uint64 values of the body fields ``starts[i]:stops[i]``, or None unless
     every field is 1 to 19 ASCII digits.
 
-    The fields are read as one right-aligned digit matrix, one row a field.
+    Each field is read as the 8-byte words ending at its end, the bytes
+    before its start set to "0", and the eight digits of each word are
+    checked and summed at once (``scan._digits_to_int``).
     """
+    # Imported here, as parse_detections does: compiling the scan module
+    # would cost every command at start-up.
+    from .scan import _LAST_BYTES, _digits_to_int
+
     width = stops - starts
     if not len(width):
         return np.zeros(0, dtype=np.uint64)
     if width.min() < 1 or width.max() > _MAX_DIGITS:
         return None
-    cols = int(width.max())
-    digits = sliding_window_view(buf, cols)[_MAX_DIGITS + stops - cols]
-    digits[np.arange(cols) < (cols - width)[:, None]] = ord("0")
-    digits -= np.uint8(ord("0"))
-    if digits.max() > 9:
-        return None
+    words = _words(buf)
     value = np.zeros(len(width), dtype=np.uint64)
-    for column in digits.T:
-        value = value * np.uint64(10) + column
+    for i in range(-(-int(width.max()) // 8)):
+        # the i-th word from the field's end, with "0" for bytes before the field
+        field = _LAST_BYTES.take(np.clip(width - 8 * i, 0, 8))
+        word = words[_PAD + stops - 8 * (i + 1)]
+        word &= field
+        word |= ~field & (_ONES * np.uint64(0x30))
+        # A byte is a digit, 0x30 to 0x39, when its high nibble is 3 and
+        # stays 3 once 6 is added to it (simdjson's eight-digit check).
+        high = _ONES * np.uint64(0xF0)
+        nibbles = (word & high) | (((word + _ONES * np.uint64(6)) & high) >> np.uint64(4))
+        if (nibbles != _ONES * np.uint64(0x33)).any():
+            return None
+        value += _digits_to_int(word & ~high) * np.uint64(10 ** (8 * i))
     return value
 
 
 def _provenance_codes(buf: np.ndarray, starts: np.ndarray, stops: np.ndarray):
-    """Index into _PROVENANCE of each body field ``starts[i]:stops[i]``, or
-    None unless every field is one of the words.
+    """The code of each body field ``starts[i]:stops[i]``, or None unless
+    every field is one of the words.
 
     Each field's first 8 bytes, zero-padded, are compared as one uint64
     key, and its width with the word's.
     """
     width = stops - starts
-    words = sliding_window_view(buf, 8)[_MAX_DIGITS + starts]
-    words[np.arange(8) >= width[:, None]] = 0
-    keys = words.view("<u8")[:, 0]
-    code = np.full(len(keys), -1)
-    for i, key in enumerate(_PROVENANCE_KEYS):
-        code[keys == key] = i
-    if (code < 0).any() or not np.array_equal(_PROVENANCE_WIDTHS[code], width):
+    keys = _words(buf)[_PAD + starts]
+    keys &= _FIRST_BYTES.take(np.minimum(width, 8))
+    codes = np.zeros(len(keys), dtype=np.uint8)
+    for code in (CODE_DENSITY, CODE_SMOOTHED):
+        codes[keys == _PROVENANCE_KEYS[code]] = code
+    if not (
+        np.array_equal(_PROVENANCE_KEYS.take(codes), keys)
+        and np.array_equal(_PROVENANCE_WIDTHS.take(codes), width)
+    ):
         return None
-    return code
+    return codes
 
 
 def _raise_first_error(data: bytes, offset: int, header_line: int):
@@ -352,7 +419,7 @@ def _raise_first_error(data: bytes, offset: int, header_line: int):
                 f"count {count} is over {_INT64_MAX} or longer than {_MAX_DIGITS} digits",
                 line=line_no,
             )
-        if prov not in _PROVENANCE_VALUES:
+        if prov not in PROVENANCE:
             raise InputFormatError(f"unknown provenance {prov!r}", line=line_no)
         if index.startswith("-") or len(index) > _MAX_DIGITS or int(index) != expected:
             raise InputFormatError(

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InputFormatError, RankDeficientError
-from .ingest import _map_threads, decode_line, source_bytes
+from .ingest import _map_threads, decode_line
 
 DEFAULT_MOTION_THRESHOLD = 15.0
 DEFAULT_LEARNING_RATE = 0.05
@@ -321,14 +321,14 @@ def regressor_from_json(data: bytes) -> DensityRegressor:
         raise InputFormatError(f"bad density model file: {exc}") from exc
 
 
-def read_calibration_csv(source) -> list[tuple[ForegroundFeatures, int]]:
-    """Parse the calibration CSV: frame_index,area,edge,true_count.
+def read_calibration_csv(data: bytes) -> list[tuple[ForegroundFeatures, int]]:
+    """Parse the calibration CSV frame_index,area,edge,true_count from its bytes.
 
     Every value is ASCII digits (a leading ``-`` is reported as negative)
     making a non-negative int64, and ``edge`` is at most ``area``; a row
     breaking any of these raises InputFormatError naming its line.
     """
-    lines = source_bytes(source).split(b"\n")
+    lines = data.split(b"\n")
     samples = []
     reader = csv.reader(decode_line(line, n) for n, line in enumerate(lines, start=1))
     header_seen = False

@@ -12,7 +12,6 @@ it for diagnostics.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -68,13 +67,11 @@ def ap_d(detected, truth) -> float:
     tru = _as_counts(truth)
     if len(det) != len(tru):
         raise ValueError(f"length mismatch: detected {len(det)}, truth {len(tru)}")
-    total_true = int(tru.sum())
+    total_true = _total(tru)
     if total_true == 0:
         raise ValueError("truth series has no objects (zero denominator)")
-    total_det = int(det.sum())
-    grouped_num = sum(c * m for c, m in Counter(det.tolist()).items())
-    grouped_den = sum(c * m for c, m in Counter(tru.tolist()).items())
-    grouped = grouped_num / grouped_den
+    total_det = _total(det)
+    grouped = _grouped_total(det) / _grouped_total(tru)
     totals = total_det / total_true
     if abs(grouped - totals) > _CROSSCHECK_TOL:
         raise AssertionError(
@@ -89,17 +86,35 @@ def matched_ap_d(detected, truth) -> float:
     tru = _as_counts(truth)
     if len(det) != len(tru):
         raise ValueError(f"length mismatch: detected {len(det)}, truth {len(tru)}")
-    total_true = int(tru.sum())
+    total_true = _total(tru)
     if total_true == 0:
         raise ValueError("truth series has no objects (zero denominator)")
-    matched = int(det[det == tru].sum())
+    matched = _total(det[det == tru])
     return matched / total_true
+
+
+def _total(counts: np.ndarray) -> int:
+    """The exact sum of int64 counts, which ``counts.sum()`` wraps past
+    2**63 - 1: the int64 sums of the high and of the low 32 bits of fewer
+    than 2**31 counts cannot overflow."""
+    return (int((counts >> 32).sum()) << 32) + int((counts & 0xFFFFFFFF).sum())
+
+
+def _frames_by_count(counts: np.ndarray) -> dict[int, int]:
+    """count value -> number of frames at that count, as Python ints."""
+    values, frames = np.unique(counts, return_counts=True)
+    return dict(zip(values.tolist(), frames.tolist()))
+
+
+def _grouped_total(counts: np.ndarray) -> int:
+    """sum_c c * (frames at count c), exact in Python ints."""
+    return sum(c * m for c, m in _frames_by_count(counts).items())
 
 
 def per_count_table(detected, truth) -> dict[int, tuple[int, int]]:
     """count value -> (detected frames at that count, true frames at that count)."""
-    det = Counter(_as_counts(detected).tolist())
-    tru = Counter(_as_counts(truth).tolist())
+    det = _frames_by_count(_as_counts(detected))
+    tru = _frames_by_count(_as_counts(truth))
     return {
         c: (det.get(c, 0), tru.get(c, 0)) for c in sorted(det.keys() | tru.keys())
     }
@@ -110,8 +125,8 @@ def evaluate(truth, raw, smoothed) -> EvalReport:
         ap_d_raw=ap_d(raw, truth),
         ap_d_smoothed=ap_d(smoothed, truth),
         per_count_table=per_count_table(smoothed, truth),
-        total_detected_objects=int(_as_counts(smoothed).sum()),
-        total_true_objects=int(_as_counts(truth).sum()),
+        total_detected_objects=_total(_as_counts(smoothed)),
+        total_true_objects=_total(_as_counts(truth)),
     )
 
 

@@ -20,8 +20,8 @@ from __future__ import annotations
 
 import bisect
 import io
+import itertools
 import json
-import mmap
 import operator
 import os
 import struct
@@ -39,6 +39,7 @@ _GRAY_HEADER = struct.Struct("<4sIII")
 _BOX_FIELDS = ("x", "y", "w", "h", "score", "class_id")
 _box_values = operator.itemgetter(*_BOX_FIELDS)
 _class_id = operator.itemgetter(_BOX_FIELDS.index("class_id"))
+_NUMBER_TYPES = frozenset((int, float))  # what json.loads makes of a JSON number
 _INT64_MAX = int(np.iinfo(np.int64).max)
 # parse_detections cuts the body into blocks of this many bytes, each ended
 # at the next line end.
@@ -405,11 +406,14 @@ class _Block:
 def _box_arrays(rows):
     """(m, 6) float64 box values and exact int64 class ids of box tuples.
 
-    numpy infers a numeric dtype only when every value is a number (JSON
-    true/false count as 1/0, as ``float`` reads them); anything else raises.
+    Every value must be a JSON number: a string or a boolean (which numpy
+    would read as 1 or 0) raises, and so does an integer too large for
+    numpy's integer types.
     """
+    if not _NUMBER_TYPES.issuperset(map(type, itertools.chain.from_iterable(rows))):
+        raise TypeError("box values must be JSON numbers")
     values = np.array(rows)
-    if values.dtype.kind not in "biuf":
+    if values.dtype.kind not in "iuf":
         raise TypeError(f"non-numeric box values ({values.dtype})")
     values = values.reshape(len(rows), len(_BOX_FIELDS)).astype(np.float64, copy=False)
     class_id = np.fromiter(map(_class_id, rows), dtype=np.int64, count=len(rows))
@@ -430,17 +434,15 @@ def _header(obj, line_no) -> tuple[Fraction, str]:
 
 
 def _int_field(obj, name, line_no) -> int:
-    """``obj[name]`` as an int; a float must be integral (``int`` would truncate it)."""
+    """``obj[name]`` as an int: a JSON integer, or an integral float (``int``
+    would truncate any other); a string or a boolean is not a number."""
     try:
         value = obj[name]
     except KeyError:
         raise InputFormatError(f"record missing field {name!r}", line=line_no) from None
-    try:
-        if isinstance(value, float) and not value.is_integer():
-            raise ValueError(value)
+    if type(value) is int or (type(value) is float and value.is_integer()):
         return int(value)
-    except (TypeError, ValueError, OverflowError):
-        raise InputFormatError(f"{name} must be an integer, got {value!r}", line=line_no) from None
+    raise InputFormatError(f"{name} must be an integer, got {value!r}", line=line_no)
 
 
 def serialize_detections(detections: Detections, meta: StreamMeta) -> bytes:
@@ -467,13 +469,12 @@ def serialize_detections(detections: Detections, meta: StreamMeta) -> bytes:
     return out.getvalue().encode("utf-8")
 
 
-def load_gray_frames(source) -> np.ndarray:
+def load_gray_frames(data) -> np.ndarray:
     """Read a CGRY container as one read-only (n, height, width) uint8 array.
 
-    ``source`` is the container's bytes, an ``mmap`` of it, a path or a file
-    object. The array is a view of the bytes or of the mapping, not a copy.
+    ``data`` is the container's bytes or an ``mmap`` of it. The array is a
+    view of the bytes or of the mapping, not a copy.
     """
-    data = source if isinstance(source, (bytes, mmap.mmap)) else source_bytes(source)
     if len(data) < _GRAY_HEADER.size:
         raise InputFormatError("gray container shorter than its 16-byte header")
     magic, width, height, count = _GRAY_HEADER.unpack_from(data)
@@ -511,17 +512,6 @@ def save_gray_frames(frames) -> bytes:
         )
     count, height, width = frames.shape
     return _GRAY_HEADER.pack(GRAY_MAGIC, width, height, count) + frames.tobytes()
-
-
-def source_bytes(source) -> bytes:
-    """The whole content of a path, bytes object or (binary or text) file object."""
-    if isinstance(source, str):
-        with open(source, "rb") as fh:
-            return fh.read()
-    if isinstance(source, (bytes, bytearray)):
-        return bytes(source)
-    data = source.read()
-    return data.encode("utf-8") if isinstance(data, str) else data
 
 
 def decode_line(line: bytes, line_no: int) -> str:

@@ -16,7 +16,7 @@ from enum import Enum
 from fractions import Fraction
 
 from . import kernels
-from .counting import PROV_SMOOTHED, CountSeries
+from .counting import CODE_SMOOTHED, CountSeries
 
 
 class TieBreak(Enum):
@@ -63,5 +63,5 @@ def smooth_series(series: CountSeries, params: SmoothingParams) -> CountSeries:
         series.counts, params.window_half_length, prefer_last
     )
     prov = series.provenance.copy()
-    prov[replaced] = PROV_SMOOTHED
+    prov[replaced] = CODE_SMOOTHED
     return CountSeries(corrected, series.fps, prov)

@@ -25,7 +25,7 @@ from crowdgate.cli import (
     stage_segment,
     stage_smooth,
 )
-from crowdgate.counting import read_count_series, write_count_series
+from crowdgate.counting import CODE_DENSITY, read_count_series, write_count_series
 from crowdgate.density import DensityRegressor, estimate_density_counts, regressor_to_json
 from crowdgate.errors import InputFormatError, StageError
 from crowdgate.ingest import load_gray_frames, save_gray_frames
@@ -675,7 +675,7 @@ class TestPipelineRun:
         assert result.exit_code == 0
         raw = read_count_series((tmp_path / "o" / "raw_counts.csv").read_bytes())
         assert raw.counts.tolist() == [3, 24, 3]
-        assert raw.provenance[1] == "Density"
+        assert raw.provenance[1] == CODE_DENSITY
 
     def test_gray_frames_not_kept_on_config(self, tmp_path):
         det = write_detections(tmp_path / "d.jsonl", [3, 30, 3], fps=9)
@@ -736,7 +736,7 @@ class TestPipelineRun:
         digest = hashlib.sha256((outs[0] / "density_model.json").read_bytes()).hexdigest()
         assert manifest["input_sha256"]["density_model"] == digest
         raw = read_count_series((outs[0] / "raw_counts.csv").read_bytes())
-        assert raw.provenance[1] == "Density"
+        assert raw.provenance[1] == CODE_DENSITY
 
     @pytest.mark.parametrize(
         "config", [{"min_duration_frames": -5}, {"merge_gap_frames": -3}]

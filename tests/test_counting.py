@@ -1,5 +1,4 @@
 import csv
-import io
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +8,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from crowdgate.counting import (
+    CODE_DENSITY,
+    CODE_DETECTOR,
+    CODE_SMOOTHED,
     PROV_DENSITY,
     PROV_DETECTOR,
     PROV_SMOOTHED,
@@ -31,16 +33,13 @@ HEADER = "frame_index,count,provenance"
 
 
 def reference_write_count_series(series, comments=()) -> bytes:
-    """The csv-module writer the joined one replaced, kept as the oracle."""
-    out = io.StringIO(newline="")
-    out.write(f"# fps={format_fps(series.fps)}\n")
-    for comment in comments:
-        out.write(f"# {comment}\n")
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["frame_index", "count", "provenance"])
-    for i, (count, prov) in enumerate(zip(series.counts, series.provenance)):
-        writer.writerow([i, int(count), prov])
-    return out.getvalue().encode("utf-8")
+    """The row-by-row f-string writer the numpy one replaced, kept as the oracle."""
+    head = [f"# fps={format_fps(series.fps)}\n"]
+    head += [f"# {comment}\n" for comment in comments]
+    head.append(HEADER + "\n")
+    rows = zip(series.counts.tolist(), series.provenance.tolist())
+    body = "".join([f"{i},{count},{PROVENANCES[code]}\n" for i, (count, code) in enumerate(rows)])
+    return ("".join(head) + body).encode("utf-8")
 
 
 def reference_read_count_series(data: bytes, fps=None) -> CountSeries:
@@ -80,27 +79,27 @@ def reference_read_count_series(data: bytes, fps=None) -> CountSeries:
     if effective_fps is None:
         raise InputFormatError("no fps available: file carries no '# fps=' and none was supplied")
     counts = np.array([r[0] for r in rows], dtype=np.int64)
-    prov = np.array([r[1] for r in rows], dtype="<U8")
-    return CountSeries(counts, effective_fps, prov)
+    codes = np.array([PROVENANCES.index(r[1]) for r in rows], dtype=np.uint8)
+    return CountSeries(counts, effective_fps, codes)
 
 
 def random_series(rng, n=None) -> CountSeries:
     n = int(rng.integers(0, 301)) if n is None else n
     scale = rng.choice([50, 10**6, INT64_MAX])
     counts = rng.integers(0, scale, n, dtype=np.int64, endpoint=True)
-    prov = np.array(PROVENANCES, dtype="<U8")[rng.integers(0, 3, n)]
+    codes = rng.integers(0, 3, n).astype(np.uint8)
     fps = rng.choice([Fraction(30), Fraction(25), Fraction(30000, 1001)])
-    return CountSeries(counts, fps, prov)
+    return CountSeries(counts, fps, codes)
 
 
 def csv_lines(series, rng, fps_comment=True) -> list[str]:
     """The lines of a count CSV for ``series``, with blank and comment lines mixed in."""
     lines = [f"# fps={format_fps(series.fps)}"] if fps_comment else []
     lines += ["# seed=7", HEADER]
-    for i, (count, prov) in enumerate(zip(series.counts.tolist(), series.provenance.tolist())):
+    for i, (count, code) in enumerate(zip(series.counts.tolist(), series.provenance.tolist())):
         if rng.random() < 0.1:
             lines.append(str(rng.choice(["", "  ", "\t", "# note, with a comma", " # indented"])))
-        lines.append(f"{i},{count},{prov}")
+        lines.append(f"{i},{count},{PROVENANCES[code]}")
     return lines
 
 
@@ -112,7 +111,7 @@ def csv_bytes(lines, rng) -> bytes:
 
 
 def assert_same_series(got: CountSeries, expected: CountSeries):
-    assert got.counts.dtype == np.int64 and got.provenance.dtype == np.dtype("<U8")
+    assert got.counts.dtype == np.int64 and got.provenance.dtype == np.uint8
     assert got.counts.tolist() == expected.counts.tolist()
     assert got.provenance.tolist() == expected.provenance.tolist()
     assert got.fps == expected.fps
@@ -196,20 +195,20 @@ class TestRouteCounts:
         s = series([3, 5, 4])
         out = route_counts(s, RoutingPolicy(count_ceiling=25))
         assert np.array_equal(out.counts, [3, 5, 4])
-        assert all(p == PROV_DETECTOR for p in out.provenance)
+        assert out.provenance.tolist() == [CODE_DETECTOR] * 3
 
     def test_at_ceiling_not_routed(self):
         # 25 boxes equals the ceiling; routing triggers strictly above
         s = series([25])
         assert frames_needing_density(s, RoutingPolicy(count_ceiling=25)) == []
         out = route_counts(s, RoutingPolicy(count_ceiling=25))
-        assert out.counts[0] == 25 and out.provenance[0] == PROV_DETECTOR
+        assert out.counts[0] == 25 and out.provenance[0] == CODE_DETECTOR
 
     def test_routes_over_ceiling(self):
         s = series([20, 30, 22])
         out = route_counts(s, RoutingPolicy(count_ceiling=25), {0: 19, 1: 28, 2: 23})
         assert np.array_equal(out.counts, [20, 28, 22])
-        assert list(out.provenance) == [PROV_DETECTOR, PROV_DENSITY, PROV_DETECTOR]
+        assert out.provenance.tolist() == [CODE_DETECTOR, CODE_DENSITY, CODE_DETECTOR]
 
     def test_mapping_input(self):
         s = series([20, 30, 22])
@@ -240,7 +239,7 @@ class TestCountSeriesCsv:
         s = CountSeries(
             np.array([3, 28, 4], dtype=np.int64),
             30,
-            np.array(["Detector", "Density", "Smoothed"], dtype="<U8"),
+            np.array([CODE_DETECTOR, CODE_DENSITY, CODE_SMOOTHED], dtype=np.uint8),
         )
         data = write_count_series(s)
         back = read_count_series(data)
@@ -275,31 +274,44 @@ class TestCountSeriesCsv:
             CountSeries.from_counts([1, 2], 30, provenance=word)
 
     @pytest.mark.parametrize(
-        "prov",
+        "prov,message",
         [
-            np.array(["Detector", "Manual", "Density"], dtype="<U8"),
-            np.array(["Detector", "Dénsity", "Density"], dtype="<U8"),
-            np.array(["Detector", "Detecto", "Density"], dtype="<U8"),
-            np.array(["Detector", "Detector2", "Density"]),
-            np.array(["Detector", "Manual", "Density"], dtype=object),
+            (np.array(["Detector", "Manual", "Density"], dtype="<U8"), "must be uint8 codes"),
+            (np.array(["Detector", "Dénsity", "Density"], dtype="<U8"), "must be uint8 codes"),
+            (np.array(["Detector", "Detecto", "Density"], dtype="<U8"), "must be uint8 codes"),
+            (np.array(["Detector", "Detector2", "Density"]), "must be uint8 codes"),
+            (np.array(["Detector", "Manual", "Density"], dtype=object), "must be uint8 codes"),
+            (np.array(["Detector", "Density", "Smoothed"], dtype="<U8"), "must be uint8 codes"),
+            (np.array([0, 1, 2], dtype=np.int64), "must be uint8 codes, got int64"),
+            (np.array([0, 3, 1], dtype=np.uint8), "unknown provenance code 3"),
+            (np.array([255, 0, 1], dtype=np.uint8), "unknown provenance code 255"),
         ],
-        ids=["ascii", "non-ascii", "prefix", "wider-dtype", "object"],
+        ids=["ascii", "non-ascii", "prefix", "wider-dtype", "object", "known-words",
+             "int64-codes", "code-3", "code-255"],
     )
-    def test_constructor_rejects_unknown_provenance(self, prov):
-        with pytest.raises(ValueError, match=f"unknown provenance '{prov[1]}'"):
+    def test_constructor_rejects_unknown_provenance(self, prov, message):
+        with pytest.raises(ValueError, match=message):
             CountSeries(np.zeros(3, dtype=np.int64), 30, prov)
 
-    def test_known_provenance_in_any_string_dtype(self):
-        for dtype in ("<U8", "<U12", object):
-            prov = np.array(["Density", "Smoothed", "Detector"], dtype=dtype)
-            assert CountSeries(np.zeros(3, dtype=np.int64), 30, prov).provenance is prov
+    @pytest.mark.parametrize("dtype", [np.float64, np.int32, np.uint64])
+    def test_counts_must_be_int64(self, dtype):
+        # the writer renders int64 digits; a float count would lose its fraction
+        with pytest.raises(ValueError, match="counts must be int64"):
+            CountSeries(np.ones(3, dtype=dtype), 30, np.zeros(3, dtype=np.uint8))
+
+    def test_codes_kept_as_given(self):
+        codes = np.array([CODE_DENSITY, CODE_SMOOTHED, CODE_DETECTOR], dtype=np.uint8)
+        assert CountSeries(np.zeros(3, dtype=np.int64), 30, codes).provenance is codes
+        for word, code in zip(PROVENANCES, (CODE_DETECTOR, CODE_DENSITY, CODE_SMOOTHED)):
+            got = CountSeries.from_counts([1, 2], 30, provenance=word).provenance
+            assert got.dtype == np.uint8 and got.tolist() == [code, code]
 
     def test_empty_body(self):
         data = b"# fps=30\nframe_index,count,provenance\n"
         for body in (b"", b"\n\n# only a comment\n", b"\r\n"):
             got = read_count_series(data + body)
             assert len(got) == 0 and got.counts.dtype == np.int64
-            assert got.provenance.dtype == np.dtype("<U8")
+            assert got.provenance.dtype == np.uint8
 
     def test_header_with_spaces(self):
         data = b"# fps=30\n frame_index , count,provenance \n0,3,Density\n"
@@ -310,24 +322,17 @@ class TestCountSeriesCsv:
         got = read_count_series(data)
         assert got.fps == 25 and got.counts.tolist() == [3, 4]
 
-    def test_path_and_file_object_sources(self, tmp_path):
-        data = write_count_series(series([4, 0, 7], fps=30))
-        path = tmp_path / "c.csv"
-        path.write_bytes(data)
-        for source in (str(path), io.BytesIO(data), io.StringIO(data.decode())):
-            assert read_count_series(source).counts.tolist() == [4, 0, 7]
-
 
 @st.composite
 def count_series_values(draw):
     n = draw(st.integers(0, 40))
     counts = draw(arrays(np.int64, n, elements=st.integers(0, INT64_MAX)))
-    prov = draw(st.lists(st.sampled_from(PROVENANCES), min_size=n, max_size=n))
+    codes = draw(arrays(np.uint8, n, elements=st.integers(0, 2)))
     fps = draw(
         st.sampled_from([Fraction(30), Fraction(30000, 1001), Fraction(2997, 100)])
         | st.fractions(min_value=Fraction(1, 1000), max_value=1000, max_denominator=10**6)
     )
-    return CountSeries(counts, fps, np.array(prov, dtype="<U8"))
+    return CountSeries(counts, fps, codes)
 
 
 class TestWriteReadRoundTrip:
@@ -422,6 +427,61 @@ class TestReferenceParity:
                 assert exc.line is not None or "fps" in str(exc) or "header" in str(exc)
             else:
                 assert_same_series(got, reference_read_count_series(bytes(data)))
+
+
+EDGE_COUNTS = [0, 9, 10, 99, 100, 10**18 - 1, 10**18, INT64_MAX]
+
+
+@st.composite
+def writer_cases(draw):
+    """A series and comments, with counts at digit-width edges and lengths
+    on either side of 10, 100 and 1000 rows, where the index gets wider."""
+    n = draw(st.sampled_from([0, 1, 9, 10, 11, 99, 100, 101, 999, 1000, 1001]) | st.integers(0, 120))
+    edges = st.sampled_from(EDGE_COUNTS)
+    counts = draw(arrays(np.int64, n, elements=edges | st.integers(0, INT64_MAX), fill=edges))
+    codes = draw(arrays(np.uint8, n, elements=st.integers(0, 2), fill=st.integers(0, 2)))
+    comments = draw(st.sampled_from([(), ("seed=7",), ('config={"divisor":3}', "input_sha256=ab")]))
+    return CountSeries(counts, Fraction(30), codes), comments
+
+
+class TestNumpyWriter:
+    @settings(max_examples=150, deadline=None)
+    @given(case=writer_cases())
+    @example(case=(CountSeries.from_counts(EDGE_COUNTS, 30, PROV_SMOOTHED), ()))
+    @example(case=(CountSeries.from_counts([INT64_MAX], 30, PROV_DENSITY), ("seed=7",)))
+    @example(case=(CountSeries.from_counts([], 30), ()))
+    @example(case=(CountSeries(np.arange(3), Fraction(30), np.arange(3, dtype=np.uint8)), ()))
+    def test_byte_identical_to_oracle(self, case):
+        s, comments = case
+        data = write_count_series(s, comments=comments)
+        assert data == reference_write_count_series(s, comments=comments)
+
+
+class TestCommaPairing:
+    """The reader pairs the rows' commas by position; comment lines' commas
+    are left out first."""
+
+    PREFIX = b"# fps=30\nframe_index,count,provenance\n0,1,Detector\n"
+
+    def test_one_comma_next_to_three(self):
+        # 2 commas a row in all, but not 2 in each row
+        assert_same_rejection(self.PREFIX + b"1,2Detector\n2,3,4,Density\n")
+        with pytest.raises(InputFormatError, match="line 4: bad count row '1,2,3,Density'"):
+            read_count_series(self.PREFIX + b"1,2,3,Density\n2,3Detector\n")
+
+    def test_comment_with_commas_after_header(self):
+        for comment in (b"# a,b", b"# ,", b"#,,,", b"  # x, y, z"):
+            data = self.PREFIX + comment + b"\n1,2,Density\n" + comment + b"\n2,3,Smoothed\n"
+            got = read_count_series(data)
+            assert got.counts.tolist() == [1, 2, 3]
+            assert got.provenance.tolist() == [CODE_DETECTOR, CODE_DENSITY, CODE_SMOOTHED]
+            assert_same_series(got, reference_read_count_series(data))
+
+    def test_crlf_rows(self):
+        data = b"# fps=30\r\nframe_index,count,provenance\r\n0,1,Detector\r\n1,22,Smoothed\r\n"
+        got = read_count_series(data)
+        assert got.counts.tolist() == [1, 22]
+        assert got.provenance.tolist() == [CODE_DETECTOR, CODE_SMOOTHED]
 
 
 class TestRejectedCsvInput:

@@ -1,9 +1,12 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from crowdgate.evaluation import (
     JitterSpec,
     ap_d,
+    evaluate,
     generate_synthetic,
     matched_ap_d,
     per_count_table,
@@ -11,6 +14,26 @@ from crowdgate.evaluation import (
 )
 
 from conftest import series
+
+INT64_MAX = 2**63 - 1
+
+
+def reference_ap_d(detected, truth) -> float:
+    """The grouped form over a Counter of each series, in Python ints."""
+    det, tru = Counter(detected.tolist()), Counter(truth.tolist())
+    return sum(c * m for c, m in det.items()) / sum(c * m for c, m in tru.items())
+
+
+def reference_per_count_table(detected, truth) -> dict[int, tuple[int, int]]:
+    det, tru = Counter(detected.tolist()), Counter(truth.tolist())
+    return {c: (det[c], tru[c]) for c in sorted(det.keys() | tru.keys())}
+
+
+def random_counts(rng, n):
+    """Counts of one of several scales, up to and just below INT64_MAX."""
+    if rng.random() < 0.3:
+        return INT64_MAX - rng.integers(0, 4, n)
+    return rng.integers(0, rng.choice([5, 50, 10**6, INT64_MAX]), n, endpoint=True)
 
 
 class TestApD:
@@ -65,6 +88,23 @@ class TestPerCountTable:
     def test_counts_per_value(self):
         table = per_count_table(series([2, 3, 3]), series([2, 2, 3]))
         assert table == {2: (1, 2), 3: (2, 1)}
+
+
+class TestCounterOracle:
+    """The np.unique tables and exact totals against Counter over lists."""
+
+    def test_random_series(self, rng):
+        for _ in range(200):
+            n = int(rng.integers(1, 200))
+            det, tru = random_counts(rng, n), random_counts(rng, n)
+            tru[0] = max(tru[0], 1)
+            assert ap_d(series(det), series(tru)) == reference_ap_d(det, tru)
+            assert per_count_table(series(det), series(tru)) == reference_per_count_table(det, tru)
+            report = evaluate(series(tru), series(det), series(det))
+            assert report.total_detected_objects == sum(det.tolist())
+            assert report.total_true_objects == sum(tru.tolist())
+            matched = sum(d for d, t in zip(det.tolist(), tru.tolist()) if d == t)
+            assert matched_ap_d(series(det), series(tru)) == matched / sum(tru.tolist())
 
 
 class TestCompareMethods:

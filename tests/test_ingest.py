@@ -89,17 +89,16 @@ def reference_parse_detections(data: bytes):
 
 
 def _reference_int(obj, name, line):
-    """A record's integer field; an integral float such as 1.0 counts, 0.5 does not."""
+    """A record's integer field; an integral float such as 1.0 counts, 0.5 does
+    not, and neither does a string or a boolean."""
     try:
         value = obj[name]
     except KeyError:
         raise InputFormatError(f"record missing field {name!r}", line=line) from None
-    if isinstance(value, float) and not value.is_integer():
+    is_number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if not is_number or (isinstance(value, float) and not value.is_integer()):
         raise InputFormatError(f"{name} must be an integer, got {value!r}", line=line)
-    try:
-        return int(value)
-    except (TypeError, ValueError, OverflowError):
-        raise InputFormatError(f"{name} must be an integer, got {value!r}", line=line) from None
+    return int(value)
 
 
 def _reference_box(raw, line):
@@ -108,7 +107,7 @@ def _reference_box(raw, line):
     except KeyError as exc:
         raise InputFormatError(f"box missing field {exc.args[0]!r}", line=line) from exc
     try:
-        if not all(isinstance(v, (int, float)) for v in raw_values):  # bools are ints
+        if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in raw_values):
             raise TypeError
         box = tuple(float(v) for v in raw_values[:5]) + (int(raw_values[5]),)
         if not -(2**63) <= box[5] < 2**63:
@@ -379,6 +378,11 @@ class TestMalformedInput:
             ('{"frame_index":"abc","timestamp_ms":0,"boxes":[]}', "frame_index must be an integer"),
             ('{"frame_index":1e400,"timestamp_ms":0,"boxes":[]}', "frame_index must be an integer"),
             ('{"frame_index":0,"timestamp_ms":9223372036854775808,"boxes":[]}', "timestamp_ms must be <="),
+            ('{"frame_index":"1_000","timestamp_ms":7,"boxes":[]}', "frame_index must be an integer"),
+            ('{"frame_index":"1","timestamp_ms":7,"boxes":[]}', "frame_index must be an integer"),
+            ('{"frame_index":1,"timestamp_ms":" 7 ","boxes":[]}', "timestamp_ms must be an integer"),
+            ('{"frame_index":true,"timestamp_ms":0,"boxes":[]}', "frame_index must be an integer"),
+            ('{"frame_index":0,"timestamp_ms":false,"boxes":[]}', "timestamp_ms must be an integer"),
         ],
     )
     def test_record_shapes(self, line, message):
@@ -399,7 +403,9 @@ class TestMalformedInput:
     @pytest.mark.parametrize(
         "values",
         [{"x": "abc"}, {"w": None}, {"score": "0.5"}, {"h": [1, 2]}, {"y": {}},
-         {"x": 10**400}, {"class_id": float("nan")}, {"class_id": 2**63}],
+         {"x": 10**400}, {"class_id": float("nan")}, {"class_id": 2**63},
+         {"score": True, "class_id": False}, {"score": True}, {"class_id": False},
+         {"x": True, "y": False, "w": True, "h": True, "score": True, "class_id": False}],
     )
     def test_non_number_box_value_names_box(self, values):
         records = [

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crowdgate.counting import PROV_DETECTOR, PROV_SMOOTHED
+from crowdgate.counting import CODE_DETECTOR, CODE_SMOOTHED
 from crowdgate.smoothing import SmoothingParams, TieBreak, smooth_series, window_length
 
 from conftest import series
@@ -33,7 +33,7 @@ class TestWindowLength:
 
 def smoothed(values, half_length, tie_break=TieBreak.PREFER_LAST_VALUE):
     out = smooth_series(series(values), SmoothingParams(half_length, tie_break=tie_break))
-    return out.counts.tolist(), [x for x, p in enumerate(out.provenance) if p == PROV_SMOOTHED]
+    return out.counts.tolist(), [x for x, p in enumerate(out.provenance) if p == CODE_SMOOTHED]
 
 
 class TestWindowHistogram:
@@ -77,12 +77,12 @@ class TestSmoothSeries:
     def test_constant_fixed_point(self):
         out = smooth_series(series([7, 7, 7, 7]), SmoothingParams(3))
         assert np.array_equal(out.counts, [7, 7, 7, 7])
-        assert all(p == PROV_DETECTOR for p in out.provenance)
+        assert out.provenance.tolist() == [CODE_DETECTOR] * len(out)
 
     def test_isolated_spike_removed(self):
         out = smooth_series(series([7, 7, 7, 9, 7, 7, 7]), SmoothingParams(3))
         assert np.array_equal(out.counts, [7] * 7)
-        assert list(out.provenance) == [PROV_DETECTOR] * 3 + [PROV_SMOOTHED] + [PROV_DETECTOR] * 3
+        assert out.provenance.tolist() == [CODE_DETECTOR] * 3 + [CODE_SMOOTHED] + [CODE_DETECTOR] * 3
 
     def test_genuine_step_preserved(self):
         values = [3, 3, 3, 8, 8, 8, 8, 8, 8]
@@ -121,7 +121,7 @@ class TestSmoothSeries:
         # evolving working copy
         work = np.array(values, dtype=np.int64)
         for x in range(len(values)):
-            if out.provenance[x] == PROV_SMOOTHED:
+            if out.provenance[x] == CODE_SMOOTHED:
                 lo = max(0, x - half_length)
                 hi = min(len(values) - 1, x + half_length)
                 window = work[lo : hi + 1]
