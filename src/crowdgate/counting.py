@@ -15,8 +15,18 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from . import ingest
 from .errors import InputFormatError, RoutingError
-from .ingest import Detections, decode_line, format_fps, parse_fps
+from .ingest import (
+    _SCAN_THREADS,
+    Detections,
+    _join,
+    _line_blocks,
+    _map_threads,
+    decode_line,
+    format_fps,
+    parse_fps,
+)
 
 PROV_DETECTOR = "Detector"
 PROV_DENSITY = "Density"
@@ -160,32 +170,49 @@ def write_count_series(series: CountSeries, comments: Sequence[str] = ()) -> byt
     """Render the CSV count-series format.
 
     ``#``-prefixed comment lines (fps plus any caller-supplied provenance
-    metadata) precede the header; readers skip them.
+    metadata) precede the header; readers skip them. The rows are rendered
+    as numpy byte matrices, in blocks of about ``ingest._BLOCK_BYTES`` on
+    the package's threads (``ingest._map_threads``), and joined in order:
+    the same bytes as one f-string per row.
     """
     head = [f"# fps={format_fps(series.fps)}\n"]
     head += [f"# {comment}\n" for comment in comments]
     head.append(",".join(_HEADER) + "\n")
-    return "".join(head).encode("utf-8") + _render_rows(series.counts, series.provenance)
+    return b"".join([
+        "".join(head).encode("utf-8"), *_render_rows(series.counts, series.provenance)
+    ])
 
 
-def _render_rows(counts: np.ndarray, codes: np.ndarray) -> bytes:
-    """The rows ``{i},{count},{word}\n`` of a series, rendered as arrays.
-
-    Each row is laid out in one row of a byte matrix: the index and the
-    count right-aligned in columns as wide as the widest, each followed by
-    a comma, then the word and its line end. A mask of the same shape keeps
-    every byte but the leading zeros and the padding after short words,
-    and compressing the matrix by it gives the rows in order.
-    """
+def _render_rows(counts: np.ndarray, codes: np.ndarray) -> list[bytes]:
+    """The rows ``{i},{count},{word}\n`` of a series, in blocks of rows."""
     n = len(counts)
     if not n:
-        return b""
-    index_width = len(str(n - 1))
+        return []
+    row_bytes = len(str(n - 1)) + len(str(int(counts.max()))) + 2 + _ROW_ENDS.shape[1]
+    step = max(1, ingest._BLOCK_BYTES // row_bytes)
+
+    def render(first):
+        return _render_block(first, counts[first : first + step], codes[first : first + step])
+
+    return _map_threads(render, range(0, n, step), _SCAN_THREADS)
+
+
+def _render_block(first: int, counts: np.ndarray, codes: np.ndarray) -> bytes:
+    """The rows of frames ``first`` onward, rendered as arrays.
+
+    Each row is laid out in one row of a byte matrix: the index and the
+    count right-aligned in columns as wide as the block's widest, each
+    followed by a comma, then the word and its line end. A mask of the
+    same shape keeps every byte but the leading zeros and the padding after
+    short words, and compressing the matrix by it gives the rows in order.
+    """
+    index = np.arange(first, first + len(counts))
+    index_width = len(str(int(index[-1])))
     count_width = len(str(int(counts.max())))
-    row = np.empty((n, index_width + count_width + 2 + _ROW_ENDS.shape[1]), np.uint8)
+    row = np.empty((len(counts), index_width + count_width + 2 + _ROW_ENDS.shape[1]), np.uint8)
     kept = np.empty(row.shape, bool)
     comma = index_width + 1 + count_width
-    _render_digits(np.arange(n), row[:, :index_width], kept[:, :index_width])
+    _render_digits(index, row[:, :index_width], kept[:, :index_width])
     _render_digits(counts, row[:, index_width + 1 : comma], kept[:, index_width + 1 : comma])
     row[:, [index_width, comma]] = ord(",")
     kept[:, [index_width, comma]] = True
@@ -221,18 +248,36 @@ def read_count_series(data: bytes, fps=None) -> CountSeries:
     digits within int64, and one of the three provenance words, with no
     quotes, signs or spaces. Every rejected input raises InputFormatError
     naming its line.
+
+    The preamble is read a line at a time. The body is cut at line ends
+    into blocks of about ``ingest._BLOCK_BYTES`` (``ingest._line_blocks``),
+    each scanned as whole arrays (``_scan_body``) on the package's threads
+    (``ingest._map_threads``), and their columns are joined in file order.
+    If any block holds a bad line, or the blocks' frame indices do not
+    run on from one block to the next, the whole body is checked a line
+    at a time (``_raise_first_error``), which raises the first error in
+    file order.
     """
     file_fps, header_line, offset = _read_preamble(data)
-    scanned = _scan_body(data, offset, header_line)
-    if scanned is None:
-        _raise_first_error(data, offset, header_line)
-    counts, provenance, body_fps = scanned
-    if body_fps is not None:
-        file_fps = body_fps
+    parts = _map_threads(
+        lambda block: _scan_body(data, *block), _line_blocks(data, offset), _SCAN_THREADS
+    )
+    # One list per column of the blocks' parts, an empty part first, so
+    # that a body without rows joins too.
+    counts, codes = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.uint8)]
+    rows = 0
+    for part in parts:
+        if part is None or part[0] not in (None, rows):
+            _raise_first_error(data, offset, header_line)
+        counts.append(part[1])
+        codes.append(part[2])
+        rows += len(part[1])
+        file_fps = part[3] or file_fps
+    parts.clear()  # so that each column's parts are dropped once joined
     effective_fps = Fraction(fps) if fps is not None else file_fps
     if effective_fps is None:
         raise InputFormatError("no fps available: file carries no '# fps=' and none was supplied")
-    return CountSeries(counts, effective_fps, provenance)
+    return CountSeries(_join(counts), effective_fps, _join(codes))
 
 
 def _read_preamble(data: bytes) -> tuple[Fraction | None, int, int]:
@@ -268,22 +313,22 @@ def _comment_fps(text: str, line_no: int) -> Fraction | None:
         raise InputFormatError(str(exc), line=line_no) from None
 
 
-def _scan_body(data: bytes, offset: int, header_line: int):
-    """(counts, provenance codes, fps of the last '# fps=' comment or None)
-    of the lines after the header, scanned as whole arrays; None if any line
-    is bad.
+def _scan_body(data: bytes, start: int, end: int):
+    """(first frame_index or None, counts, provenance codes, fps of the last
+    '# fps=' comment or None) of the body lines in ``data[start:end]``,
+    scanned as whole arrays; None if any line is bad or the frame_index
+    does not count up by one from the first row's.
 
     A line starting with a digit is a row. Other lines (blank, comments and
-    bad lines, few in practice) are looked at one by one.
+    bad lines, few in practice) are looked at one by one. Their line
+    numbers are left to _raise_first_error.
     """
-    size = len(data) - offset
-    if not size:
-        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.uint8), None
-    # the body, with zero bytes before and after it, so that a word ending
-    # at any field's end, or starting at any field's start, stays inside
+    size = end - start
+    # the lines, with zero bytes before and after them, so that a word
+    # ending at any field's end, or starting at any field's start, stays inside
     buf = np.zeros(_PAD + size + 8, dtype=np.uint8)
     body = buf[_PAD : _PAD + size]
-    body[:] = np.frombuffer(data, dtype=np.uint8, offset=offset)
+    body[:] = np.frombuffer(data, dtype=np.uint8, count=size, offset=start)
     newlines = np.flatnonzero(body == ord("\n"))
     starts = np.concatenate(([0], newlines + 1))
     stops = np.append(newlines, size)
@@ -294,13 +339,12 @@ def _scan_body(data: bytes, offset: int, header_line: int):
     body_fps = None
     others = np.flatnonzero((stops > starts) & ~is_row)
     for k in others.tolist():
-        line_no = header_line + 1 + k
         try:
-            text = decode_line(data[offset + starts[k] : offset + stops[k]], line_no).strip()
+            text = decode_line(data[start + starts[k] : start + stops[k]], None).strip()
             if text and not text.startswith("#"):
                 return None
-            body_fps = _comment_fps(text, line_no) or body_fps
-        except InputFormatError:  # _raise_first_error reports errors in file order
+            body_fps = _comment_fps(text, None) or body_fps
+        except InputFormatError:
             return None
     if len(others):  # only the rows' commas are paired below
         in_comment = np.zeros(len(commas), dtype=bool)
@@ -320,7 +364,7 @@ def _scan_body(data: bytes, offset: int, header_line: int):
     if not ((starts < comma1).all() and (comma2 < stops).all()):
         return None
     index = _digit_fields(buf, starts, comma1)
-    if index is None or not np.array_equal(index, np.arange(len(index), dtype=np.uint64)):
+    if index is None or (np.diff(index) != 1).any():
         return None
     counts = _digit_fields(buf, comma1 + 1, comma2)
     if counts is None or (len(counts) and counts.max() > _INT64_MAX):
@@ -328,7 +372,8 @@ def _scan_body(data: bytes, offset: int, header_line: int):
     codes = _provenance_codes(buf, comma2 + 1, stops)
     if codes is None:
         return None
-    return counts.view(np.int64), codes, body_fps
+    first = int(index[0]) if len(index) else None
+    return first, counts.view(np.int64), codes, body_fps
 
 
 def _words(buf: np.ndarray) -> np.ndarray:
@@ -395,8 +440,9 @@ def _provenance_codes(buf: np.ndarray, starts: np.ndarray, stops: np.ndarray):
 def _raise_first_error(data: bytes, offset: int, header_line: int):
     """Raise the InputFormatError of the first bad line after the header.
 
-    Runs only on a body _scan_body rejected, and applies its rules one line
-    at a time.
+    Runs only on a body read_count_series rejected (a block _scan_body
+    rejected, or frame indices that do not run on from one block to the
+    next), and applies the same rules to the whole body one line at a time.
     """
     expected = 0
     lines = data[offset:].split(b"\n")

@@ -41,11 +41,14 @@ _box_values = operator.itemgetter(*_BOX_FIELDS)
 _class_id = operator.itemgetter(_BOX_FIELDS.index("class_id"))
 _NUMBER_TYPES = frozenset((int, float))  # what json.loads makes of a JSON number
 _INT64_MAX = int(np.iinfo(np.int64).max)
-# parse_detections cuts the body into blocks of this many bytes, each ended
-# at the next line end.
+# parse_detections and counting.read_count_series cut the body into blocks
+# of this many bytes, each ended at the next line end (``_line_blocks``), and
+# counting.write_count_series renders its rows in blocks of about this size.
+# A block's temporaries stay in cache, and the blocks run on all CPUs.
 _BLOCK_BYTES = 1 << 18
-# Blocks scanned at once, at most, whatever the CPU count: a scan holds
-# about 15 times its block in temporaries.
+# Blocks scanned or rendered at once, at most, whatever the CPU count: a
+# detections scan holds about 15 times its block in temporaries, a count-CSV
+# scan about 6 times.
 _SCAN_THREADS = 4
 
 
@@ -177,21 +180,17 @@ def parse_detections(data) -> tuple[Detections, StreamMeta]:
     is scanned alone: if it is not canonical, no other block is scanned,
     so another form costs one block's scan. Otherwise the other blocks
     are scanned on the threads the density loop uses (``_map_threads``,
-    one per usable CPU, at most ``_SCAN_THREADS``), and all are joined in
-    file order; a later block in another form costs its scan on top of
-    its per-line parse. A detector adapter that wants the scan writes the
-    canonical form with floats rounded to at most 15 significant digits.
+    one per usable CPU, at most ``_SCAN_THREADS``), until one of them is
+    not canonical; from then on the blocks not yet started go to the
+    per-line parse unscanned. All are joined in file order. A detector
+    adapter that wants the scan writes the canonical form with floats
+    rounded to at most 15 significant digits.
     Python's float repr often has 16 or 17 (``0.1 + 0.2`` is
     ``0.30000000000000004``), so ``normalized.jsonl`` is scanned only when
     the input's floats were so rounded.
     """
     (fps, source_id), body, line_no = _read_header(data)
-    blocks = []
-    while body < len(data):
-        end = data.find(b"\n", body + _BLOCK_BYTES - 1)
-        end = len(data) if end < 0 else end + 1
-        blocks.append((body, end))
-        body = end
+    blocks = _line_blocks(data, body)
     # Imported here: without cached bytecode, compiling the scan would cost
     # every command at start-up, also those that parse no detections.
     from .scan import scan_block
@@ -203,9 +202,19 @@ def parse_detections(data) -> tuple[Detections, StreamMeta]:
     if blocks:
         scanned[0] = scan_block(data, *blocks[0])
     if scanned and scanned[0] is not None:
-        scanned[1:] = _map_threads(
-            lambda block: scan_block(data, *block), blocks[1:], _SCAN_THREADS
-        )
+        # After a block in another form, the blocks not yet started are not
+        # scanned either, for the same reason.
+        other = []
+
+        def scan_until_other(block):
+            if other:
+                return None
+            part = scan_block(data, *block)
+            if part is None:
+                other.append(block)
+            return part
+
+        scanned[1:] = _map_threads(scan_until_other, blocks[1:], _SCAN_THREADS)
     # One list per column of the blocks' parts; an empty part first, so that
     # a stream without records joins too.
     columns = [[part] for part in _Block().columns()]
@@ -236,6 +245,19 @@ def parse_detections(data) -> tuple[Detections, StreamMeta]:
         fps=fps, frame_count=len(detections), source_id=source_id, gaps=tuple(gaps)
     )
     return detections, meta
+
+
+def _line_blocks(data, start: int) -> list[tuple[int, int]]:
+    """(start, end) of the blocks of ``data[start:]``: each ends at the first
+    line end at or past ``_BLOCK_BYTES`` bytes into it, or at the end of
+    ``data``."""
+    blocks = []
+    while start < len(data):
+        end = data.find(b"\n", start + _BLOCK_BYTES - 1)
+        end = len(data) if end < 0 else end + 1
+        blocks.append((start, end))
+        start = end
+    return blocks
 
 
 def _join(parts: list) -> np.ndarray:

@@ -10,10 +10,13 @@ from __future__ import annotations
 
 import numpy as np
 
+from .ingest import _BLOCK_BYTES
+
 _INT64_MAX = int(np.iinfo(np.int64).max)
-# A block longer than this (one very long line) is left to the per-line
-# parse; a block's scan peaks at about 15 times its bytes.
-_SCAN_BYTES_MAX = 1 << 20
+# A block longer than this is left to the per-line parse; a block's scan
+# peaks at about 15 times its bytes. A block ends at the first line end past
+# _BLOCK_BYTES, so only a line of over three blocks makes one this long.
+_SCAN_BYTES_MAX = 4 * _BLOCK_BYTES
 _LINE_START = b'{"frame_index":'
 # The text between two numbers of canonical lines, or after the last one:
 # (skeleton, field of the number before it, field of the number after it).

@@ -1,9 +1,23 @@
+import contextlib
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from crowdgate import ingest
 from crowdgate.counting import CountSeries
+
+# Ways to read or write a stream in blocks: block sizes of one line (or row),
+# a few lines and the default, each on one thread and on two.
+WAYS = [(block, cpus) for block in (1, 300, ingest._BLOCK_BYTES) for cpus in (1, 2)]
+
+
+@contextlib.contextmanager
+def parsed_in(block_bytes, cpus):
+    with mock.patch.object(ingest, "_BLOCK_BYTES", block_bytes), \
+            mock.patch.object(ingest, "_usable_cpus", lambda: cpus):
+        yield
 
 
 def detections_bytes(counts, fps=9, source_id="cam1", score=0.9, class_id=0):

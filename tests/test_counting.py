@@ -1,4 +1,6 @@
 import csv
+import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -7,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from crowdgate import ingest
 from crowdgate.counting import (
     CODE_DENSITY,
     CODE_DETECTOR,
@@ -25,7 +28,7 @@ from crowdgate.counting import (
 from crowdgate.errors import InputFormatError, RoutingError
 from crowdgate.ingest import Boxes, Detections, StreamMeta, format_fps, parse_fps
 
-from conftest import series
+from conftest import WAYS, parsed_in, series
 
 PROVENANCES = (PROV_DETECTOR, PROV_DENSITY, PROV_SMOOTHED)
 INT64_MAX = 2**63 - 1
@@ -117,13 +120,31 @@ def assert_same_series(got: CountSeries, expected: CountSeries):
     assert got.fps == expected.fps
 
 
+def assert_reads_as_reference(data: bytes, fps=None) -> CountSeries:
+    """Every way of reading ``data`` gives the oracle's series."""
+    expected = reference_read_count_series(data, fps=fps)
+    for way in WAYS:
+        with parsed_in(*way):
+            assert_same_series(read_count_series(data, fps=fps), expected)
+    return expected
+
+
 def assert_same_rejection(data: bytes, fps=None):
+    """Every way of reading ``data`` raises the oracle's message and line."""
     with pytest.raises(InputFormatError) as expected:
         reference_read_count_series(data, fps=fps)
-    with pytest.raises(InputFormatError) as got:
-        read_count_series(data, fps=fps)
-    assert str(got.value) == str(expected.value)
-    assert got.value.line == expected.value.line
+    for way in WAYS:
+        with parsed_in(*way), pytest.raises(InputFormatError) as got:
+            read_count_series(data, fps=fps)
+        assert (str(got.value), got.value.line) == (str(expected.value), expected.value.line)
+
+
+def assert_rejected(data: bytes, message: str, line: int):
+    """Every way of reading ``data`` raises ``message`` naming ``line``."""
+    for way in WAYS:
+        with parsed_in(*way), pytest.raises(InputFormatError) as got:
+            read_count_series(data)
+        assert (str(got.value), got.value.line) == (f"line {line}: {message}", line)
 
 
 def stream(frames):
@@ -543,3 +564,123 @@ class TestRejectedCsvInput:
         data = self.PREFIX + b"# fps=abc\n1,2,Bogus\n"
         with pytest.raises(InputFormatError, match="line 4: cannot parse fps"):
             read_count_series(data)
+
+
+class TestBlocks:
+    """The body read, and the rows written, in blocks of every size of WAYS
+    on one thread and on two: the same series as the oracle reads, the same
+    bytes as the oracle writes, and the same errors at the same lines."""
+
+    def lines(self, rows=100):
+        """A header and ``rows`` rows, with comments holding commas, a
+        '# fps=' comment every 20 rows and blank lines among them."""
+        lines = ["# fps=30", "# seed=7, with a comma", HEADER]
+        for i in range(rows):
+            if i % 7 == 3:
+                lines.append("# note, a, b,")
+            if i % 20 == 10:
+                lines.append(f"# fps={i}")
+            if i % 9 == 5:
+                lines.append("")
+            lines.append(f"{i},{i * 37 % 1000},{PROVENANCES[i % 3]}")
+        return lines
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n"])
+    @pytest.mark.parametrize("last_end", [True, False])
+    def test_read(self, end, last_end):
+        data = (end.join(self.lines()) + (end if last_end else "")).encode()
+        assert len(data) > 4 * 300  # several 300-byte blocks
+        got = assert_reads_as_reference(data)
+        assert got.fps == 90 and len(got) == 100  # the last '# fps=' wins
+        assert_reads_as_reference(data, fps=Fraction(24))
+
+    def test_random_series(self, rng):
+        for _ in range(20):
+            s = random_series(rng)
+            assert_reads_as_reference(csv_bytes(csv_lines(s, rng), rng))
+
+    @pytest.mark.parametrize(
+        "body", [b"", b"\n\n# only, a comment\n# fps=12\n", b"\r\n", b"# fps=12"]
+    )
+    def test_empty_body(self, body):
+        data = f"# fps=30\n{HEADER}\n".encode() + body
+        got = assert_reads_as_reference(data)
+        assert len(got) == 0 and got.fps == (12 if b"12" in body else 30)
+
+    @pytest.mark.parametrize(
+        "row,replacement,message",
+        [
+            ("90,", "90,x", "bad count row '90,x330,Detector'"),
+            ("90,", "91,", "expected frame_index 90, got 91"),
+            ("90,", "89,", "expected frame_index 90, got 89"),
+            ("90,", "# fps=abc\n90,", "cannot parse fps 'abc'"),
+            ("# fps=90", "# fps=0", "fps must be > 0, got '0'"),
+            ("90,", "9O,", "bad count row '9O,330,Detector'"),
+        ],
+        ids=["bad-row", "gap", "repeat", "bad-fps-before-row", "zero-fps", "letter-index"],
+    )
+    def test_error_in_a_late_block(self, row, replacement, message):
+        text = "\n".join(self.lines()) + "\n"
+        at = text.index("\n" + row) + 1
+        data = (text[:at] + replacement + text[at + len(row) :]).encode()
+        line = text[:at].count("\n") + 1
+        assert at > 3 * 300  # past the third 300-byte block
+        assert_rejected(data, message, line)
+        # an error in an earlier block comes first
+        early = text.index("\n5,") + 1
+        data = (text[:early] + "6" + text[early + 1 : at] + replacement + text[at + len(row) :])
+        assert_rejected(data.encode(), "expected frame_index 5, got 6", text[:early].count("\n") + 1)
+
+    def test_write(self, rng):
+        # counts of other digit widths in some blocks than in others
+        for n in (1, 2, 13, 100, 1001):
+            counts = rng.integers(0, 10, n)
+            counts[rng.integers(0, n, 3)] = [INT64_MAX, 10**9, 12345]
+            s = CountSeries(counts, Fraction(30000, 1001), rng.integers(0, 3, n).astype(np.uint8))
+            expected = reference_write_count_series(s, comments=["seed=7"])
+            for way in WAYS:
+                with parsed_in(*way):
+                    assert write_count_series(s, comments=["seed=7"]) == expected
+                    assert_same_series(read_count_series(expected), s)
+
+    def test_many_threads_switching_often(self):
+        # More workers than cores, switching often: a block's part lost or
+        # joined out of place would change the series or the bytes.
+        data = ("\n".join(self.lines(400)) + "\n").encode()
+        expected = reference_read_count_series(data)
+        written = reference_write_count_series(expected)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with parsed_in(300, 8):
+                for _ in range(20):
+                    assert_same_series(read_count_series(data), expected)
+                    assert write_count_series(expected) == written
+        finally:
+            sys.setswitchinterval(interval)
+
+
+class TestReadMemory:
+    @pytest.mark.parametrize("cpus", [1, 2, 8])
+    def test_peak_is_columns_plus_blocks(self, monkeypatch, cpus):
+        # A 150k-row CSV of 2.6 MB, read in 11 blocks of 256 KiB. Each block
+        # being scanned holds about 1.5 MiB, and joining the blocks' counts
+        # holds a second copy of the counts. Measured above the output
+        # columns: 1.9 MiB on one thread, 3.1-3.8 on two and, with eight CPUs
+        # patched in, 6.2-7.2 with the scans capped at four; scanning the
+        # whole body at once, 18.6 MiB.
+        rng = np.random.default_rng(7)
+        n = 150_000
+        s = CountSeries(rng.integers(0, 40, n), 30, rng.integers(0, 3, n).astype(np.uint8))
+        data = write_count_series(s)
+        monkeypatch.setattr(ingest, "_usable_cpus", lambda: cpus)
+        tracemalloc.start()
+        try:
+            got = read_count_series(data)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert_same_series(got, s)
+        columns = got.counts.nbytes + got.provenance.nbytes
+        scans = min(cpus, ingest._SCAN_THREADS)
+        assert peak < columns + got.counts.nbytes + scans * (2 << 20)

@@ -1,10 +1,10 @@
 import contextlib
 import json
 import mmap
+import sys
 import threading
 import tracemalloc
 from fractions import Fraction
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,7 +22,7 @@ from crowdgate.ingest import (
     serialize_detections,
 )
 
-from conftest import detections_bytes
+from conftest import WAYS, detections_bytes, parsed_in
 
 HEADER = '{"fps":30,"source_id":"s"}'
 BOX_FIELDS = ("x", "y", "w", "h", "score", "class_id")
@@ -128,18 +128,6 @@ def _reference_box(raw, line):
     if not 0.0 <= score <= 1.0:
         raise InputFormatError(f"bad box: score must be in [0, 1], got {score}", line=line)
     return box
-
-
-# Ways to parse a stream: block sizes of one line, a few lines and the
-# default, each on one thread and on two.
-WAYS = [(block, cpus) for block in (1, 300, ingest._BLOCK_BYTES) for cpus in (1, 2)]
-
-
-@contextlib.contextmanager
-def parsed_in(block_bytes, cpus):
-    with mock.patch.object(ingest, "_BLOCK_BYTES", block_bytes), \
-            mock.patch.object(ingest, "_usable_cpus", lambda: cpus):
-        yield
 
 
 def assert_matches_reference(data: bytes):
@@ -613,6 +601,15 @@ class TestScanSeam:
         assert_matches_reference(data)
         assert per_line
 
+    def test_default_blocks_are_all_scanned(self, monkeypatch):
+        # Every block is cut at the first line end past _BLOCK_BYTES, so at
+        # the default size none is over scan._SCAN_BYTES_MAX.
+        n = 3 * ingest._BLOCK_BYTES // len(canonical_lines(1)[0]) + 1
+        data = ("\n".join([HEADER] + canonical_lines(n)) + "\n").encode()
+        assert len(ingest._line_blocks(data, len(HEADER) + 1)) > 3
+        monkeypatch.setattr(ingest, "_parse_lines", None)  # any fallback would fail
+        assert len(parse_detections(data)[0]) == n
+
     def test_negative_class_id(self):
         assert_like_reference(with_value("class_id", "-1"))
 
@@ -725,13 +722,13 @@ class TestParseMemory:
 class TestFirstBlockDecides:
     """The first block is scanned alone; the others are scanned only if it is canonical."""
 
-    def scans(self, monkeypatch, data):
+    def scans(self, monkeypatch, data, cpus=2):
         calls = []
         real = scan.scan_block
         monkeypatch.setattr(
             scan, "scan_block", lambda *args: calls.append(args[1:]) or real(*args)
         )
-        with parsed_in(300, 2), contextlib.suppress(InputFormatError):
+        with parsed_in(300, cpus), contextlib.suppress(InputFormatError):
             parse_detections(data)
         return calls
 
@@ -758,6 +755,43 @@ class TestFirstBlockDecides:
         data = ("\n".join([HEADER] + lines) + "\n").encode()
         assert len(self.scans(monkeypatch, data)) > 1
         assert_matches_reference(data)
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_scans_stop_after_a_block_in_another_form(self, monkeypatch, cpus):
+        lines = canonical_lines(40)
+        lines[7:] = [json.dumps(json.loads(line)) for line in lines[7:]]
+        data = ("\n".join([HEADER] + lines) + "\n").encode()
+        with parsed_in(300, cpus):
+            blocks = ingest._line_blocks(data, len(HEADER) + 1)
+        spaced = data.index(lines[7].encode())
+        other = next(k for k, (_, end) in enumerate(blocks) if end > spaced)
+        # Blocks 0 to `other` are scanned; on two threads the other thread
+        # may have started the block after it. No later block is scanned.
+        calls = self.scans(monkeypatch, data, cpus)
+        assert sorted(calls)[: other + 1] == blocks[: other + 1]
+        assert other + 1 <= len(calls) <= other + cpus < len(blocks)
+        assert_matches_reference(data)
+
+    def test_many_threads_switching_often(self):
+        # More workers than cores, switching often, with the scans stopping
+        # part way: every parse gives the columns of a one-thread parse.
+        lines = canonical_lines(60)
+        lines[30:] = [json.dumps(json.loads(line)) for line in lines[30:]]
+        data = ("\n".join([HEADER] + lines) + "\n").encode()
+        with parsed_in(300, 1):
+            want, _ = parse_detections(data)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with parsed_in(300, 8):
+                for _ in range(20):
+                    got, _ = parse_detections(data)
+                    for name in ("frame_index", "timestamp_ms", "offsets"):
+                        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+                    for name in ("x", "y", "w", "h", "score", "class_id"):
+                        assert getattr(got.boxes, name).tobytes() == getattr(want.boxes, name).tobytes()
+        finally:
+            sys.setswitchinterval(interval)
 
 
 def _meta(n):
