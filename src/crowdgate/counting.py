@@ -15,7 +15,6 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from . import ingest
 from .errors import InputFormatError, RoutingError
 from .ingest import (
     _SCAN_THREADS,
@@ -170,49 +169,32 @@ def write_count_series(series: CountSeries, comments: Sequence[str] = ()) -> byt
     """Render the CSV count-series format.
 
     ``#``-prefixed comment lines (fps plus any caller-supplied provenance
-    metadata) precede the header; readers skip them. The rows are rendered
-    as numpy byte matrices, in blocks of about ``ingest._BLOCK_BYTES`` on
-    the package's threads (``ingest._map_threads``), and joined in order:
-    the same bytes as one f-string per row.
+    metadata) precede the header; readers skip them.
     """
     head = [f"# fps={format_fps(series.fps)}\n"]
     head += [f"# {comment}\n" for comment in comments]
     head.append(",".join(_HEADER) + "\n")
-    return b"".join([
-        "".join(head).encode("utf-8"), *_render_rows(series.counts, series.provenance)
-    ])
+    return "".join(head).encode("utf-8") + _render_rows(series.counts, series.provenance)
 
 
-def _render_rows(counts: np.ndarray, codes: np.ndarray) -> list[bytes]:
-    """The rows ``{i},{count},{word}\n`` of a series, in blocks of rows."""
-    n = len(counts)
-    if not n:
-        return []
-    row_bytes = len(str(n - 1)) + len(str(int(counts.max()))) + 2 + _ROW_ENDS.shape[1]
-    step = max(1, ingest._BLOCK_BYTES // row_bytes)
-
-    def render(first):
-        return _render_block(first, counts[first : first + step], codes[first : first + step])
-
-    return _map_threads(render, range(0, n, step), _SCAN_THREADS)
-
-
-def _render_block(first: int, counts: np.ndarray, codes: np.ndarray) -> bytes:
-    """The rows of frames ``first`` onward, rendered as arrays.
+def _render_rows(counts: np.ndarray, codes: np.ndarray) -> bytes:
+    """The rows ``{i},{count},{word}\n`` of a series, rendered as arrays.
 
     Each row is laid out in one row of a byte matrix: the index and the
-    count right-aligned in columns as wide as the block's widest, each
-    followed by a comma, then the word and its line end. A mask of the
-    same shape keeps every byte but the leading zeros and the padding after
-    short words, and compressing the matrix by it gives the rows in order.
+    count right-aligned in columns as wide as the widest, each followed by
+    a comma, then the word and its line end. A mask of the same shape keeps
+    every byte but the leading zeros and the padding after short words,
+    and compressing the matrix by it gives the rows in order.
     """
-    index = np.arange(first, first + len(counts))
-    index_width = len(str(int(index[-1])))
+    n = len(counts)
+    if not n:
+        return b""
+    index_width = len(str(n - 1))
     count_width = len(str(int(counts.max())))
-    row = np.empty((len(counts), index_width + count_width + 2 + _ROW_ENDS.shape[1]), np.uint8)
+    row = np.empty((n, index_width + count_width + 2 + _ROW_ENDS.shape[1]), np.uint8)
     kept = np.empty(row.shape, bool)
     comma = index_width + 1 + count_width
-    _render_digits(index, row[:, :index_width], kept[:, :index_width])
+    _render_digits(np.arange(n), row[:, :index_width], kept[:, :index_width])
     _render_digits(counts, row[:, index_width + 1 : comma], kept[:, index_width + 1 : comma])
     row[:, [index_width, comma]] = ord(",")
     kept[:, [index_width, comma]] = True

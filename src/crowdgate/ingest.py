@@ -42,13 +42,12 @@ _class_id = operator.itemgetter(_BOX_FIELDS.index("class_id"))
 _NUMBER_TYPES = frozenset((int, float))  # what json.loads makes of a JSON number
 _INT64_MAX = int(np.iinfo(np.int64).max)
 # parse_detections and counting.read_count_series cut the body into blocks
-# of this many bytes, each ended at the next line end (``_line_blocks``), and
-# counting.write_count_series renders its rows in blocks of about this size.
+# of this many bytes, each ended at the next line end (``_line_blocks``).
 # A block's temporaries stay in cache, and the blocks run on all CPUs.
 _BLOCK_BYTES = 1 << 18
-# Blocks scanned or rendered at once, at most, whatever the CPU count: a
-# detections scan holds about 15 times its block in temporaries, a count-CSV
-# scan about 6 times.
+# Blocks scanned at once, at most, whatever the CPU count: a detections scan
+# holds about 15 times its block in temporaries, a count-CSV scan about 6
+# times.
 _SCAN_THREADS = 4
 
 
@@ -180,11 +179,10 @@ def parse_detections(data) -> tuple[Detections, StreamMeta]:
     is scanned alone: if it is not canonical, no other block is scanned,
     so another form costs one block's scan. Otherwise the other blocks
     are scanned on the threads the density loop uses (``_map_threads``,
-    one per usable CPU, at most ``_SCAN_THREADS``), until one of them is
-    not canonical; from then on the blocks not yet started go to the
-    per-line parse unscanned. All are joined in file order. A detector
-    adapter that wants the scan writes the canonical form with floats
-    rounded to at most 15 significant digits.
+    one per usable CPU, at most ``_SCAN_THREADS``), and all are joined in
+    file order; a later block in another form costs its scan on top of
+    its per-line parse. A detector adapter that wants the scan writes the
+    canonical form with floats rounded to at most 15 significant digits.
     Python's float repr often has 16 or 17 (``0.1 + 0.2`` is
     ``0.30000000000000004``), so ``normalized.jsonl`` is scanned only when
     the input's floats were so rounded.
@@ -202,19 +200,9 @@ def parse_detections(data) -> tuple[Detections, StreamMeta]:
     if blocks:
         scanned[0] = scan_block(data, *blocks[0])
     if scanned and scanned[0] is not None:
-        # After a block in another form, the blocks not yet started are not
-        # scanned either, for the same reason.
-        other = []
-
-        def scan_until_other(block):
-            if other:
-                return None
-            part = scan_block(data, *block)
-            if part is None:
-                other.append(block)
-            return part
-
-        scanned[1:] = _map_threads(scan_until_other, blocks[1:], _SCAN_THREADS)
+        scanned[1:] = _map_threads(
+            lambda block: scan_block(data, *block), blocks[1:], _SCAN_THREADS
+        )
     # One list per column of the blocks' parts; an empty part first, so that
     # a stream without records joins too.
     columns = [[part] for part in _Block().columns()]

@@ -722,13 +722,13 @@ class TestParseMemory:
 class TestFirstBlockDecides:
     """The first block is scanned alone; the others are scanned only if it is canonical."""
 
-    def scans(self, monkeypatch, data, cpus=2):
+    def scans(self, monkeypatch, data):
         calls = []
         real = scan.scan_block
         monkeypatch.setattr(
             scan, "scan_block", lambda *args: calls.append(args[1:]) or real(*args)
         )
-        with parsed_in(300, cpus), contextlib.suppress(InputFormatError):
+        with parsed_in(300, 2), contextlib.suppress(InputFormatError):
             parse_detections(data)
         return calls
 
@@ -756,25 +756,20 @@ class TestFirstBlockDecides:
         assert len(self.scans(monkeypatch, data)) > 1
         assert_matches_reference(data)
 
-    @pytest.mark.parametrize("cpus", [1, 2])
-    def test_scans_stop_after_a_block_in_another_form(self, monkeypatch, cpus):
-        lines = canonical_lines(40)
-        lines[7:] = [json.dumps(json.loads(line)) for line in lines[7:]]
+    def test_canonical_blocks_after_another_form_are_scanned(self, monkeypatch):
+        # Mostly canonical frames with a few blocks in another form: every
+        # block is scanned, and only the odd ones go to the per-line parse.
+        lines = canonical_lines(24)
+        lines[5:7] = [json.dumps(json.loads(line)) for line in lines[5:7]]
         data = ("\n".join([HEADER] + lines) + "\n").encode()
-        with parsed_in(300, cpus):
+        with parsed_in(300, 2):
             blocks = ingest._line_blocks(data, len(HEADER) + 1)
-        spaced = data.index(lines[7].encode())
-        other = next(k for k, (_, end) in enumerate(blocks) if end > spaced)
-        # Blocks 0 to `other` are scanned; on two threads the other thread
-        # may have started the block after it. No later block is scanned.
-        calls = self.scans(monkeypatch, data, cpus)
-        assert sorted(calls)[: other + 1] == blocks[: other + 1]
-        assert other + 1 <= len(calls) <= other + cpus < len(blocks)
+        assert sorted(self.scans(monkeypatch, data)) == blocks
         assert_matches_reference(data)
 
     def test_many_threads_switching_often(self):
-        # More workers than cores, switching often, with the scans stopping
-        # part way: every parse gives the columns of a one-thread parse.
+        # More workers than cores, switching often, with the later blocks in
+        # another form: every parse gives the columns of a one-thread parse.
         lines = canonical_lines(60)
         lines[30:] = [json.dumps(json.loads(line)) for line in lines[30:]]
         data = ("\n".join([HEADER] + lines) + "\n").encode()
