@@ -3,6 +3,7 @@
 from .counting import (
     CountSeries,
     RoutingPolicy,
+    count_detections,
     count_series,
     read_count_series,
     route_counts,

@@ -29,8 +29,11 @@ from pathlib import Path
 import click
 
 from . import __version__
+# count_series is no longer called here; the benchmark's tracer still hooks
+# it at this module, so it stays importable from here.
 from .counting import (
     RoutingPolicy,
+    count_detections,
     count_series,
     frames_needing_density,
     read_count_series,
@@ -253,23 +256,18 @@ def _write(out_dir: Path, name: str, data) -> bytes:
 # ---------------------------------------------------------------------------
 
 
-def stage_count(
-    detections_bytes: bytes,
-    config: PipelineConfig,
-    gray_frames=None,
-    regressor=None,
-    input_sha256: str | None = None,
-):
-    """Detections bytes -> routed CountSeries + rendered raw-counts CSV bytes.
+def stage_count(detections, config: PipelineConfig, gray_frames=None, regressor=None):
+    """Detections stream -> routed CountSeries, raw-counts CSV bytes, StreamMeta
+    and the stream's SHA-256.
 
-    Frames over the count ceiling get their counts from ``regressor`` (a
-    ``DensityRegressor``) run over ``gray_frames``, the (n, height, width)
-    array of a gray container. ``input_sha256`` is the detections' hash, if
-    the caller has it already.
+    ``detections`` is the stream's bytes or an ``mmap`` of its file, walked
+    in windows by ``count_detections``. Frames over the count ceiling get
+    their counts from ``regressor`` (a ``DensityRegressor``) run over
+    ``gray_frames``, the (n, height, width) array of a gray container.
     """
     policy = config.routing_policy()
-    frames, meta = parse_detections(detections_bytes)
-    series = with_fps(count_series(frames, meta, policy), config.fps_override or meta.fps)
+    series, meta, input_sha256 = count_detections(detections, policy)
+    series = with_fps(series, config.fps_override or meta.fps)
     needed = frames_needing_density(series, policy)
     density_counts = None
     if needed:
@@ -284,10 +282,8 @@ def stage_count(
         density_counts = estimate_density_counts(gray_frames, regressor, needed)
         log.info("density-estimated %d over-ceiling frame(s)", len(needed))
     routed = route_counts(series, policy, density_counts)
-    if input_sha256 is None:
-        input_sha256 = _sha256(detections_bytes)
     csv_bytes = write_count_series(routed, comments=_provenance(policy, input_sha256))
-    return routed, csv_bytes, meta
+    return routed, csv_bytes, meta, input_sha256
 
 
 def smooth_step(series, config: PipelineConfig, input_sha256: str):
@@ -376,8 +372,9 @@ def run_pipeline(
     config.validate()
     segment_policy = config.segment_policy()
     out = Path(output_dir)
-    detections_bytes = _read_bytes(detections_path)
-    input_hashes = {"detections": _sha256(detections_bytes)}
+    # Mapped, not copied: stage_count walks and hashes it a window at a time.
+    detections = _map_bytes(detections_path)
+    input_hashes = {}
 
     # The configured model wins over one fitted from the calibration CSV.
     model_bytes = None
@@ -402,19 +399,20 @@ def run_pipeline(
             gray_sha256 = stack.enter_context(_BackgroundSha256(gray))
             gray_frames = load_gray_frames(gray)
 
-        raw, raw_csv, meta = stage_count(
-            detections_bytes,
-            config,
-            gray_frames=gray_frames,
-            regressor=regressor,
-            input_sha256=input_hashes["detections"],
+        raw, raw_csv, meta, detections_sha256 = stage_count(
+            detections, config, gray_frames=gray_frames, regressor=regressor
         )
+        input_hashes["detections"] = detections_sha256
+        # Only the series go on: a CSV's bytes, as long as the stream, are
+        # dropped once written and hashed.
         _write(out, "raw_counts.csv", raw_csv)
         csv_hashes = {"raw": _sha256(raw_csv)}
+        del raw_csv
 
         smoothed, smoothed_csv, params = smooth_step(raw, config, csv_hashes["raw"])
         _write(out, "smoothed_counts.csv", smoothed_csv)
         csv_hashes["smoothed"] = _sha256(smoothed_csv)
+        del smoothed_csv
 
         segments, report_bytes, cutlist_bytes = segment_step(
             smoothed,
@@ -429,6 +427,7 @@ def run_pipeline(
             truth_bytes = _read_bytes(truth_path)
             input_hashes["truth"] = _sha256(truth_bytes)
             truth = read_count_series(truth_bytes, fps=raw.fps)
+            del truth_bytes
             _, eval_bytes, table = eval_step(
                 truth, raw, smoothed, {"truth": input_hashes["truth"], **csv_hashes}
             )
@@ -515,7 +514,7 @@ def ingest(detections, out):
     """Validate a detections file; write the normalized copy and stream metadata."""
     from .ingest import serialize_detections
 
-    data = _read_bytes(detections)
+    data = _map_bytes(detections)
     frames, meta = parse_detections(data)
     out_dir = Path(out)
     _write(out_dir, "normalized.jsonl", serialize_detections(frames, meta))
@@ -550,8 +549,8 @@ def count(detections, out, config_path, gray_path, fps_flag, **settings):
     gray_frames = None
     if gray_path is not None:
         gray_frames = load_gray_frames(_map_bytes(gray_path))
-    _, csv_bytes, _ = stage_count(
-        _read_bytes(detections), config, gray_frames=gray_frames, regressor=regressor
+    _, csv_bytes, _, _ = stage_count(
+        _map_bytes(detections), config, gray_frames=gray_frames, regressor=regressor
     )
     _write(Path(out), "raw_counts.csv", csv_bytes)
 

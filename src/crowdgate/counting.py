@@ -19,9 +19,11 @@ from .errors import InputFormatError, RoutingError
 from .ingest import (
     _SCAN_THREADS,
     Detections,
+    StreamMeta,
     _join,
     _line_blocks,
     _map_threads,
+    _walk,
     decode_line,
     format_fps,
     parse_fps,
@@ -35,6 +37,10 @@ PROVENANCE = (PROV_DETECTOR, PROV_DENSITY, PROV_SMOOTHED)
 CODE_DETECTOR, CODE_DENSITY, CODE_SMOOTHED = range(len(PROVENANCE))
 
 _HEADER = ["frame_index", "count", "provenance"]
+# Rows that write_count_series renders at once: its byte matrices take
+# about 70 bytes a row, so a long series is rendered a block at a time
+# and the writer's peak stays near its output.
+_RENDER_ROWS = 1 << 14
 _INT64_MAX = int(np.iinfo(np.int64).max)
 _MAX_DIGITS = len(str(_INT64_MAX))
 # One count-series row, as the line check splits it. A sign is matched only
@@ -117,17 +123,42 @@ class RoutingPolicy:
 
 
 def count_series(detections: Detections, meta, policy: RoutingPolicy) -> CountSeries:
-    """Detector counts for a whole stream, in frame order.
+    """Detector counts for a whole parsed stream, in frame order.
 
     A frame's count is its number of person boxes at or above the
     confidence floor.
     """
-    n = len(detections)
     boxes = detections.boxes
-    owner = np.repeat(np.arange(n), np.diff(detections.offsets))
-    person = (boxes.class_id == policy.person_class_id) & (boxes.score >= policy.min_score)
-    counts = np.bincount(owner[person], minlength=n)
+    counts = _person_counts(np.diff(detections.offsets), boxes.score, boxes.class_id, policy)
     return CountSeries.from_counts(counts, meta.fps)
+
+
+def count_detections(data, policy: RoutingPolicy) -> tuple[CountSeries, StreamMeta, str]:
+    """Detector counts of a detections stream, its StreamMeta and its SHA-256.
+
+    ``data`` is the whole stream, bytes or an ``mmap`` of its file, and is
+    parsed and checked as ``ingest.parse_detections`` does, with the same
+    errors. The stream is walked a window of blocks at a time
+    (``ingest._walk``): each block's person boxes are counted and its box
+    columns dropped, and a mapped window's pages are released once it is
+    parsed and hashed. So memory grows with the frames (an int64 count
+    per frame), not with the boxes or the stream's bytes.
+    """
+
+    def frame_counts(part):
+        _, _, box_counts, *_, score, class_id = part
+        return _person_counts(box_counts, score, class_id, policy)
+
+    meta, counts, sha256 = _walk(data, frame_counts)
+    return CountSeries.from_counts(_join(counts), meta.fps), meta, sha256
+
+
+def _person_counts(box_counts, score, class_id, policy: RoutingPolicy) -> np.ndarray:
+    """Per-frame counts of person boxes at or above the confidence floor; frame
+    i owns the next ``box_counts[i]`` rows of ``score`` and ``class_id``."""
+    owner = np.repeat(np.arange(len(box_counts)), box_counts)
+    person = (class_id == policy.person_class_id) & (score >= policy.min_score)
+    return np.bincount(owner[person], minlength=len(box_counts))
 
 
 def frames_needing_density(series: CountSeries, policy: RoutingPolicy) -> list[int]:
@@ -174,11 +205,14 @@ def write_count_series(series: CountSeries, comments: Sequence[str] = ()) -> byt
     head = [f"# fps={format_fps(series.fps)}\n"]
     head += [f"# {comment}\n" for comment in comments]
     head.append(",".join(_HEADER) + "\n")
-    return "".join(head).encode("utf-8") + _render_rows(series.counts, series.provenance)
+    blocks = (slice(i, i + _RENDER_ROWS) for i in range(0, len(series), _RENDER_ROWS))
+    rows = (_render_rows(series.counts[b], series.provenance[b], b.start) for b in blocks)
+    return b"".join(["".join(head).encode("utf-8"), *rows])
 
 
-def _render_rows(counts: np.ndarray, codes: np.ndarray) -> bytes:
-    """The rows ``{i},{count},{word}\n`` of a series, rendered as arrays.
+def _render_rows(counts: np.ndarray, codes: np.ndarray, first: int) -> bytes:
+    """The rows ``{i},{count},{word}\n`` of a series' frames ``first`` on,
+    rendered as arrays.
 
     Each row is laid out in one row of a byte matrix: the index and the
     count right-aligned in columns as wide as the widest, each followed by
@@ -187,14 +221,12 @@ def _render_rows(counts: np.ndarray, codes: np.ndarray) -> bytes:
     and compressing the matrix by it gives the rows in order.
     """
     n = len(counts)
-    if not n:
-        return b""
-    index_width = len(str(n - 1))
+    index_width = len(str(first + n - 1))
     count_width = len(str(int(counts.max())))
     row = np.empty((n, index_width + count_width + 2 + _ROW_ENDS.shape[1]), np.uint8)
     kept = np.empty(row.shape, bool)
     comma = index_width + 1 + count_width
-    _render_digits(np.arange(n), row[:, :index_width], kept[:, :index_width])
+    _render_digits(np.arange(first, first + n), row[:, :index_width], kept[:, :index_width])
     _render_digits(counts, row[:, index_width + 1 : comma], kept[:, index_width + 1 : comma])
     row[:, [index_width, comma]] = ord(",")
     kept[:, [index_width, comma]] = True

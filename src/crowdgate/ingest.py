@@ -13,15 +13,18 @@ Two on-disk formats are handled here:
 Parsed detections are held column-wise (:class:`Detections`): numpy arrays
 with one entry per frame or per box, so no Python object per box outlives
 the parse. Lines in the form ``serialize_detections`` writes are read as
-whole numpy arrays, in blocks on all CPUs (see ``parse_detections``).
+whole numpy arrays, in blocks on all CPUs, a window of blocks at a time
+(see ``parse_detections`` and ``_walk``).
 """
 
 from __future__ import annotations
 
 import bisect
+import hashlib
 import io
 import itertools
 import json
+import mmap
 import operator
 import os
 import struct
@@ -49,6 +52,9 @@ _BLOCK_BYTES = 1 << 18
 # holds about 15 times its block in temporaries, a count-CSV scan about 6
 # times.
 _SCAN_THREADS = 4
+# Blocks per window of ``_walk`` (about 4 MiB): a mapped stream's
+# pages are released a window at a time, once parsed and hashed.
+_WINDOW_BLOCKS = 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -179,68 +185,145 @@ def parse_detections(data) -> tuple[Detections, StreamMeta]:
     is scanned alone: if it is not canonical, no other block is scanned,
     so another form costs one block's scan. Otherwise the other blocks
     are scanned on the threads the density loop uses (``_map_threads``,
-    one per usable CPU, at most ``_SCAN_THREADS``), and all are joined in
-    file order; a later block in another form costs its scan on top of
-    its per-line parse. A detector adapter that wants the scan writes the
-    canonical form with floats rounded to at most 15 significant digits.
-    Python's float repr often has 16 or 17 (``0.1 + 0.2`` is
-    ``0.30000000000000004``), so ``normalized.jsonl`` is scanned only when
-    the input's floats were so rounded.
+    one per usable CPU, at most ``_SCAN_THREADS``), a window of
+    ``_WINDOW_BLOCKS`` blocks at a time (``_walk``), and all
+    are joined in file order; a later block in another form costs its
+    scan on top of its per-line parse. A detector adapter that wants the
+    scan writes the canonical form with floats rounded to at most 15
+    significant digits. Python's float repr often has 16 or 17 (``0.1 +
+    0.2`` is ``0.30000000000000004``), so ``normalized.jsonl`` is scanned
+    only when the input's floats were so rounded.
+    """
+    meta, parts, _ = _walk(data, lambda part: part, hashed=False)
+    # From here only `columns` holds the parts. They are joined a column at
+    # a time, each column's parts dropped once joined, so the parse peaks
+    # near its output, not at twice it.
+    columns = [list(column) for column in zip(*parts)]
+    parts.clear()
+    frame_index, timestamp_ms, counts, *boxes = (_join(column) for column in columns)
+    offsets = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    return Detections(frame_index, timestamp_ms, offsets, Boxes(*boxes)), meta
+
+
+def _walk(data, keep, hashed=True) -> tuple[StreamMeta, list, str | None]:
+    """Walk a detections stream in windows: (StreamMeta, kept parts, SHA-256).
+
+    ``data`` is the whole stream, as for ``parse_detections``. Each block
+    of the body is parsed to its columns, as ``_Block.columns`` gives
+    them, and checked as ``parse_detections`` describes; ``keep(part)``
+    then makes what is kept of it, and the block's columns are dropped.
+    The list of kept parts starts with ``keep`` of an empty part, so that
+    a stream without records joins too.
+
+    The blocks are taken ``_WINDOW_BLOCKS`` at a time. While the pool
+    scans a window's blocks, a helper thread hashes the window's bytes
+    (the first window's from the start of the stream); it calls only
+    ``hashlib``, which releases the GIL. A stream of a single window is
+    hashed on the calling thread, and none is hashed unless ``hashed``
+    (the SHA-256 is then None). When ``data`` is an ``mmap``, each
+    window's whole pages are released (``MADV_DONTNEED``) once it is
+    parsed and hashed, so the mapped stream costs about a window of
+    memory, not its size.
     """
     (fps, source_id), body, line_no = _read_header(data)
-    blocks = _line_blocks(data, body)
     # Imported here: without cached bytecode, compiling the scan would cost
     # every command at start-up, also those that parse no detections.
     from .scan import scan_block
 
+    def scan(block):
+        return scan_block(data, *block)
+
+    kept = [keep(_Block().columns())]
+    last_index = None
+    frame_count, gaps = 0, []
     # The first block decides: a stream written in another form is so
     # throughout, as a rule, and its other blocks go straight to the
     # per-line parse instead of each paying a scan first.
-    scanned = [None] * len(blocks)
-    if blocks:
-        scanned[0] = scan_block(data, *blocks[0])
-    if scanned and scanned[0] is not None:
-        scanned[1:] = _map_threads(
-            lambda block: scan_block(data, *block), blocks[1:], _SCAN_THREADS
-        )
-    # One list per column of the blocks' parts; an empty part first, so that
-    # a stream without records joins too.
-    columns = [[part] for part in _Block().columns()]
-    last_index = None
-    for (start, end), part in zip(blocks, scanned):
-        if part is not None and _increasing(part[0], last_index):
-            line_no += len(part[0])  # a canonical line is one record
+    scanning = True
+    digest = None
+    done = released = 0  # bytes of the stream hashed, and released, so far
+
+    def hash_to(end):
+        nonlocal digest, done
+        chunk = view[done:end]
+        if digest is None:
+            digest = hashlib.sha256(chunk)
         else:
-            # not canonical, or out of frame order: the per-line code parses
-            # the block or raises its first error
-            part, lines = _parse_lines(data, start, end, line_no, last_index)
-            line_no += lines
-        for column, values in zip(columns, part):
-            column.append(values)
-        if len(part[0]):
-            last_index = int(part[0][-1])
-    # From here only `columns` holds the parts. They are joined a column at
-    # a time, each column's parts dropped once joined, so the parse peaks
-    # near its output, not at twice it.
-    scanned.clear()
-    frame_index, timestamp_ms, counts, *boxes = (_join(column) for column in columns)
-    offsets = np.zeros(len(counts) + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
-    detections = Detections(frame_index, timestamp_ms, offsets, Boxes(*boxes))
-    before_gap = np.flatnonzero(np.diff(frame_index) > 1)
-    gaps = zip((frame_index[before_gap] + 1).tolist(), (frame_index[before_gap + 1] - 1).tolist())
-    meta = StreamMeta(
-        fps=fps, frame_count=len(detections), source_id=source_id, gaps=tuple(gaps)
-    )
-    return detections, meta
+            digest.update(chunk)
+        done = end
+
+    end = body
+    with memoryview(data) as view:
+        for number in itertools.count():
+            window = _line_blocks(data, end, _WINDOW_BLOCKS)
+            end = window[-1][1] if window else len(data)
+            helper = None
+            if hashed and number == 0 and end == len(data):
+                hash_to(end)  # a single window
+            elif hashed:
+                helper = threading.Thread(target=hash_to, args=(end,))
+                helper.start()
+            try:
+                scanned = [None] * len(window)
+                if scanning and window:
+                    first = 0
+                    if number == 0:
+                        scanned[0] = scan(window[0])
+                        scanning, first = scanned[0] is not None, 1
+                    if scanning:
+                        scanned[first:] = _map_threads(scan, window[first:], _SCAN_THREADS)
+                for (start, stop), part in zip(window, scanned):
+                    if part is not None and _increasing(part[0], last_index):
+                        line_no += len(part[0])  # a canonical line is one record
+                    else:
+                        # not canonical, or out of frame order: the per-line
+                        # code parses the block or raises its first error
+                        part, lines = _parse_lines(data, start, stop, line_no, last_index)
+                        line_no += lines
+                    frame_count += len(part[0])
+                    gaps += _gaps(part[0], last_index)
+                    if len(part[0]):
+                        last_index = int(part[0][-1])
+                    kept.append(keep(part))
+                scanned.clear()
+            finally:
+                if helper is not None:
+                    helper.join()
+            if hashed and done != end:
+                raise RuntimeError("the detections stream's hash thread failed")
+            if isinstance(data, mmap.mmap):
+                # whole pages only: the page holding `end` still serves the next window
+                upto = end if end == len(data) else end - end % mmap.PAGESIZE
+                if upto > released:
+                    data.madvise(mmap.MADV_DONTNEED, released, upto - released)
+                    released = upto
+            if end == len(data):
+                break
+    meta = StreamMeta(fps=fps, frame_count=frame_count, source_id=source_id, gaps=tuple(gaps))
+    return meta, kept, digest and digest.hexdigest()
 
 
-def _line_blocks(data, start: int) -> list[tuple[int, int]]:
-    """(start, end) of the blocks of ``data[start:]``: each ends at the first
-    line end at or past ``_BLOCK_BYTES`` bytes into it, or at the end of
-    ``data``."""
+def _gaps(frame_index, last_index) -> list[tuple[int, int]]:
+    """(first, last) of each run of indices missing from the rising
+    ``frame_index``, and between ``last_index`` (if not None) and it."""
+    if last_index is not None:
+        frame_index = np.concatenate(([last_index], frame_index))
+    before = np.flatnonzero(np.diff(frame_index) > 1)
+    return list(zip((frame_index[before] + 1).tolist(), (frame_index[before + 1] - 1).tolist()))
+
+
+def _line_blocks(data, start: int, most: int | None = None) -> list[tuple[int, int]]:
+    """(start, end) of the blocks of ``data[start:]``, the first ``most`` of
+    them if given: each ends at the first line end at or past
+    ``_BLOCK_BYTES`` bytes into it, or at the end of ``data``.
+
+    Only the bytes around each block's end are read, but on a mapping
+    that can fault in whole large pages: ``_walk`` cuts a window at a
+    time, so that the pages it maps are the window's.
+    """
     blocks = []
-    while start < len(data):
+    while start < len(data) and (most is None or len(blocks) < most):
         end = data.find(b"\n", start + _BLOCK_BYTES - 1)
         end = len(data) if end < 0 else end + 1
         blocks.append((start, end))

@@ -1,9 +1,10 @@
 """The whole-array scan of canonical detections lines.
 
-``ingest.parse_detections`` hands each block of the detections body to
-``scan_block``, which reads the lines ``serialize_detections`` writes as
+The detections walk (``ingest._walk``, under ``ingest.parse_detections``
+and ``counting.count_detections``) hands each block of the detections body
+to ``scan_block``, which reads the lines ``serialize_detections`` writes as
 numpy arrays, and returns None for anything else, which the per-line
-parser then reads or rejects. Only the parse imports this module.
+parser then reads or rejects. Only the walk imports this module.
 """
 
 from __future__ import annotations

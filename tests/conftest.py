@@ -8,15 +8,27 @@ import pytest
 from crowdgate import ingest
 from crowdgate.counting import CountSeries
 
-# Ways to read or write a stream in blocks: block sizes of one line (or row),
-# a few lines and the default, each on one thread and on two.
-WAYS = [(block, cpus) for block in (1, 300, ingest._BLOCK_BYTES) for cpus in (1, 2)]
+# Ways to read or write a count CSV in blocks: block sizes of one row, a
+# few rows and the default, each on one thread and on two.
+CSV_WAYS = [(block, cpus) for block in (1, 300, ingest._BLOCK_BYTES) for cpus in (1, 2)]
+# Ways to walk a detections stream: the blocks of CSV_WAYS, the small ones
+# also in windows of one block, a few blocks and the default. A default
+# block holds a test's stream alone, so its window size makes no difference.
+WAYS = [
+    (block, cpus, window)
+    for block, windows in ((1, (1, 3, ingest._WINDOW_BLOCKS)),
+                           (300, (1, 3, ingest._WINDOW_BLOCKS)),
+                           (ingest._BLOCK_BYTES, (ingest._WINDOW_BLOCKS,)))
+    for window in windows
+    for cpus in (1, 2)
+]
 
 
 @contextlib.contextmanager
-def parsed_in(block_bytes, cpus):
+def parsed_in(block_bytes, cpus, window_blocks=ingest._WINDOW_BLOCKS):
     with mock.patch.object(ingest, "_BLOCK_BYTES", block_bytes), \
-            mock.patch.object(ingest, "_usable_cpus", lambda: cpus):
+            mock.patch.object(ingest, "_usable_cpus", lambda: cpus), \
+            mock.patch.object(ingest, "_WINDOW_BLOCKS", window_blocks):
         yield
 
 

@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import json
+import mmap
 import os
 import subprocess
 import sys
@@ -143,31 +144,27 @@ class TestCountCommand:
 
 
 def test_stage_count_calls_parse_and_count_through_module(monkeypatch):
-    # stage_count must look parse_detections and count_series up on
-    # crowdgate.cli at call time: the benchmark's tracer wraps them there,
-    # passes the detections bytes on, and sums len(f.boxes) over the frames
+    # stage_count must look its parse-and-count step, count_detections, up
+    # on crowdgate.cli at call time, so that the benchmark's tracer can wrap
+    # it there. The step gets the stream as stage_count got it and returns
+    # the counts, the stream's metadata and its hash, which stage_count
+    # hands on.
     calls = []
+    original = cli.count_detections
 
-    def spy(name):
-        original = getattr(cli, name)
+    def spy(*args):
+        result = original(*args)
+        calls.append((args, result))
+        return result
 
-        def wrapper(*args):
-            result = original(*args)
-            calls.append((name, args, result))
-            return result
-
-        monkeypatch.setattr(cli, name, wrapper)
-
-    spy("parse_detections")
-    spy("count_series")
+    monkeypatch.setattr(cli, "count_detections", spy)
     data = detections_bytes([3, 0, 2])
-    series, _, _ = stage_count(data, PipelineConfig())
-    assert [c[0] for c in calls] == ["parse_detections", "count_series"]
-    (_, parse_args, (detections, _)), (_, count_args, _) = calls
-    assert parse_args == (data,) and isinstance(parse_args[0], bytes)
-    assert count_args[0] is detections
-    assert sum(len(f.boxes) for f in detections) == 5
-    assert series.counts.tolist() == [3, 0, 2]
+    series, _, meta, sha256 = stage_count(data, PipelineConfig())
+    [((stream, policy), (counted, counted_meta, counted_sha256))] = calls
+    assert stream is data and policy == PipelineConfig().routing_policy()
+    assert counted.counts.tolist() == series.counts.tolist() == [3, 0, 2]
+    assert counted_meta is meta and meta.frame_count == 3
+    assert counted_sha256 == sha256 == hashlib.sha256(data).hexdigest()
 
 
 def test_stages_call_csv_reader_and_writer_through_module(monkeypatch):
@@ -189,7 +186,7 @@ def test_stages_call_csv_reader_and_writer_through_module(monkeypatch):
     spy("read_count_series")
     spy("write_count_series")
     config = PipelineConfig(abnormal_threshold=2)
-    _, raw_csv, _ = stage_count(detections_bytes([3, 0, 2]), config)
+    _, raw_csv, _, _ = stage_count(detections_bytes([3, 0, 2]), config)
     _, smoothed_csv, _ = stage_smooth(raw_csv, config)
     stage_segment(smoothed_csv, config, source="s")
     stage_eval(raw_csv, raw_csv, smoothed_csv)
@@ -424,7 +421,7 @@ class TestGrayContainerPath:
             ["count", det, "--out", str(tmp_path / "c"), "--gray", gray, "--model", str(model)],
         )
         assert result.exit_code == 0, result.output
-        _, expected, _ = stage_count(
+        _, expected, _, _ = stage_count(
             Path(det).read_bytes(), PipelineConfig(), gray_frames=frames, regressor=regressor
         )
         assert (tmp_path / "c" / "raw_counts.csv").read_bytes() == expected
@@ -434,6 +431,57 @@ class TestGrayContainerPath:
         assert result.exit_code == 0, result.output
         lines = ["frame_index,count"] + [f"{i},{counts[i]}" for i in range(6)]
         assert pred.read_text() == "".join(line + "\n" for line in lines)
+
+
+class TestDetectionsPath:
+    """``run``, ``count`` and ``ingest`` map a detections file that is a
+    non-empty regular file, and read anything else whole."""
+
+    ARGS = {"run": ["--threshold", "5"], "count": [], "ingest": []}
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no os.mkfifo")
+    @pytest.mark.parametrize("command", list(ARGS))
+    def test_fifo_gives_the_file_artifacts(self, monkeypatch, runner, tmp_path, command):
+        data = detections_bytes([3, 0, 7, 7, 7, 7, 2, 2], fps=9)
+        det = tmp_path / "d.jsonl"
+        det.write_bytes(data)
+        fifo = tmp_path / "d.fifo"
+        os.mkfifo(fifo)
+        read = []
+        original = cli._map_bytes
+
+        def spy(path):
+            result = original(path)
+            read.append(type(result))
+            return result
+
+        monkeypatch.setattr(cli, "_map_bytes", spy)
+        result = run_cli(runner, [command, str(det), "--out", str(tmp_path / "file")]
+                         + self.ARGS[command])
+        assert result.exit_code == 0, result.output
+        writer = threading.Thread(target=fifo.write_bytes, args=(data,))
+        writer.start()
+        try:
+            result = run_cli(runner, [command, str(fifo), "--out", str(tmp_path / "fifo")]
+                             + self.ARGS[command])
+        finally:
+            if writer.is_alive():  # the command failed before opening the FIFO
+                os.close(os.open(fifo, os.O_RDONLY | os.O_NONBLOCK))
+            writer.join(timeout=60)
+        assert result.exit_code == 0, result.output
+        assert read == [mmap.mmap, bytes]
+        names = sorted(p.name for p in (tmp_path / "file").iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "fifo").iterdir())
+        assert len(names) == {"run": 5, "count": 1, "ingest": 2}[command]
+        for name in names:
+            assert (tmp_path / "fifo" / name).read_bytes() == (tmp_path / "file" / name).read_bytes()
+
+    @pytest.mark.skipif(not Path("/proc/self/maps").exists(), reason="no /proc/self/maps")
+    def test_mapping_released_after_return(self, tmp_path):
+        det = write_detections(tmp_path / "d.jsonl", [3, 0, 2])
+        run_pipeline(det, PipelineConfig(abnormal_threshold=5), tmp_path / "o")
+        gc.collect()
+        assert os.path.realpath(det) not in Path("/proc/self/maps").read_text()
 
 
 class TestGrayMappingHygiene:

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from crowdgate import ingest
+from crowdgate import counting, ingest
 from crowdgate.counting import (
     CODE_DENSITY,
     CODE_DETECTOR,
@@ -28,7 +28,7 @@ from crowdgate.counting import (
 from crowdgate.errors import InputFormatError, RoutingError
 from crowdgate.ingest import Boxes, Detections, StreamMeta, format_fps, parse_fps
 
-from conftest import WAYS, parsed_in, series
+from conftest import CSV_WAYS, parsed_in, series
 
 PROVENANCES = (PROV_DETECTOR, PROV_DENSITY, PROV_SMOOTHED)
 INT64_MAX = 2**63 - 1
@@ -123,7 +123,7 @@ def assert_same_series(got: CountSeries, expected: CountSeries):
 def assert_reads_as_reference(data: bytes, fps=None) -> CountSeries:
     """Every way of reading ``data`` gives the oracle's series."""
     expected = reference_read_count_series(data, fps=fps)
-    for way in WAYS:
+    for way in CSV_WAYS:
         with parsed_in(*way):
             assert_same_series(read_count_series(data, fps=fps), expected)
     return expected
@@ -133,7 +133,7 @@ def assert_same_rejection(data: bytes, fps=None):
     """Every way of reading ``data`` raises the oracle's message and line."""
     with pytest.raises(InputFormatError) as expected:
         reference_read_count_series(data, fps=fps)
-    for way in WAYS:
+    for way in CSV_WAYS:
         with parsed_in(*way), pytest.raises(InputFormatError) as got:
             read_count_series(data, fps=fps)
         assert (str(got.value), got.value.line) == (str(expected.value), expected.value.line)
@@ -141,7 +141,7 @@ def assert_same_rejection(data: bytes, fps=None):
 
 def assert_rejected(data: bytes, message: str, line: int):
     """Every way of reading ``data`` raises ``message`` naming ``line``."""
-    for way in WAYS:
+    for way in CSV_WAYS:
         with parsed_in(*way), pytest.raises(InputFormatError) as got:
             read_count_series(data)
         assert (str(got.value), got.value.line) == (f"line {line}: {message}", line)
@@ -477,6 +477,17 @@ class TestNumpyWriter:
         data = write_count_series(s, comments=comments)
         assert data == reference_write_count_series(s, comments=comments)
 
+    @pytest.mark.parametrize("rows", [1, 7, 64])
+    def test_rows_rendered_in_blocks(self, monkeypatch, rows):
+        # blocks whose indices and counts change width within and between them
+        monkeypatch.setattr(counting, "_RENDER_ROWS", rows)
+        counts = np.arange(250) ** 3 % 1009
+        counts[[3, 99, 200]] = EDGE_COUNTS[-3:]
+        codes = (np.arange(250) % 3).astype(np.uint8)
+        for n in (0, 1, 7, 10, 11, 101, 250):
+            s = CountSeries(counts[:n], Fraction(30), codes[:n])
+            assert write_count_series(s, ("x",)) == reference_write_count_series(s, ("x",))
+
 
 class TestCommaPairing:
     """The reader pairs the rows' commas by position; comment lines' commas
@@ -567,7 +578,7 @@ class TestRejectedCsvInput:
 
 
 class TestBlocks:
-    """The body read in blocks of every size of WAYS on one thread and on
+    """The body read in blocks of every size of CSV_WAYS on one thread and on
     two: the same series as the oracle reads, and the same errors at the
     same lines."""
 

@@ -713,10 +713,12 @@ class TestParseMemory:
         monkeypatch.setattr(ingest.threading, "Thread", CountingThread)
         monkeypatch.setattr(ingest, "_usable_cpus", lambda: 8)
         monkeypatch.setattr(ingest, "_BLOCK_BYTES", 1)
+        monkeypatch.setattr(ingest, "_WINDOW_BLOCKS", 10)
         data = ("\n".join([HEADER] + canonical_lines(20)) + "\n").encode()
         assert len(parse_detections(data)[0]) == 20
-        # the calling thread is one of the workers
-        assert len(started) == ingest._SCAN_THREADS - 1
+        # one pool per window of ten blocks; the calling thread is one of
+        # its workers
+        assert len(started) == 2 * (ingest._SCAN_THREADS - 1)
 
 
 class TestFirstBlockDecides:
