@@ -22,15 +22,15 @@ import mmap
 import os
 import stat
 import sys
-import threading
 from fractions import Fraction
 from pathlib import Path
 
 import click
 
 from . import __version__
-# count_series is no longer called here; the benchmark's tracer still hooks
-# it at this module, so it stays importable from here.
+# count_series and parse_detections are no longer called here; the
+# benchmark's tracer still hooks them at this module, so they stay
+# importable from here.
 from .counting import (
     RoutingPolicy,
     count_detections,
@@ -95,7 +95,7 @@ class PipelineConfig:
             if unknown:
                 raise ConfigError(f"unknown config key(s): {sorted(unknown)}")
             if settings.get("fps_override") is not None:
-                settings["fps_override"] = parse_fps(settings["fps_override"])
+                settings["fps_override"] = _config_fps(settings["fps_override"])
         settings.update((key, value) for key, value in overrides.items() if value is not None)
         config = cls(**settings)
         config.validate()
@@ -150,8 +150,17 @@ class PipelineConfig:
         return out
 
 
+def _config_fps(value) -> Fraction:
+    """``parse_fps(value)`` of a setting, with its error raised as a config error."""
+    try:
+        return parse_fps(value)
+    except InputFormatError as exc:
+        raise ConfigError(str(exc)) from None
+
+
 def _policy(cls, *args):
-    """``cls(*args)``, with the policy's range errors raised as config errors."""
+    """``cls(*args)``, with the range errors (ValueError) of a policy or of
+    the settings it checks raised as config errors."""
     try:
         return cls(*args)
     except ValueError as exc:
@@ -209,39 +218,6 @@ def _map_bytes(path):
         raise InputFormatError(f"cannot read {path}: {exc}") from exc
 
 
-class _BackgroundSha256:
-    """The SHA-256 of ``data``, hashed on its own thread from construction on.
-
-    ``hashlib`` releases the GIL while it hashes a large buffer, so the hash
-    overlaps the caller's work. As a context manager it joins the thread on
-    exit, however the block exits. The thread calls none of the functions
-    the benchmark's tracer wraps: its span stack assumes one thread.
-    """
-
-    def __init__(self, data):
-        self._result = None
-        self._thread = threading.Thread(target=self._hash, args=(data,))
-        self._thread.start()
-
-    def _hash(self, data):
-        try:
-            self._result = _sha256(data)
-        except Exception as exc:  # noqa: BLE001 - re-raised by hexdigest
-            self._result = exc
-
-    def hexdigest(self) -> str:
-        self._thread.join()
-        if isinstance(self._result, Exception):
-            raise self._result
-        return self._result
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        self._thread.join()
-
-
 def _write(out_dir: Path, name: str, data) -> bytes:
     if isinstance(data, str):
         data = data.encode("utf-8")
@@ -257,16 +233,17 @@ def _write(out_dir: Path, name: str, data) -> bytes:
 
 
 def stage_count(detections, config: PipelineConfig, gray_frames=None, regressor=None):
-    """Detections stream -> routed CountSeries, raw-counts CSV bytes, StreamMeta
-    and the stream's SHA-256.
+    """Detections stream -> routed CountSeries, raw-counts CSV bytes and
+    StreamMeta, whose ``sha256`` is the stream's hash.
 
     ``detections`` is the stream's bytes or an ``mmap`` of its file, walked
-    in windows by ``count_detections``. Frames over the count ceiling get
-    their counts from ``regressor`` (a ``DensityRegressor``) run over
-    ``gray_frames``, the (n, height, width) array of a gray container.
+    and hashed in windows by ``count_detections``. Frames over the count
+    ceiling get their counts from ``regressor`` (a ``DensityRegressor``)
+    run over ``gray_frames``, the (n, height, width) array of a gray
+    container.
     """
     policy = config.routing_policy()
-    series, meta, input_sha256 = count_detections(detections, policy)
+    series, meta = count_detections(detections, policy)
     series = with_fps(series, config.fps_override or meta.fps)
     needed = frames_needing_density(series, policy)
     density_counts = None
@@ -282,8 +259,8 @@ def stage_count(detections, config: PipelineConfig, gray_frames=None, regressor=
         density_counts = estimate_density_counts(gray_frames, regressor, needed)
         log.info("density-estimated %d over-ceiling frame(s)", len(needed))
     routed = route_counts(series, policy, density_counts)
-    csv_bytes = write_count_series(routed, comments=_provenance(policy, input_sha256))
-    return routed, csv_bytes, meta, input_sha256
+    csv_bytes = write_count_series(routed, comments=_provenance(policy, meta.sha256))
+    return routed, csv_bytes, meta
 
 
 def smooth_step(series, config: PipelineConfig, input_sha256: str):
@@ -392,17 +369,20 @@ def run_pipeline(
 
     with contextlib.ExitStack() as stack:
         # The gray container is mapped, not copied, and hashed on a thread
-        # while the stages run; only the manifest needs its hash.
+        # while the stages run; only the manifest needs its hash. The
+        # executor is shut down, so the thread joined, however this exits.
         gray_frames = gray_sha256 = None
         if gray_frames_path is not None:
+            from concurrent.futures import ThreadPoolExecutor  # not for every command
+
             gray = _map_bytes(gray_frames_path)
-            gray_sha256 = stack.enter_context(_BackgroundSha256(gray))
+            gray_sha256 = stack.enter_context(ThreadPoolExecutor(1)).submit(_sha256, gray)
             gray_frames = load_gray_frames(gray)
 
-        raw, raw_csv, meta, detections_sha256 = stage_count(
+        raw, raw_csv, meta = stage_count(
             detections, config, gray_frames=gray_frames, regressor=regressor
         )
-        input_hashes["detections"] = detections_sha256
+        input_hashes["detections"] = meta.sha256
         # Only the series go on: a CSV's bytes, as long as the stream, are
         # dropped once written and hashed.
         _write(out, "raw_counts.csv", raw_csv)
@@ -435,7 +415,7 @@ def run_pipeline(
             _write(out, "eval_report.txt", table)
 
         if gray_sha256 is not None:
-            input_hashes["gray_frames"] = gray_sha256.hexdigest()
+            input_hashes["gray_frames"] = gray_sha256.result()
     manifest = {
         "version": __version__,
         "effective_config": config.effective(),
@@ -487,7 +467,7 @@ def _fps_option(fn):
 
 
 def _parse_fps_flag(value):
-    return parse_fps(value) if value is not None else None
+    return _config_fps(value) if value is not None else None
 
 
 def _load_config(config_path, settings: dict, fps_flag) -> PipelineConfig:
@@ -512,18 +492,21 @@ def main():
 @cli_command
 def ingest(detections, out):
     """Validate a detections file; write the normalized copy and stream metadata."""
-    from .ingest import serialize_detections
+    from .ingest import normalize_detections
 
-    data = _map_bytes(detections)
-    frames, meta = parse_detections(data)
+    # walked, hashed and rendered a block at a time, so no box columns
+    # outlive their block, and the rendered parts are written unjoined
+    parts, meta = normalize_detections(_map_bytes(detections))
     out_dir = Path(out)
-    _write(out_dir, "normalized.jsonl", serialize_detections(frames, meta))
+    out_dir.mkdir(parents=True, exist_ok=True)
+    with open(out_dir / "normalized.jsonl", "wb") as fh:
+        fh.writelines(parts)
     meta_doc = {
         "fps": format_fps(meta.fps),
         "frame_count": meta.frame_count,
         "source_id": meta.source_id,
         "gaps": [list(g) for g in meta.gaps],
-        "input_sha256": _sha256(data),
+        "input_sha256": meta.sha256,
     }
     _write(out_dir, "stream_meta.json", json.dumps(meta_doc, indent=2, sort_keys=True) + "\n")
     click.echo(f"{meta.frame_count} frame(s), fps {format_fps(meta.fps)}, {len(meta.gaps)} gap(s)")
@@ -549,7 +532,7 @@ def count(detections, out, config_path, gray_path, fps_flag, **settings):
     gray_frames = None
     if gray_path is not None:
         gray_frames = load_gray_frames(_map_bytes(gray_path))
-    _, csv_bytes, _, _ = stage_count(
+    _, csv_bytes, _ = stage_count(
         _map_bytes(detections), config, gray_frames=gray_frames, regressor=regressor
     )
     _write(Path(out), "raw_counts.csv", csv_bytes)
@@ -668,11 +651,9 @@ def synth(profile, seed, spike_probability, magnitude, run_length, out, fps_flag
         except ValueError:
             raise ConfigError(f"bad profile token {token!r}, expected FRAMESxCOUNT") from None
     fps = _parse_fps_flag(fps_flag) or Fraction(30)
-    truth, jittered = generate_synthetic(
-        pieces,
-        JitterSpec(spike_probability, magnitude, run_length, seed),
-        fps=fps,
-    )
+    jitter = _policy(JitterSpec, spike_probability, magnitude, run_length, seed)
+    # generate_synthetic range-checks the profile
+    truth, jittered = _policy(generate_synthetic, pieces, jitter, fps)
     out_dir = Path(out)
     _write(out_dir, "truth.csv", write_count_series(truth, comments=[f"seed={seed}"]))
     _write(out_dir, "jittered.csv", write_count_series(jittered, comments=[f"seed={seed}"]))

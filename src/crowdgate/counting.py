@@ -133,8 +133,9 @@ def count_series(detections: Detections, meta, policy: RoutingPolicy) -> CountSe
     return CountSeries.from_counts(counts, meta.fps)
 
 
-def count_detections(data, policy: RoutingPolicy) -> tuple[CountSeries, StreamMeta, str]:
-    """Detector counts of a detections stream, its StreamMeta and its SHA-256.
+def count_detections(data, policy: RoutingPolicy) -> tuple[CountSeries, StreamMeta]:
+    """Detector counts of a detections stream and its StreamMeta, whose
+    ``sha256`` is the stream's hash.
 
     ``data`` is the whole stream, bytes or an ``mmap`` of its file, and is
     parsed and checked as ``ingest.parse_detections`` does, with the same
@@ -149,8 +150,8 @@ def count_detections(data, policy: RoutingPolicy) -> tuple[CountSeries, StreamMe
         _, _, box_counts, *_, score, class_id = part
         return _person_counts(box_counts, score, class_id, policy)
 
-    meta, counts, sha256 = _walk(data, frame_counts)
-    return CountSeries.from_counts(_join(counts), meta.fps), meta, sha256
+    meta, counts = _walk(data, frame_counts)
+    return CountSeries.from_counts(_join(counts), meta.fps), meta
 
 
 def _person_counts(box_counts, score, class_id, policy: RoutingPolicy) -> np.ndarray:

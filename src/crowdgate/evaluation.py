@@ -38,6 +38,8 @@ class JitterSpec:
             raise ValueError(f"max_spike_magnitude must be >= 1, got {self.max_spike_magnitude}")
         if self.max_spike_run < 1:
             raise ValueError(f"max_spike_run must be >= 1, got {self.max_spike_run}")
+        if self.rng_seed < 0:
+            raise ValueError(f"rng_seed must be >= 0, got {self.rng_seed}")
 
 
 @dataclass(frozen=True)

@@ -20,8 +20,8 @@ whole numpy arrays, in blocks on all CPUs, a window of blocks at a time
 from __future__ import annotations
 
 import bisect
+import functools
 import hashlib
-import io
 import itertools
 import json
 import mmap
@@ -126,12 +126,18 @@ class Detections:
 
 @dataclass(frozen=True)
 class StreamMeta:
-    """Stream-level metadata; ``gaps`` lists (first, last) missing index ranges."""
+    """Stream-level metadata; ``gaps`` lists (first, last) missing index ranges.
+
+    ``sha256`` is the hex SHA-256 of the whole stream, header included, as
+    the detections walk (``_walk``) hashed it; empty for metadata made
+    without a walk.
+    """
 
     fps: Fraction
     frame_count: int
     source_id: str
     gaps: tuple[tuple[int, int], ...] = field(default=())
+    sha256: str = ""
 
     def __post_init__(self):
         if self.fps <= 0:
@@ -162,7 +168,8 @@ def format_fps(fps: Fraction):
 
 
 def parse_detections(data) -> tuple[Detections, StreamMeta]:
-    """Parse a detections stream into columns plus stream metadata.
+    """Parse a detections stream into columns plus stream metadata, which
+    carries the stream's SHA-256.
 
     ``data`` is the whole stream: bytes, or an ``mmap`` of a file.
     Records must arrive in strictly increasing frame_index order;
@@ -194,7 +201,7 @@ def parse_detections(data) -> tuple[Detections, StreamMeta]:
     0.2`` is ``0.30000000000000004``), so ``normalized.jsonl`` is scanned
     only when the input's floats were so rounded.
     """
-    meta, parts, _ = _walk(data, lambda part: part, hashed=False)
+    meta, parts = _walk(data, lambda part: part)
     # From here only `columns` holds the parts. They are joined a column at
     # a time, each column's parts dropped once joined, so the parse peaks
     # near its output, not at twice it.
@@ -206,8 +213,8 @@ def parse_detections(data) -> tuple[Detections, StreamMeta]:
     return Detections(frame_index, timestamp_ms, offsets, Boxes(*boxes)), meta
 
 
-def _walk(data, keep, hashed=True) -> tuple[StreamMeta, list, str | None]:
-    """Walk a detections stream in windows: (StreamMeta, kept parts, SHA-256).
+def _walk(data, keep) -> tuple[StreamMeta, list]:
+    """Walk a detections stream in windows: (StreamMeta, kept parts).
 
     ``data`` is the whole stream, as for ``parse_detections``. Each block
     of the body is parsed to its columns, as ``_Block.columns`` gives
@@ -216,15 +223,13 @@ def _walk(data, keep, hashed=True) -> tuple[StreamMeta, list, str | None]:
     The list of kept parts starts with ``keep`` of an empty part, so that
     a stream without records joins too.
 
-    The blocks are taken ``_WINDOW_BLOCKS`` at a time. While the pool
-    scans a window's blocks, a helper thread hashes the window's bytes
-    (the first window's from the start of the stream); it calls only
-    ``hashlib``, which releases the GIL. A stream of a single window is
-    hashed on the calling thread, and none is hashed unless ``hashed``
-    (the SHA-256 is then None). When ``data`` is an ``mmap``, each
-    window's whole pages are released (``MADV_DONTNEED``) once it is
-    parsed and hashed, so the mapped stream costs about a window of
-    memory, not its size.
+    The blocks are taken ``_WINDOW_BLOCKS`` at a time. Hashing a window's
+    bytes (the first window's from the start of the stream) is one more
+    item of the pool that scans the window's blocks; ``hashlib`` releases
+    the GIL while it hashes. When ``data`` is an ``mmap``, each window's
+    whole pages are released (``MADV_DONTNEED``) once the pool has
+    returned, so the mapped stream costs about a window of memory, not
+    its size, and no page is released before it is hashed.
     """
     (fps, source_id), body, line_no = _read_header(data)
     # Imported here: without cached bytecode, compiling the scan would cost
@@ -241,57 +246,39 @@ def _walk(data, keep, hashed=True) -> tuple[StreamMeta, list, str | None]:
     # throughout, as a rule, and its other blocks go straight to the
     # per-line parse instead of each paying a scan first.
     scanning = True
-    digest = None
+    digest = hashlib.sha256()
     done = released = 0  # bytes of the stream hashed, and released, so far
-
-    def hash_to(end):
-        nonlocal digest, done
-        chunk = view[done:end]
-        if digest is None:
-            digest = hashlib.sha256(chunk)
-        else:
-            digest.update(chunk)
-        done = end
-
     end = body
     with memoryview(data) as view:
         for number in itertools.count():
             window = _line_blocks(data, end, _WINDOW_BLOCKS)
             end = window[-1][1] if window else len(data)
-            helper = None
-            if hashed and number == 0 and end == len(data):
-                hash_to(end)  # a single window
-            elif hashed:
-                helper = threading.Thread(target=hash_to, args=(end,))
-                helper.start()
-            try:
-                scanned = [None] * len(window)
-                if scanning and window:
-                    first = 0
-                    if number == 0:
-                        scanned[0] = scan(window[0])
-                        scanning, first = scanned[0] is not None, 1
-                    if scanning:
-                        scanned[first:] = _map_threads(scan, window[first:], _SCAN_THREADS)
-                for (start, stop), part in zip(window, scanned):
-                    if part is not None and _increasing(part[0], last_index):
-                        line_no += len(part[0])  # a canonical line is one record
-                    else:
-                        # not canonical, or out of frame order: the per-line
-                        # code parses the block or raises its first error
-                        part, lines = _parse_lines(data, start, stop, line_no, last_index)
-                        line_no += lines
-                    frame_count += len(part[0])
-                    gaps += _gaps(part[0], last_index)
-                    if len(part[0]):
-                        last_index = int(part[0][-1])
-                    kept.append(keep(part))
-                scanned.clear()
-            finally:
-                if helper is not None:
-                    helper.join()
-            if hashed and done != end:
-                raise RuntimeError("the detections stream's hash thread failed")
+            scanned = [None] * len(window)
+            first = 0
+            if number == 0 and window:
+                scanned[0] = scan(window[0])
+                scanning, first = scanned[0] is not None, 1
+            blocks = window[first:] if scanning else []
+            jobs = [functools.partial(digest.update, view[done:end])]
+            jobs += [functools.partial(scan, block) for block in blocks]
+            scanned[first : first + len(blocks)] = _map_threads(
+                lambda job: job(), jobs, _SCAN_THREADS
+            )[1:]
+            done = end
+            for (start, stop), part in zip(window, scanned):
+                if part is not None and _increasing(part[0], last_index):
+                    line_no += len(part[0])  # a canonical line is one record
+                else:
+                    # not canonical, or out of frame order: the per-line
+                    # code parses the block or raises its first error
+                    part, lines = _parse_lines(data, start, stop, line_no, last_index)
+                    line_no += lines
+                frame_count += len(part[0])
+                gaps += _gaps(part[0], last_index)
+                if len(part[0]):
+                    last_index = int(part[0][-1])
+                kept.append(keep(part))
+            scanned.clear()
             if isinstance(data, mmap.mmap):
                 # whole pages only: the page holding `end` still serves the next window
                 upto = end if end == len(data) else end - end % mmap.PAGESIZE
@@ -300,8 +287,8 @@ def _walk(data, keep, hashed=True) -> tuple[StreamMeta, list, str | None]:
                     released = upto
             if end == len(data):
                 break
-    meta = StreamMeta(fps=fps, frame_count=frame_count, source_id=source_id, gaps=tuple(gaps))
-    return meta, kept, digest and digest.hexdigest()
+    meta = StreamMeta(fps, frame_count, source_id, tuple(gaps), digest.hexdigest())
+    return meta, kept
 
 
 def _gaps(frame_index, last_index) -> list[tuple[int, int]]:
@@ -538,28 +525,48 @@ def _int_field(obj, name, line_no) -> int:
     raise InputFormatError(f"{name} must be an integer, got {value!r}", line=line_no)
 
 
+def normalize_detections(data) -> tuple[list[bytes], StreamMeta]:
+    """What ``serialize_detections(*parse_detections(data))`` writes, in
+    parts whose join is that file, plus the stream metadata.
+
+    Each block is rendered as the walk parses it (``_walk``), so no box
+    columns outlive their block.
+    """
+    meta, parts = _walk(data, lambda part: _render_records(*part))
+    return [_render_header(meta), *parts], meta
+
+
 def serialize_detections(detections: Detections, meta: StreamMeta) -> bytes:
     """Write detections + metadata back to the detections file format."""
-    out = io.StringIO()
-    json.dump(
-        {"fps": format_fps(meta.fps), "source_id": meta.source_id},
-        out,
-        separators=(",", ":"),
-    )
-    out.write("\n")
     b = detections.boxes
-    rows = list(zip(*(c.tolist() for c in (b.x, b.y, b.w, b.h, b.score, b.class_id))))
-    offsets = detections.offsets.tolist()
-    stamps = detections.timestamp_ms.tolist()
-    for i, index in enumerate(detections.frame_index.tolist()):
+    return _render_header(meta) + _render_records(
+        detections.frame_index, detections.timestamp_ms, np.diff(detections.offsets),
+        b.x, b.y, b.w, b.h, b.score, b.class_id,
+    )
+
+
+def _render_header(meta: StreamMeta) -> bytes:
+    """The header line ``serialize_detections`` writes for ``meta``."""
+    header = {"fps": format_fps(meta.fps), "source_id": meta.source_id}
+    return (json.dumps(header, separators=(",", ":")) + "\n").encode("utf-8")
+
+
+def _render_records(frame_index, timestamp_ms, box_counts, *boxes) -> bytes:
+    """The record lines ``serialize_detections`` writes for columns laid out
+    as ``_Block.columns`` gives them: one ``json.dumps`` per frame, over
+    Python values, so a float is written as Python's repr."""
+    rows = list(zip(*(column.tolist() for column in boxes)))
+    ends = np.cumsum(box_counts).tolist()
+    lines, start = [], 0
+    for index, stamp, end in zip(frame_index.tolist(), timestamp_ms.tolist(), ends):
         record = {
             "frame_index": index,
-            "timestamp_ms": stamps[i],
-            "boxes": [dict(zip(_BOX_FIELDS, row)) for row in rows[offsets[i] : offsets[i + 1]]],
+            "timestamp_ms": stamp,
+            "boxes": [dict(zip(_BOX_FIELDS, row)) for row in rows[start:end]],
         }
-        out.write(json.dumps(record, separators=(",", ":")))
-        out.write("\n")
-    return out.getvalue().encode("utf-8")
+        lines.append(json.dumps(record, separators=(",", ":")) + "\n")
+        start = end
+    return "".join(lines).encode("utf-8")
 
 
 def load_gray_frames(data) -> np.ndarray:
@@ -618,10 +625,11 @@ def decode_line(line: bytes, line_no: int) -> str:
 def _map_threads(work, items, most=None):
     """``[work(item) for item in items]`` on up to one thread per usable CPU.
 
-    The one pool of the package: the density loop runs its row bands here
-    and the detections parse its blocks, on at most ``most`` threads. The
-    calling thread is one of the workers; no thread is started for a
-    single item or a single CPU. The first exception an item raises is
+    The one pool of the package: the density loop runs its row bands
+    here, the detections walk its blocks and each window's hash, and the
+    count-CSV reader its blocks, on at most ``most`` threads. The calling
+    thread is one of the workers; no thread is started for a single item
+    or a single CPU. The first exception an item raises is
     re-raised here once every worker has stopped.
     """
     workers = min(len(items), _usable_cpus(), most or len(items))

@@ -90,17 +90,10 @@ def extract_segments(series: CountSeries, policy: SegmentPolicy) -> list[Segment
     min_duration = policy.min_duration_frames if policy.min_duration_frames is not None else 0
     merge_gap = policy.merge_gap_frames if policy.merge_gap_frames is not None else 0
 
-    above = series.counts > policy.abnormal_threshold
-    runs: list[list[int]] = []
-    start = None
-    for i, flag in enumerate(above):
-        if flag and start is None:
-            start = i
-        elif not flag and start is not None:
-            runs.append([start, i - 1])
-            start = None
-    if start is not None:
-        runs.append([start, len(series) - 1])
+    # a run starts where the padded flags rise and ends before they fall
+    above = np.concatenate(([False], series.counts > policy.abnormal_threshold, [False]))
+    edges = np.flatnonzero(np.diff(above.view(np.int8)))
+    runs = (edges.reshape(-1, 2) - [0, 1]).tolist()
 
     merged: list[list[int]] = []
     for run in runs:

@@ -29,9 +29,14 @@ from crowdgate.cli import (
 from crowdgate.counting import CODE_DENSITY, read_count_series, write_count_series
 from crowdgate.density import DensityRegressor, estimate_density_counts, regressor_to_json
 from crowdgate.errors import InputFormatError, StageError
-from crowdgate.ingest import load_gray_frames, save_gray_frames
+from crowdgate.ingest import (
+    load_gray_frames,
+    parse_detections,
+    save_gray_frames,
+    serialize_detections,
+)
 
-from conftest import detections_bytes, series
+from conftest import detections_bytes, parsed_in, series
 
 
 @pytest.fixture
@@ -53,6 +58,29 @@ def write_density_inputs(tmp_path, n_frames):
     return str(gray), str(model)
 
 
+def spy_on_sha256(monkeypatch) -> list:
+    """A list that gets, for each SHA-256 digest made from here on, the
+    list of chunks fed to it."""
+    sha256 = hashlib.sha256
+    fed = []
+
+    class Spy:
+        def __init__(self, data=b""):
+            self.chunks = [bytes(data)]
+            fed.append(self.chunks)
+            self.real = sha256(data)
+
+        def update(self, data):
+            self.chunks.append(bytes(data))
+            self.real.update(data)
+
+        def hexdigest(self):
+            return self.real.hexdigest()
+
+    monkeypatch.setattr(hashlib, "sha256", Spy)
+    return fed
+
+
 def run_cli(runner, args):
     result = runner.invoke(main, args, catch_exceptions=False)
     return result
@@ -72,6 +100,51 @@ class TestIngestCommand:
         bad.write_text('{"fps":30,"source_id":"s"}\nnot json\n')
         result = run_cli(runner, ["ingest", str(bad), "--out", str(tmp_path / "o")])
         assert result.exit_code == EXIT_INPUT_ERROR
+
+    @staticmethod
+    def many_windows(n=300):
+        """A stream of records in every form: canonical, spaced and with
+        17-digit floats, with gaps, for windows of three 300-byte blocks."""
+        rng = np.random.default_rng(3)
+        lines, index = [json.dumps({"fps": "30000/1001", "source_id": "cam é"})], 0
+        for k in range(n):
+            boxes = [
+                {"x": float(x), "y": 2.5, "w": 3.0, "h": 4.25, "score": 0.5, "class_id": k % 3}
+                for x in rng.random(int(rng.integers(0, 5))) * 100
+            ]
+            record = {"frame_index": index, "timestamp_ms": 33 * index, "boxes": boxes}
+            separators = (", ", ": ") if k % 50 == 7 else (",", ":")
+            lines.append(json.dumps(record, separators=separators))
+            index += int(rng.integers(1, 3))
+        return ("\n".join(lines) + "\n").encode()
+
+    def test_normalized_copy_of_many_windows(self, runner, tmp_path):
+        # rendered a block at a time, the copy is the whole-stream serialization
+        data = self.many_windows()
+        det = tmp_path / "d.jsonl"
+        det.write_bytes(data)
+        with parsed_in(300, 2, 3):
+            result = run_cli(runner, ["ingest", str(det), "--out", str(tmp_path / "o")])
+        assert result.exit_code == 0, result.output
+        assert len(data) > 10 * 3 * 300
+        written = (tmp_path / "o" / "normalized.jsonl").read_bytes()
+        assert written == serialize_detections(*parse_detections(data))
+        meta = json.loads((tmp_path / "o" / "stream_meta.json").read_text())
+        assert meta["input_sha256"] == hashlib.sha256(data).hexdigest()
+
+    def test_input_hashed_once_while_walked(self, monkeypatch, runner, tmp_path):
+        # each byte is fed to SHA-256 once, a window at a time as the walk
+        # reads it, not in a second pass over the input
+        data = self.many_windows()
+        det = tmp_path / "d.jsonl"
+        det.write_bytes(data)
+        fed = spy_on_sha256(monkeypatch)
+        with parsed_in(300, 2, 3):
+            result = run_cli(runner, ["ingest", str(det), "--out", str(tmp_path / "o")])
+        assert result.exit_code == 0, result.output
+        [chunks] = fed
+        assert b"".join(chunks) == data
+        assert max(map(len, chunks)) < len(data) / 10
 
 
 class TestCountCommand:
@@ -143,12 +216,52 @@ class TestCountCommand:
         assert f"error: {next(iter(config))} must be" in result.output
 
 
+SYNTH = ["synth", "--profile", "10x5", "--seed", "1"]
+
+
+@pytest.mark.parametrize(
+    "args,config",
+    [
+        (["smooth", "{csv}", "--fps", "0"], None),
+        (SYNTH + ["--fps", "0"], None),
+        (["eval", "--truth", "{csv}", "--raw", "{csv}", "--smoothed", "{csv}", "--fps", "0"],
+         None),
+        (["smooth", "{csv}"], {"fps_override": 0}),
+        (["smooth", "{csv}"], {"fps_override": "abc"}),
+        (["run", "{det}", "--threshold", "5"], {"fps_override": "abc"}),
+        (["run", "{det}", "--threshold", "5", "--fps", "0"], None),
+        (SYNTH + ["-p", "2"], None),
+        (SYNTH + ["--magnitude", "0"], None),
+        (["synth", "--profile", "100x-5", "--seed", "1"], None),
+        (["synth", "--profile", "0x5", "--seed", "1"], None),
+        (["synth", "--profile", "10x5", "--seed", "-1"], None),
+    ],
+    ids=["smooth-fps-flag", "synth-fps-flag", "eval-fps-flag", "config-fps-0",
+         "config-fps-abc", "run-config-fps", "run-fps-flag", "synth-probability",
+         "synth-magnitude", "synth-negative-count", "synth-empty-run", "synth-seed"],
+)
+def test_bad_settings_exit_3(runner, tmp_path, args, config):
+    # a bad setting is a config error, and nothing is written
+    csv = tmp_path / "c.csv"
+    csv.write_bytes(write_count_series(series([1, 2, 3])))
+    det = write_detections(tmp_path / "d.jsonl", [1, 2, 3])
+    args = [arg.format(csv=csv, det=det) for arg in args] + ["--out", str(tmp_path / "o")]
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        args += ["--config", str(cfg)]
+    result = run_cli(runner, args)
+    assert result.exit_code == EXIT_CONFIG_ERROR, result.output
+    assert result.output.startswith("error: ")
+    assert not (tmp_path / "o").exists()
+
+
 def test_stage_count_calls_parse_and_count_through_module(monkeypatch):
     # stage_count must look its parse-and-count step, count_detections, up
     # on crowdgate.cli at call time, so that the benchmark's tracer can wrap
     # it there. The step gets the stream as stage_count got it and returns
-    # the counts, the stream's metadata and its hash, which stage_count
-    # hands on.
+    # the counts and the stream's metadata, with its hash, which
+    # stage_count hands on.
     calls = []
     original = cli.count_detections
 
@@ -159,12 +272,12 @@ def test_stage_count_calls_parse_and_count_through_module(monkeypatch):
 
     monkeypatch.setattr(cli, "count_detections", spy)
     data = detections_bytes([3, 0, 2])
-    series, _, meta, sha256 = stage_count(data, PipelineConfig())
-    [((stream, policy), (counted, counted_meta, counted_sha256))] = calls
+    series, _, meta = stage_count(data, PipelineConfig())
+    [((stream, policy), (counted, counted_meta))] = calls
     assert stream is data and policy == PipelineConfig().routing_policy()
     assert counted.counts.tolist() == series.counts.tolist() == [3, 0, 2]
     assert counted_meta is meta and meta.frame_count == 3
-    assert counted_sha256 == sha256 == hashlib.sha256(data).hexdigest()
+    assert meta.sha256 == hashlib.sha256(data).hexdigest()
 
 
 def test_stages_call_csv_reader_and_writer_through_module(monkeypatch):
@@ -186,7 +299,7 @@ def test_stages_call_csv_reader_and_writer_through_module(monkeypatch):
     spy("read_count_series")
     spy("write_count_series")
     config = PipelineConfig(abnormal_threshold=2)
-    _, raw_csv, _, _ = stage_count(detections_bytes([3, 0, 2]), config)
+    _, raw_csv, _ = stage_count(detections_bytes([3, 0, 2]), config)
     _, smoothed_csv, _ = stage_smooth(raw_csv, config)
     stage_segment(smoothed_csv, config, source="s")
     stage_eval(raw_csv, raw_csv, smoothed_csv)
@@ -293,14 +406,7 @@ def write_calibration(path):
 def test_run_hashes_each_input_once(monkeypatch, runner, tmp_path):
     # raw_counts.csv reuses the manifest's detections hash, and the gray
     # container is hashed once, on a thread
-    sha256 = hashlib.sha256
-    fed = []
-
-    def spy(data):
-        fed.append(bytes(data))
-        return sha256(data)
-
-    monkeypatch.setattr(cli.hashlib, "sha256", spy)
+    fed = spy_on_sha256(monkeypatch)
     counts = [3, 30, 3, 30, 3, 3]
     det = write_detections(tmp_path / "d.jsonl", counts)
     gray = write_moving_gray(tmp_path / "g.cgry", len(counts))
@@ -317,7 +423,7 @@ def test_run_hashes_each_input_once(monkeypatch, runner, tmp_path):
     inputs = [Path(path).read_bytes() for path in (det, gray, calibration, truth)]
     written = ("density_model.json", "raw_counts.csv", "smoothed_counts.csv")
     expected = inputs + [(out / name).read_bytes() for name in written]
-    assert sorted(fed) == sorted(expected)
+    assert sorted(b"".join(chunks) for chunks in fed) == sorted(expected)
 
 
 def _gray_args(command, tmp_path, gray):
@@ -421,7 +527,7 @@ class TestGrayContainerPath:
             ["count", det, "--out", str(tmp_path / "c"), "--gray", gray, "--model", str(model)],
         )
         assert result.exit_code == 0, result.output
-        _, expected, _, _ = stage_count(
+        _, expected, _ = stage_count(
             Path(det).read_bytes(), PipelineConfig(), gray_frames=frames, regressor=regressor
         )
         assert (tmp_path / "c" / "raw_counts.csv").read_bytes() == expected

@@ -30,6 +30,18 @@ def naive_segments(counts, threshold):
     return runs
 
 
+def loop_segments(counts, policy):
+    """(start, end) of each segment, found frame by frame as extract_segments
+    did before it took its runs from numpy: the oracle of its run edges."""
+    merged = []
+    for start, end in naive_segments(counts, policy.abnormal_threshold):
+        if merged and start - merged[-1][1] - 1 <= policy.merge_gap_frames:
+            merged[-1][1] = end
+        else:
+            merged.append([start, end])
+    return [(s, e) for s, e in merged if e - s + 1 >= policy.min_duration_frames]
+
+
 class TestExtractSegments:
     def test_all_below_threshold(self):
         policy = SegmentPolicy(5, min_duration_frames=1, merge_gap_frames=0)
@@ -79,6 +91,13 @@ class TestExtractSegments:
             counts = rng.integers(0, 16, int(rng.integers(1, 200)))
             segs = extract_segments(series(counts), policy)
             assert [(s.start_frame, s.end_frame) for s in segs] == naive_segments(counts, 8)
+
+    def test_runs_match_the_frame_loop(self, rng):
+        for _ in range(3000):
+            counts = rng.integers(0, int(rng.integers(1, 12)), int(rng.integers(1, 120)))
+            policy = SegmentPolicy(*(int(v) for v in rng.integers([1, 0, 0], [10, 6, 6])))
+            segs = extract_segments(series(counts), policy)
+            assert [(s.start_frame, s.end_frame) for s in segs] == loop_segments(counts, policy)
 
     def test_threshold_anti_monotone(self, rng):
         for _ in range(30):

@@ -9,6 +9,7 @@ The oracle is ``parse_detections`` on the whole stream as one block, plus
 import hashlib
 import json
 import mmap
+import threading
 import time
 import tracemalloc
 
@@ -78,13 +79,13 @@ def assert_counts_like_parse(data, tmp_path):
     for source in sources(data, tmp_path):
         for way in WAYS:
             with parsed_in(*way):
-                series, csv, meta, sha256 = stage_count(source, CONFIG)
+                series, csv, meta = stage_count(source, CONFIG)
             assert series.counts.tobytes() == want_series.counts.tobytes(), way
             assert series.provenance.tobytes() == want_series.provenance.tobytes()
             assert series.fps == want_series.fps
             assert csv == want_csv, way
             assert meta == want_meta, way
-            assert sha256 == want_sha256
+            assert meta.sha256 == want_sha256
     return want_series
 
 
@@ -214,7 +215,7 @@ class TestBoundedMemory:
         real_sha256 = hashlib.sha256
 
         class Sha256:
-            def __init__(self, chunk):
+            def __init__(self, chunk=b""):
                 self.real = real_sha256(chunk)
                 hashed[0] += len(chunk)
 
@@ -247,3 +248,26 @@ class TestBoundedMemory:
             assert end % mmap.PAGESIZE == 0 or end == len(data)
             assert end <= hashed_then
         assert end == len(data)
+
+    def test_hash_error_reaches_the_caller(self, monkeypatch):
+        # A window is hashed on the pool that scans its blocks: an error
+        # while hashing is raised to the caller as itself, once every worker
+        # has stopped.
+        class HashError(Exception):
+            pass
+
+        class Sha256:
+            def __init__(self, chunk=b""):
+                if chunk:
+                    self.update(chunk)
+
+            def update(self, chunk):
+                raise HashError
+
+        data = canonical_stream(self.FRAMES)
+        before = set(threading.enumerate())
+        monkeypatch.setattr(hashlib, "sha256", Sha256)
+        with parsed_in(1 << 12, 2), pytest.raises(HashError):
+            stage_count(data, CONFIG)
+        assert len(data) > 2 * ingest._WINDOW_BLOCKS * (1 << 12)
+        assert set(threading.enumerate()) == before
