@@ -27,8 +27,11 @@ _CALIBRATION_HEADER = ["frame_index", "area", "edge", "true_count"]
 _INT64_MAX = int(np.iinfo(np.int64).max)
 # ASCII digits, as in count CSVs; int() also takes "+1", " 1", "1_0" and "\u0663".
 _INTEGER = re.compile("-?[0-9]+")
-# Pixels per band of ``_density_loop``: a band's float64 buffers then fit in L2.
-_BAND_PIXELS = 1 << 15
+# Pixels per band of ``_density_loop``: 90 rows of a 640-wide frame. Taller
+# bands make fewer numpy calls, each handing the GIL to the other thread;
+# shorter ones keep a band's float64 buffers in cache. On 640x360 frames and
+# a 2-CPU host this height ran fastest on both 1 and 2 threads.
+_BAND_PIXELS = 57_600
 
 
 @dataclass(frozen=True)
@@ -180,13 +183,14 @@ def predict_count(regressor: DensityRegressor, features: ForegroundFeatures) -> 
 def estimate_density_counts(
     frames: np.ndarray, regressor: DensityRegressor, frame_indices
 ) -> dict[int, int]:
-    """Density counts for the requested frames of one (n, height, width) gray stream.
+    """Density counts for the requested frames of one (n, height, width) uint8 gray stream.
 
-    Runs the background model sequentially over the whole stream (it is
-    order-dependent) and predicts only at the requested indices. The frame
-    is processed in bands of rows, on up to one thread per usable CPU; the
-    background stays bit-identical to folding ``update_background`` over
-    the stream, and each mask to ``extract_foreground``.
+    Runs the background model sequentially over the stream (it is
+    order-dependent) up to the last requested frame, and predicts only at
+    the requested indices. The frame is processed in bands of rows, on up to
+    one thread per usable CPU; the background stays bit-identical to folding
+    ``update_background`` over the stream, and each mask to
+    ``extract_foreground``. Frames of any dtype but uint8 raise ValueError.
     """
     wanted = set(frame_indices)
     if len(frames) == 0:
@@ -199,17 +203,22 @@ def estimate_density_counts(
 
 
 def _density_loop(frames, regressor: DensityRegressor, wanted):
-    """The loop of ``estimate_density_counts``; returns (counts, final background).
+    """The loop of ``estimate_density_counts``; returns (counts, background).
 
-    ``frames`` is a non-empty (n, height, width) array, so every frame has
-    the same shape. The frame is cut into bands of whole rows, and each band
-    runs over the whole stream on its own (``_band``), so its buffers stay in
-    cache and bands can run on separate threads. Each pixel's background
-    evolves independently of every other pixel and the per-band features are
-    integer sums, so counts and background are bit-identical for any band
-    height and any number of threads. Counts are predicted here, in ascending
-    frame order, in the calling thread.
+    ``frames`` is a non-empty (n, height, width) uint8 array, so every frame
+    has the same shape; the background returned is the one at the last
+    wanted frame (at frame 0 when none is wanted). The frame is cut into
+    bands of whole rows, and each band runs over the stream on its own
+    (``_band``), so its buffers stay in cache and bands can run on separate
+    threads. Each pixel's background evolves independently of every other
+    pixel and the per-band features are integer sums, so counts and
+    background are bit-identical for any band height and any number of
+    threads. Counts are predicted here, in ascending frame order, in the
+    calling thread.
     """
+    if frames.dtype != np.uint8:
+        # ``_band``'s motion gate holds only for uint8 differences.
+        raise ValueError(f"gray frames must be uint8, got {frames.dtype}")
     model = BackgroundModel(frames[0].astype(np.float64))
     order = sorted(set(wanted))
     height, width = model.background.shape
@@ -232,28 +241,43 @@ def _density_loop(frames, regressor: DensityRegressor, wanted):
     return results, background
 
 
+def _motion_gate(threshold: float) -> int:
+    """The number of uint8 frame differences ``d`` in 0..255 with ``d < threshold``.
+
+    Between two uint8 frames ``|curr - prev|`` is such an integer, so a
+    pixel is static for ``update_background`` exactly when its difference
+    is below this cutoff; that holds for any float threshold, NaN and
+    infinities included.
+    """
+    return int(np.count_nonzero(np.arange(256.0) < threshold))
+
+
 def _band(frames, rows, order, model: BackgroundModel, fg_threshold: float):
-    """Run image rows ``rows = (r0, r1)`` over the whole stream.
+    """Run image rows ``rows = (r0, r1)`` of uint8 ``frames`` up to the last frame of ``order``.
 
     Returns the int64 foreground area and interior-pixel count of these rows
     at each frame of ``order`` (ascending frame positions), and the rows'
-    final background. The band also keeps the background of the row above
-    and the row below it (its halo rows), which give its edge rows their
-    vertical neighbours; rows outside the image count as background, as in
-    ``compute_features``. The per-frame steps write into buffers allocated
-    once, using the same float operations in the same order as
-    ``update_background`` and ``extract_foreground``.
+    background at its last frame. The band also keeps the background of the
+    row above and the row below it (its halo rows), which give its edge rows
+    their vertical neighbours; rows outside the image count as background,
+    as in ``compute_features``. The per-frame steps write into buffers
+    allocated once. The motion gate compares integer differences with
+    ``_motion_gate``'s cutoff; every float step is the operation of
+    ``update_background`` and ``extract_foreground``, so the result is the
+    same bit for bit.
     """
     r0, r1 = rows
     height, width = model.background.shape
     a0, a1 = max(r0 - 1, 0), min(r1 + 1, height)
     alpha = model.learning_rate
     keep = 1.0 - alpha
+    gate = _motion_gate(model.motion_threshold)
     background = model.background[a0:a1].copy()
-    prev = background.copy()
-    curr = np.empty_like(background)
+    blend = np.empty_like(background)
     scratch = np.empty_like(background)
-    static = np.empty(background.shape, dtype=bool)
+    diff = np.empty(background.shape, dtype=np.uint8)
+    low = np.empty_like(diff)
+    moving = np.empty(background.shape, dtype=bool)
     # Mask rows r0 - 1 .. r1; a halo row outside the image stays False.
     padded = np.zeros((r1 - r0 + 2, width), dtype=bool)
     mask = padded[a0 - r0 + 1 : a1 - r0 + 1]
@@ -262,35 +286,33 @@ def _band(frames, rows, order, model: BackgroundModel, fg_threshold: float):
     interior = np.empty((own.shape[0], max(width - 2, 0)), dtype=bool)
     areas = np.zeros(len(order), dtype=np.int64)
     interiors = np.zeros(len(order), dtype=np.int64)
-    k = 0
-    for i in range(len(frames)):
-        if i > 0:
-            np.copyto(curr, frames[i, a0:a1])
-            np.subtract(curr, prev, out=scratch)
-            np.abs(scratch, out=scratch)
-            np.less(scratch, model.motion_threshold, out=static)
-            # Blend every pixel, then keep the static ones: the same float
-            # operations per pixel as ``update_background``, and cheaper
-            # than masking each of them. ``prev`` is free from here on.
-            np.multiply(background, keep, out=prev)
+    at = 0  # the frame ``background`` has seen last
+    for k, i in enumerate(order):
+        for j in range(at + 1, i + 1):
+            prev, curr = frames[j - 1, a0:a1], frames[j, a0:a1]
+            np.maximum(curr, prev, out=diff)
+            np.minimum(curr, prev, out=low)
+            np.subtract(diff, low, out=diff)
+            np.greater_equal(diff, gate, out=moving)
+            # Blend every pixel, then restore the moving ones, which are
+            # usually few: a masked copy costs by the pixels it copies.
+            np.multiply(background, keep, out=blend)
             np.multiply(curr, alpha, out=scratch)
-            np.add(prev, scratch, out=prev)
-            np.copyto(background, prev, where=static)
-            prev, curr = curr, prev
-        if k < len(order) and order[k] == i:
-            # ``prev`` holds this frame as float64.
-            np.subtract(prev, background, out=scratch)
-            np.abs(scratch, out=scratch)
-            np.greater(scratch, fg_threshold, out=mask)
-            # Interior: foreground with all four neighbours foreground. The
-            # first and last columns border the outside, so never qualify.
-            np.logical_and(padded[:-2], padded[2:], out=vertical)
-            np.logical_and(vertical, own, out=vertical)
-            np.logical_and(vertical[:, 1:-1], own[:, :-2], out=interior)
-            np.logical_and(interior, own[:, 2:], out=interior)
-            areas[k] = np.count_nonzero(own)
-            interiors[k] = np.count_nonzero(interior)
-            k += 1
+            np.add(blend, scratch, out=blend)
+            np.copyto(blend, background, where=moving)
+            background, blend = blend, background
+        at = i
+        np.subtract(frames[i, a0:a1], background, out=scratch)
+        np.abs(scratch, out=scratch)
+        np.greater(scratch, fg_threshold, out=mask)
+        # Interior: foreground with all four neighbours foreground. The
+        # first and last columns border the outside, so never qualify.
+        np.logical_and(padded[:-2], padded[2:], out=vertical)
+        np.logical_and(vertical, own, out=vertical)
+        np.logical_and(vertical[:, 1:-1], own[:, :-2], out=interior)
+        np.logical_and(interior, own[:, 2:], out=interior)
+        areas[k] = np.count_nonzero(own)
+        interiors[k] = np.count_nonzero(interior)
     return areas, interiors, background[r0 - a0 : r1 - a0]
 
 

@@ -20,6 +20,7 @@ import numpy as np
 from .counting import CountSeries
 
 _CROSSCHECK_TOL = 1e-12
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 @dataclass(frozen=True)
@@ -38,6 +39,9 @@ class JitterSpec:
             raise ValueError(f"max_spike_magnitude must be >= 1, got {self.max_spike_magnitude}")
         if self.max_spike_run < 1:
             raise ValueError(f"max_spike_run must be >= 1, got {self.max_spike_run}")
+        for name in ("max_spike_magnitude", "max_spike_run"):
+            if getattr(self, name) > _INT64_MAX:
+                raise ValueError(f"{name} {getattr(self, name)} exceeds int64")
         if self.rng_seed < 0:
             raise ValueError(f"rng_seed must be >= 0, got {self.rng_seed}")
 
@@ -165,7 +169,9 @@ def generate_synthetic(
     independently starts a spike with the given probability; a spike adds a
     uniform +-{1..max_spike_magnitude} offset over a uniform 1..max_spike_run
     frame run (clamped at the series end), and the result clamps at zero.
-    Deterministic for a fixed seed.
+    Deterministic for a fixed seed. Spikes may overlap, so a profile whose
+    largest count plus the most a frame's overlapping spikes can add
+    exceeds int64 raises ValueError.
     """
     pieces = [(int(r), int(c)) for r, c in truth_profile]
     if not pieces or sum(r for r, _ in pieces) < 1:
@@ -175,10 +181,20 @@ def generate_synthetic(
             raise ValueError(f"run length must be >= 1, got {run}")
         if count < 0:
             raise ValueError(f"count must be >= 0, got {count}")
+        if count > _INT64_MAX:
+            raise ValueError(f"count {count} exceeds int64")
     truth = np.concatenate([np.full(run, count, dtype=np.int64) for run, count in pieces])
-    rng = np.random.default_rng(jitter.rng_seed)
-    jittered = truth.astype(np.int64).copy()
     n = len(truth)
+    # At most min(max_spike_run, n) spikes cover any one frame.
+    stacked = min(jitter.max_spike_run, n) if jitter.spike_probability > 0 else 0
+    top = max(count for _, count in pieces)
+    if top + stacked * jitter.max_spike_magnitude > _INT64_MAX:
+        raise ValueError(
+            f"count {top} plus {stacked} overlapping spike(s) of up to "
+            f"{jitter.max_spike_magnitude} exceeds int64"
+        )
+    rng = np.random.default_rng(jitter.rng_seed)
+    jittered = truth.copy()
     for i in range(n):
         if rng.random() >= jitter.spike_probability:
             continue

@@ -256,6 +256,35 @@ def test_bad_settings_exit_3(runner, tmp_path, args, config):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        (["--profile", "10x99999999999999999999"], "count 99999999999999999999 exceeds int64"),
+        (["--profile", "10x5", "--magnitude", "99999999999999999999"],
+         "max_spike_magnitude 99999999999999999999 exceeds int64"),
+        (["--profile", "10x9223372036854775806", "-p", "1"],
+         "count 9223372036854775806 plus 2 overlapping spike(s) of up to 3 exceeds int64"),
+    ],
+    ids=["count", "magnitude", "count-plus-spikes"],
+)
+def test_synth_values_beyond_int64_exit_3(runner, tmp_path, args, message):
+    result = run_cli(runner, ["synth", "--seed", "1", *args, "--out", str(tmp_path / "o")])
+    assert result.exit_code == EXIT_CONFIG_ERROR
+    assert result.output == f"error: {message}\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_stage_count_density_needs_uint8_frames():
+    # the density loop's motion gate holds only for uint8 frames; any other
+    # dtype is a stage error (exit 4)
+    frames = np.zeros((3, 4, 5), dtype=np.float64)
+    with pytest.raises(ValueError, match="must be uint8") as info:
+        stage_count(
+            detections_bytes([3, 30, 3]), PipelineConfig(), frames, DensityRegressor(1.0, 0.0, 0.0)
+        )
+    assert cli._exit_code_for(info.value) == EXIT_STAGE_ERROR
+
+
 def test_stage_count_calls_parse_and_count_through_module(monkeypatch):
     # stage_count must look its parse-and-count step, count_detections, up
     # on crowdgate.cli at call time, so that the benchmark's tracer can wrap

@@ -327,10 +327,11 @@ _BOUNDARY_STREAM = (
 
 
 def reference_density(frames, regressor, wanted):
-    """Fold ``update_background`` over the stream; predict at the wanted frames."""
+    """Fold ``update_background`` over the stream up to its last wanted frame
+    (frame 0 when none is wanted); predict at the wanted frames."""
     model = first_frame_model(frames[0])
     counts = {}
-    for i, frame in enumerate(frames):
+    for i, frame in enumerate(frames[: max(wanted, default=0) + 1]):
         if i > 0:
             model = update_background(model, frames[i - 1], frame)
         if i in wanted:
@@ -406,12 +407,73 @@ class TestInPlaceLoopParity:
         assert counts == expected_counts
         assert background.tobytes() == expected_background.tobytes()
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_default_band_height_on_wide_frames(self, workers):
+        # Three bands of the default height on 640-wide frames, the last one
+        # short. Blobs cross both seams and walk 2 px a frame (moving, as
+        # stripes of period 2 flip every pixel); the scene drifts by less
+        # than the motion threshold in its top rows (blended) and by more in
+        # its left columns (moving). The last frame is not wanted, so the
+        # loop stops one frame early.
+        rows = density._BAND_PIXELS // 640
+        height = 2 * rows + 7
+        rng = np.random.default_rng(16)
+        scene = rng.integers(20, 91, (height, 640)).astype(np.int16)
+        stripes = np.where(np.arange(24) % 2 == 0, 160, 255)
+        pixels = []
+        for i in range(8):
+            frame = scene.copy()
+            frame[:10] += 3 * i
+            frame[:, :12] += 16 * (i % 2)
+            for seam in (rows, 2 * rows):
+                x = 100 + 2 * i + seam
+                frame[seam - 9 : seam + 12, x : x + 24] = stripes[(np.arange(24) + i) % 24]
+            frame[-1:, 300 + 2 * i : 320 + 2 * i] = 230
+            pixels.append(frame)
+        frames = gray_stream(pixels)
+        regressor = DensityRegressor(0.7, 0.4, 0.5)
+        wanted = {0, 2, 3, 6}
+        with banded(None, workers, 640):
+            counts, background = _density_loop(frames, regressor, wanted)
+        expected_counts, expected_background = reference_density(frames, regressor, wanted)
+        assert counts == expected_counts
+        assert len(set(counts.values())) > 1
+        assert background.tobytes() == expected_background.tobytes()
+
     @pytest.mark.parametrize("shape", [(0, 0), (0, 5), (5, 0)])
     def test_empty_frames(self, shape):
         frames = np.zeros((3, *shape), dtype=np.uint8)
         counts, background = _density_loop(frames, DensityRegressor(1.0, 0.0, 2.0), {0, 2})
         assert counts == {0: 2, 2: 2}
         assert background.shape == shape
+
+
+class TestUint8Frames:
+    @pytest.mark.parametrize("dtype", [np.float64, np.int16, np.uint16, np.int8, bool])
+    def test_other_dtypes_rejected(self, dtype):
+        frames = np.zeros((3, 4, 5), dtype=dtype)
+        regressor = DensityRegressor(1.0, 0.0, 0.0)
+        with pytest.raises(ValueError, match=f"must be uint8, got {np.dtype(dtype)}"):
+            estimate_density_counts(frames, regressor, [1])
+        with pytest.raises(ValueError, match="must be uint8"):
+            _density_loop(frames, regressor, {1})
+
+    @pytest.mark.parametrize(
+        "threshold",
+        [0.0, -1.0, 0.5, 14.999, 15.0, 15.0001, 254.5, 255.0, 255.5, 256.0,
+         math.inf, -math.inf, math.nan],
+    )
+    def test_motion_gate_matches_float_test_on_every_pair(self, threshold):
+        # Every (prev, curr) pair of uint8 values, as two 256x256 frames.
+        prev, curr = np.meshgrid(np.arange(256), np.arange(256), indexing="ij")
+        static = np.abs(curr.astype(np.float64) - prev.astype(np.float64)) < threshold
+        assert np.array_equal(np.abs(curr - prev) < density._motion_gate(threshold), static)
+        # The banded loop gates each pair the same way as update_background.
+        frames = gray_stream([prev, curr])
+        model = BackgroundModel(frames[0].astype(np.float64), motion_threshold=threshold)
+        _, _, background = density._band(frames, (0, 256), [1], model, 25.0)
+        expected = update_background(model, frames[0], frames[1]).background
+        assert background.tobytes() == expected.tobytes()
 
 
 class TestBandThreads:

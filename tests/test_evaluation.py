@@ -148,6 +148,23 @@ class TestGenerateSynthetic:
         # central 99.9% of Binomial(100, 0.1)
         assert 1 <= diffs <= 22
 
+    def test_int64_bounds(self):
+        top = 2**63 - 1
+        # without spikes a count may reach int64's top
+        truth, jittered = generate_synthetic([(3, top)], JitterSpec(0.0, 3, 2, 1))
+        assert truth.counts.tolist() == jittered.counts.tolist() == [top] * 3
+        # three frames stack at most two 2-frame spikes of up to 5
+        generate_synthetic([(3, top - 10)], JitterSpec(1.0, 5, 2, 1))
+        with pytest.raises(ValueError, match="count 9223372036854775798 plus 2 overlapping"):
+            generate_synthetic([(3, top - 9)], JitterSpec(1.0, 5, 2, 1))
+        # one frame stacks at most one spike
+        generate_synthetic([(1, top - 5)], JitterSpec(1.0, 5, 9, 1))
+        with pytest.raises(ValueError, match=f"count {top + 1} exceeds int64"):
+            generate_synthetic([(1, top + 1)], JitterSpec(0.0, 1, 1, 0))
+        for args in [(0.1, top + 1, 1, 0), (0.1, 1, top + 1, 0)]:
+            with pytest.raises(ValueError, match="exceeds int64"):
+                JitterSpec(*args)
+
     def test_empty_profile_rejected(self):
         with pytest.raises(ValueError):
             generate_synthetic([], JitterSpec(0.1, 1, 1, 0))
