@@ -267,27 +267,29 @@ def read_count_series(data: bytes, fps=None) -> CountSeries:
     The preamble is read a line at a time. The body is cut at line ends
     into blocks of about ``ingest._BLOCK_BYTES`` (``ingest._line_blocks``),
     each scanned as whole arrays (``_scan_body``) on the package's threads
-    (``ingest._map_threads``), and their columns are joined in file order.
-    If any block holds a bad line, or the blocks' frame indices do not
-    run on from one block to the next, the whole body is checked a line
-    at a time (``_raise_first_error``), which raises the first error in
-    file order.
+    (``ingest._map_threads``); the scan takes only blocks of rows and empty
+    lines. The blocks are then read in file order, as ``ingest._walk``
+    reads its own: a scanned block whose first frame_index runs on from
+    the rows before it is joined as scanned, and any other block (one
+    holding a ``#`` line or a line to reject, or whose indices do not run
+    on) is read a line at a time (``_parse_rows``), which applies every
+    rule and raises the first error. So the scan only speeds the read up.
     """
-    file_fps, header_line, offset = _read_preamble(data)
-    parts = _map_threads(
-        lambda block: _scan_body(data, *block), _line_blocks(data, offset), _SCAN_THREADS
-    )
+    file_fps, line_no, offset = _read_preamble(data)
+    blocks = _line_blocks(data, offset)
+    parts = _map_threads(lambda block: _scan_body(data, *block), blocks, _SCAN_THREADS)
     # One list per column of the blocks' parts, an empty part first, so
     # that a body without rows joins too.
     counts, codes = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.uint8)]
     rows = 0
-    for part in parts:
+    for (start, end), part in zip(blocks, parts):
         if part is None or part[0] not in (None, rows):
-            _raise_first_error(data, offset, header_line)
+            part = _parse_rows(data, start, end, line_no, rows)
+            file_fps = part[0] or file_fps
         counts.append(part[1])
         codes.append(part[2])
         rows += len(part[1])
-        file_fps = part[3] or file_fps
+        line_no += part[3]
     parts.clear()  # so that each column's parts are dropped once joined
     effective_fps = Fraction(fps) if fps is not None else file_fps
     if effective_fps is None:
@@ -296,7 +298,7 @@ def read_count_series(data: bytes, fps=None) -> CountSeries:
 
 
 def _read_preamble(data: bytes) -> tuple[Fraction | None, int, int]:
-    """(fps of the last '# fps=' comment, header line number, offset of the body)."""
+    """(fps of the last '# fps=' comment, first body line's number, body offset)."""
     file_fps = None
     pos = line_no = 0
     while pos < len(data):
@@ -313,7 +315,7 @@ def _read_preamble(data: bytes) -> tuple[Fraction | None, int, int]:
             continue
         if [f.strip() for f in text.split(",")] != _HEADER:
             raise InputFormatError(f"bad count-series header {text!r}", line=line_no)
-        return file_fps, line_no, min(pos, len(data))
+        return file_fps, line_no + 1, min(pos, len(data))
     raise InputFormatError("count-series file has no header row")
 
 
@@ -329,14 +331,13 @@ def _comment_fps(text: str, line_no: int) -> Fraction | None:
 
 
 def _scan_body(data: bytes, start: int, end: int):
-    """(first frame_index or None, counts, provenance codes, fps of the last
-    '# fps=' comment or None) of the body lines in ``data[start:end]``,
-    scanned as whole arrays; None if any line is bad or the frame_index
-    does not count up by one from the first row's.
+    """(first frame_index or None, counts, provenance codes, number of line
+    ends) of the body lines in ``data[start:end]``, scanned as whole
+    arrays; None unless every line is a row or empty, with LF or CRLF line
+    ends, and the frame_index counts up by one from the first row's.
 
-    A line starting with a digit is a row. Other lines (blank, comments and
-    bad lines, few in practice) are looked at one by one. Their line
-    numbers are left to _raise_first_error.
+    Any other block, one holding a comment or a line to reject, is left to
+    _parse_rows.
     """
     size = end - start
     # the lines, with zero bytes before and after them, so that a word
@@ -348,31 +349,11 @@ def _scan_body(data: bytes, start: int, end: int):
     starts = np.concatenate(([0], newlines + 1))
     stops = np.append(newlines, size)
     stops -= (stops > starts) & (buf[_PAD - 1 + stops] == ord("\r"))
-    is_row = (stops > starts) & (buf[_PAD + starts] - np.uint8(ord("0")) < 10)
-    commas = np.flatnonzero(body == ord(","))
-
-    body_fps = None
-    others = np.flatnonzero((stops > starts) & ~is_row)
-    for k in others.tolist():
-        try:
-            text = decode_line(data[start + starts[k] : start + stops[k]], None).strip()
-            if text and not text.startswith("#"):
-                return None
-            body_fps = _comment_fps(text, None) or body_fps
-        except InputFormatError:
-            return None
-    if len(others):  # only the rows' commas are paired below
-        in_comment = np.zeros(len(commas), dtype=bool)
-        for lo, hi in zip(
-            np.searchsorted(commas, starts[others]).tolist(),
-            np.searchsorted(commas, stops[others]).tolist(),
-        ):
-            in_comment[lo:hi] = True
-        commas = commas[~in_comment]
-
+    filled = stops > starts  # every line but the empty ones must be a row
+    starts, stops = starts[filled], stops[filled]
     # With 2 commas per row in all, and each row holding its pair, every
     # row holds exactly two, so each field below lies within its row.
-    starts, stops = starts[is_row], stops[is_row]
+    commas = np.flatnonzero(body == ord(","))
     if len(commas) != 2 * len(starts):
         return None
     comma1, comma2 = commas[0::2], commas[1::2]
@@ -388,7 +369,7 @@ def _scan_body(data: bytes, start: int, end: int):
     if codes is None:
         return None
     first = int(index[0]) if len(index) else None
-    return first, counts.view(np.int64), codes, body_fps
+    return first, counts.view(np.int64), codes, len(newlines)
 
 
 def _words(buf: np.ndarray) -> np.ndarray:
@@ -452,22 +433,24 @@ def _provenance_codes(buf: np.ndarray, starts: np.ndarray, stops: np.ndarray):
     return codes
 
 
-def _raise_first_error(data: bytes, offset: int, header_line: int):
-    """Raise the InputFormatError of the first bad line after the header.
+def _parse_rows(data: bytes, start: int, end: int, line_no: int, expected: int):
+    """(fps of the last '# fps=' comment or None, counts, provenance codes,
+    number of line ends) of the body lines in ``data[start:end]``, read a
+    line at a time; raises the InputFormatError of the first bad line.
 
-    Runs only on a body read_count_series rejected (a block _scan_body
-    rejected, or frame indices that do not run on from one block to the
-    next), and applies the same rules to the whole body one line at a time.
+    ``line_no`` is the number of the first line and ``expected`` the
+    frame_index of the first row.
     """
-    expected = 0
-    lines = data[offset:].split(b"\n")
-    for line_no, line in enumerate(lines, start=header_line + 1):
+    block_fps = None
+    counts, codes = [], []
+    lines = data[start:end].split(b"\n")
+    for line_no, line in enumerate(lines, start=line_no):
         text = decode_line(line.removesuffix(b"\r"), line_no)
         stripped = text.strip()
         if not stripped:
             continue
         if stripped.startswith("#"):
-            _comment_fps(stripped, line_no)
+            block_fps = _comment_fps(stripped, line_no) or block_fps
             continue
         row = _ROW.fullmatch(text)
         if row is None:
@@ -486,8 +469,10 @@ def _raise_first_error(data: bytes, offset: int, header_line: int):
             raise InputFormatError(
                 f"expected frame_index {expected}, got {index}", line=line_no
             )
+        counts.append(int(count))
+        codes.append(PROVENANCE.index(prov))
         expected += 1
-    raise RuntimeError("the count-series scan rejected a body its line check accepts")
+    return block_fps, np.array(counts, np.int64), np.array(codes, np.uint8), len(lines) - 1
 
 
 def with_fps(series: CountSeries, fps) -> CountSeries:

@@ -12,7 +12,7 @@ import csv
 import json
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -176,8 +176,12 @@ def predict_count(regressor: DensityRegressor, features: ForegroundFeatures) -> 
     )
     if not math.isfinite(raw):  # finite coefficients can still overflow
         raise ValueError(f"density prediction for frame {features.frame_index} is {raw}")
-    clamped = max(0.0, raw)
-    return int(math.floor(clamped + 0.5))
+    count = int(math.floor(max(0.0, raw) + 0.5))
+    if count > _INT64_MAX:  # a count series holds int64
+        raise ValueError(
+            f"density prediction for frame {features.frame_index} is {raw}, beyond int64"
+        )
+    return count
 
 
 def estimate_density_counts(
@@ -317,16 +321,7 @@ def _band(frames, rows, order, model: BackgroundModel, fg_threshold: float):
 
 
 def regressor_to_json(regressor: DensityRegressor) -> str:
-    return json.dumps(
-        {
-            "coef_area": regressor.coef_area,
-            "coef_edge": regressor.coef_edge,
-            "intercept": regressor.intercept,
-            "fg_threshold": regressor.fg_threshold,
-        },
-        indent=2,
-        sort_keys=True,
-    ) + "\n"
+    return json.dumps(asdict(regressor), indent=2, sort_keys=True) + "\n"
 
 
 def regressor_from_json(data: bytes) -> DensityRegressor:

@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import json
 import shlex
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .counting import CountSeries
+from .evaluation import _total
 
 
 @dataclass(frozen=True)
@@ -23,7 +24,9 @@ class Segment:
     """Contiguous frame range (inclusive) with its timing and count summary.
 
     ``end_ms`` is end-exclusive time: (end_frame + 1) / fps, so adjacent
-    segments tile without overlap.
+    segments tile without overlap. ``mean_count`` is the float nearest the
+    exact mean, so it is checked against the float nearest ``peak_count``:
+    above 2**53 the peak itself may have no float.
     """
 
     start_frame: int
@@ -38,7 +41,7 @@ class Segment:
             raise ValueError(f"start_frame {self.start_frame} > end_frame {self.end_frame}")
         if self.start_ms > self.end_ms:
             raise ValueError(f"start_ms {self.start_ms} > end_ms {self.end_ms}")
-        if self.peak_count < self.mean_count:
+        if float(self.peak_count) < self.mean_count:
             raise ValueError(
                 f"peak_count {self.peak_count} < mean_count {self.mean_count}"
             )
@@ -107,6 +110,8 @@ def extract_segments(series: CountSeries, policy: SegmentPolicy) -> list[Segment
         if e - s + 1 < min_duration:
             continue
         window = series.counts[s : e + 1]
+        # int / int is the float nearest the exact mean; window.mean() sums
+        # in floats, which round once the sum passes 2**53
         segments.append(
             Segment(
                 start_frame=s,
@@ -114,24 +119,14 @@ def extract_segments(series: CountSeries, policy: SegmentPolicy) -> list[Segment
                 start_ms=frame_to_ms(s, series.fps),
                 end_ms=frame_to_ms(e + 1, series.fps),
                 peak_count=int(window.max()),
-                mean_count=float(window.mean()),
+                mean_count=_total(window) / len(window),
             )
         )
     return segments
 
 
 def segment_report(segments) -> list[dict]:
-    return [
-        {
-            "start_frame": seg.start_frame,
-            "end_frame": seg.end_frame,
-            "start_ms": seg.start_ms,
-            "end_ms": seg.end_ms,
-            "peak_count": seg.peak_count,
-            "mean_count": seg.mean_count,
-        }
-        for seg in segments
-    ]
+    return [asdict(seg) for seg in segments]
 
 
 def emit_cutlist(segments, source_path: str) -> tuple[str, str]:

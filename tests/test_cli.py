@@ -737,6 +737,27 @@ class TestCountCsvInput:
         assert not model.exists()
 
 
+class TestSegmentLargeCounts:
+    """Counts whose sum, or which themselves, pass 2**53: the mean is the
+    float nearest the exact one, and the peak check allows for its rounding."""
+
+    @pytest.mark.parametrize(
+        "counts,peak,mean",
+        [([2**53 + 3, 2**53 + 3, 1], 2**53 + 3, 9007199254740996.0),
+         ([2**63 - 1], 2**63 - 1, 9.223372036854776e18)],
+        ids=["above-2**53", "int64-max"],
+    )
+    def test_segment_exit_0(self, runner, tmp_path, counts, peak, mean):
+        path = tmp_path / "c.csv"
+        path.write_bytes(write_count_series(series(counts, fps=30)))
+        out = tmp_path / "o"
+        args = ["segment", str(path), "--threshold", "5", "--min-duration", "0", "--out", str(out)]
+        result = run_cli(runner, args)
+        assert result.exit_code == 0, result.output
+        (segment,) = json.loads((out / "segments.json").read_text())
+        assert (segment["peak_count"], segment["mean_count"]) == (peak, mean)
+
+
 class TestSynthCommand:
     def test_reproducible(self, runner, tmp_path):
         for out in ("a", "b"):
@@ -1043,6 +1064,24 @@ class TestDensityCommands:
         message = "error: bad density model file: 'utf-8' codec can't decode byte 0xff"
         assert message in result.output
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "count", "density-predict"])
+    def test_prediction_beyond_int64_exit_4(self, runner, tmp_path, command):
+        # finite, but 1e17 people a foreground pixel round past int64
+        gray = write_moving_gray(tmp_path / "g.cgry", 3)
+        model = tmp_path / "m.json"
+        model.write_text(regressor_to_json(DensityRegressor(1e17, 0.0, 0.0)))
+        out = tmp_path / "o"
+        if command == "density-predict":
+            args = [command, gray, str(model), "--out", str(out / "pred.csv")]
+        else:
+            det = write_detections(tmp_path / "d.jsonl", [30, 30, 30])
+            args = [command, det, "--gray", gray, "--model", str(model), "--out", str(out)]
+            args += ["--threshold", "5"] if command == "run" else []
+        result = run_cli(runner, args)
+        assert result.exit_code == EXIT_STAGE_ERROR
+        assert "error: density prediction for frame 1 is " in result.output
+        assert "beyond int64" in result.output
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
     def test_fit_bad_fg_threshold_exit_3(self, runner, tmp_path, value):

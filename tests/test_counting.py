@@ -2,6 +2,7 @@ import csv
 import sys
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -435,8 +436,7 @@ class TestReferenceParity:
 
     def test_scan_and_line_check_agree(self, rng):
         # a one-byte change either leaves a file the oracle reads the same
-        # way, or is rejected with a line-numbered error, never by the
-        # internal disagreement guard
+        # way, or is rejected with a line-numbered error
         for _ in range(400):
             s = random_series(rng, n=int(rng.integers(1, 12)))
             data = bytearray(write_count_series(s))
@@ -490,8 +490,8 @@ class TestNumpyWriter:
 
 
 class TestCommaPairing:
-    """The reader pairs the rows' commas by position; comment lines' commas
-    are left out first."""
+    """The scan pairs the rows' commas by position; a block with comment
+    lines is read a line at a time."""
 
     PREFIX = b"# fps=30\nframe_index,count,provenance\n0,1,Detector\n"
 
@@ -663,6 +663,102 @@ class TestBlocks:
                     assert_same_series(read_count_series(data), expected)
         finally:
             sys.setswitchinterval(interval)
+
+
+class TestCommentBlock:
+    """A '# fps=' line in one block of a body of many: that block alone is
+    read a line at a time, and the blocks scanned after it keep their line
+    numbers."""
+
+    def text(self, rows=200):
+        lines = ["# fps=30", HEADER]
+        lines += [f"{i},{i * 37 % 1000},{PROVENANCES[i % 3]}" for i in range(rows)]
+        lines.insert(60, "# fps=12")
+        return "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_only_that_block_is_parsed(self, cpus):
+        data = self.text().encode()
+        spy = mock.patch.object(counting, "_parse_rows", wraps=counting._parse_rows)
+        with parsed_in(300, cpus), spy as parse:
+            got = read_count_series(data)
+        assert_same_series(got, reference_read_count_series(data))
+        assert got.fps == 12
+        (call,) = parse.call_args_list
+        _, start, end, *_ = call.args
+        assert len(data) > 8 * 300 and b"\n# fps=12\n" in data[start - 1 : end]
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize(
+        "row,replacement,message",
+        [
+            ("150,", "150,x", "bad count row '150,x550,Detector'"),
+            ("150,", "151,", "expected frame_index 150, got 151"),
+            ("150,", "# fps=0\n150,", "fps must be > 0, got '0'"),
+        ],
+        ids=["bad-row", "gap", "bad-fps"],
+    )
+    def test_error_in_a_later_block(self, cpus, row, replacement, message):
+        text = self.text()
+        at = text.index("\n" + row) + 1
+        assert at > text.index("# fps=12") + 4 * 300  # blocks past the comment's
+        data = (text[:at] + replacement + text[at + len(row) :]).encode()
+        line = text[:at].count("\n") + 1
+        with parsed_in(300, cpus), pytest.raises(InputFormatError) as got:
+            read_count_series(data)
+        assert (str(got.value), got.value.line) == (f"line {line}: {message}", line)
+
+
+def refuse_every_block(data, start, end):
+    return None
+
+
+class ScanOff:
+    """The reader's tests once more with the scan refusing every block, so
+    that the line parser reads every body: the scan may only speed a read
+    up, never change its series, frame rate, message or line."""
+
+    @pytest.fixture(autouse=True, scope="class")
+    def scan_off(self):
+        with mock.patch.object(counting, "_scan_body", refuse_every_block):
+            yield
+
+    def test_scan_is_off(self):
+        data = write_count_series(series([1, 2, 3]))
+        spy = mock.patch.object(counting, "_parse_rows", wraps=counting._parse_rows)
+        with spy as parse:
+            assert read_count_series(data).counts.tolist() == [1, 2, 3]
+        assert parse.call_count == 1
+
+
+class TestCountSeriesCsvScanOff(ScanOff, TestCountSeriesCsv):
+    pass
+
+
+class TestWriteReadRoundTripScanOff(ScanOff):
+    # not a subclass: hypothesis wants each test function run by one class
+    @settings(max_examples=200, deadline=None)
+    @given(s=count_series_values())
+    @example(s=CountSeries.from_counts([], Fraction(30000, 1001)))
+    def test_read_inverts_write(self, s):
+        data = write_count_series(s, comments=['config={"divisor":3}', "input_sha256=ab"])
+        assert_same_series(read_count_series(data), s)
+
+
+class TestReferenceParityScanOff(ScanOff, TestReferenceParity):
+    pass
+
+
+class TestCommaPairingScanOff(ScanOff, TestCommaPairing):
+    pass
+
+
+class TestRejectedCsvInputScanOff(ScanOff, TestRejectedCsvInput):
+    pass
+
+
+class TestBlocksScanOff(ScanOff, TestBlocks):
+    pass
 
 
 class TestReadMemory:

@@ -195,6 +195,12 @@ class TestRegressor:
         with pytest.raises(ValueError, match="density prediction for frame 7 is"):
             predict_count(DensityRegressor(*coefs, 0.0), ForegroundFeatures(4, 4, 7))
 
+    def test_predict_beyond_int64_rejected(self):
+        below = math.nextafter(2.0**63, 0)  # the largest float under 2**63
+        assert predict_count(DensityRegressor(0.0, 0.0, below), ForegroundFeatures(0, 0, 0)) == below
+        with pytest.raises(ValueError, match="prediction for frame 7 is 9.2233.*e\\+18, beyond int64"):
+            predict_count(DensityRegressor(0.0, 0.0, 2.0**63), ForegroundFeatures(4, 4, 7))
+
     def test_predict_rounds_half_up(self):
         assert predict_count(DensityRegressor(0.0, 0.0, 2.5), ForegroundFeatures(0, 0, 0)) == 3
 

@@ -180,6 +180,32 @@ def test_segment_invariants():
         Segment(0, 1, 0, 1000, 3, 4.0)  # peak below mean
 
 
+def test_peak_checked_against_rounded_mean():
+    # the mean of [2**53 + 3] * 2 is exactly the peak, whose nearest float is 2**53 + 4
+    assert Segment(0, 1, 0, 1000, 2**53 + 3, float(2**53 + 4)).mean_count == 2**53 + 4
+    with pytest.raises(ValueError, match="peak_count 9007199254740993 < mean_count"):
+        Segment(0, 1, 0, 1000, 2**53 + 1, float(2**53 + 2))  # 2**53 + 1 rounds to 2**53
+
+
+class TestMeanCount:
+    @pytest.mark.parametrize(
+        "counts",
+        [[2**53 + 3, 2**53 + 3], [2**63 - 1], [2**63 - 1, 2**63 - 1, 2**62], [2**53, 7, 7]],
+    )
+    def test_nearest_float_to_exact_mean(self, counts):
+        (seg,) = extract_segments(series(counts, fps=1), SegmentPolicy(5, 0, 0))
+        assert seg.mean_count == sum(counts) / len(counts)
+        assert seg.peak_count == max(counts)
+
+    def test_numpy_mean_below_2_53(self, rng):
+        # below 2**53 numpy sums exactly too, so segments.json keeps its bytes
+        for _ in range(200):
+            n = int(rng.integers(1, 400))
+            counts = rng.integers(6, rng.choice([50, 10**6, 2**53 // n]), n)
+            (seg,) = extract_segments(series(counts, fps=1), SegmentPolicy(5, 0, 0))
+            assert repr(seg.mean_count) == repr(float(counts.mean()))
+
+
 def test_policy_resolution_defaults():
     policy = SegmentPolicy(5).resolved(10)
     assert policy.min_duration_frames == 10
