@@ -6,6 +6,15 @@ surrounding window. The window radius defaults to one third of the frame
 rate, and the pass works in place so that later windows see earlier
 corrections — this is what makes short multi-frame spikes collapse while
 genuine steps (runs longer than the window radius) survive.
+
+What the pass provably does, with h the window radius: away from the ends
+of the series, under the default prefer-last tie-break the output takes a
+new level exactly at the first frame that begins h + 1 equal raw counts
+other than the held level, and at no other frame. A true step therefore
+lags until h + 1 clean frames follow it. Under prefer-smallest a level
+filling h of those h + 1 raw frames can also be taken, when it is below the
+held one. ``kernels`` gives the proof and uses it to skip the frames that
+cannot change the held value.
 """
 
 from __future__ import annotations
