@@ -23,7 +23,6 @@ from .evaluation import JitterSpec, ap_d, generate_synthetic, matched_ap_d
 from .ingest import (
     Boxes,
     Detections,
-    FrameDetections,
     StreamMeta,
     load_gray_frames,
     parse_detections,

@@ -28,9 +28,8 @@ from pathlib import Path
 import click
 
 from . import __version__
-# count_series and parse_detections are no longer called here; the
-# benchmark's tracer still hooks them at this module, so they stay
-# importable from here.
+# count_series and parse_detections are imported but not called here: the
+# benchmark's tracer hooks them at this module.
 from .counting import (
     RoutingPolicy,
     count_detections,
@@ -48,7 +47,7 @@ from .density import (
     regressor_from_json,
     regressor_to_json,
 )
-from .errors import ConfigError, InputFormatError, StageError
+from .errors import ConfigError, InputFormatError, RoutingError, StageError
 from .evaluation import (
     JitterSpec,
     evaluate,
@@ -247,14 +246,13 @@ def stage_count(detections, config: PipelineConfig, gray_frames=None, regressor=
     series = with_fps(series, config.fps_override or meta.fps)
     needed = frames_needing_density(series, policy)
     density_counts = None
-    if needed:
+    if len(needed):
         if regressor is None:
-            # route_counts raises the canonical RoutingError naming the frames
-            route_counts(series, policy, None)
+            raise RoutingError(needed.tolist())
         if gray_frames is None:
             raise StageError(
                 "frames exceed the count ceiling but no gray frame container was "
-                f"supplied (frames: {needed[:10]})"
+                f"supplied (frames: {needed[:10].tolist()})"
             )
         density_counts = estimate_density_counts(gray_frames, regressor, needed)
         log.info("density-estimated %d over-ceiling frame(s)", len(needed))
@@ -301,6 +299,7 @@ def eval_step(truth, raw, smoothed, input_sha256: dict):
 
     ``input_sha256`` maps "truth", "raw" and "smoothed" to their CSVs' hashes.
     """
+    _same_length(truth=truth, raw=raw, smoothed=smoothed)
     report = evaluate(truth, raw, smoothed)
     payload = {
         "ap_d": {"raw": report.ap_d_raw, "smoothed": report.ap_d_smoothed},
@@ -323,6 +322,13 @@ def eval_step(truth, raw, smoothed, input_sha256: dict):
         }
     )
     return report, (json.dumps(payload, indent=2) + "\n").encode("utf-8"), table
+
+
+def _same_length(**series):
+    """Raise InputFormatError naming each series' frame count unless all are equal."""
+    if len({len(one) for one in series.values()}) > 1:
+        frames = ", ".join(f"{name} {len(one)}" for name, one in series.items())
+        raise InputFormatError(f"count series differ in length (frames: {frames})")
 
 
 def stage_eval(truth_csv: bytes, raw_csv: bytes, smoothed_csv: bytes, fps=None):
@@ -354,14 +360,14 @@ def run_pipeline(
     input_hashes = {}
 
     # The configured model wins over one fitted from the calibration CSV.
-    model_bytes = None
+    model_bytes = fitted_bytes = None
     if config.density_model_path is not None:
         model_bytes = _read_bytes(config.density_model_path)
     elif calibration_path is not None:
         calibration_bytes = _read_bytes(calibration_path)
         input_hashes["calibration"] = _sha256(calibration_bytes)
         fitted = fit_regressor(read_calibration_csv(calibration_bytes))
-        model_bytes = _write(out, "density_model.json", regressor_to_json(fitted))
+        model_bytes = fitted_bytes = regressor_to_json(fitted).encode("utf-8")
     regressor = None
     if model_bytes is not None:
         input_hashes["density_model"] = _sha256(model_bytes)
@@ -383,6 +389,16 @@ def run_pipeline(
             detections, config, gray_frames=gray_frames, regressor=regressor
         )
         input_hashes["detections"] = meta.sha256
+        # checked before any artifact is written: a mismatched truth leaves none
+        truth = None
+        if truth_path is not None:
+            truth_bytes = _read_bytes(truth_path)
+            input_hashes["truth"] = _sha256(truth_bytes)
+            truth = read_count_series(truth_bytes, fps=raw.fps)
+            del truth_bytes
+            _same_length(truth=truth, raw=raw)
+        if fitted_bytes is not None:
+            _write(out, "density_model.json", fitted_bytes)
         # Only the series go on: a CSV's bytes, as long as the stream, are
         # dropped once written and hashed.
         _write(out, "raw_counts.csv", raw_csv)
@@ -403,11 +419,7 @@ def run_pipeline(
         _write(out, "segments.json", report_bytes)
         _write(out, "cutlist.txt", cutlist_bytes)
 
-        if truth_path is not None:
-            truth_bytes = _read_bytes(truth_path)
-            input_hashes["truth"] = _sha256(truth_bytes)
-            truth = read_count_series(truth_bytes, fps=raw.fps)
-            del truth_bytes
+        if truth is not None:
             _, eval_bytes, table = eval_step(
                 truth, raw, smoothed, {"truth": input_hashes["truth"], **csv_hashes}
             )
@@ -567,7 +579,7 @@ def density_predict(gray, model, out):
     frames = load_gray_frames(_map_bytes(gray))
     regressor = regressor_from_json(_read_bytes(model))
     counts = estimate_density_counts(frames, regressor, range(len(frames)))
-    lines = ["frame_index,count"] + [f"{i},{counts[i]}" for i in range(len(frames))]
+    lines = ["frame_index,count"] + [f"{i},{c}" for i, c in enumerate(counts.tolist())]
     Path(out).parent.mkdir(parents=True, exist_ok=True)
     Path(out).write_text("".join(line + "\n" for line in lines), "utf-8")
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -129,7 +129,7 @@ def count_series(detections: Detections, meta, policy: RoutingPolicy) -> CountSe
     confidence floor.
     """
     boxes = detections.boxes
-    counts = _person_counts(np.diff(detections.offsets), boxes.score, boxes.class_id, policy)
+    counts = _person_counts(detections.box_counts, boxes.score, boxes.class_id, policy)
     return CountSeries.from_counts(counts, meta.fps)
 
 
@@ -162,34 +162,31 @@ def _person_counts(box_counts, score, class_id, policy: RoutingPolicy) -> np.nda
     return np.bincount(owner[person], minlength=len(box_counts))
 
 
-def frames_needing_density(series: CountSeries, policy: RoutingPolicy) -> list[int]:
-    """Indices whose detector count is strictly above the ceiling."""
-    return np.flatnonzero(series.counts > policy.count_ceiling).tolist()
+def frames_needing_density(series: CountSeries, policy: RoutingPolicy) -> np.ndarray:
+    """Rising indices of the frames whose detector count is strictly above the ceiling."""
+    return np.flatnonzero(series.counts > policy.count_ceiling)
 
 
-def route_counts(
-    series: CountSeries,
-    policy: RoutingPolicy,
-    density_counts: Mapping[int, int] | None = None,
-) -> CountSeries:
+def route_counts(series: CountSeries, policy: RoutingPolicy, density_counts=None) -> CountSeries:
     """Replace over-ceiling detector counts with density estimates.
 
-    ``density_counts`` maps frame index to count; only over-ceiling frames
-    are read. A frame count equal to the ceiling stays on the detector path
+    ``density_counts`` holds one count per frame ``frames_needing_density``
+    returns, in that order: another length raises ValueError, and so does a
+    negative count, naming its frame; None raises RoutingError naming the
+    frames. A frame count equal to the ceiling stays on the detector path
     (routing triggers strictly above).
     """
     over = frames_needing_density(series, policy)
-    if not over:
+    if not len(over):
         return series
     if density_counts is None:
-        raise RoutingError(over)
-    missing = [i for i in over if i not in density_counts]
-    if missing:
-        raise RoutingError(missing)
-    values = [int(density_counts[i]) for i in over]
-    for i, value in zip(over, values):
-        if value < 0:
-            raise ValueError(f"density count for frame {i} is negative: {value}")
+        raise RoutingError(over.tolist())
+    values = np.asarray(density_counts)
+    if values.shape != over.shape:
+        raise ValueError(f"{values.size} density count(s) for {len(over)} over-ceiling frame(s)")
+    if (values < 0).any():
+        k = np.argmax(values < 0)
+        raise ValueError(f"density count for frame {over[k]} is negative: {values[k]}")
     counts = series.counts.copy()
     prov = series.provenance.copy()
     counts[over] = values

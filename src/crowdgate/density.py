@@ -8,7 +8,6 @@ with a fitted linear regressor.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import re
@@ -186,45 +185,47 @@ def predict_count(regressor: DensityRegressor, features: ForegroundFeatures) -> 
 
 def estimate_density_counts(
     frames: np.ndarray, regressor: DensityRegressor, frame_indices
-) -> dict[int, int]:
+) -> np.ndarray:
     """Density counts for the requested frames of one (n, height, width) uint8 gray stream.
 
-    Runs the background model sequentially over the stream (it is
+    The counts are int64, in the order of ``frame_indices``, which must rise
+    strictly. Runs the background model sequentially over the stream (it is
     order-dependent) up to the last requested frame, and predicts only at
     the requested indices. The frame is processed in bands of rows, on up to
     one thread per usable CPU; the background stays bit-identical to folding
     ``update_background`` over the stream, and each mask to
-    ``extract_foreground``. Frames of any dtype but uint8 raise ValueError.
+    ``extract_foreground``. Other indices, and frames of any dtype but
+    uint8, raise ValueError.
     """
-    wanted = set(frame_indices)
+    wanted = np.asarray(frame_indices, dtype=np.int64)
     if len(frames) == 0:
         raise ValueError("no gray frames supplied")
-    out_of_range = sorted(i for i in wanted if not 0 <= i < len(frames))
-    if out_of_range:
-        raise ValueError(f"frame indices outside the gray stream: {out_of_range}")
-    counts, _ = _density_loop(frames, regressor, wanted)
-    return counts
+    if (np.diff(wanted) <= 0).any():
+        raise ValueError(f"frame indices must rise strictly, got {wanted.tolist()}")
+    out_of_range = wanted[(wanted < 0) | (wanted >= len(frames))]
+    if len(out_of_range):
+        raise ValueError(f"frame indices outside the gray stream: {out_of_range.tolist()}")
+    return _density_loop(frames, regressor, wanted.tolist())[0]
 
 
-def _density_loop(frames, regressor: DensityRegressor, wanted):
+def _density_loop(frames, regressor: DensityRegressor, order):
     """The loop of ``estimate_density_counts``; returns (counts, background).
 
     ``frames`` is a non-empty (n, height, width) uint8 array, so every frame
-    has the same shape; the background returned is the one at the last
-    wanted frame (at frame 0 when none is wanted). The frame is cut into
-    bands of whole rows, and each band runs over the stream on its own
-    (``_band``), so its buffers stay in cache and bands can run on separate
-    threads. Each pixel's background evolves independently of every other
-    pixel and the per-band features are integer sums, so counts and
-    background are bit-identical for any band height and any number of
-    threads. Counts are predicted here, in ascending frame order, in the
-    calling thread.
+    has the same shape, and ``order`` the wanted frames, rising strictly.
+    The counts are int64, in that order; the background returned is the one
+    at the last wanted frame (at frame 0 when none is wanted). The frame is
+    cut into bands of whole rows, and each band runs over the stream on its
+    own (``_band``), so its buffers stay in cache and bands can run on
+    separate threads. Each pixel's background evolves independently of
+    every other pixel and the per-band features are integer sums, so counts
+    and background are bit-identical for any band height and any number of
+    threads. Counts are predicted here, in the calling thread.
     """
     if frames.dtype != np.uint8:
         # ``_band``'s motion gate holds only for uint8 differences.
         raise ValueError(f"gray frames must be uint8, got {frames.dtype}")
     model = BackgroundModel(frames[0].astype(np.float64))
-    order = sorted(set(wanted))
     height, width = model.background.shape
     rows = max(1, _BAND_PIXELS // max(width, 1))
     # A frame with no rows still gets one (empty) band.
@@ -236,13 +237,13 @@ def _density_loop(frames, regressor: DensityRegressor, wanted):
     interior = sum(part[1] for part in parts)
     background = model.background  # a fresh array, private to this loop
     np.concatenate([part[2] for part in parts], out=background)
-    results: dict[int, int] = {}
+    counts = np.zeros(len(order), dtype=np.int64)
     for k, i in enumerate(order):
         features = ForegroundFeatures(
             area=int(area[k]), edge=int(area[k] - interior[k]), frame_index=i
         )
-        results[i] = predict_count(regressor, features)
-    return results, background
+        counts[k] = predict_count(regressor, features)
+    return counts, background
 
 
 def _motion_gate(threshold: float) -> int:
@@ -341,19 +342,19 @@ def regressor_from_json(data: bytes) -> DensityRegressor:
 def read_calibration_csv(data: bytes) -> list[tuple[ForegroundFeatures, int]]:
     """Parse the calibration CSV frame_index,area,edge,true_count from its bytes.
 
-    Every value is ASCII digits (a leading ``-`` is reported as negative)
-    making a non-negative int64, and ``edge`` is at most ``area``; a row
-    breaking any of these raises InputFormatError naming its line.
+    Read a line at a time, as count CSVs are (LF or CRLF, blank and ``#``
+    lines skipped, no quoting), every value is ASCII digits (a leading
+    ``-`` is reported as negative) making a non-negative int64, and
+    ``edge`` is at most ``area``; a row breaking any of these raises
+    InputFormatError naming its line.
     """
-    lines = data.split(b"\n")
     samples = []
-    reader = csv.reader(decode_line(line, n) for n, line in enumerate(lines, start=1))
     header_seen = False
-    for line_no, fields in enumerate(reader, start=1):
-        if not fields or not "".join(fields).strip():
+    for line_no, line in enumerate(data.split(b"\n"), start=1):
+        text = decode_line(line.removesuffix(b"\r"), line_no)
+        if not text.strip() or text.strip().startswith("#"):
             continue
-        if fields[0].strip().startswith("#"):
-            continue
+        fields = text.split(",")
         if not header_seen:
             if [f.strip() for f in fields] != _CALIBRATION_HEADER:
                 raise InputFormatError(f"bad calibration header {fields!r}", line=line_no)

@@ -75,53 +75,23 @@ class Boxes:
     def __len__(self):
         return len(self.x)
 
-    def __getitem__(self, rows: slice) -> "Boxes":
-        return Boxes(
-            self.x[rows], self.y[rows], self.w[rows], self.h[rows],
-            self.score[rows], self.class_id[rows],
-        )
-
-
-@dataclass(frozen=True, eq=False)
-class FrameDetections:
-    """One frame of a :class:`Detections`; ``boxes`` is a row slice of its columns."""
-
-    frame_index: int
-    timestamp_ms: int
-    boxes: Boxes
-
 
 @dataclass(frozen=True, eq=False)
 class Detections:
-    """A parsed detections stream, column-wise.
+    """A parsed detections stream, column-wise: the walk's joined columns.
 
-    ``frame_index`` and ``timestamp_ms`` are int64 with one entry per frame;
-    frame i owns rows ``offsets[i]:offsets[i + 1]`` of ``boxes``. Indexing
-    and iterating yield :class:`FrameDetections` views.
+    ``frame_index``, ``timestamp_ms`` and ``box_counts`` are int64 with one
+    entry per frame; frame i owns the next ``box_counts[i]`` rows of
+    ``boxes``, in frame order.
     """
 
     frame_index: np.ndarray
     timestamp_ms: np.ndarray
-    offsets: np.ndarray
+    box_counts: np.ndarray
     boxes: Boxes
 
     def __len__(self):
         return len(self.frame_index)
-
-    def __getitem__(self, i: int) -> FrameDetections:
-        i = range(len(self))[i]
-        return FrameDetections(
-            int(self.frame_index[i]),
-            int(self.timestamp_ms[i]),
-            self.boxes[self.offsets[i] : self.offsets[i + 1]],
-        )
-
-    def __iter__(self):
-        # plain ints and list offsets: cheaper than __getitem__ per frame
-        offsets = self.offsets.tolist()
-        stamps = self.timestamp_ms.tolist()
-        for i, index in enumerate(self.frame_index.tolist()):
-            yield FrameDetections(index, stamps[i], self.boxes[offsets[i] : offsets[i + 1]])
 
 
 @dataclass(frozen=True)
@@ -168,8 +138,8 @@ def format_fps(fps: Fraction):
 
 
 def parse_detections(data) -> tuple[Detections, StreamMeta]:
-    """Parse a detections stream into columns plus stream metadata, which
-    carries the stream's SHA-256.
+    """Parse a detections stream into its walk's joined columns
+    (``Detections``) plus stream metadata, which carries the stream's SHA-256.
 
     ``data`` is the whole stream: bytes, or an ``mmap`` of a file.
     Records must arrive in strictly increasing frame_index order;
@@ -187,19 +157,18 @@ def parse_detections(data) -> tuple[Detections, StreamMeta]:
     a float is scanned only when it has at most 15 significant digits and
     no exponent. Any other block, valid JSON laid out otherwise or a line
     to reject, is parsed a line at a time with ``json.loads``
-    (``_parse_lines``) at the old per-line speed, and that code reports
-    every error. Both give the same columns, bit for bit. The first block
-    is scanned alone: if it is not canonical, no other block is scanned,
-    so another form costs one block's scan. Otherwise the other blocks
-    are scanned on the threads the density loop uses (``_map_threads``,
-    one per usable CPU, at most ``_SCAN_THREADS``), a window of
-    ``_WINDOW_BLOCKS`` blocks at a time (``_walk``), and all
-    are joined in file order; a later block in another form costs its
-    scan on top of its per-line parse. A detector adapter that wants the
-    scan writes the canonical form with floats rounded to at most 15
-    significant digits. Python's float repr often has 16 or 17 (``0.1 +
-    0.2`` is ``0.30000000000000004``), so ``normalized.jsonl`` is scanned
-    only when the input's floats were so rounded.
+    (``_parse_lines``), and that code reports every error. Both give the
+    same columns, bit for bit. The first block is scanned alone: if it is
+    not canonical, no other block is scanned, so another form costs one
+    block's scan. Otherwise the other blocks are scanned on the threads the
+    density loop uses (``_map_threads``, one per usable CPU, at most
+    ``_SCAN_THREADS``), a window of ``_WINDOW_BLOCKS`` blocks at a time
+    (``_walk``), and all are joined in file order; a later block in another
+    form costs its scan on top of its per-line parse. A detector adapter
+    that wants the scan writes the canonical form with floats rounded to at
+    most 15 significant digits. Python's float repr often has 16 or 17
+    (``0.1 + 0.2`` is ``0.30000000000000004``), so ``normalized.jsonl`` is
+    scanned only when the input's floats were so rounded.
     """
     meta, parts = _walk(data, lambda part: part)
     # From here only `columns` holds the parts. They are joined a column at
@@ -207,10 +176,8 @@ def parse_detections(data) -> tuple[Detections, StreamMeta]:
     # near its output, not at twice it.
     columns = [list(column) for column in zip(*parts)]
     parts.clear()
-    frame_index, timestamp_ms, counts, *boxes = (_join(column) for column in columns)
-    offsets = np.zeros(len(counts) + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
-    return Detections(frame_index, timestamp_ms, offsets, Boxes(*boxes)), meta
+    frame_index, timestamp_ms, box_counts, *boxes = (_join(column) for column in columns)
+    return Detections(frame_index, timestamp_ms, box_counts, Boxes(*boxes)), meta
 
 
 def _walk(data, keep) -> tuple[StreamMeta, list]:
@@ -540,7 +507,7 @@ def serialize_detections(detections: Detections, meta: StreamMeta) -> bytes:
     """Write detections + metadata back to the detections file format."""
     b = detections.boxes
     return _render_header(meta) + _render_records(
-        detections.frame_index, detections.timestamp_ms, np.diff(detections.offsets),
+        detections.frame_index, detections.timestamp_ms, detections.box_counts,
         b.x, b.y, b.w, b.h, b.score, b.class_id,
     )
 

@@ -28,7 +28,7 @@ from crowdgate.cli import (
 )
 from crowdgate.counting import CODE_DENSITY, read_count_series, write_count_series
 from crowdgate.density import DensityRegressor, estimate_density_counts, regressor_to_json
-from crowdgate.errors import InputFormatError, StageError
+from crowdgate.errors import InputFormatError, RoutingError, StageError
 from crowdgate.ingest import (
     load_gray_frames,
     parse_detections,
@@ -162,6 +162,12 @@ class TestCountCommand:
         )
         assert result.exit_code == EXIT_STAGE_ERROR
         assert "1" in result.output  # names the offending frame
+
+    def test_stage_count_without_model_names_routed_frames(self):
+        det = detections_bytes([3, 30, 3, 40], fps=9)
+        with pytest.raises(RoutingError, match="over-ceiling frames: 1, 3$") as info:
+            stage_count(det, PipelineConfig(), gray_frames=None, regressor=None)
+        assert info.value.frame_indices == [1, 3]
 
     def test_bad_config_exit_3(self, runner, tmp_path):
         det = write_detections(tmp_path / "d.jsonl", [1])
@@ -352,8 +358,9 @@ def test_stages_call_csv_reader_and_writer_through_module(monkeypatch):
 
 
 def test_run_hands_series_between_stages(monkeypatch, tmp_path):
-    # with --truth, run_pipeline writes the raw and smoothed CSVs and reads
-    # only the truth CSV: the stages get the series themselves, not the bytes
+    # with --truth, run_pipeline renders the raw and smoothed CSVs and reads
+    # only the truth CSV, which it checks before writing any: the stages get
+    # the series themselves, not the bytes
     calls = []
 
     def spy(name):
@@ -375,10 +382,10 @@ def test_run_hands_series_between_stages(monkeypatch, tmp_path):
     out = tmp_path / "o"
     run_pipeline(det, PipelineConfig(abnormal_threshold=5), out, truth_path=truth)
     assert [name for name, _, _ in calls] == [
-        "write_count_series", "write_count_series", "read_count_series"
+        "write_count_series", "read_count_series", "write_count_series"
     ]
-    assert calls[2][1] == (truth.read_bytes(),)
-    assert [result for _, _, result in calls[:2]] == [
+    assert calls[1][1] == (truth.read_bytes(),)
+    assert [result for _, _, result in calls[::2]] == [
         (out / "raw_counts.csv").read_bytes(),
         (out / "smoothed_counts.csv").read_bytes(),
     ]
@@ -414,7 +421,7 @@ def test_run_loads_density_inputs_through_module(monkeypatch, tmp_path):
     assert model_bytes == Path(model).read_bytes()
     assert frames.shape == (3, 8, 8) and frames.dtype == np.uint8
     assert density_args[0] is frames and density_args[1] is regressor
-    assert len(density_args[0]) == 3 and counts == {1: 24}
+    assert len(density_args[0]) == 3 and counts.tolist() == [24]
 
 
 def write_moving_gray(path, n_frames):
@@ -548,8 +555,8 @@ class TestGrayContainerPath:
         model = tmp_path / "model.json"
         model.write_text(regressor_to_json(regressor))
         frames = load_gray_frames(Path(gray).read_bytes())
-        counts = estimate_density_counts(frames, regressor, range(6))
-        assert len(set(counts.values())) > 1
+        counts = estimate_density_counts(frames, regressor, range(6)).tolist()
+        assert len(set(counts)) > 1
 
         result = run_cli(
             runner,
@@ -564,7 +571,7 @@ class TestGrayContainerPath:
         pred = tmp_path / "pred.csv"
         result = run_cli(runner, ["density-predict", gray, str(model), "--out", str(pred)])
         assert result.exit_code == 0, result.output
-        lines = ["frame_index,count"] + [f"{i},{counts[i]}" for i in range(6)]
+        lines = ["frame_index,count"] + [f"{i},{count}" for i, count in enumerate(counts)]
         assert pred.read_text() == "".join(line + "\n" for line in lines)
 
 
@@ -1130,6 +1137,36 @@ class TestEvalCommand:
         assert report["ap_d"]["raw"] == ap_d(raw, truth)
         assert "smoothed" in report["ap_d"]
         assert (tmp_path / "eval" / "eval_report.txt").read_text().startswith("method")
+
+    def test_unequal_lengths_exit_2(self, runner, tmp_path):
+        for name, counts in (("truth", [5] * 15), ("raw", [5] * 20), ("smoothed", [5] * 20)):
+            (tmp_path / f"{name}.csv").write_bytes(write_count_series(series(counts, fps=9)))
+        args = ["eval", "--out", str(tmp_path / "eval")]
+        for name in ("truth", "raw", "smoothed"):
+            args += [f"--{name}", str(tmp_path / f"{name}.csv")]
+        result = run_cli(runner, args)
+        assert result.exit_code == EXIT_INPUT_ERROR
+        assert "(frames: truth 15, raw 20, smoothed 20)" in result.output
+        assert not (tmp_path / "eval").exists()
+
+    @pytest.mark.parametrize("calibrated", [False, True], ids=["plain", "calibrated"])
+    def test_run_with_truth_of_other_length_exit_2_writes_nothing(
+        self, runner, tmp_path, calibrated
+    ):
+        det = write_detections(tmp_path / "d.jsonl", [3, 30] * 10)
+        truth = tmp_path / "truth.csv"
+        truth.write_bytes(write_count_series(series([3] * 15, fps=9)))
+        out = tmp_path / "o"
+        args = ["run", det, "--out", str(out), "--threshold", "5", "--truth", str(truth)]
+        if calibrated:
+            gray = write_moving_gray(tmp_path / "g.cgry", 20)
+            args += ["--gray", gray, "--calibration", write_calibration(tmp_path / "c.csv")]
+        else:
+            args += ["--ceiling", "40"]
+        result = run_cli(runner, args)
+        assert result.exit_code == EXIT_INPUT_ERROR
+        assert "(frames: truth 15, raw 20)" in result.output
+        assert not out.exists()
 
 
 def test_python_m_crowdgate_runs_from_source_tree():

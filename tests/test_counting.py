@@ -156,7 +156,7 @@ def stream(frames):
     return Detections(
         frame_index=np.arange(n, dtype=np.int64),
         timestamp_ms=np.zeros(n, dtype=np.int64),
-        offsets=np.cumsum([0] + [len(boxes) for boxes in frames]),
+        box_counts=np.array([len(boxes) for boxes in frames], dtype=np.int64),
         boxes=Boxes(
             x=np.zeros(m),
             y=np.zeros(m),
@@ -222,37 +222,41 @@ class TestRouteCounts:
     def test_at_ceiling_not_routed(self):
         # 25 boxes equals the ceiling; routing triggers strictly above
         s = series([25])
-        assert frames_needing_density(s, RoutingPolicy(count_ceiling=25)) == []
+        assert frames_needing_density(s, RoutingPolicy(count_ceiling=25)).tolist() == []
         out = route_counts(s, RoutingPolicy(count_ceiling=25))
         assert out.counts[0] == 25 and out.provenance[0] == CODE_DETECTOR
 
     def test_routes_over_ceiling(self):
-        s = series([20, 30, 22])
-        out = route_counts(s, RoutingPolicy(count_ceiling=25), {0: 19, 1: 28, 2: 23})
-        assert np.array_equal(out.counts, [20, 28, 22])
-        assert out.provenance.tolist() == [CODE_DETECTOR, CODE_DENSITY, CODE_DETECTOR]
-
-    def test_mapping_input(self):
-        s = series([20, 30, 22])
-        out = route_counts(s, RoutingPolicy(count_ceiling=25), {1: 28})
-        assert np.array_equal(out.counts, [20, 28, 22])
+        s = series([20, 30, 22, 40])
+        needed = frames_needing_density(s, RoutingPolicy(count_ceiling=25))
+        assert needed.dtype == np.int64 and needed.tolist() == [1, 3]
+        out = route_counts(s, RoutingPolicy(count_ceiling=25), np.array([28, 33]))
+        assert np.array_equal(out.counts, [20, 28, 22, 33])
+        assert out.provenance.tolist() == [CODE_DETECTOR, CODE_DENSITY, CODE_DETECTOR, CODE_DENSITY]
 
     def test_missing_density_names_frames(self):
         with pytest.raises(RoutingError, match="frames: 0") as exc:
             route_counts(series([30]), RoutingPolicy(count_ceiling=25))
         assert exc.value.frame_indices == [0]
 
-    def test_partial_mapping_missing(self):
-        with pytest.raises(RoutingError) as exc:
-            route_counts(series([30, 40]), RoutingPolicy(count_ceiling=25), {0: 28})
-        assert exc.value.frame_indices == [1]
+    def test_count_array_of_wrong_length_rejected(self):
+        s = series([30, 3, 40])
+        for density in ([], [28], [28, 29, 30], [[28, 29]]):
+            with pytest.raises(ValueError, match="for 2 over-ceiling frame"):
+                route_counts(s, RoutingPolicy(count_ceiling=25), np.array(density, np.int64))
+
+    def test_first_negative_count_names_its_frame(self):
+        s = series([30, 3, 40, 50])
+        with pytest.raises(ValueError, match="^density count for frame 2 is negative: -1$"):
+            route_counts(s, RoutingPolicy(count_ceiling=25), np.array([28, -1, -5]))
 
     def test_length_preserved(self, rng):
+        policy = RoutingPolicy(count_ceiling=25)
         for _ in range(20):
             counts = rng.integers(0, 50, int(rng.integers(1, 100)))
             s = series(counts)
-            density = dict(enumerate(rng.integers(0, 50, len(counts)).tolist()))
-            out = route_counts(s, RoutingPolicy(count_ceiling=25), density)
+            density = rng.integers(0, 50, len(frames_needing_density(s, policy)))
+            out = route_counts(s, policy, density)
             assert len(out) == len(s)
 
 

@@ -268,13 +268,24 @@ class TestCalibrationCsv:
     @pytest.mark.parametrize(
         "row",
         ["1,1_000,20,3", "1,+100,20,3", "1,100,20, 3", "1,100 ,20,3", "1,\u0663,0,3",
-         "1,100,20,3,4", "1,100,20"],
+         "1,100,20,3,4", "1,100,20", '"1",100,20,3'],
         ids=["underscore", "plus-sign", "leading-space", "trailing-space", "arabic-indic-digit",
-             "extra-field", "missing-field"],
+             "extra-field", "missing-field", "quoted"],
     )
     def test_non_digit_value_names_line(self, row):
         data = f"frame_index,area,edge,true_count\n0,100,20,3\n{row}\n".encode()
         with pytest.raises(InputFormatError, match="line 3: bad calibration row"):
+            read_calibration_csv(data)
+
+    @pytest.mark.parametrize("before", ["", "0,100,20,3\n"], ids=["first-row", "second-row"])
+    def test_quoted_line_break_names_its_first_line(self, before):
+        # No quoting: a quoted field is a bad row, and each line counts as one.
+        bad = 2 + before.count("\n")
+        data = f'frame_index,area,edge,true_count\n{before}"1\n",200,10,3\n'.encode()
+        with pytest.raises(InputFormatError, match=f"line {bad}: bad calibration row"):
+            read_calibration_csv(data)
+        data = f'frame_index,area,edge,true_count\n{before}"# x\n\n\n",1\n1,2,3,x\n'.encode()
+        with pytest.raises(InputFormatError, match=f"line {bad}: bad calibration row"):
             read_calibration_csv(data)
 
     def test_int64_max_and_edge_equal_area_accepted(self):
@@ -289,7 +300,7 @@ class TestEstimateDensityCounts:
         reg = DensityRegressor(1.0, 0.0, 4.0)
         counts = estimate_density_counts(frames, reg, [0, 3])
         # static scene: background equals the frames, no foreground anywhere
-        assert counts == {0: 4, 3: 4}
+        assert counts.dtype == np.int64 and counts.tolist() == [4, 4]
 
     def test_out_of_range_frame(self):
         frames = np.full((1, 8, 8), 50, dtype=np.uint8)
@@ -301,6 +312,13 @@ class TestEstimateDensityCounts:
             estimate_density_counts(
                 np.empty((0, 8, 8), dtype=np.uint8), DensityRegressor(1, 0, 0), []
             )
+
+    @pytest.mark.parametrize("indices", [[3, 0], [0, 2, 1], [1, 1], [0, 2, 2, 3]],
+                             ids=["falling", "unsorted", "repeated", "repeated-inside"])
+    def test_indices_must_rise_strictly(self, indices):
+        frames = np.full((5, 8, 8), 50, dtype=np.uint8)
+        with pytest.raises(ValueError, match=r"frame indices must rise strictly, got \["):
+            estimate_density_counts(frames, DensityRegressor(1, 0, 0), indices)
 
 
 # Per-pixel steps between frames. +-15 is the motion threshold, which is not
@@ -334,15 +352,16 @@ _BOUNDARY_STREAM = (
 
 def reference_density(frames, regressor, wanted):
     """Fold ``update_background`` over the stream up to its last wanted frame
-    (frame 0 when none is wanted); predict at the wanted frames."""
+    (frame 0 when none is wanted); predict at the wanted frames, in rising
+    order."""
     model = first_frame_model(frames[0])
-    counts = {}
+    counts = []
     for i, frame in enumerate(frames[: max(wanted, default=0) + 1]):
         if i > 0:
             model = update_background(model, frames[i - 1], frame)
         if i in wanted:
             mask = extract_foreground(model, frame, regressor.fg_threshold)
-            counts[i] = predict_count(regressor, compute_features(mask, frame_index=i))
+            counts.append(predict_count(regressor, compute_features(mask, frame_index=i)))
     return counts, model.background
 
 
@@ -388,11 +407,13 @@ class TestInPlaceLoopParity:
     def test_counts_and_background_match_fold(self, stream, regressor, band_rows, workers):
         frames, wanted = stream
         expected_counts, expected_background = reference_density(frames, regressor, wanted)
+        order = sorted(wanted)
         with banded(band_rows, workers, frames.shape[2]):
-            assert estimate_density_counts(frames, regressor, wanted) == expected_counts
-            counts, background = _density_loop(frames, regressor, wanted)
-        assert counts == expected_counts
-        assert list(counts) == sorted(counts)
+            estimated = estimate_density_counts(frames, regressor, order)
+            counts, background = _density_loop(frames, regressor, order)
+        assert estimated.dtype == counts.dtype == np.int64
+        assert estimated.tolist() == expected_counts
+        assert counts.tolist() == expected_counts
         assert background.dtype == np.float64
         assert background.tobytes() == expected_background.tobytes()  # bit for bit
 
@@ -407,10 +428,10 @@ class TestInPlaceLoopParity:
         frames = gray_stream([still, blob])
         regressor = DensityRegressor(1.0, 1000.0, 0.0)
         with banded(3, workers, 10):
-            counts, background = _density_loop(frames, regressor, {1})
-        assert counts == {1: 16 + 1000 * 12}  # area 16, edge 12
+            counts, background = _density_loop(frames, regressor, [1])
+        assert counts.tolist() == [16 + 1000 * 12]  # area 16, edge 12
         expected_counts, expected_background = reference_density(frames, regressor, {1})
-        assert counts == expected_counts
+        assert counts.tolist() == expected_counts
         assert background.tobytes() == expected_background.tobytes()
 
     @pytest.mark.parametrize("workers", [1, 2])
@@ -438,19 +459,19 @@ class TestInPlaceLoopParity:
             pixels.append(frame)
         frames = gray_stream(pixels)
         regressor = DensityRegressor(0.7, 0.4, 0.5)
-        wanted = {0, 2, 3, 6}
+        wanted = [0, 2, 3, 6]
         with banded(None, workers, 640):
             counts, background = _density_loop(frames, regressor, wanted)
         expected_counts, expected_background = reference_density(frames, regressor, wanted)
-        assert counts == expected_counts
-        assert len(set(counts.values())) > 1
+        assert counts.tolist() == expected_counts
+        assert len(set(counts.tolist())) > 1
         assert background.tobytes() == expected_background.tobytes()
 
     @pytest.mark.parametrize("shape", [(0, 0), (0, 5), (5, 0)])
     def test_empty_frames(self, shape):
         frames = np.zeros((3, *shape), dtype=np.uint8)
-        counts, background = _density_loop(frames, DensityRegressor(1.0, 0.0, 2.0), {0, 2})
-        assert counts == {0: 2, 2: 2}
+        counts, background = _density_loop(frames, DensityRegressor(1.0, 0.0, 2.0), [0, 2])
+        assert counts.tolist() == [2, 2]
         assert background.shape == shape
 
 
@@ -462,7 +483,7 @@ class TestUint8Frames:
         with pytest.raises(ValueError, match=f"must be uint8, got {np.dtype(dtype)}"):
             estimate_density_counts(frames, regressor, [1])
         with pytest.raises(ValueError, match="must be uint8"):
-            _density_loop(frames, regressor, {1})
+            _density_loop(frames, regressor, [1])
 
     @pytest.mark.parametrize(
         "threshold",
@@ -506,7 +527,7 @@ class TestBandThreads:
         monkeypatch.setattr(ingest, "_usable_cpus", lambda: min(2, self.real_cpus))
         before = threading.active_count()
         with pytest.raises(RuntimeError) as info:
-            _density_loop(self.stream(), DensityRegressor(1.0, 0.0, 0.0), {1, 3})
+            _density_loop(self.stream(), DensityRegressor(1.0, 0.0, 0.0), [1, 3])
         assert info.value is error
         assert threading.active_count() == before
 
@@ -525,9 +546,10 @@ class TestBandThreads:
         monkeypatch.setattr(ingest, "_usable_cpus", lambda: cpus)
         before = threading.active_count()
         frames = self.stream()
-        counts, _ = _density_loop(frames, DensityRegressor(1.0, 0.4, 0.0), {0, 2, 3})
+        counts, _ = _density_loop(frames, DensityRegressor(1.0, 0.4, 0.0), [0, 2, 3])
         bands = -(-8 // band_rows)
         # The calling thread is one of the workers.
         assert len(started) == min(bands, cpus) - 1
         assert threading.active_count() == before
-        assert counts == reference_density(frames, DensityRegressor(1.0, 0.4, 0.0), {0, 2, 3})[0]
+        expected_counts, _ = reference_density(frames, DensityRegressor(1.0, 0.4, 0.0), {0, 2, 3})
+        assert counts.tolist() == expected_counts

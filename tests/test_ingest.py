@@ -142,7 +142,8 @@ def assert_matches_reference(data: bytes):
         assert meta.frame_count == len(detections) == len(frames)
         assert detections.frame_index.tolist() == [f[0] for f in frames]
         assert detections.timestamp_ms.tolist() == [f[1] for f in frames]
-        assert detections.offsets.tolist() == np.cumsum([0] + [len(f[2]) for f in frames]).tolist()
+        assert detections.box_counts.dtype == np.int64
+        assert detections.box_counts.tolist() == [len(f[2]) for f in frames]
         b = detections.boxes
         columns = (b.x, b.y, b.w, b.h, b.score, b.class_id)
         assert [c.dtype for c in columns] == [np.float64] * 5 + [np.int64]
@@ -245,12 +246,12 @@ class TestBoundingBox:
 class TestParseDetections:
     def test_minimal_file(self):
         data = detections_bytes([2, 0], fps=30)
-        frames, meta = parse_detections(data)
-        assert len(frames) == 2
+        detections, meta = parse_detections(data)
+        assert len(detections) == 2
         assert meta.fps == Fraction(30)
         assert meta.source_id == "cam1"
-        assert len(frames[0].boxes) == 2
-        assert len(frames[1].boxes) == 0
+        assert detections.box_counts.tolist() == [2, 0]
+        assert len(detections.boxes) == 2
 
     def test_rational_fps(self):
         header = json.dumps({"fps": "30000/1001", "source_id": "s"})
@@ -295,8 +296,8 @@ class TestParseDetections:
     def test_blank_lines_and_whitespace_tolerated(self):
         data = detections_bytes([1, 2]).decode()
         noisy = "\n\n" + data.replace("\n", "   \n\n") + "\n  \n"
-        frames, meta = parse_detections(noisy.encode())
-        assert [len(f.boxes) for f in frames] == [1, 2]
+        detections, meta = parse_detections(noisy.encode())
+        assert detections.box_counts.tolist() == [1, 2]
 
     def test_round_trip_random_streams(self, rng):
         for _ in range(20):
@@ -306,7 +307,7 @@ class TestParseDetections:
             detections = Detections(
                 frame_index=np.cumsum(rng.integers(1, 4, n)),
                 timestamp_ms=np.arange(n, dtype=np.int64) * 33,
-                offsets=np.concatenate(([0], np.cumsum(counts))),
+                box_counts=counts,
                 boxes=Boxes(
                     x=rng.uniform(0, 100, m),
                     y=rng.uniform(0, 100, m),
@@ -319,24 +320,13 @@ class TestParseDetections:
             _, meta0 = parse_detections(serialize_detections(detections, _meta(n)))
             data = serialize_detections(detections, meta0)
             parsed, meta2 = parse_detections(data)
-            for name in ("frame_index", "timestamp_ms", "offsets"):
+            for name in ("frame_index", "timestamp_ms", "box_counts"):
                 np.testing.assert_array_equal(getattr(parsed, name), getattr(detections, name))
             for name in BOX_FIELDS:
                 np.testing.assert_array_equal(
                     getattr(parsed.boxes, name), getattr(detections.boxes, name)
                 )
             assert serialize_detections(parsed, meta2) == data
-
-    def test_frames_view_box_rows(self):
-        data = stream(random_records(np.random.default_rng(3), 30))
-        detections, _ = parse_detections(data)
-        frames = list(detections)
-        assert sum(len(f.boxes) for f in frames) == len(detections.boxes)
-        for i, frame in enumerate(frames):
-            lo, hi = detections.offsets[i], detections.offsets[i + 1]
-            assert frame.frame_index == detections.frame_index[i]
-            np.testing.assert_array_equal(frame.boxes.score, detections.boxes.score[lo:hi])
-        assert detections[-1].frame_index == frames[-1].frame_index
 
     def test_path_and_file_object_sources(self, tmp_path):
         # The parse cuts the whole buffer into blocks: bytes or a mapping of a file.
@@ -696,7 +686,7 @@ class TestParseMemory:
         finally:
             tracemalloc.stop()
         b = detections.boxes
-        columns = (detections.frame_index, detections.timestamp_ms, detections.offsets,
+        columns = (detections.frame_index, detections.timestamp_ms, detections.box_counts,
                    b.x, b.y, b.w, b.h, b.score, b.class_id)
         assert len(detections) == i
         scans = min(cpus, 4)  # at most four scans at once, on any CPU count
@@ -783,7 +773,7 @@ class TestFirstBlockDecides:
             with parsed_in(300, 8):
                 for _ in range(20):
                     got, _ = parse_detections(data)
-                    for name in ("frame_index", "timestamp_ms", "offsets"):
+                    for name in ("frame_index", "timestamp_ms", "box_counts"):
                         assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
                     for name in ("x", "y", "w", "h", "score", "class_id"):
                         assert getattr(got.boxes, name).tobytes() == getattr(want.boxes, name).tobytes()
