@@ -55,7 +55,15 @@ from .evaluation import (
     matched_ap_d,
     render_table,
 )
-from .ingest import format_fps, load_gray_frames, parse_detections, parse_fps
+from .ingest import (
+    _BLOCK_BYTES,
+    _WINDOW_BLOCKS,
+    _release,
+    format_fps,
+    load_gray_frames,
+    parse_detections,
+    parse_fps,
+)
 from .segmenting import SegmentPolicy, emit_cutlist, extract_segments
 from .smoothing import SmoothingParams, TieBreak, smooth_series, window_length
 
@@ -185,8 +193,25 @@ def _provenance(policy, input_sha256: str) -> list[str]:
     ]
 
 
-def _sha256(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
+def _sha256(data) -> str:
+    """Hex SHA-256 of ``data``: bytes, or an ``mmap`` of a file.
+
+    A mapping is hashed ``_WINDOW_BLOCKS * _BLOCK_BYTES`` bytes (4 MiB) at
+    a time, as the detections walk hashes its windows, and each chunk's
+    whole pages are released (``ingest._release``) once hashed, so hashing
+    a gray container costs about a chunk of memory, not its size.
+    """
+    if not isinstance(data, mmap.mmap):
+        return hashlib.sha256(data).hexdigest()
+    digest = hashlib.sha256()
+    chunk = _WINDOW_BLOCKS * _BLOCK_BYTES
+    released = 0
+    with memoryview(data) as view:
+        for start in range(0, len(data), chunk):
+            end = min(start + chunk, len(data))
+            digest.update(view[start:end])
+            released = _release(data, released, end)
+    return digest.hexdigest()
 
 
 def _read_bytes(path) -> bytes:
@@ -239,7 +264,8 @@ def stage_count(detections, config: PipelineConfig, gray_frames=None, regressor=
     and hashed in windows by ``count_detections``. Frames over the count
     ceiling get their counts from ``regressor`` (a ``DensityRegressor``)
     run over ``gray_frames``, the (n, height, width) array of a gray
-    container.
+    container. A container too short for a routed frame raises
+    InputFormatError.
     """
     policy = config.routing_policy()
     series, meta = count_detections(detections, policy)
@@ -254,11 +280,21 @@ def stage_count(detections, config: PipelineConfig, gray_frames=None, regressor=
                 "frames exceed the count ceiling but no gray frame container was "
                 f"supplied (frames: {needed[:10].tolist()})"
             )
+        _check_gray_frames(gray_frames, needed.tolist())
         density_counts = estimate_density_counts(gray_frames, regressor, needed)
         log.info("density-estimated %d over-ceiling frame(s)", len(needed))
     routed = route_counts(series, policy, density_counts)
     csv_bytes = write_count_series(routed, comments=_provenance(policy, meta.sha256))
     return routed, csv_bytes, meta
+
+
+def _check_gray_frames(gray_frames, wanted):
+    """Raise InputFormatError unless the gray container holds a frame and
+    every frame of ``wanted``, a list of frame positions."""
+    beyond = [i for i in wanted if i >= len(gray_frames)]
+    if len(gray_frames) == 0 or beyond:
+        shown = f"; {len(beyond)} routed frame(s) beyond it: {beyond[:10]}" if beyond else ""
+        raise InputFormatError(f"gray container holds {len(gray_frames)} frame(s){shown}")
 
 
 def smooth_step(series, config: PipelineConfig, input_sha256: str):
@@ -577,6 +613,7 @@ def density_fit(calibration, out, fg_threshold):
 def density_predict(gray, model, out):
     """Predict a density count for every frame of a gray container."""
     frames = load_gray_frames(_map_bytes(gray))
+    _check_gray_frames(frames, [])
     regressor = regressor_from_json(_read_bytes(model))
     counts = estimate_density_counts(frames, regressor, range(len(frames)))
     lines = ["frame_index,count"] + [f"{i},{c}" for i, c in enumerate(counts.tolist())]

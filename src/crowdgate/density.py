@@ -10,13 +10,21 @@ from __future__ import annotations
 
 import json
 import math
+import mmap
 import re
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from .errors import InputFormatError, RankDeficientError
-from .ingest import _map_threads, decode_line
+from .ingest import (
+    _BLOCK_BYTES,
+    _WINDOW_BLOCKS,
+    _map_threads,
+    _release,
+    _thread_count,
+    decode_line,
+)
 
 DEFAULT_MOTION_THRESHOLD = 15.0
 DEFAULT_LEARNING_RATE = 0.05
@@ -192,10 +200,13 @@ def estimate_density_counts(
     strictly. Runs the background model sequentially over the stream (it is
     order-dependent) up to the last requested frame, and predicts only at
     the requested indices. The frame is processed in bands of rows, on up to
-    one thread per usable CPU; the background stays bit-identical to folding
-    ``update_background`` over the stream, and each mask to
-    ``extract_foreground``. Other indices, and frames of any dtype but
-    uint8, raise ValueError.
+    one thread per usable CPU, and the stream a window of frames at a time;
+    when ``frames`` views an ``mmap`` (``load_gray_frames``), the pages of
+    windows passed are released, so a long stream costs about a window of
+    memory per thread, not its size (``_density_loop``). The background
+    stays bit-identical to folding ``update_background`` over the stream,
+    and each mask to ``extract_foreground``. Other indices, an empty
+    stream, and frames of any dtype but uint8, raise ValueError.
     """
     wanted = np.asarray(frame_indices, dtype=np.int64)
     if len(frames) == 0:
@@ -221,6 +232,17 @@ def _density_loop(frames, regressor: DensityRegressor, order):
     every other pixel and the per-band features are integer sums, so counts
     and background are bit-identical for any band height and any number of
     threads. Counts are predicted here, in the calling thread.
+
+    The stream is run a window of frames at a time: as many frames as fill
+    the detections walk's window (``_WINDOW_BLOCKS * _BLOCK_BYTES``, 4 MiB),
+    and at least 2. Each worker of ``_map_threads`` takes a fixed group of
+    bands, every ``workers``-th one, and advances them all through a window
+    before the next, with no barrier between workers. When ``frames`` is a
+    view of an ``mmap``, a worker that has finished window w releases the
+    whole pages before window w's first frame (``ingest._release``); the
+    window's last frame stays mapped for the next frame's motion gate. A
+    page another worker still reads is faulted in again from the page
+    cache, so a release changes no result.
     """
     if frames.dtype != np.uint8:
         # ``_band``'s motion gate holds only for uint8 differences.
@@ -230,9 +252,29 @@ def _density_loop(frames, regressor: DensityRegressor, order):
     rows = max(1, _BAND_PIXELS // max(width, 1))
     # A frame with no rows still gets one (empty) band.
     bands = [(r0, min(r0 + rows, height)) for r0 in range(0, max(height, 1), rows)]
-    parts = _map_threads(
-        lambda band: _band(frames, band, order, model, regressor.fg_threshold), bands
-    )
+    frame_bytes = height * width
+    window = max(2, _WINDOW_BLOCKS * _BLOCK_BYTES // max(frame_bytes, 1))
+    firsts = range(0, (order[-1] if order else 0) + 1, window)  # each window's first frame
+    mapped = _mapped(frames)
+
+    def advance(group):
+        runs = [
+            _band(frames, band, order, model, regressor.fg_threshold, window)
+            for band in group
+        ]
+        released = 0
+        for first in firsts:
+            parts = [next(run) for run in runs]
+            if mapped is not None:
+                mapping, offset = mapped
+                released = _release(mapping, released, offset + first * frame_bytes)
+        return parts
+
+    workers = _thread_count(len(bands))
+    parts = [None] * len(bands)
+    groups = [bands[g::workers] for g in range(workers)]
+    for g, group_parts in enumerate(_map_threads(advance, groups)):
+        parts[g::workers] = group_parts
     area = sum(part[0] for part in parts)
     interior = sum(part[1] for part in parts)
     background = model.background  # a fresh array, private to this loop
@@ -246,6 +288,27 @@ def _density_loop(frames, regressor: DensityRegressor, order):
     return counts, background
 
 
+def _mapped(frames):
+    """(mapping, byte offset of ``frames[0]`` in it) when ``frames`` is a
+    C-contiguous view of an ``mmap``, else None.
+
+    The mapping is found through the ``.base`` chain ``load_gray_frames``
+    makes: ndarray -> ndarray -> memoryview, whose ``obj`` is the ``mmap``.
+    Frames read whole (a FIFO) or built in memory have none.
+    """
+    base = frames
+    while isinstance(base, np.ndarray):
+        base = base.base
+    if not (
+        isinstance(base, memoryview)
+        and isinstance(base.obj, mmap.mmap)
+        and frames.flags.c_contiguous
+    ):
+        return None
+    start = np.frombuffer(base, dtype=np.uint8).__array_interface__["data"][0]
+    return base.obj, frames.__array_interface__["data"][0] - start
+
+
 def _motion_gate(threshold: float) -> int:
     """The number of uint8 frame differences ``d`` in 0..255 with ``d < threshold``.
 
@@ -257,19 +320,25 @@ def _motion_gate(threshold: float) -> int:
     return int(np.count_nonzero(np.arange(256.0) < threshold))
 
 
-def _band(frames, rows, order, model: BackgroundModel, fg_threshold: float):
+def _band(frames, rows, order, model: BackgroundModel, fg_threshold: float, window: int):
     """Run image rows ``rows = (r0, r1)`` of uint8 ``frames`` up to the last frame of ``order``.
 
-    Returns the int64 foreground area and interior-pixel count of these rows
-    at each frame of ``order`` (ascending frame positions), and the rows'
-    background at its last frame. The band also keeps the background of the
-    row above and the row below it (its halo rows), which give its edge rows
-    their vertical neighbours; rows outside the image count as background,
-    as in ``compute_features``. The per-frame steps write into buffers
-    allocated once. The motion gate compares integer differences with
-    ``_motion_gate``'s cutoff; every float step is the operation of
-    ``update_background`` and ``extract_foreground``, so the result is the
-    same bit for bit.
+    A generator: it runs a window of ``window`` frames (frames 0 to
+    ``window - 1``, then the next ``window``, and so on, the last window
+    ending at the last frame of ``order``) each time it is advanced, and
+    yields its state at the window's end. Its state is the int64
+    foreground area and interior-pixel count of these rows at each frame
+    of ``order`` (ascending frame positions), filled in as far as the
+    frames run, and the rows' background at the last frame run; after the
+    last window that is the band's result. The background yielded before
+    the last window is a buffer the band goes on writing. The band also
+    keeps the background of the row above and the row below it (its halo
+    rows), which give its edge rows their vertical neighbours; rows
+    outside the image count as background, as in ``compute_features``. The
+    per-frame steps write into buffers allocated once. The motion gate
+    compares integer differences with ``_motion_gate``'s cutoff; every
+    float step is the operation of ``update_background`` and
+    ``extract_foreground``, so the result is the same bit for bit.
     """
     r0, r1 = rows
     height, width = model.background.shape
@@ -294,6 +363,8 @@ def _band(frames, rows, order, model: BackgroundModel, fg_threshold: float):
     at = 0  # the frame ``background`` has seen last
     for k, i in enumerate(order):
         for j in range(at + 1, i + 1):
+            if j % window == 0:  # frames up to j - 1 are done: a window ends
+                yield areas, interiors, background[r0 - a0 : r1 - a0]
             prev, curr = frames[j - 1, a0:a1], frames[j, a0:a1]
             np.maximum(curr, prev, out=diff)
             np.minimum(curr, prev, out=low)
@@ -318,7 +389,7 @@ def _band(frames, rows, order, model: BackgroundModel, fg_threshold: float):
         np.logical_and(interior, own[:, 2:], out=interior)
         areas[k] = np.count_nonzero(own)
         interiors[k] = np.count_nonzero(interior)
-    return areas, interiors, background[r0 - a0 : r1 - a0]
+    yield areas, interiors, background[r0 - a0 : r1 - a0]
 
 
 def regressor_to_json(regressor: DensityRegressor) -> str:

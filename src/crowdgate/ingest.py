@@ -248,14 +248,33 @@ def _walk(data, keep) -> tuple[StreamMeta, list]:
             scanned.clear()
             if isinstance(data, mmap.mmap):
                 # whole pages only: the page holding `end` still serves the next window
-                upto = end if end == len(data) else end - end % mmap.PAGESIZE
-                if upto > released:
-                    data.madvise(mmap.MADV_DONTNEED, released, upto - released)
-                    released = upto
+                released = _release(data, released, end)
             if end == len(data):
                 break
     meta = StreamMeta(fps, frame_count, source_id, tuple(gaps), digest.hexdigest())
     return meta, kept
+
+
+def _release(mapping: mmap.mmap, released: int, upto: int) -> int:
+    """Release (``MADV_DONTNEED``) the whole pages of ``mapping`` from byte
+    ``released``, a page boundary, up to ``upto``; return how far it is
+    released now.
+
+    ``upto`` is rounded down to a page boundary unless it is the end of the
+    mapping. A released page that is read again is faulted in from the page
+    cache, so a release changes no result, only memory and time. A mapping
+    that can be written is never released: on a copy-on-write one the
+    release would drop the writes.
+    """
+    with memoryview(mapping) as view:
+        if not view.readonly:
+            return released
+    if upto != len(mapping):
+        upto -= upto % mmap.PAGESIZE
+    if upto <= released:
+        return released
+    mapping.madvise(mmap.MADV_DONTNEED, released, upto - released)
+    return upto
 
 
 def _gaps(frame_index, last_index) -> list[tuple[int, int]]:
@@ -599,7 +618,7 @@ def _map_threads(work, items, most=None):
     or a single CPU. The first exception an item raises is
     re-raised here once every worker has stopped.
     """
-    workers = min(len(items), _usable_cpus(), most or len(items))
+    workers = _thread_count(len(items), most)
     if workers <= 1:
         return [work(item) for item in items]
     results = [None] * len(items)
@@ -627,6 +646,11 @@ def _map_threads(work, items, most=None):
     if errors:
         raise errors[0]
     return results
+
+
+def _thread_count(items: int, most=None) -> int:
+    """The number of threads ``_map_threads`` runs ``items`` items on."""
+    return min(items, _usable_cpus(), most or items)
 
 
 def _usable_cpus() -> int:

@@ -3,6 +3,7 @@ import hashlib
 import json
 import mmap
 import os
+import struct
 import subprocess
 import sys
 import threading
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from crowdgate import cli
+from crowdgate import cli, ingest
 from crowdgate.cli import (
     EXIT_CONFIG_ERROR,
     EXIT_INPUT_ERROR,
@@ -499,6 +500,34 @@ class TestGrayContainerPath:
         assert f"error: {message}" in result.output
         assert not (tmp_path / "o" / "raw_counts.csv").exists()
 
+    @pytest.mark.parametrize("command", ["count", "run"])
+    @pytest.mark.parametrize("n_frames, beyond", [(4, [4, 5]), (0, [2, 3, 4, 5])])
+    def test_routed_frames_beyond_the_container_exit_2(
+        self, runner, tmp_path, command, n_frames, beyond
+    ):
+        # Frames 2-5 of six are over the ceiling; the container is too short.
+        det = write_detections(tmp_path / "d.jsonl", [3, 3, 30, 30, 30, 30])
+        gray = tmp_path / "g.cgry"
+        gray.write_bytes(struct.pack("<4sIII", b"CGRY", 8, 8, n_frames) + bytes(64 * n_frames))
+        _, model = write_density_inputs(tmp_path, 1)
+        out = tmp_path / "o"
+        args = [command, det, "--out", str(out), "--gray", str(gray), "--model", model]
+        result = run_cli(runner, args + (["--threshold", "5"] if command == "run" else []))
+        assert result.exit_code == EXIT_INPUT_ERROR, result.output
+        message = f"gray container holds {n_frames} frame(s); {len(beyond)} routed frame(s)"
+        assert f"error: {message} beyond it: {beyond}\n" in result.output
+        assert not out.exists()
+
+    def test_predict_on_empty_container_exit_2(self, runner, tmp_path):
+        gray = tmp_path / "g.cgry"
+        gray.write_bytes(struct.pack("<4sIII", b"CGRY", 8, 8, 0))
+        _, model = write_density_inputs(tmp_path, 1)
+        out = tmp_path / "o" / "pred.csv"
+        result = run_cli(runner, ["density-predict", str(gray), model, "--out", str(out)])
+        assert result.exit_code == EXIT_INPUT_ERROR, result.output
+        assert "error: gray container holds 0 frame(s)\n" in result.output
+        assert not out.parent.exists()
+
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no os.mkfifo")
     def test_fifo_is_read_whole(self, runner, tmp_path):
         det = write_detections(tmp_path / "d.jsonl", [3, 30, 3])
@@ -573,6 +602,104 @@ class TestGrayContainerPath:
         assert result.exit_code == 0, result.output
         lines = ["frame_index,count"] + [f"{i},{count}" for i, count in enumerate(counts)]
         assert pred.read_text() == "".join(line + "\n" for line in lines)
+
+
+class TestMappedHash:
+    """``_sha256`` of an ``mmap`` hashes it a chunk at a time and releases
+    each chunk's pages (``MADV_DONTNEED``) once hashed."""
+
+    CHUNK = ingest._WINDOW_BLOCKS * ingest._BLOCK_BYTES
+
+    @pytest.mark.parametrize(
+        "size", [1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5],
+        ids=["1-byte", "chunk-1", "chunk", "chunk+1", "3-chunks+5"],
+    )
+    def test_hashed_bytes_are_released(self, monkeypatch, tmp_path, size):
+        # Every madvise range is whole pages (the last may end at the end of
+        # the file), follows the one before, and lies in the bytes the hash
+        # has taken in; together the ranges cover the file.
+        data = np.random.default_rng(size).bytes(size)
+        path = tmp_path / "g.cgry"
+        path.write_bytes(data)
+        hashed, released = [0], []
+        real_sha256 = hashlib.sha256
+
+        class Sha256:
+            def __init__(self, chunk=b""):
+                self.real = real_sha256(chunk)
+                hashed[0] += len(chunk)
+
+            def update(self, chunk):
+                self.real.update(chunk)
+                hashed[0] += len(chunk)
+
+            def hexdigest(self):
+                return self.real.hexdigest()
+
+        class Mapping(mmap.mmap):
+            def madvise(self, option, start, length):
+                released.append((option, start, length, hashed[0]))
+                return super().madvise(option, start, length)
+
+        monkeypatch.setattr(hashlib, "sha256", Sha256)
+        with open(path, "rb") as fh:
+            mapped = Mapping(fh.fileno(), 0, access=mmap.ACCESS_READ)
+        digest = cli._sha256(mapped)
+        monkeypatch.undo()
+        assert digest == hashlib.sha256(data).hexdigest() == cli._sha256(data)
+        assert len(released) == -(-size // self.CHUNK)
+        end = 0
+        for option, start, length, hashed_then in released:
+            assert option == mmap.MADV_DONTNEED
+            assert start == end and start % mmap.PAGESIZE == 0
+            end = start + length
+            assert end % mmap.PAGESIZE == 0 or end == len(data)
+            assert end <= hashed_then
+        assert end == len(data)
+
+
+# Runs crowdgate with the given arguments in a child and prints its exit
+# code and peak RSS (KiB). A process's ru_maxrss also counts the memory of
+# the process it was forked from, so the child is forked from this small
+# interpreter, not from the test process.
+_PEAK_RSS = """
+import os, subprocess, sys
+child = subprocess.Popen([sys.executable, "-m", "crowdgate", *sys.argv[1:]])
+_, status, usage = os.wait4(child.pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB on Linux")
+def test_density_predict_peak_does_not_grow_with_the_container(tmp_path):
+    # Containers of about 8 and 24 windows: the density loop and nothing
+    # else reads them, and it releases the windows it has passed.
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    model = tmp_path / "m.json"
+    model.write_text(regressor_to_json(DensityRegressor(0.01, 0.1, 2.0)))
+    scene = np.zeros((360, 640), dtype=np.uint8)
+    scene[::7] = 90
+    peaks = []
+    for windows in (8, 24):
+        n = windows * (ingest._WINDOW_BLOCKS * ingest._BLOCK_BYTES) // scene.size
+        frames = np.repeat(scene[None], n, axis=0)
+        frames[1::2, 100:200, 100:300] = 200  # a blob in every other frame
+        gray = tmp_path / f"g{windows}.cgry"
+        gray.write_bytes(save_gray_frames(frames))
+        del frames
+        args = ["density-predict", str(gray), str(model), "--out", str(tmp_path / "p.csv")]
+        result = subprocess.run(
+            [sys.executable, "-c", _PEAK_RSS, *args],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        gray.unlink()
+        assert result.returncode == 0, result.stderr
+        code, peak_kib = map(int, result.stdout.split())
+        assert code == 0, result.stderr
+        assert (tmp_path / "p.csv").read_text().count("\n") == n + 1
+        peaks.append(peak_kib / 1024)
+    assert peaks[1] - peaks[0] < 16, f"peak RSS {peaks[0]:.1f} -> {peaks[1]:.1f} MiB"
 
 
 class TestDetectionsPath:

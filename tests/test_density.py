@@ -1,5 +1,7 @@
 import contextlib
 import math
+import mmap
+import tempfile
 import threading
 from unittest import mock
 
@@ -26,6 +28,7 @@ from crowdgate.density import (
 from crowdgate import density, ingest
 from crowdgate.density import _density_loop
 from crowdgate.errors import InputFormatError, RankDeficientError
+from crowdgate.ingest import load_gray_frames, save_gray_frames
 
 from conftest import gray_stream
 
@@ -375,6 +378,29 @@ def banded(band_rows, workers, width):
         yield
 
 
+@contextlib.contextmanager
+def windowed(frames_per_window, frames):
+    """Run ``frames`` in windows of ``frames_per_window`` frames (None: the
+    default size, which holds every short test stream in one window)."""
+    if frames_per_window is None:
+        yield
+        return
+    frame_bytes = max(frames[0].size, 1)
+    with mock.patch.object(density, "_WINDOW_BLOCKS", frames_per_window), \
+            mock.patch.object(density, "_BLOCK_BYTES", frame_bytes):
+        yield
+
+
+@contextlib.contextmanager
+def mapped(frames, mapping=mmap.mmap):
+    """``frames`` as ``load_gray_frames`` views them in a ``mapping`` of a
+    container file."""
+    with tempfile.TemporaryFile() as fh:
+        fh.write(save_gray_frames(frames))
+        fh.flush()
+        yield load_gray_frames(mapping(fh.fileno(), 0, access=mmap.ACCESS_READ))
+
+
 # Nine rows in bands of four: the last band is one row.
 _SHORT_LAST_BAND = (
     gray_stream([np.full((9, 3), 100), np.full((9, 3), 200)]),
@@ -386,11 +412,11 @@ class TestInPlaceLoopParity:
     @settings(max_examples=300, deadline=None)
     @example(
         stream=_BOUNDARY_STREAM, regressor=DensityRegressor(1.0, 0.0, 0.0, 25.0),
-        band_rows=None, workers=1,
+        band_rows=None, workers=1, window=None, in_mapping=False,
     )
     @example(
         stream=_SHORT_LAST_BAND, regressor=DensityRegressor(1.0, 0.4, 0.0, 25.0),
-        band_rows=4, workers=2,
+        band_rows=4, workers=2, window=2, in_mapping=True,
     )
     @given(
         stream=gray_streams(),
@@ -403,12 +429,20 @@ class TestInPlaceLoopParity:
         ),
         band_rows=st.sampled_from([None, 1, 2, 3, 4]),
         workers=st.sampled_from([1, 2]),
+        window=st.sampled_from([None, 2, 3, 4, 5]),
+        in_mapping=st.booleans(),
     )
-    def test_counts_and_background_match_fold(self, stream, regressor, band_rows, workers):
+    def test_counts_and_background_match_fold(
+        self, stream, regressor, band_rows, workers, window, in_mapping
+    ):
+        # ``window`` frames a window: the short streams run through several
+        # windows, from memory or from a mapped container.
         frames, wanted = stream
         expected_counts, expected_background = reference_density(frames, regressor, wanted)
         order = sorted(wanted)
-        with banded(band_rows, workers, frames.shape[2]):
+        source = mapped(frames) if in_mapping else contextlib.nullcontext(frames)
+        with banded(band_rows, workers, frames.shape[2]), windowed(window, frames), \
+                source as frames:
             estimated = estimate_density_counts(frames, regressor, order)
             counts, background = _density_loop(frames, regressor, order)
         assert estimated.dtype == counts.dtype == np.int64
@@ -498,7 +532,7 @@ class TestUint8Frames:
         # The banded loop gates each pair the same way as update_background.
         frames = gray_stream([prev, curr])
         model = BackgroundModel(frames[0].astype(np.float64), motion_threshold=threshold)
-        _, _, background = density._band(frames, (0, 256), [1], model, 25.0)
+        *_, (_, _, background) = density._band(frames, (0, 256), [1], model, 25.0, 2)
         expected = update_background(model, frames[0], frames[1]).background
         assert background.tobytes() == expected.tobytes()
 
@@ -514,22 +548,28 @@ class TestBandThreads:
 
     @pytest.mark.parametrize("failing_band", [0, 3])
     def test_band_exception_reaches_caller(self, monkeypatch, failing_band):
+        # Windows of two frames: the band fails in the first, then in the
+        # second window.
         error = RuntimeError("band failed")
         real_band = density._band
+        failing_window = None
 
         def band(frames, rows, *args):
-            if rows[0] == failing_band * 2:
-                raise error
-            return real_band(frames, rows, *args)
+            for window, state in enumerate(real_band(frames, rows, *args)):
+                if rows[0] == failing_band * 2 and window == failing_window:
+                    raise error
+                yield state
 
         monkeypatch.setattr(density, "_band", band)
         monkeypatch.setattr(density, "_BAND_PIXELS", 2 * 4)  # four bands
         monkeypatch.setattr(ingest, "_usable_cpus", lambda: min(2, self.real_cpus))
         before = threading.active_count()
-        with pytest.raises(RuntimeError) as info:
-            _density_loop(self.stream(), DensityRegressor(1.0, 0.0, 0.0), [1, 3])
-        assert info.value is error
-        assert threading.active_count() == before
+        frames = self.stream()
+        for failing_window in (0, 1):
+            with windowed(2, frames), pytest.raises(RuntimeError) as info:
+                _density_loop(frames, DensityRegressor(1.0, 0.0, 0.0), [1, 3])
+            assert info.value is error
+            assert threading.active_count() == before
 
     @pytest.mark.parametrize("band_rows", [1, 3, 8])
     @pytest.mark.parametrize("cpus", sorted({1, min(2, real_cpus), real_cpus}))
@@ -553,3 +593,90 @@ class TestBandThreads:
         assert threading.active_count() == before
         expected_counts, _ = reference_density(frames, DensityRegressor(1.0, 0.4, 0.0), {0, 2, 3})
         assert counts.tolist() == expected_counts
+
+
+class TestReleasedPages:
+    """What the density loop releases of a mapped container (``MADV_DONTNEED``)."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_released_pages_lie_before_the_finished_window(self, monkeypatch, workers):
+        # Frames of 3200 bytes, not a whole number of pages, in windows of
+        # three frames and bands of 7 rows, 5 bands on each worker or
+        # spread over two. Each worker releases whole pages, on from where
+        # it last stopped, and only before the first frame of the window
+        # its bands have all just finished.
+        rng = np.random.default_rng(9)
+        frames = rng.integers(0, 256, (31, 32, 100)).astype(np.uint8)
+        order = [0, 4, 5, 17, 29]
+        regressor = DensityRegressor(1.0, 0.4, 0.0)
+        finished = {}  # (thread, band) -> windows the band has finished
+        released = []  # (thread, start, length, windows finished by the thread's bands)
+        real_band = density._band
+
+        def band(frames, rows, *args):
+            for state in real_band(frames, rows, *args):
+                key = (threading.get_ident(), rows)
+                finished[key] = finished.get(key, 0) + 1
+                yield state
+
+        class Mapping(mmap.mmap):
+            def madvise(self, option, start, length):
+                thread = threading.get_ident()
+                done = min(n for (t, _), n in finished.items() if t == thread)
+                released.append((thread, option, start, length, done))
+                return super().madvise(option, start, length)
+
+        expected = _density_loop(frames, regressor, order)
+        monkeypatch.setattr(density, "_band", band)
+        with banded(7, workers, 100), windowed(3, frames), mapped(frames, Mapping) as view:
+            counts, background = _density_loop(view, regressor, order)
+        assert counts.tolist() == expected[0].tolist()
+        assert background.tobytes() == expected[1].tobytes()
+        assert len({thread for thread, *_ in released}) == workers
+        assert len(released) > 3 * workers
+        ends = {}
+        for thread, option, start, length, done in released:
+            assert option == mmap.MADV_DONTNEED
+            assert start == ends.get(thread, 0)
+            assert start % mmap.PAGESIZE == 0 and length % mmap.PAGESIZE == 0 and length > 0
+            ends[thread] = start + length
+            first = (done - 1) * 3  # the first frame of the window just finished
+            assert start + length <= 16 + first * frames[0].size
+
+    def test_copy_on_write_mapping_is_not_released(self):
+        # Releasing pages of a private mapping would drop the frames written
+        # into it, and the loop would read the file's frames instead.
+        rng = np.random.default_rng(9)
+        frames = rng.integers(0, 256, (31, 32, 100)).astype(np.uint8)
+        written = rng.integers(0, 256, frames.shape).astype(np.uint8)
+        regressor = DensityRegressor(1.0, 0.4, 0.0)
+        released = []
+
+        class Mapping(mmap.mmap):
+            def madvise(self, option, start, length):
+                released.append((start, length))
+                return super().madvise(option, start, length)
+
+        with tempfile.TemporaryFile() as fh:
+            fh.write(save_gray_frames(frames))
+            fh.flush()
+            mapping = Mapping(fh.fileno(), 0, access=mmap.ACCESS_COPY)
+        mapping[16:] = written.tobytes()
+        expected = _density_loop(written, regressor, [3, 30])
+        with windowed(3, frames):
+            counts, background = _density_loop(load_gray_frames(mapping), regressor, [3, 30])
+        assert counts.tolist() == expected[0].tolist()
+        assert background.tobytes() == expected[1].tobytes()
+        assert released == []
+
+    def test_mapping_found_through_the_base_chain(self):
+        # Frames in memory, read whole or built, and a mapped view that is
+        # not contiguous have no pages to release.
+        frames = np.random.default_rng(9).integers(0, 256, (12, 32, 100)).astype(np.uint8)
+        with mapped(frames) as view:
+            assert density._mapped(frames) is None
+            assert density._mapped(load_gray_frames(save_gray_frames(frames))) is None
+            assert density._mapped(view[:, :, :50]) is None
+            mapping, offset = density._mapped(view)
+            assert offset == 16 and len(mapping) == 16 + frames.size
+            assert density._mapped(view[2:])[1] == 16 + 2 * frames[0].size
