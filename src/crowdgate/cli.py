@@ -305,10 +305,18 @@ def smooth_step(series, config: PipelineConfig, input_sha256: str):
     return smoothed, csv_bytes, params
 
 
-def stage_smooth(counts_csv: bytes, config: PipelineConfig):
-    """Counts CSV bytes -> smooth_step of the series they hold."""
-    series = read_count_series(counts_csv, fps=config.fps_override)
+def stage_smooth(counts_csv: bytes, config: PipelineConfig, name="count CSV"):
+    """Counts CSV bytes -> smooth_step of the series they hold; InputFormatError
+    naming the CSV ``name`` if it holds no frame."""
+    series = _nonempty(read_count_series(counts_csv, fps=config.fps_override), name)
     return smooth_step(series, config, _sha256(counts_csv))
+
+
+def _nonempty(series, name: str):
+    """``series``, or InputFormatError naming the input ``name`` if it holds no frame."""
+    if not len(series):
+        raise InputFormatError(f"{name} holds no frames")
+    return series
 
 
 def segment_step(series, policy: SegmentPolicy, source: str, input_sha256: str):
@@ -322,10 +330,11 @@ def segment_step(series, policy: SegmentPolicy, source: str, input_sha256: str):
     return segments, report.encode("utf-8"), (header + sheet).encode("utf-8")
 
 
-def stage_segment(smoothed_csv: bytes, config: PipelineConfig, source: str):
-    """Smoothed CSV bytes -> segment_step of the series they hold."""
+def stage_segment(smoothed_csv: bytes, config: PipelineConfig, source: str, name="count CSV"):
+    """Smoothed CSV bytes -> segment_step of the series they hold; InputFormatError
+    naming the CSV ``name`` if it holds no frame."""
     policy = config.segment_policy()
-    series = read_count_series(smoothed_csv, fps=config.fps_override)
+    series = _nonempty(read_count_series(smoothed_csv, fps=config.fps_override), name)
     resolved = policy.resolved(window_length(series.fps, config.smoothing_divisor))
     return segment_step(series, resolved, source, _sha256(smoothed_csv))
 
@@ -424,6 +433,7 @@ def run_pipeline(
         raw, raw_csv, meta = stage_count(
             detections, config, gray_frames=gray_frames, regressor=regressor
         )
+        _nonempty(raw, f"detections stream {detections_path}")
         input_hashes["detections"] = meta.sha256
         # checked before any artifact is written: a mismatched truth leaves none
         truth = None
@@ -632,7 +642,7 @@ def density_predict(gray, model, out):
 def smooth(counts_csv, out, config_path, fps_flag, **settings):
     """Remove detection jitter from a count series CSV."""
     config = _load_config(config_path, settings, fps_flag)
-    _, csv_bytes, _ = stage_smooth(_read_bytes(counts_csv), config)
+    _, csv_bytes, _ = stage_smooth(_read_bytes(counts_csv), config, f"count CSV {counts_csv}")
     _write(Path(out), "smoothed_counts.csv", csv_bytes)
 
 
@@ -652,7 +662,7 @@ def segment(counts_csv, out, config_path, source, fps_flag, **settings):
     config = _load_config(config_path, settings, fps_flag)
     data = _read_bytes(counts_csv)
     segments, report_bytes, cutlist_bytes = stage_segment(
-        data, config, source=source or counts_csv
+        data, config, source=source or counts_csv, name=f"count CSV {counts_csv}"
     )
     out_dir = Path(out)
     _write(out_dir, "segments.json", report_bytes)

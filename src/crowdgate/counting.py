@@ -37,9 +37,9 @@ PROVENANCE = (PROV_DETECTOR, PROV_DENSITY, PROV_SMOOTHED)
 CODE_DETECTOR, CODE_DENSITY, CODE_SMOOTHED = range(len(PROVENANCE))
 
 _HEADER = ["frame_index", "count", "provenance"]
-# Rows that write_count_series renders at once: its byte matrices take
-# about 70 bytes a row, so a long series is rendered a block at a time
-# and the writer's peak stays near its output.
+# Rows that write_count_series renders at once: its byte matrix, mask and
+# temporaries take about 60 bytes a row, so a long series is rendered a
+# block at a time and the writer's peak stays near its output.
 _RENDER_ROWS = 1 << 14
 _INT64_MAX = int(np.iinfo(np.int64).max)
 _MAX_DIGITS = len(str(_INT64_MAX))
@@ -51,19 +51,21 @@ _PROVENANCE_KEYS = np.array(
     [int.from_bytes(p.encode().ljust(8, b"\0"), "little") for p in PROVENANCE],
     dtype=np.uint64,
 )
-_PROVENANCE_WIDTHS = np.array([len(p) for p in PROVENANCE])
-# The end of a row, by code: the word and its line end, zero-padded, and
-# which of those bytes are written.
+# The end of a row, by code: the comma before the word, the word and its
+# line end, zero-padded.
 _ROW_ENDS = np.array(
-    [np.frombuffer(f"{p}\n".encode().ljust(9, b"\0"), np.uint8) for p in PROVENANCE]
+    [np.frombuffer(f",{p}\n".encode().ljust(10, b"\0"), np.uint8) for p in PROVENANCE]
 )
-_ROW_END_KEPT = _ROW_ENDS != 0
 # The reader's buffer holds this many zero bytes before the body, so that
 # the three 8-byte words ending at any field's end lie inside it.
 _PAD = 24
 _ONES = np.uint64(0x0101010101010101)  # times a byte: that byte in all 8
 # _FIRST_BYTES[n]: the first n bytes of a little-endian word
 _FIRST_BYTES = np.array([(1 << 8 * n) - 1 for n in range(9)], np.uint64)
+_DIGIT_VALUES = _ONES * np.uint64(0x0F)  # the value of each digit byte of a word
+_NL, _CR, _COMMA = b"\n\r,"
+# The separators of a row, the bytes below "0" in it: two commas and its line end.
+_ROW_SEPARATORS = b",,\n"
 
 
 @dataclass(frozen=True)
@@ -212,40 +214,39 @@ def _render_rows(counts: np.ndarray, codes: np.ndarray, first: int) -> bytes:
     """The rows ``{i},{count},{word}\n`` of a series' frames ``first`` on,
     rendered as arrays.
 
-    Each row is laid out in one row of a byte matrix: the index and the
-    count right-aligned in columns as wide as the widest, each followed by
-    a comma, then the word and its line end. A mask of the same shape keeps
-    every byte but the leading zeros and the padding after short words,
-    and compressing the matrix by it gives the rows in order.
+    Each row is laid out in one row of a byte matrix: the index right-aligned
+    in as many digit places as the widest has, a comma, the count likewise,
+    then the comma, word and line end of its code. Leading zeros and the
+    padding after short words are zero bytes, which no row holds, so
+    dropping the matrix's zero bytes gives the rows in order.
     """
     n = len(counts)
     index_width = len(str(first + n - 1))
     count_width = len(str(int(counts.max())))
-    row = np.empty((n, index_width + count_width + 2 + _ROW_ENDS.shape[1]), np.uint8)
-    kept = np.empty(row.shape, bool)
+    row = np.empty((n, index_width + count_width + 1 + _ROW_ENDS.shape[1]), np.uint8)
     comma = index_width + 1 + count_width
-    _render_digits(np.arange(first, first + n), row[:, :index_width], kept[:, :index_width])
-    _render_digits(counts, row[:, index_width + 1 : comma], kept[:, index_width + 1 : comma])
-    row[:, [index_width, comma]] = ord(",")
-    kept[:, [index_width, comma]] = True
-    row[:, comma + 1 :] = _ROW_ENDS.take(codes, axis=0)
-    kept[:, comma + 1 :] = _ROW_END_KEPT.take(codes, axis=0)
-    return row[kept].tobytes()
+    _render_digits(np.arange(first, first + n), row[:, :index_width])
+    row[:, index_width] = ord(",")
+    _render_digits(counts, row[:, index_width + 1 : comma])
+    row[:, comma:] = _ROW_ENDS.take(codes, axis=0)
+    return row[row != 0].tobytes()
 
 
-def _render_digits(values: np.ndarray, digits: np.ndarray, kept: np.ndarray):
+def _render_digits(values: np.ndarray, digits: np.ndarray):
     """Write the decimal digits of nonnegative int64 ``values`` right-aligned
-    into the columns of ``digits``, and into ``kept`` which of them are not
-    leading zeros."""
+    into the columns of ``digits``, with zero bytes for leading zeros."""
     width = digits.shape[1]
+    lowest = int(values.min())
     # uint32 arithmetic is several times faster, where the values fit
     rest = values.astype(np.uint32 if width < 10 else np.uint64)
     for power in range(width):
         quotient = rest // 10
-        digits[:, -1 - power] = rest - quotient * 10
-        kept[:, -1 - power] = values >= 10**power if power else True
+        digit = rest - quotient * 10
+        digit += ord("0")
+        if power and lowest < 10**power:
+            digit *= rest != 0  # a leading zero: nothing is left of the value
+        digits[:, -1 - power] = digit
         rest = quotient
-    digits += np.uint8(ord("0"))
 
 
 def read_count_series(data: bytes, fps=None) -> CountSeries:
@@ -333,40 +334,89 @@ def _scan_body(data: bytes, start: int, end: int):
     arrays; None unless every line is a row or empty, with LF or CRLF line
     ends, and the frame_index counts up by one from the first row's.
 
-    Any other block, one holding a comment or a line to reject, is left to
-    _parse_rows.
+    One search finds the separators, every byte below "0". In a block of
+    LF rows they are exactly ", , \\n" repeated, so taking them by threes
+    gives each row's commas and line end, and each row starts after the
+    line end before it. Any other block is split by ``_split_rows``, which
+    takes only commas, line ends and CRs that end a line. One count then
+    checks both number fields: separators and provenance words hold no
+    digit (the words are checked for every row), so the block holds as
+    many digits as the fields' summed widths only if every byte of them is
+    a digit. Any other block, one holding a comment or a line to reject,
+    is left to _parse_rows.
     """
     size = end - start
     # the lines, with zero bytes before and after them, so that a word
-    # ending at any field's end, or starting at any field's start, stays inside
+    # ending at any field's end, or starting at any field's start, stays
+    # inside; a block without a final line end gets one in the padding
     buf = np.zeros(_PAD + size + 8, dtype=np.uint8)
-    body = buf[_PAD : _PAD + size]
-    body[:] = np.frombuffer(data, dtype=np.uint8, count=size, offset=start)
-    newlines = np.flatnonzero(body == ord("\n"))
-    starts = np.concatenate(([0], newlines + 1))
-    stops = np.append(newlines, size)
-    stops -= (stops > starts) & (buf[_PAD - 1 + stops] == ord("\r"))
+    buf[_PAD : _PAD + size] = np.frombuffer(data, dtype=np.uint8, count=size, offset=start)
+    added = int(size > 0 and buf[_PAD + size - 1] != _NL)
+    if added:
+        buf[_PAD + size] = _NL
+    text = buf[_PAD : _PAD + size + added]
+    seps = np.flatnonzero(text < ord("0"))
+    kinds = text[seps]
+    if kinds.tobytes() == _ROW_SEPARATORS * (len(kinds) // 3):
+        comma1, comma2, stops = seps.reshape(-1, 3).T
+        starts = np.concatenate(([0], stops[:-1] + 1))
+        line_ends = len(stops)
+    else:
+        rows = _split_rows(buf, seps, kinds)
+        if rows is None:
+            return None
+        starts, comma1, comma2, stops, line_ends = rows
+    if not len(stops):
+        return None, np.zeros(0, np.int64), np.zeros(0, np.uint8), line_ends - added
+    index_width = comma1 - starts
+    count_width = comma2 - comma1 - 1
+    if min(index_width.min(), count_width.min()) < 1:
+        return None
+    if max(index_width.max(), count_width.max()) > _MAX_DIGITS:
+        return None
+    digits = np.count_nonzero(text <= ord("9")) - len(seps)
+    if digits != int((comma2 - starts).sum()) - len(starts):
+        return None
+    codes = _provenance_codes(buf, comma2 + 1, stops)
+    if codes is None:
+        return None
+    index = _digit_fields(buf, comma1, index_width)
+    if (np.diff(index) != 1).any():
+        return None
+    counts = _digit_fields(buf, comma2, count_width)
+    if counts.max() > _INT64_MAX:
+        return None
+    return int(index[0]), counts.view(np.int64), codes, line_ends - added
+
+
+def _split_rows(buf: np.ndarray, seps: np.ndarray, kinds: np.ndarray):
+    """(row starts, first commas, second commas, row stops, line ends) of a
+    block from its separator bytes ``kinds`` at body offsets ``seps``; None
+    unless each is a comma, a line end or a CR.
+
+    A CR before a line end ends its line with it. A CR anywhere else lies
+    inside a field, which the digit and word checks then reject. Empty
+    lines, and lines holding only a CR, are dropped; every other line must
+    hold exactly two commas.
+    """
+    newline = kinds == _NL
+    comma = kinds == _COMMA
+    if np.count_nonzero(newline | comma | (kinds == _CR)) != len(kinds):
+        return None
+    line_ends = seps[newline]
+    starts = np.concatenate(([0], line_ends[:-1] + 1))
+    stops = line_ends - (buf[_PAD - 1 + line_ends] == _CR)
     filled = stops > starts  # every line but the empty ones must be a row
     starts, stops = starts[filled], stops[filled]
     # With 2 commas per row in all, and each row holding its pair, every
     # row holds exactly two, so each field below lies within its row.
-    commas = np.flatnonzero(body == ord(","))
+    commas = seps[comma]
     if len(commas) != 2 * len(starts):
         return None
     comma1, comma2 = commas[0::2], commas[1::2]
     if not ((starts < comma1).all() and (comma2 < stops).all()):
         return None
-    index = _digit_fields(buf, starts, comma1)
-    if index is None or (np.diff(index) != 1).any():
-        return None
-    counts = _digit_fields(buf, comma1 + 1, comma2)
-    if counts is None or (len(counts) and counts.max() > _INT64_MAX):
-        return None
-    codes = _provenance_codes(buf, comma2 + 1, stops)
-    if codes is None:
-        return None
-    first = int(index[0]) if len(index) else None
-    return first, counts.view(np.int64), codes, len(newlines)
+    return starts, comma1, comma2, stops, len(line_ends)
 
 
 def _words(buf: np.ndarray) -> np.ndarray:
@@ -374,38 +424,37 @@ def _words(buf: np.ndarray) -> np.ndarray:
     return np.ndarray((len(buf) - 7,), "<u8", buf, strides=(1,))
 
 
-def _digit_fields(buf: np.ndarray, starts: np.ndarray, stops: np.ndarray):
-    """uint64 values of the body fields ``starts[i]:stops[i]``, or None unless
-    every field is 1 to 19 ASCII digits.
+def _digit_fields(buf: np.ndarray, ends: np.ndarray, width: np.ndarray) -> np.ndarray:
+    """uint64 values of the body fields of ``width[i]`` ASCII digits, 1 to
+    19, that end before offset ``ends[i]``.
 
-    Each field is read as the 8-byte words ending at its end, the bytes
-    before its start set to "0", and the eight digits of each word are
-    checked and summed at once (``scan._digits_to_int``).
+    Fields of at most 3 digits are summed a byte at a time from their end.
+    Wider ones are read as the 8-byte words ending at their end, with the
+    bytes before the field cleared, and each word's eight digits summed at
+    once (``scan._digits_to_int``).
     """
+    widest = int(width.max())
+    last = ends + (_PAD - 1)
+    if widest <= 3:
+        value = (buf[last] & np.uint8(0x0F)).astype(np.uint16)
+        for k in range(1, widest):
+            # the digit k places before the field's end, 0 past its start
+            # widened first: NumPy 1 keeps uint8 * uint16(100) in uint8
+            digit = (buf[last - k] & np.uint8(0x0F)).astype(np.uint16)
+            value += digit * (width > k) * np.uint16(10**k)
+        return value.astype(np.uint64)
     # Imported here, as parse_detections does: compiling the scan module
     # would cost every command at start-up.
     from .scan import _LAST_BYTES, _digits_to_int
 
-    width = stops - starts
-    if not len(width):
-        return np.zeros(0, dtype=np.uint64)
-    if width.min() < 1 or width.max() > _MAX_DIGITS:
-        return None
     words = _words(buf)
     value = np.zeros(len(width), dtype=np.uint64)
-    for i in range(-(-int(width.max()) // 8)):
-        # the i-th word from the field's end, with "0" for bytes before the field
-        field = _LAST_BYTES.take(np.clip(width - 8 * i, 0, 8))
-        word = words[_PAD + stops - 8 * (i + 1)]
-        word &= field
-        word |= ~field & (_ONES * np.uint64(0x30))
-        # A byte is a digit, 0x30 to 0x39, when its high nibble is 3 and
-        # stays 3 once 6 is added to it (simdjson's eight-digit check).
-        high = _ONES * np.uint64(0xF0)
-        nibbles = (word & high) | (((word + _ONES * np.uint64(6)) & high) >> np.uint64(4))
-        if (nibbles != _ONES * np.uint64(0x33)).any():
-            return None
-        value += _digits_to_int(word & ~high) * np.uint64(10 ** (8 * i))
+    for i in range(-(-widest // 8)):
+        # the i-th word from the field's end, with the bytes before the field cleared
+        word = words[last - 7 - 8 * i]
+        word &= _LAST_BYTES.take(np.clip(width - 8 * i, 0, 8) if widest > 8 else width)
+        word &= _DIGIT_VALUES
+        value += _digits_to_int(word) * np.uint64(10 ** (8 * i))
     return value
 
 
@@ -414,18 +463,17 @@ def _provenance_codes(buf: np.ndarray, starts: np.ndarray, stops: np.ndarray):
     every field is one of the words.
 
     Each field's first 8 bytes, zero-padded, are compared as one uint64
-    key, and its width with the word's.
+    key with the word's. The fields hold no zero byte, so a key of at most
+    8 bytes equals a word's only if the field is that word.
     """
     width = stops - starts
+    if width.max() > 8:
+        return None
     keys = _words(buf)[_PAD + starts]
-    keys &= _FIRST_BYTES.take(np.minimum(width, 8))
-    codes = np.zeros(len(keys), dtype=np.uint8)
-    for code in (CODE_DENSITY, CODE_SMOOTHED):
-        codes[keys == _PROVENANCE_KEYS[code]] = code
-    if not (
-        np.array_equal(_PROVENANCE_KEYS.take(codes), keys)
-        and np.array_equal(_PROVENANCE_WIDTHS.take(codes), width)
-    ):
+    keys &= _FIRST_BYTES.take(width)
+    codes = (keys == _PROVENANCE_KEYS[CODE_DENSITY]).view(np.uint8)
+    codes |= (keys == _PROVENANCE_KEYS[CODE_SMOOTHED]).view(np.uint8) << 1
+    if not np.array_equal(_PROVENANCE_KEYS.take(codes), keys):
         return None
     return codes
 

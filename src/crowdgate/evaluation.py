@@ -69,34 +69,28 @@ def ap_d(detected, truth) -> float:
     Both the grouped-by-value form and the plain totals ratio are computed;
     a disagreement beyond 1e-12 means a bug and raises.
     """
-    det = _as_counts(detected)
     tru = _as_counts(truth)
-    if len(det) != len(tru):
-        raise ValueError(f"length mismatch: detected {len(det)}, truth {len(tru)}")
-    total_true = _total(tru)
-    if total_true == 0:
-        raise ValueError("truth series has no objects (zero denominator)")
-    total_det = _total(det)
-    grouped = _grouped_total(det) / _grouped_total(tru)
-    totals = total_det / total_true
-    if abs(grouped - totals) > _CROSSCHECK_TOL:
-        raise AssertionError(
-            f"metric self-check failed: grouped {grouped!r} vs totals {totals!r}"
-        )
-    return totals
+    det = _aligned(detected, tru)
+    return _checked_ap_d(_reduced(det), _reduced(tru))
 
 
 def matched_ap_d(detected, truth) -> float:
     """Strict variant: only frames whose detected count equals the true count score."""
-    det = _as_counts(detected)
     tru = _as_counts(truth)
-    if len(det) != len(tru):
-        raise ValueError(f"length mismatch: detected {len(det)}, truth {len(tru)}")
+    det = _aligned(detected, tru)
     total_true = _total(tru)
     if total_true == 0:
         raise ValueError("truth series has no objects (zero denominator)")
     matched = _total(det[det == tru])
     return matched / total_true
+
+
+def _aligned(detected, tru: np.ndarray) -> np.ndarray:
+    """The counts of ``detected``; ValueError unless as many as ``tru``."""
+    det = _as_counts(detected)
+    if len(det) != len(tru):
+        raise ValueError(f"length mismatch: detected {len(det)}, truth {len(tru)}")
+    return det
 
 
 def _total(counts: np.ndarray) -> int:
@@ -112,27 +106,62 @@ def _frames_by_count(counts: np.ndarray) -> dict[int, int]:
     return dict(zip(values.tolist(), frames.tolist()))
 
 
-def _grouped_total(counts: np.ndarray) -> int:
+def _reduced(counts: np.ndarray) -> tuple[dict[int, int], int]:
+    """(frames by count value, exact total) of a series: the two independent
+    reductions the metric is checked by."""
+    return _frames_by_count(counts), _total(counts)
+
+
+def _checked_ap_d(detected, truth) -> float:
+    """ap_d of the ``_reduced`` detected and true series: the ratio of
+    their totals, checked against the ratio of their grouped totals."""
+    (det_frames, det_total), (tru_frames, tru_total) = detected, truth
+    if tru_total == 0:
+        raise ValueError("truth series has no objects (zero denominator)")
+    grouped = _grouped_total(det_frames) / _grouped_total(tru_frames)
+    totals = det_total / tru_total
+    if abs(grouped - totals) > _CROSSCHECK_TOL:
+        raise AssertionError(
+            f"metric self-check failed: grouped {grouped!r} vs totals {totals!r}"
+        )
+    return totals
+
+
+def _grouped_total(frames: dict[int, int]) -> int:
     """sum_c c * (frames at count c), exact in Python ints."""
-    return sum(c * m for c, m in _frames_by_count(counts).items())
+    return sum(c * m for c, m in frames.items())
 
 
 def per_count_table(detected, truth) -> dict[int, tuple[int, int]]:
     """count value -> (detected frames at that count, true frames at that count)."""
-    det = _frames_by_count(_as_counts(detected))
-    tru = _frames_by_count(_as_counts(truth))
-    return {
-        c: (det.get(c, 0), tru.get(c, 0)) for c in sorted(det.keys() | tru.keys())
-    }
+    return _merged(_frames_by_count(_as_counts(detected)), _frames_by_count(_as_counts(truth)))
+
+
+def _merged(det: dict[int, int], tru: dict[int, int]) -> dict[int, tuple[int, int]]:
+    """The per-count table of two series' frames by count value."""
+    return {c: (det.get(c, 0), tru.get(c, 0)) for c in sorted(det.keys() | tru.keys())}
 
 
 def evaluate(truth, raw, smoothed) -> EvalReport:
+    """ap_d of the raw and the smoothed series against ``truth``, the
+    smoothed series' per-count table and the object totals.
+
+    Each series is reduced once, to its frames by count value and its
+    exact total (``_reduced``), and every figure is read off those; the
+    errors are ap_d's, in the order ``ap_d(raw, truth)`` and then
+    ``ap_d(smoothed, truth)`` raise them.
+    """
+    tru_counts = _as_counts(truth)
+    raw_counts = _aligned(raw, tru_counts)
+    tru_frames, tru_total = tru = _reduced(tru_counts)
+    ap_d_raw = _checked_ap_d(_reduced(raw_counts), tru)
+    det_frames, det_total = det = _reduced(_aligned(smoothed, tru_counts))
     return EvalReport(
-        ap_d_raw=ap_d(raw, truth),
-        ap_d_smoothed=ap_d(smoothed, truth),
-        per_count_table=per_count_table(smoothed, truth),
-        total_detected_objects=_total(_as_counts(smoothed)),
-        total_true_objects=_total(_as_counts(truth)),
+        ap_d_raw=ap_d_raw,
+        ap_d_smoothed=_checked_ap_d(det, tru),
+        per_count_table=_merged(det_frames, tru_frames),
+        total_detected_objects=det_total,
+        total_true_objects=tru_total,
     )
 
 

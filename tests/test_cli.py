@@ -871,6 +871,41 @@ class TestCountCsvInput:
         assert not model.exists()
 
 
+class TestEmptyStream:
+    """A stream or count CSV with no frame is an input error (exit 2) naming
+    the input, and run writes nothing; count still writes a header-only CSV."""
+
+    HEADER_ONLY = b"# fps=30\nframe_index,count,provenance\n"
+
+    def test_run_on_a_stream_without_frames(self, runner, tmp_path):
+        det = tmp_path / "nodet.jsonl"
+        det.write_bytes(b'{"fps":30,"source_id":"x"}\n')
+        out = tmp_path / "o"
+        result = run_cli(runner, ["run", str(det), "--threshold", "3", "--out", str(out)])
+        assert result.exit_code == EXIT_INPUT_ERROR, result.output
+        assert f"error: detections stream {det} holds no frames\n" in result.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [["smooth"], ["segment", "--threshold", "3"]])
+    @pytest.mark.parametrize("body", [b"", b"\n# a comment\n\r\n"], ids=["header-only", "no-rows"])
+    def test_stage_on_a_csv_without_rows(self, runner, tmp_path, command, body):
+        path = tmp_path / "empty.csv"
+        path.write_bytes(self.HEADER_ONLY + body)
+        out = tmp_path / "o"
+        result = run_cli(runner, [command[0], str(path), *command[1:], "--out", str(out)])
+        assert result.exit_code == EXIT_INPUT_ERROR, result.output
+        assert f"error: count CSV {path} holds no frames\n" in result.output
+        assert not out.exists()
+
+    def test_count_writes_a_header_only_csv(self, runner, tmp_path):
+        det = tmp_path / "nodet.jsonl"
+        det.write_bytes(b'{"fps":30,"source_id":"x"}\n')
+        out = tmp_path / "o"
+        result = run_cli(runner, ["count", str(det), "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        assert len(read_count_series((out / "raw_counts.csv").read_bytes())) == 0
+
+
 class TestSegmentLargeCounts:
     """Counts whose sum, or which themselves, pass 2**53: the mean is the
     float nearest the exact one, and the peak check allows for its rounding."""

@@ -439,19 +439,81 @@ class TestReferenceParity:
         assert_same_rejection(csv_bytes(lines, rng))
 
     def test_scan_and_line_check_agree(self, rng):
-        # a one-byte change either leaves a file the oracle reads the same
-        # way, or is rejected with a line-numbered error
-        for _ in range(400):
-            s = random_series(rng, n=int(rng.integers(1, 12)))
-            data = bytearray(write_count_series(s))
-            pos = int(rng.integers(len(data) // 3, len(data)))
-            data[pos : pos + 1] = bytes([int(rng.choice(list(b"07,- #x\xff\"\n\x00")))])
+        # 1 to 3 bytes replaced, inserted or deleted either leave a file the
+        # oracle reads the same way, or one rejected with a line-numbered
+        # error; and every block the scan takes, the line parser reads the same
+        for _ in range(300):
+            s = random_series(rng, n=int(rng.integers(1, 80)))
+            data = hostile_edit(write_count_series(s), rng)
             try:
-                got = read_count_series(bytes(data))
+                got = read_count_series(data)
             except InputFormatError as exc:
                 assert exc.line is not None or "fps" in str(exc) or "header" in str(exc)
             else:
-                assert_same_series(got, reference_read_count_series(bytes(data)))
+                assert_same_series(got, reference_read_count_series(data))
+            assert_scan_agrees(data)
+
+    def test_non_digit_in_a_number_and_digit_in_a_word(self):
+        # the block's digits still number the fields' summed widths
+        prefix = b"# fps=30\nframe_index,count,provenance\n0,1,Detector\n"
+        for row in (b"1,x,Detect0r", b"x,7,Densit5", b"1,2x,Smoothe1", b"1?,7,Dens1ty"):
+            data = prefix + row + b"\n2,3,Smoothed\n"
+            _, _, offset = counting._read_preamble(data)
+            assert counting._scan_body(data, offset, len(data)) is None
+            assert_scan_agrees(data)
+            assert_rejected(data, f"bad count row {row.decode()!r}", 4)
+
+
+# Bytes a hostile edit writes: the neighbours of the digit range and of the
+# separator cut at "0", a word's first letter, and bytes outside ASCII.
+HOSTILE = list(b'07,- #x\xff"\n\x00\r/:.+D\x80')
+
+
+def hostile_edit(data: bytes, rng) -> bytes:
+    """``data`` with 1 to 3 bytes past its first third replaced, inserted or
+    deleted, the new bytes drawn from HOSTILE."""
+    data = bytearray(data)
+    size = int(rng.integers(1, 4))
+    pos = int(rng.integers(len(data) // 3, len(data)))
+    new = bytes(rng.choice(HOSTILE, size=size).tolist())
+    edit = rng.integers(3)
+    if edit == 0:
+        data[pos : pos + size] = new
+    elif edit == 1:
+        data[pos:pos] = new
+    else:
+        del data[pos : pos + size]
+    return bytes(data)
+
+
+def assert_scan_agrees(data: bytes):
+    """Cut into blocks of every size of CSV_WAYS, each block ``_scan_body``
+    takes is one ``_parse_rows`` reads the same: rows, codes and line ends,
+    and no '# fps=' line."""
+    try:
+        _, _, offset = counting._read_preamble(data)
+    except InputFormatError:
+        return
+    for block in sorted({block for block, _ in CSV_WAYS}):
+        with parsed_in(block, 1):
+            blocks = ingest._line_blocks(data, offset)
+        for start, end in blocks:
+            assert_block_agrees(data, start, end)
+
+
+def assert_block_agrees(data: bytes, start: int, end: int):
+    """``_scan_body`` of the block ``data[start:end]``, after checking that
+    it is None or the rows, codes and line ends ``_parse_rows`` reads there,
+    with no '# fps=' line."""
+    scanned = counting._scan_body(data, start, end)
+    if scanned is not None:
+        first, counts, codes, line_ends = scanned
+        assert (first is None) == (len(counts) == 0)
+        parsed = counting._parse_rows(data, start, end, 1, first or 0)
+        assert counts.dtype == np.int64 and codes.dtype == np.uint8
+        assert (None, counts.tolist(), codes.tolist(), line_ends) == (
+            parsed[0], parsed[1].tolist(), parsed[2].tolist(), parsed[3])
+    return scanned
 
 
 EDGE_COUNTS = [0, 9, 10, 99, 100, 10**18 - 1, 10**18, INT64_MAX]
@@ -711,6 +773,74 @@ class TestCommentBlock:
         with parsed_in(300, cpus), pytest.raises(InputFormatError) as got:
             read_count_series(data)
         assert (str(got.value), got.value.line) == (f"line {line}: {message}", line)
+
+
+class TestScanEdges:
+    """Blocks at the edges of the scan's separator rule: each is scanned as
+    the line parser reads it, or left to the line parser."""
+
+    @pytest.mark.parametrize("word", PROVENANCES)
+    def test_last_row_without_line_end(self, word):
+        # The block ends in the word, and the bytes after it in ``data`` are
+        # another row; the word's 8-byte key is read from the block's padding.
+        data = f"0,1,Detector\n1,22,{word}".encode()
+        for tail in (b"", b"\n2,3,Smoothed\n", b"Density"):
+            got = assert_block_agrees(data + tail, 0, len(data))
+            assert got[0] == 0 and got[3] == 1
+            assert got[1].tolist() == [1, 22]
+            assert got[2].tolist() == [CODE_DETECTOR, PROVENANCES.index(word)]
+        got = read_count_series(f"# fps=30\n{HEADER}\n".encode() + data)
+        assert got.counts.tolist() == [1, 22]
+
+    @pytest.mark.parametrize(
+        "block,rows,line_ends",
+        [
+            (b"0,1,Detector\r\n1,22,Density\r\n2,3,Smoothed\r\n", [1, 22, 3], 3),
+            (b"0,1,Detector\r\n1,22,Density\r", [1, 22], 1),
+            (b"\n0,1,Detector\n1,22,Density\n", [1, 22], 3),
+            (b"\r\n\n0,1,Detector\n\n1,22,Density\r\n\r\n", [1, 22], 6),
+            (b"\n\r\n\n", [], 3),
+            (b"\n", [], 1),
+        ],
+        ids=["crlf", "crlf-last-without-lf", "leading-empty-line", "empty-lines-between",
+             "only-empty-lines", "one-empty-line"],
+    )
+    def test_scanned(self, block, rows, line_ends):
+        got = assert_block_agrees(block, 0, len(block))
+        assert got is not None
+        assert got[1].tolist() == rows and got[3] == line_ends
+
+    def test_three_digit_counts_do_not_wrap(self):
+        # Counts of at most 3 digits are summed a byte at a time; each digit
+        # must be widened before it is scaled, or 900 reads as 900 % 256.
+        counts = [0, 9, 10, 99, 100, 255, 256, 300, 900, 999]
+        block = "".join(f"{i},{c},Detector\n" for i, c in enumerate(counts)).encode()
+        got = assert_block_agrees(block, 0, len(block))
+        assert got[1].tolist() == counts
+
+    @pytest.mark.parametrize("byte", list(b' -#"\x00/.+\t'))
+    def test_other_separator_for_a_comma(self, byte):
+        for row in (b"1%c2,Density", b"1,2%cDensity", b"1,2,Dens%cty"):
+            data = b"# fps=30\n" + HEADER.encode() + b"\n0,1,Detector\n" + row % byte + b"\n"
+            _, _, offset = counting._read_preamble(data)
+            assert counting._scan_body(data, offset, len(data)) is None
+            with pytest.raises(InputFormatError) as got:
+                read_count_series(data)
+            assert got.value.line == 4
+
+    @pytest.mark.parametrize(
+        "row",
+        [b"1,2\r,Density", b"1\r,2,Density", b"1,2,Den\rsity", b"\r1,2,Density",
+         b"1,2,Density\r\r", b"1,2,\rDensity"],
+        ids=["after-count", "after-index", "in-word", "row-start", "two-crs", "word-start"],
+    )
+    def test_lone_cr_is_left_to_the_line_parser(self, row):
+        data = b"# fps=30\n" + HEADER.encode() + b"\n0,1,Detector\n" + row + b"\n2,3,Smoothed\n"
+        _, _, offset = counting._read_preamble(data)
+        assert counting._scan_body(data, offset, len(data)) is None
+        with pytest.raises(InputFormatError) as got:
+            read_count_series(data)
+        assert got.value.line == 4
 
 
 def refuse_every_block(data, start, end):

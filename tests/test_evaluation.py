@@ -100,11 +100,31 @@ class TestCounterOracle:
             tru[0] = max(tru[0], 1)
             assert ap_d(series(det), series(tru)) == reference_ap_d(det, tru)
             assert per_count_table(series(det), series(tru)) == reference_per_count_table(det, tru)
-            report = evaluate(series(tru), series(det), series(det))
+            raw = random_counts(rng, n)
+            report = evaluate(series(tru), series(raw), series(det))
+            assert report.ap_d_raw == reference_ap_d(raw, tru)
+            assert report.ap_d_smoothed == reference_ap_d(det, tru)
+            assert report.per_count_table == reference_per_count_table(det, tru)
             assert report.total_detected_objects == sum(det.tolist())
             assert report.total_true_objects == sum(tru.tolist())
             matched = sum(d for d, t in zip(det.tolist(), tru.tolist()) if d == t)
             assert matched_ap_d(series(det), series(tru)) == matched / sum(tru.tolist())
+
+
+class TestEvaluate:
+    @pytest.mark.parametrize(
+        "truth,raw,smoothed,message",
+        [
+            ([1, 1], [1], [1, 1], "length mismatch: detected 1, truth 2"),
+            ([0, 0], [1, 1], [1], "truth series has no objects"),
+            ([1, 1], [1, 1], [1, 1, 1], "length mismatch: detected 3, truth 2"),
+        ],
+        ids=["raw-length", "zero-truth-before-smoothed-length", "smoothed-length"],
+    )
+    def test_errors_as_ap_d_raises_them(self, truth, raw, smoothed, message):
+        # the first error of ap_d(raw, truth), then of ap_d(smoothed, truth)
+        with pytest.raises(ValueError, match=message):
+            evaluate(series(truth), series(raw), series(smoothed))
 
 
 class TestCompareMethods:
