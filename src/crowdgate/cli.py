@@ -56,8 +56,7 @@ from .evaluation import (
     render_table,
 )
 from .ingest import (
-    _BLOCK_BYTES,
-    _WINDOW_BLOCKS,
+    _GRAY_WINDOW_BYTES,
     _release,
     format_fps,
     load_gray_frames,
@@ -196,15 +195,15 @@ def _provenance(policy, input_sha256: str) -> list[str]:
 def _sha256(data) -> str:
     """Hex SHA-256 of ``data``: bytes, or an ``mmap`` of a file.
 
-    A mapping is hashed ``_WINDOW_BLOCKS * _BLOCK_BYTES`` bytes (4 MiB) at
-    a time, as the detections walk hashes its windows, and each chunk's
-    whole pages are released (``ingest._release``) once hashed, so hashing
-    a gray container costs about a chunk of memory, not its size.
+    A mapping is hashed a gray container's window (``_GRAY_WINDOW_BYTES``,
+    2 MiB) at a time, as the density loop walks it, and each chunk's whole
+    pages are released (``ingest._release``) once hashed, so hashing a gray
+    container costs about a chunk of memory, not its size.
     """
     if not isinstance(data, mmap.mmap):
         return hashlib.sha256(data).hexdigest()
     digest = hashlib.sha256()
-    chunk = _WINDOW_BLOCKS * _BLOCK_BYTES
+    chunk = _GRAY_WINDOW_BYTES
     released = 0
     with memoryview(data) as view:
         for start in range(0, len(data), chunk):
@@ -308,8 +307,16 @@ def smooth_step(series, config: PipelineConfig, input_sha256: str):
 def stage_smooth(counts_csv: bytes, config: PipelineConfig, name="count CSV"):
     """Counts CSV bytes -> smooth_step of the series they hold; InputFormatError
     naming the CSV ``name`` if it holds no frame."""
-    series = _nonempty(read_count_series(counts_csv, fps=config.fps_override), name)
-    return smooth_step(series, config, _sha256(counts_csv))
+    series, input_sha256 = _read_hashed(counts_csv, config.fps_override)
+    return smooth_step(_nonempty(series, name), config, input_sha256)
+
+
+def _read_hashed(csv: bytes, fps=None):
+    """(``read_count_series`` of ``csv``, hex SHA-256 of ``csv``), the hash
+    taken on the read's threads."""
+    digest = hashlib.sha256()
+    series = read_count_series(csv, fps=fps, digest=digest)
+    return series, digest.hexdigest()
 
 
 def _nonempty(series, name: str):
@@ -334,9 +341,10 @@ def stage_segment(smoothed_csv: bytes, config: PipelineConfig, source: str, name
     """Smoothed CSV bytes -> segment_step of the series they hold; InputFormatError
     naming the CSV ``name`` if it holds no frame."""
     policy = config.segment_policy()
-    series = _nonempty(read_count_series(smoothed_csv, fps=config.fps_override), name)
+    series, input_sha256 = _read_hashed(smoothed_csv, config.fps_override)
+    series = _nonempty(series, name)
     resolved = policy.resolved(window_length(series.fps, config.smoothing_divisor))
-    return segment_step(series, resolved, source, _sha256(smoothed_csv))
+    return segment_step(series, resolved, source, input_sha256)
 
 
 def eval_step(truth, raw, smoothed, input_sha256: dict):
@@ -376,11 +384,19 @@ def _same_length(**series):
         raise InputFormatError(f"count series differ in length (frames: {frames})")
 
 
-def stage_eval(truth_csv: bytes, raw_csv: bytes, smoothed_csv: bytes, fps=None):
-    """Truth, raw and smoothed CSV bytes -> eval_step of the series they hold."""
-    data = {"truth": truth_csv, "raw": raw_csv, "smoothed": smoothed_csv}
-    truth, raw, smoothed = (read_count_series(csv, fps=fps) for csv in data.values())
-    return eval_step(truth, raw, smoothed, {k: _sha256(csv) for k, csv in data.items()})
+_EVAL_INPUTS = ("truth", "raw", "smoothed")
+
+
+def stage_eval(truth_csv: bytes, raw_csv: bytes, smoothed_csv: bytes, fps=None, names=None):
+    """Truth, raw and smoothed CSV bytes -> eval_step of the series they hold;
+    InputFormatError naming a CSV that holds no frame by its entry of
+    ``names`` ("truth count CSV" and so on by default)."""
+    names = names or [f"{key} count CSV" for key in _EVAL_INPUTS]
+    series, input_sha256 = [], {}
+    for key, csv, name in zip(_EVAL_INPUTS, (truth_csv, raw_csv, smoothed_csv), names):
+        one, input_sha256[key] = _read_hashed(csv, fps)
+        series.append(_nonempty(one, name))
+    return eval_step(*series, input_sha256)
 
 
 def run_pipeline(
@@ -439,8 +455,7 @@ def run_pipeline(
         truth = None
         if truth_path is not None:
             truth_bytes = _read_bytes(truth_path)
-            input_hashes["truth"] = _sha256(truth_bytes)
-            truth = read_count_series(truth_bytes, fps=raw.fps)
+            truth, input_hashes["truth"] = _read_hashed(truth_bytes, raw.fps)
             del truth_bytes
             _same_length(truth=truth, raw=raw)
         if fitted_bytes is not None:
@@ -679,11 +694,11 @@ def segment(counts_csv, out, config_path, source, fps_flag, **settings):
 @cli_command
 def eval_cmd(truth, raw, smoothed, out, fps_flag):
     """Compare raw and smoothed series against ground truth."""
+    paths = (truth, raw, smoothed)
     report, eval_bytes, table = stage_eval(
-        _read_bytes(truth),
-        _read_bytes(raw),
-        _read_bytes(smoothed),
+        *(_read_bytes(path) for path in paths),
         fps=_parse_fps_flag(fps_flag),
+        names=[f"{key} count CSV {path}" for key, path in zip(_EVAL_INPUTS, paths)],
     )
     out_dir = Path(out)
     _write(out_dir, "eval_report.json", eval_bytes)

@@ -8,6 +8,7 @@ pixel-based density estimate.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -249,7 +250,7 @@ def _render_digits(values: np.ndarray, digits: np.ndarray):
         rest = quotient
 
 
-def read_count_series(data: bytes, fps=None) -> CountSeries:
+def read_count_series(data: bytes, fps=None, digest=None) -> CountSeries:
     """Parse the CSV count-series format from the bytes of a file.
 
     Blank lines and ``#`` comment lines may appear anywhere, with LF or
@@ -272,10 +273,17 @@ def read_count_series(data: bytes, fps=None) -> CountSeries:
     holding a ``#`` line or a line to reject, or whose indices do not run
     on) is read a line at a time (``_parse_rows``), which applies every
     rule and raises the first error. So the scan only speeds the read up.
+
+    A ``hashlib`` hash given as ``digest`` is updated with ``data``, whole,
+    as the first item of the pool that scans the blocks, as ``_walk``
+    hashes its windows: ``hashlib`` releases the GIL while it hashes, so
+    the hash takes a CPU the scan leaves mostly idle.
     """
     file_fps, line_no, offset = _read_preamble(data)
     blocks = _line_blocks(data, offset)
-    parts = _map_threads(lambda block: _scan_body(data, *block), blocks, _SCAN_THREADS)
+    hashing = [functools.partial(digest.update, data)] if digest is not None else []
+    scans = [functools.partial(_scan_body, data, start, end) for start, end in blocks]
+    parts = _map_threads(lambda job: job(), hashing + scans, _SCAN_THREADS)[len(hashing) :]
     # One list per column of the blocks' parts, an empty part first, so
     # that a body without rows joins too.
     counts, codes = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.uint8)]

@@ -18,8 +18,7 @@ import numpy as np
 
 from .errors import InputFormatError, RankDeficientError
 from .ingest import (
-    _BLOCK_BYTES,
-    _WINDOW_BLOCKS,
+    _GRAY_WINDOW_BYTES,
     _map_threads,
     _release,
     _thread_count,
@@ -203,9 +202,9 @@ def estimate_density_counts(
     one thread per usable CPU, and the stream a window of frames at a time;
     when ``frames`` views an ``mmap`` (``load_gray_frames``), the pages of
     windows passed are released, so a long stream costs about a window of
-    memory per thread, not its size (``_density_loop``). The background
-    stays bit-identical to folding ``update_background`` over the stream,
-    and each mask to ``extract_foreground``. Other indices, an empty
+    memory per thread (2 MiB), not its size (``_density_loop``). The
+    background stays bit-identical to folding ``update_background`` over
+    the stream, and each mask to ``extract_foreground``. Other indices, an empty
     stream, and frames of any dtype but uint8, raise ValueError.
     """
     wanted = np.asarray(frame_indices, dtype=np.int64)
@@ -234,32 +233,38 @@ def _density_loop(frames, regressor: DensityRegressor, order):
     threads. Counts are predicted here, in the calling thread.
 
     The stream is run a window of frames at a time: as many frames as fill
-    the detections walk's window (``_WINDOW_BLOCKS * _BLOCK_BYTES``, 4 MiB),
-    and at least 2. Each worker of ``_map_threads`` takes a fixed group of
-    bands, every ``workers``-th one, and advances them all through a window
-    before the next, with no barrier between workers. When ``frames`` is a
+    ``_GRAY_WINDOW_BYTES`` (2 MiB, 9 frames at 640x360), and at least 2.
+    Each worker of ``_map_threads`` takes a fixed group of bands, every
+    ``workers``-th one, and advances them all through a window before the
+    next, with no barrier between workers. When ``frames`` is a
     view of an ``mmap``, a worker that has finished window w releases the
     whole pages before window w's first frame (``ingest._release``); the
     window's last frame stays mapped for the next frame's motion gate. A
     page another worker still reads is faulted in again from the page
     cache, so a release changes no result.
+
+    No full-frame background is held while the bands run: each band starts
+    from its own rows of ``frames[0]``, and the background returned is
+    joined from the bands' rows once they are done.
     """
     if frames.dtype != np.uint8:
         # ``_band``'s motion gate holds only for uint8 differences.
         raise ValueError(f"gray frames must be uint8, got {frames.dtype}")
-    model = BackgroundModel(frames[0].astype(np.float64))
-    height, width = model.background.shape
+    height, width = frames.shape[1:]
     rows = max(1, _BAND_PIXELS // max(width, 1))
     # A frame with no rows still gets one (empty) band.
     bands = [(r0, min(r0 + rows, height)) for r0 in range(0, max(height, 1), rows)]
     frame_bytes = height * width
-    window = max(2, _WINDOW_BLOCKS * _BLOCK_BYTES // max(frame_bytes, 1))
+    window = max(2, _GRAY_WINDOW_BYTES // max(frame_bytes, 1))
     firsts = range(0, (order[-1] if order else 0) + 1, window)  # each window's first frame
     mapped = _mapped(frames)
 
     def advance(group):
         runs = [
-            _band(frames, band, order, model, regressor.fg_threshold, window)
+            _band(
+                frames, band, order, DEFAULT_LEARNING_RATE, DEFAULT_MOTION_THRESHOLD,
+                regressor.fg_threshold, window,
+            )
             for band in group
         ]
         released = 0
@@ -277,8 +282,7 @@ def _density_loop(frames, regressor: DensityRegressor, order):
         parts[g::workers] = group_parts
     area = sum(part[0] for part in parts)
     interior = sum(part[1] for part in parts)
-    background = model.background  # a fresh array, private to this loop
-    np.concatenate([part[2] for part in parts], out=background)
+    background = np.concatenate([part[2] for part in parts])
     counts = np.zeros(len(order), dtype=np.int64)
     for k, i in enumerate(order):
         features = ForegroundFeatures(
@@ -320,7 +324,10 @@ def _motion_gate(threshold: float) -> int:
     return int(np.count_nonzero(np.arange(256.0) < threshold))
 
 
-def _band(frames, rows, order, model: BackgroundModel, fg_threshold: float, window: int):
+def _band(
+    frames, rows, order, learning_rate: float, motion_threshold: float,
+    fg_threshold: float, window: int,
+):
     """Run image rows ``rows = (r0, r1)`` of uint8 ``frames`` up to the last frame of ``order``.
 
     A generator: it runs a window of ``window`` frames (frames 0 to
@@ -330,23 +337,24 @@ def _band(frames, rows, order, model: BackgroundModel, fg_threshold: float, wind
     foreground area and interior-pixel count of these rows at each frame
     of ``order`` (ascending frame positions), filled in as far as the
     frames run, and the rows' background at the last frame run; after the
-    last window that is the band's result. The background yielded before
-    the last window is a buffer the band goes on writing. The band also
-    keeps the background of the row above and the row below it (its halo
-    rows), which give its edge rows their vertical neighbours; rows
-    outside the image count as background, as in ``compute_features``. The
-    per-frame steps write into buffers allocated once. The motion gate
+    last window that is the band's result. The rows' background starts
+    from their rows of ``frames[0]``, as a ``BackgroundModel`` of that frame
+    with ``learning_rate`` and ``motion_threshold`` does. The background
+    yielded before the last window is a buffer the band goes on writing.
+    The band also keeps the background of the row above and the row below
+    it (its halo rows), which give its edge rows their vertical neighbours;
+    rows outside the image count as background, as in ``compute_features``.
+    The per-frame steps write into buffers allocated once. The motion gate
     compares integer differences with ``_motion_gate``'s cutoff; every
     float step is the operation of ``update_background`` and
     ``extract_foreground``, so the result is the same bit for bit.
     """
     r0, r1 = rows
-    height, width = model.background.shape
+    height, width = frames.shape[1:]
     a0, a1 = max(r0 - 1, 0), min(r1 + 1, height)
-    alpha = model.learning_rate
-    keep = 1.0 - alpha
-    gate = _motion_gate(model.motion_threshold)
-    background = model.background[a0:a1].copy()
+    keep = 1.0 - learning_rate
+    gate = _motion_gate(motion_threshold)
+    background = frames[0, a0:a1].astype(np.float64)
     blend = np.empty_like(background)
     scratch = np.empty_like(background)
     diff = np.empty(background.shape, dtype=np.uint8)
@@ -373,7 +381,7 @@ def _band(frames, rows, order, model: BackgroundModel, fg_threshold: float, wind
             # Blend every pixel, then restore the moving ones, which are
             # usually few: a masked copy costs by the pixels it copies.
             np.multiply(background, keep, out=blend)
-            np.multiply(curr, alpha, out=scratch)
+            np.multiply(curr, learning_rate, out=scratch)
             np.add(blend, scratch, out=blend)
             np.copyto(blend, background, where=moving)
             background, blend = blend, background

@@ -55,6 +55,11 @@ _SCAN_THREADS = 4
 # Blocks per window of ``_walk`` (about 4 MiB): a mapped stream's
 # pages are released a window at a time, once parsed and hashed.
 _WINDOW_BLOCKS = 16
+# Bytes per window of a gray container, which the density loop's workers
+# and ``run``'s hash each walk at once (``density._density_loop``,
+# ``cli._sha256``), releasing its mapped pages behind them. Smaller windows
+# gave no lower peak, and 1 MiB ran slower.
+_GRAY_WINDOW_BYTES = 1 << 21
 
 
 @dataclass(frozen=True, eq=False)
@@ -613,10 +618,10 @@ def _map_threads(work, items, most=None):
 
     The one pool of the package: the density loop runs its row bands
     here, the detections walk its blocks and each window's hash, and the
-    count-CSV reader its blocks, on at most ``most`` threads. The calling
-    thread is one of the workers; no thread is started for a single item
-    or a single CPU. The first exception an item raises is
-    re-raised here once every worker has stopped.
+    count-CSV reader its blocks and the file's hash, on at most ``most``
+    threads. The calling thread is one of the workers; no thread is
+    started for a single item or a single CPU. The first exception an item
+    raises is re-raised here once every worker has stopped.
     """
     workers = _thread_count(len(items), most)
     if workers <= 1:

@@ -608,7 +608,7 @@ class TestMappedHash:
     """``_sha256`` of an ``mmap`` hashes it a chunk at a time and releases
     each chunk's pages (``MADV_DONTNEED``) once hashed."""
 
-    CHUNK = ingest._WINDOW_BLOCKS * ingest._BLOCK_BYTES
+    CHUNK = ingest._GRAY_WINDOW_BYTES
 
     @pytest.mark.parametrize(
         "size", [1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5],
@@ -682,7 +682,7 @@ def test_density_predict_peak_does_not_grow_with_the_container(tmp_path):
     scene[::7] = 90
     peaks = []
     for windows in (8, 24):
-        n = windows * (ingest._WINDOW_BLOCKS * ingest._BLOCK_BYTES) // scene.size
+        n = windows * ingest._GRAY_WINDOW_BYTES // scene.size
         frames = np.repeat(scene[None], n, axis=0)
         frames[1::2, 100:200, 100:300] = 200  # a blob in every other frame
         gray = tmp_path / f"g{windows}.cgry"
@@ -904,6 +904,92 @@ class TestEmptyStream:
         result = run_cli(runner, ["count", str(det), "--out", str(out)])
         assert result.exit_code == 0, result.output
         assert len(read_count_series((out / "raw_counts.csv").read_bytes())) == 0
+
+    @pytest.mark.parametrize(
+        "empty",
+        [["truth", "raw", "smoothed"], ["truth"], ["raw"], ["smoothed"], ["raw", "smoothed"]],
+        ids=["all", "truth", "raw", "smoothed", "raw-and-smoothed"],
+    )
+    def test_eval_on_a_csv_without_rows(self, runner, tmp_path, empty):
+        # The first input without rows is named, before the lengths are
+        # compared or a zero denominator is reached.
+        args = ["eval", "--out", str(tmp_path / "eval")]
+        for name in ("truth", "raw", "smoothed"):
+            path = tmp_path / f"{name}.csv"
+            rows = b"" if name in empty else b"0,3,Detector\n1,4,Detector\n"
+            path.write_bytes(self.HEADER_ONLY + rows)
+            args += [f"--{name}", str(path)]
+        result = run_cli(runner, args)
+        assert result.exit_code == EXIT_INPUT_ERROR, result.output
+        path = tmp_path / f"{empty[0]}.csv"
+        assert f"error: {empty[0]} count CSV {path} holds no frames\n" in result.output
+        assert not (tmp_path / "eval").exists()
+
+
+class TestCsvHash:
+    """``smooth``, ``segment`` and ``eval`` hash each input CSV once, as one
+    more item of the pool that scans its blocks."""
+
+    COUNTS = [3, 0, 7, 7, 7, 7, 2, 2] * 40
+
+    def write(self, path, counts):
+        path.write_bytes(write_count_series(series(counts, fps=9)))
+        return path
+
+    @pytest.mark.parametrize("command", [["smooth"], ["segment", "--threshold", "3"]])
+    def test_stage_hashes_its_input_once(self, monkeypatch, runner, tmp_path, command):
+        path = self.write(tmp_path / "c.csv", self.COUNTS)
+        data = path.read_bytes()
+        fed = spy_on_sha256(monkeypatch)
+        with parsed_in(300, 2):
+            args = [command[0], str(path), *command[1:], "--out", str(tmp_path / "o")]
+            result = run_cli(runner, args)
+        assert result.exit_code == 0, result.output
+        assert [b"".join(chunks) for chunks in fed] == [data]
+        written = next((tmp_path / "o").iterdir()).read_bytes()
+        assert f"input_sha256={hashlib.sha256(data).hexdigest()}\n".encode() in written
+
+    def test_eval_hashes_each_input_once(self, monkeypatch, runner, tmp_path):
+        paths = {
+            name: self.write(tmp_path / f"{name}.csv", [count + k for count in self.COUNTS])
+            for k, name in enumerate(("truth", "raw", "smoothed"))
+        }
+        fed = spy_on_sha256(monkeypatch)
+        args = ["eval", "--out", str(tmp_path / "eval")]
+        for name, path in paths.items():
+            args += [f"--{name}", str(path)]
+        with parsed_in(300, 2):
+            result = run_cli(runner, args)
+        assert result.exit_code == 0, result.output
+        inputs = [path.read_bytes() for path in paths.values()]
+        assert [b"".join(chunks) for chunks in fed] == inputs
+        report = json.loads((tmp_path / "eval" / "eval_report.json").read_text())
+        assert report["input_sha256"] == {
+            name: hashlib.sha256(data).hexdigest() for name, data in zip(paths, inputs)
+        }
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_hash_error_reaches_the_caller(self, monkeypatch, cpus):
+        # An error while hashing is raised to the caller as itself, once
+        # every worker of the read's pool has stopped.
+        class HashError(Exception):
+            pass
+
+        class Sha256:
+            def __init__(self, chunk=b""):
+                if chunk:
+                    self.update(chunk)
+
+            def update(self, chunk):
+                raise HashError
+
+        data = write_count_series(series(self.COUNTS, fps=9))
+        before = set(threading.enumerate())
+        monkeypatch.setattr(hashlib, "sha256", Sha256)
+        with parsed_in(300, cpus), pytest.raises(HashError):
+            stage_smooth(data, PipelineConfig())
+        assert len(data) > 10 * 300
+        assert set(threading.enumerate()) == before
 
 
 class TestSegmentLargeCounts:

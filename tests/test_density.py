@@ -1,8 +1,10 @@
+import collections
 import contextlib
 import math
 import mmap
 import tempfile
 import threading
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -386,8 +388,7 @@ def windowed(frames_per_window, frames):
         yield
         return
     frame_bytes = max(frames[0].size, 1)
-    with mock.patch.object(density, "_WINDOW_BLOCKS", frames_per_window), \
-            mock.patch.object(density, "_BLOCK_BYTES", frame_bytes):
+    with mock.patch.object(density, "_GRAY_WINDOW_BYTES", frames_per_window * frame_bytes):
         yield
 
 
@@ -532,7 +533,9 @@ class TestUint8Frames:
         # The banded loop gates each pair the same way as update_background.
         frames = gray_stream([prev, curr])
         model = BackgroundModel(frames[0].astype(np.float64), motion_threshold=threshold)
-        *_, (_, _, background) = density._band(frames, (0, 256), [1], model, 25.0, 2)
+        *_, (_, _, background) = density._band(
+            frames, (0, 256), [1], model.learning_rate, threshold, 25.0, 2
+        )
         expected = update_background(model, frames[0], frames[1]).background
         assert background.tobytes() == expected.tobytes()
 
@@ -595,22 +598,41 @@ class TestBandThreads:
         assert counts.tolist() == expected_counts
 
 
+class TestLoopPeak:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_peak_holds_no_full_frame_background(self, workers):
+        # tracemalloc sees numpy's buffers, not the mapped frames. At 640x360
+        # the bands' buffers (three float64 and six uint8 or bool ones over
+        # their rows and halo rows) come to about 3.9 float64 frames, which
+        # is the loop's peak; a full-frame background held beside them made
+        # it 4.9.
+        frames = np.random.default_rng(3).integers(0, 256, (12, 360, 640)).astype(np.uint8)
+        regressor = DensityRegressor(1.0, 0.4, 0.0)
+        expected = _density_loop(frames, regressor, [1, 5, 11])
+        with banded(None, workers, 640), mapped(frames) as view:
+            tracemalloc.start()
+            try:
+                counts, background = _density_loop(view, regressor, [1, 5, 11])
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert counts.tolist() == expected[0].tolist()
+        assert background.tobytes() == expected[1].tobytes()
+        assert peak < 4.4 * background.nbytes
+
+
 class TestReleasedPages:
     """What the density loop releases of a mapped container (``MADV_DONTNEED``)."""
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_released_pages_lie_before_the_finished_window(self, monkeypatch, workers):
-        # Frames of 3200 bytes, not a whole number of pages, in windows of
-        # three frames and bands of 7 rows, 5 bands on each worker or
-        # spread over two. Each worker releases whole pages, on from where
-        # it last stopped, and only before the first frame of the window
-        # its bands have all just finished.
-        rng = np.random.default_rng(9)
-        frames = rng.integers(0, 256, (31, 32, 100)).astype(np.uint8)
-        order = [0, 4, 5, 17, 29]
+    def released(self, monkeypatch, frames, order, band_rows, workers, window):
+        """Run the loop over ``frames`` in a mapping, in bands of ``band_rows``
+        rows on ``workers`` threads and windows of ``window`` frames (None:
+        the defaults), check its results against the loop over ``frames`` in
+        memory, and return its releases as (thread, option, start, length,
+        windows the thread's bands had all finished)."""
         regressor = DensityRegressor(1.0, 0.4, 0.0)
         finished = {}  # (thread, band) -> windows the band has finished
-        released = []  # (thread, start, length, windows finished by the thread's bands)
+        released = []
         real_band = density._band
 
         def band(frames, rows, *args):
@@ -628,20 +650,53 @@ class TestReleasedPages:
 
         expected = _density_loop(frames, regressor, order)
         monkeypatch.setattr(density, "_band", band)
-        with banded(7, workers, 100), windowed(3, frames), mapped(frames, Mapping) as view:
+        with banded(band_rows, workers, frames.shape[2]), windowed(window, frames), \
+                mapped(frames, Mapping) as view:
             counts, background = _density_loop(view, regressor, order)
         assert counts.tolist() == expected[0].tolist()
         assert background.tobytes() == expected[1].tobytes()
-        assert len({thread for thread, *_ in released}) == workers
-        assert len(released) > 3 * workers
+        return released
+
+    @staticmethod
+    def assert_behind(released, workers, window_bytes):
+        """Each of the ``workers`` threads releases whole pages, on from
+        where it last stopped, and only before the first frame of the window
+        its bands have all just finished (windows of ``window_bytes``)."""
         ends = {}
         for thread, option, start, length, done in released:
             assert option == mmap.MADV_DONTNEED
             assert start == ends.get(thread, 0)
             assert start % mmap.PAGESIZE == 0 and length % mmap.PAGESIZE == 0 and length > 0
             ends[thread] = start + length
-            first = (done - 1) * 3  # the first frame of the window just finished
-            assert start + length <= 16 + first * frames[0].size
+            assert start + length <= 16 + (done - 1) * window_bytes
+        assert len(ends) == workers
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_released_pages_lie_before_the_finished_window(self, monkeypatch, workers):
+        # Frames of 3200 bytes, not a whole number of pages, in windows of
+        # three frames and bands of 7 rows, 5 bands on each worker or
+        # spread over two.
+        rng = np.random.default_rng(9)
+        frames = rng.integers(0, 256, (31, 32, 100)).astype(np.uint8)
+        released = self.released(monkeypatch, frames, [0, 4, 5, 17, 29], 7, workers, 3)
+        assert len(released) > 3 * workers
+        self.assert_behind(released, workers, 3 * frames[0].size)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_container_window_releases_whole_pages_behind_it(self, monkeypatch, workers):
+        # 640x360 frames (56.25 pages) in the default bands and the
+        # container's own windows: as many frames as fill
+        # ``ingest._GRAY_WINDOW_BYTES`` (9). Each worker releases once after
+        # each window but the first.
+        window = ingest._GRAY_WINDOW_BYTES // (360 * 640)
+        frames = np.random.default_rng(11).integers(0, 256, (4 * window + 3, 360, 640))
+        frames = frames.astype(np.uint8)
+        order = [0, 4, 2 * window + 1, len(frames) - 1]
+        released = self.released(monkeypatch, frames, order, None, workers, None)
+        self.assert_behind(released, workers, window * frames[0].size)
+        windows = -(-len(frames) // window)
+        per_thread = collections.Counter(thread for thread, *_ in released)
+        assert sorted(per_thread.values()) == [windows - 1] * workers
 
     def test_copy_on_write_mapping_is_not_released(self):
         # Releasing pages of a private mapping would drop the frames written
