@@ -18,9 +18,7 @@ import hashlib
 import json
 import logging
 import math
-import mmap
 import os
-import stat
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -57,7 +55,8 @@ from .evaluation import (
 )
 from .ingest import (
     _GRAY_WINDOW_BYTES,
-    _release,
+    _map_bytes,
+    _releaser,
     format_fps,
     load_gray_frames,
     parse_detections,
@@ -193,50 +192,26 @@ def _provenance(policy, input_sha256: str) -> list[str]:
 
 
 def _sha256(data) -> str:
-    """Hex SHA-256 of ``data``: bytes, or an ``mmap`` of a file.
+    """Hex SHA-256 of ``data``: bytes, or a mapping of a file (``_map_bytes``).
 
-    A mapping is hashed a gray container's window (``_GRAY_WINDOW_BYTES``,
-    2 MiB) at a time, as the density loop walks it, and each chunk's whole
-    pages are released (``ingest._release``) once hashed, so hashing a gray
-    container costs about a chunk of memory, not its size.
+    ``data`` is hashed a gray container's window (``_GRAY_WINDOW_BYTES``,
+    2 MiB) at a time, as the density loop walks it, and a mapping's pages
+    are released behind each window (``ingest._releaser``), so hashing a
+    gray container costs about a window of memory, not its size.
     """
-    if not isinstance(data, mmap.mmap):
-        return hashlib.sha256(data).hexdigest()
     digest = hashlib.sha256()
-    chunk = _GRAY_WINDOW_BYTES
-    released = 0
+    release = _releaser(data)
     with memoryview(data) as view:
-        for start in range(0, len(data), chunk):
-            end = min(start + chunk, len(data))
+        for start in range(0, len(data), _GRAY_WINDOW_BYTES):
+            end = min(start + _GRAY_WINDOW_BYTES, len(data))
             digest.update(view[start:end])
-            released = _release(data, released, end)
+            release(end)
     return digest.hexdigest()
 
 
 def _read_bytes(path) -> bytes:
     try:
         return Path(path).read_bytes()
-    except OSError as exc:
-        raise InputFormatError(f"cannot read {path}: {exc}") from exc
-
-
-def _map_bytes(path):
-    """A read-only ``mmap`` of a non-empty regular file; anything else read whole.
-
-    Mapping copies nothing: pages come from the OS page cache as they are
-    touched, and the mapping is released when the last array viewing it is
-    freed. A FIFO, an empty file, or a file that cannot be mapped is read
-    into ``bytes`` as ``_read_bytes`` would.
-    """
-    try:
-        with open(path, "rb") as fh:
-            info = os.fstat(fh.fileno())
-            if stat.S_ISREG(info.st_mode) and info.st_size > 0:
-                try:
-                    return mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
-                except (OSError, ValueError):
-                    pass  # e.g. a file system without mmap, or a file emptied meanwhile
-            return fh.read()
     except OSError as exc:
         raise InputFormatError(f"cannot read {path}: {exc}") from exc
 
@@ -259,8 +234,9 @@ def stage_count(detections, config: PipelineConfig, gray_frames=None, regressor=
     """Detections stream -> routed CountSeries, raw-counts CSV bytes and
     StreamMeta, whose ``sha256`` is the stream's hash.
 
-    ``detections`` is the stream's bytes or an ``mmap`` of its file, walked
-    and hashed in windows by ``count_detections``. Frames over the count
+    ``detections`` is the stream's bytes or a mapping of its file, walked
+    and hashed in windows by ``count_detections``, which releases the
+    mapped pages behind them (``ingest._releaser``). Frames over the count
     ceiling get their counts from ``regressor`` (a ``DensityRegressor``)
     run over ``gray_frames``, the (n, height, width) array of a gray
     container. A container too short for a routed frame raises

@@ -140,13 +140,13 @@ def count_detections(data, policy: RoutingPolicy) -> tuple[CountSeries, StreamMe
     """Detector counts of a detections stream and its StreamMeta, whose
     ``sha256`` is the stream's hash.
 
-    ``data`` is the whole stream, bytes or an ``mmap`` of its file, and is
+    ``data`` is the whole stream, bytes or a mapping of its file, and is
     parsed and checked as ``ingest.parse_detections`` does, with the same
     errors. The stream is walked a window of blocks at a time
     (``ingest._walk``): each block's person boxes are counted and its box
-    columns dropped, and a mapped window's pages are released once it is
-    parsed and hashed. So memory grows with the frames (an int64 count
-    per frame), not with the boxes or the stream's bytes.
+    columns dropped, and a window's mapped pages are released once it is
+    parsed and hashed (``ingest._releaser``). So memory grows with the
+    frames (an int64 count per frame), not with the boxes or the stream's bytes.
     """
 
     def frame_counts(part):

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import math
-import mmap
 import re
 from dataclasses import asdict, dataclass, replace
 
@@ -20,7 +19,7 @@ from .errors import InputFormatError, RankDeficientError
 from .ingest import (
     _GRAY_WINDOW_BYTES,
     _map_threads,
-    _release,
+    _releaser,
     _thread_count,
     decode_line,
 )
@@ -199,10 +198,10 @@ def estimate_density_counts(
     strictly. Runs the background model sequentially over the stream (it is
     order-dependent) up to the last requested frame, and predicts only at
     the requested indices. The frame is processed in bands of rows, on up to
-    one thread per usable CPU, and the stream a window of frames at a time;
-    when ``frames`` views an ``mmap`` (``load_gray_frames``), the pages of
-    windows passed are released, so a long stream costs about a window of
-    memory per thread (2 MiB), not its size (``_density_loop``). The
+    one thread per usable CPU, and the stream a window of frames at a time.
+    The pages of windows passed are released (``ingest._releaser``) when
+    ``frames`` views a mapped container, so a long stream costs about a
+    window of memory per thread (2 MiB), not its size (``_density_loop``). The
     background stays bit-identical to folding ``update_background`` over
     the stream, and each mask to ``extract_foreground``. Other indices, an empty
     stream, and frames of any dtype but uint8, raise ValueError.
@@ -236,9 +235,9 @@ def _density_loop(frames, regressor: DensityRegressor, order):
     ``_GRAY_WINDOW_BYTES`` (2 MiB, 9 frames at 640x360), and at least 2.
     Each worker of ``_map_threads`` takes a fixed group of bands, every
     ``workers``-th one, and advances them all through a window before the
-    next, with no barrier between workers. When ``frames`` is a
-    view of an ``mmap``, a worker that has finished window w releases the
-    whole pages before window w's first frame (``ingest._release``); the
+    next, with no barrier between workers. A worker that has finished
+    window w releases the whole pages before window w's first frame, with
+    its group's own ``ingest._releaser`` of ``frames``; the
     window's last frame stays mapped for the next frame's motion gate. A
     page another worker still reads is faulted in again from the page
     cache, so a release changes no result.
@@ -257,9 +256,9 @@ def _density_loop(frames, regressor: DensityRegressor, order):
     frame_bytes = height * width
     window = max(2, _GRAY_WINDOW_BYTES // max(frame_bytes, 1))
     firsts = range(0, (order[-1] if order else 0) + 1, window)  # each window's first frame
-    mapped = _mapped(frames)
 
     def advance(group):
+        release = _releaser(frames)
         runs = [
             _band(
                 frames, band, order, DEFAULT_LEARNING_RATE, DEFAULT_MOTION_THRESHOLD,
@@ -267,12 +266,9 @@ def _density_loop(frames, regressor: DensityRegressor, order):
             )
             for band in group
         ]
-        released = 0
         for first in firsts:
             parts = [next(run) for run in runs]
-            if mapped is not None:
-                mapping, offset = mapped
-                released = _release(mapping, released, offset + first * frame_bytes)
+            release(first * frame_bytes)
         return parts
 
     workers = _thread_count(len(bands))
@@ -290,27 +286,6 @@ def _density_loop(frames, regressor: DensityRegressor, order):
         )
         counts[k] = predict_count(regressor, features)
     return counts, background
-
-
-def _mapped(frames):
-    """(mapping, byte offset of ``frames[0]`` in it) when ``frames`` is a
-    C-contiguous view of an ``mmap``, else None.
-
-    The mapping is found through the ``.base`` chain ``load_gray_frames``
-    makes: ndarray -> ndarray -> memoryview, whose ``obj`` is the ``mmap``.
-    Frames read whole (a FIFO) or built in memory have none.
-    """
-    base = frames
-    while isinstance(base, np.ndarray):
-        base = base.base
-    if not (
-        isinstance(base, memoryview)
-        and isinstance(base.obj, mmap.mmap)
-        and frames.flags.c_contiguous
-    ):
-        return None
-    start = np.frombuffer(base, dtype=np.uint8).__array_interface__["data"][0]
-    return base.obj, frames.__array_interface__["data"][0] - start
 
 
 def _motion_gate(threshold: float) -> int:

@@ -27,6 +27,7 @@ import json
 import mmap
 import operator
 import os
+import stat
 import struct
 import threading
 from dataclasses import dataclass, field
@@ -198,10 +199,10 @@ def _walk(data, keep) -> tuple[StreamMeta, list]:
     The blocks are taken ``_WINDOW_BLOCKS`` at a time. Hashing a window's
     bytes (the first window's from the start of the stream) is one more
     item of the pool that scans the window's blocks; ``hashlib`` releases
-    the GIL while it hashes. When ``data`` is an ``mmap``, each window's
-    whole pages are released (``MADV_DONTNEED``) once the pool has
-    returned, so the mapped stream costs about a window of memory, not
-    its size, and no page is released before it is hashed.
+    the GIL while it hashes. Each window's whole pages are released
+    (``_releaser``) once the pool has returned, so a mapped stream costs
+    about a window of memory, not its size, and no page is released
+    before it is hashed.
     """
     (fps, source_id), body, line_no = _read_header(data)
     # Imported here: without cached bytecode, compiling the scan would cost
@@ -219,7 +220,8 @@ def _walk(data, keep) -> tuple[StreamMeta, list]:
     # per-line parse instead of each paying a scan first.
     scanning = True
     digest = hashlib.sha256()
-    done = released = 0  # bytes of the stream hashed, and released, so far
+    release = _releaser(data)
+    done = 0  # bytes of the stream hashed so far
     end = body
     with memoryview(data) as view:
         for number in itertools.count():
@@ -251,35 +253,79 @@ def _walk(data, keep) -> tuple[StreamMeta, list]:
                     last_index = int(part[0][-1])
                 kept.append(keep(part))
             scanned.clear()
-            if isinstance(data, mmap.mmap):
-                # whole pages only: the page holding `end` still serves the next window
-                released = _release(data, released, end)
+            release(end)  # the page holding `end` still serves the next window
             if end == len(data):
                 break
     meta = StreamMeta(fps, frame_count, source_id, tuple(gaps), digest.hexdigest())
     return meta, kept
 
 
-def _release(mapping: mmap.mmap, released: int, upto: int) -> int:
-    """Release (``MADV_DONTNEED``) the whole pages of ``mapping`` from byte
-    ``released``, a page boundary, up to ``upto``; return how far it is
-    released now.
+def _releaser(data):
+    """A ``release(upto)`` that releases (``MADV_DONTNEED``) the whole pages
+    of ``data``'s mapping up to byte ``upto`` of ``data``, on from where it
+    last stopped: the one release rule of the package.
 
-    ``upto`` is rounded down to a page boundary unless it is the end of the
-    mapping. A released page that is read again is faulted in from the page
-    cache, so a release changes no result, only memory and time. A mapping
-    that can be written is never released: on a copy-on-write one the
-    release would drop the writes.
+    ``data`` is bytes, an ``mmap``, or a C-contiguous array that views one,
+    as ``load_gray_frames`` makes it (ndarray -> ndarray -> memoryview,
+    whose ``obj`` is the ``mmap``); the mapping is released from its start,
+    the bytes before the array included. ``upto`` is rounded down to a page
+    boundary unless it reaches the end of the mapping. A released page that
+    is read again is faulted in from the page cache, so a release changes
+    no result, only memory and time. For anything but a read-only mapping
+    ``release`` does nothing: on a copy-on-write one it would drop the writes.
     """
+    mapping, offset = data, 0
+    if isinstance(data, np.ndarray):
+        base = data
+        while isinstance(base, np.ndarray):
+            base = base.base
+        contiguous = isinstance(base, memoryview) and data.flags.c_contiguous
+        mapping = base.obj if contiguous else None
+    if not isinstance(mapping, mmap.mmap):
+        return _release_nothing
     with memoryview(mapping) as view:
         if not view.readonly:
-            return released
-    if upto != len(mapping):
-        upto -= upto % mmap.PAGESIZE
-    if upto <= released:
-        return released
-    mapping.madvise(mmap.MADV_DONTNEED, released, upto - released)
-    return upto
+            return _release_nothing
+    if mapping is not data:  # the array's byte offset in the mapping
+        start = np.frombuffer(base, dtype=np.uint8).__array_interface__["data"][0]
+        offset = data.__array_interface__["data"][0] - start
+    released = 0
+
+    def release(upto):
+        nonlocal released
+        upto += offset
+        if upto != len(mapping):
+            upto -= upto % mmap.PAGESIZE
+        if upto > released:
+            mapping.madvise(mmap.MADV_DONTNEED, released, upto - released)
+            released = upto
+
+    return release
+
+
+def _release_nothing(upto):
+    """The ``release`` of anything but a read-only mapping."""
+
+
+def _map_bytes(path):
+    """A read-only ``mmap`` of a non-empty regular file; anything else read whole.
+
+    Mapping copies nothing: pages come from the OS page cache as they are
+    touched, and the mapping is released when the last array viewing it is
+    freed. A FIFO, an empty file, or a file that cannot be mapped is read
+    into ``bytes``. An unreadable path raises InputFormatError.
+    """
+    try:
+        with open(path, "rb") as fh:
+            info = os.fstat(fh.fileno())
+            if stat.S_ISREG(info.st_mode) and info.st_size > 0:
+                try:
+                    return mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+                except (OSError, ValueError):
+                    pass  # e.g. a file system without mmap, or a file emptied meanwhile
+            return fh.read()
+    except OSError as exc:
+        raise InputFormatError(f"cannot read {path}: {exc}") from exc
 
 
 def _gaps(frame_index, last_index) -> list[tuple[int, int]]:

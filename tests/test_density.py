@@ -27,12 +27,14 @@ from crowdgate.density import (
     regressor_to_json,
     update_background,
 )
-from crowdgate import density, ingest
+from crowdgate import cli, density, ingest
+from crowdgate.cli import PipelineConfig
+from crowdgate.counting import count_detections
 from crowdgate.density import _density_loop
 from crowdgate.errors import InputFormatError, RankDeficientError
 from crowdgate.ingest import load_gray_frames, save_gray_frames
 
-from conftest import gray_stream
+from conftest import detections_bytes, gray_stream
 
 
 def constant_frame(value, shape=(8, 8)):
@@ -622,34 +624,45 @@ class TestLoopPeak:
 
 
 class TestReleasedPages:
-    """What the density loop releases of a mapped container (``MADV_DONTNEED``)."""
+    """What the density loop, the detections walk and ``run``'s hash release
+    of a mapped input (``MADV_DONTNEED``), all through ``ingest._releaser``."""
 
     def released(self, monkeypatch, frames, order, band_rows, workers, window):
         """Run the loop over ``frames`` in a mapping, in bands of ``band_rows``
         rows on ``workers`` threads and windows of ``window`` frames (None:
         the defaults), check its results against the loop over ``frames`` in
-        memory, and return its releases as (thread, option, start, length,
-        windows the thread's bands had all finished)."""
+        memory, and return its releases as (group, option, start, length,
+        windows the group's bands had all finished).
+
+        A group is the bands one releaser serves, keyed by that releaser:
+        the loop makes a group's releaser and then runs its bands and its
+        releases on one thread, but one thread may run several groups."""
         regressor = DensityRegressor(1.0, 0.4, 0.0)
-        finished = {}  # (thread, band) -> windows the band has finished
+        finished = {}  # (group, band) -> windows the band has finished
         released = []
-        real_band = density._band
+        local = threading.local()  # .group: the group this thread runs now
+        real_band, real_releaser = density._band, density._releaser
+
+        def releaser(data):
+            local.group = real_releaser(data)
+            return local.group
 
         def band(frames, rows, *args):
             for state in real_band(frames, rows, *args):
-                key = (threading.get_ident(), rows)
+                key = (local.group, rows)
                 finished[key] = finished.get(key, 0) + 1
                 yield state
 
         class Mapping(mmap.mmap):
             def madvise(self, option, start, length):
-                thread = threading.get_ident()
-                done = min(n for (t, _), n in finished.items() if t == thread)
-                released.append((thread, option, start, length, done))
+                group = local.group
+                done = min(n for (g, _), n in finished.items() if g is group)
+                released.append((group, option, start, length, done))
                 return super().madvise(option, start, length)
 
         expected = _density_loop(frames, regressor, order)
         monkeypatch.setattr(density, "_band", band)
+        monkeypatch.setattr(density, "_releaser", releaser)
         with banded(band_rows, workers, frames.shape[2]), windowed(window, frames), \
                 mapped(frames, Mapping) as view:
             counts, background = _density_loop(view, regressor, order)
@@ -659,15 +672,15 @@ class TestReleasedPages:
 
     @staticmethod
     def assert_behind(released, workers, window_bytes):
-        """Each of the ``workers`` threads releases whole pages, on from
+        """Each of the ``workers`` groups releases whole pages, on from
         where it last stopped, and only before the first frame of the window
         its bands have all just finished (windows of ``window_bytes``)."""
         ends = {}
-        for thread, option, start, length, done in released:
+        for group, option, start, length, done in released:
             assert option == mmap.MADV_DONTNEED
-            assert start == ends.get(thread, 0)
+            assert start == ends.get(group, 0)
             assert start % mmap.PAGESIZE == 0 and length % mmap.PAGESIZE == 0 and length > 0
-            ends[thread] = start + length
+            ends[group] = start + length
             assert start + length <= 16 + (done - 1) * window_bytes
         assert len(ends) == workers
 
@@ -686,7 +699,7 @@ class TestReleasedPages:
     def test_container_window_releases_whole_pages_behind_it(self, monkeypatch, workers):
         # 640x360 frames (56.25 pages) in the default bands and the
         # container's own windows: as many frames as fill
-        # ``ingest._GRAY_WINDOW_BYTES`` (9). Each worker releases once after
+        # ``ingest._GRAY_WINDOW_BYTES`` (9). Each group releases once after
         # each window but the first.
         window = ingest._GRAY_WINDOW_BYTES // (360 * 640)
         frames = np.random.default_rng(11).integers(0, 256, (4 * window + 3, 360, 640))
@@ -695,16 +708,38 @@ class TestReleasedPages:
         released = self.released(monkeypatch, frames, order, None, workers, None)
         self.assert_behind(released, workers, window * frames[0].size)
         windows = -(-len(frames) // window)
-        per_thread = collections.Counter(thread for thread, *_ in released)
-        assert sorted(per_thread.values()) == [windows - 1] * workers
+        per_group = collections.Counter(group for group, *_ in released)
+        assert sorted(per_group.values()) == [windows - 1] * workers
 
-    def test_copy_on_write_mapping_is_not_released(self):
-        # Releasing pages of a private mapping would drop the frames written
-        # into it, and the loop would read the file's frames instead.
+    @pytest.mark.parametrize("caller", ["count_detections", "cli._sha256", "_density_loop"])
+    def test_copy_on_write_mapping_is_not_released(self, monkeypatch, caller):
+        # Releasing pages of a private mapping would drop the bytes written
+        # into it, and the caller would read the file's bytes instead. Each
+        # caller runs in windows of a few pages, so a release would come
+        # before its last window.
         rng = np.random.default_rng(9)
-        frames = rng.integers(0, 256, (31, 32, 100)).astype(np.uint8)
-        written = rng.integers(0, 256, frames.shape).astype(np.uint8)
-        regressor = DensityRegressor(1.0, 0.4, 0.0)
+        if caller == "count_detections":
+            counts = rng.integers(0, 6, 300).tolist()
+            original, written = (detections_bytes(counts, score=s) for s in (0.9, 0.1))
+            monkeypatch.setattr(ingest, "_BLOCK_BYTES", 1 << 9)
+            policy = PipelineConfig().routing_policy()
+
+            def run(data):
+                series, meta = count_detections(data, policy)
+                return series.counts.tolist(), meta.sha256
+        elif caller == "cli._sha256":
+            original, written = rng.bytes(5 * mmap.PAGESIZE + 7), rng.bytes(5 * mmap.PAGESIZE + 7)
+            monkeypatch.setattr(cli, "_GRAY_WINDOW_BYTES", mmap.PAGESIZE)
+            run = cli._sha256
+        else:
+            frames = rng.integers(0, 256, (2, 31, 32, 100)).astype(np.uint8)
+            original, written = map(save_gray_frames, frames)
+            regressor = DensityRegressor(1.0, 0.4, 0.0)
+
+            def run(data):
+                with windowed(3, frames[0]):
+                    counts, background = _density_loop(load_gray_frames(data), regressor, [3, 30])
+                return counts.tolist(), background.tobytes()
         released = []
 
         class Mapping(mmap.mmap):
@@ -713,25 +748,42 @@ class TestReleasedPages:
                 return super().madvise(option, start, length)
 
         with tempfile.TemporaryFile() as fh:
-            fh.write(save_gray_frames(frames))
+            fh.write(original)
             fh.flush()
             mapping = Mapping(fh.fileno(), 0, access=mmap.ACCESS_COPY)
-        mapping[16:] = written.tobytes()
-        expected = _density_loop(written, regressor, [3, 30])
-        with windowed(3, frames):
-            counts, background = _density_loop(load_gray_frames(mapping), regressor, [3, 30])
-        assert counts.tolist() == expected[0].tolist()
-        assert background.tobytes() == expected[1].tobytes()
+        mapping[:] = written
+        assert run(mapping) == run(written) != run(original)
         assert released == []
 
     def test_mapping_found_through_the_base_chain(self):
         # Frames in memory, read whole or built, and a mapped view that is
-        # not contiguous have no pages to release.
+        # not contiguous have no pages to release. A mapped view's release
+        # counts from its own first byte: a page boundary of the mapping is
+        # reached exactly when the view's offset in the mapping is added.
         frames = np.random.default_rng(9).integers(0, 256, (12, 32, 100)).astype(np.uint8)
-        with mapped(frames) as view:
-            assert density._mapped(frames) is None
-            assert density._mapped(load_gray_frames(save_gray_frames(frames))) is None
-            assert density._mapped(view[:, :, :50]) is None
-            mapping, offset = density._mapped(view)
-            assert offset == 16 and len(mapping) == 16 + frames.size
-            assert density._mapped(view[2:])[1] == 16 + 2 * frames[0].size
+        page = mmap.PAGESIZE
+        released = []
+
+        class Mapping(mmap.mmap):
+            def madvise(self, option, start, length):
+                released.append((option, start, length))
+                return super().madvise(option, start, length)
+
+        def reach(data, upto):
+            """How far one fresh release of ``data`` up to ``upto`` frees its mapping."""
+            released.clear()
+            ingest._releaser(data)(upto)
+            assert all(option == mmap.MADV_DONTNEED for option, *_ in released)
+            return sum(length for *_, length in released)
+
+        with mapped(frames, Mapping) as view:
+            container = save_gray_frames(frames)
+            for data in (frames, load_gray_frames(container), container, view[:, :, :50]):
+                assert reach(data, len(container)) == 0
+            assert released == []
+            assert (reach(view, page - 17), reach(view, page - 16)) == (0, page)
+            assert reach(view, view.nbytes) == 16 + frames.size  # the end of the mapping
+            offset = 16 + 2 * frames[0].size
+            edge = (offset // page + 1) * page  # the first page boundary past it
+            assert reach(view[2:], edge - offset - 1) == edge - page
+            assert reach(view[2:], edge - offset) == edge

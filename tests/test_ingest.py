@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import json
 import mmap
@@ -5,6 +6,7 @@ import sys
 import threading
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -886,3 +888,28 @@ def test_parse_fps_forms():
     assert parse_fps("24000/1001") == Fraction(24000, 1001)
     with pytest.raises(InputFormatError):
         parse_fps(True)
+
+
+def test_only_ingest_maps_and_releases():
+    # One module owns the mapped-input rule (``_map_bytes``, ``_releaser``):
+    # no other module of the package imports mmap or calls madvise.
+    found = []
+    for path in sorted(Path(ingest.__file__).parent.glob("*.py")):
+        if path.name == "ingest.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            elif isinstance(node, ast.Call):
+                func = node.func
+                names = [getattr(func, "attr", getattr(func, "id", ""))]
+            else:
+                continue
+            found += [
+                f"{path.name}:{node.lineno} {name}"
+                for name in names
+                if name.split(".")[0] == "mmap" or name == "madvise"
+            ]
+    assert found == []
