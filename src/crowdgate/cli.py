@@ -26,8 +26,8 @@ from pathlib import Path
 import click
 
 from . import __version__
-# count_series and parse_detections are imported but not called here: the
-# benchmark's tracer hooks them at this module.
+# count_series, parse_detections and matched_ap_d are imported but not
+# called here: the benchmark's tracer hooks them at this module.
 from .counting import (
     RoutingPolicy,
     count_detections,
@@ -332,10 +332,7 @@ def eval_step(truth, raw, smoothed, input_sha256: dict):
     report = evaluate(truth, raw, smoothed)
     payload = {
         "ap_d": {"raw": report.ap_d_raw, "smoothed": report.ap_d_smoothed},
-        "matched_ap_d": {
-            "raw": matched_ap_d(raw, truth),
-            "smoothed": matched_ap_d(smoothed, truth),
-        },
+        "matched_ap_d": {"raw": report.matched_ap_d_raw, "smoothed": report.matched_ap_d_smoothed},
         "total_detected_objects": report.total_detected_objects,
         "total_true_objects": report.total_true_objects,
         "per_count_table": {
@@ -344,13 +341,7 @@ def eval_step(truth, raw, smoothed, input_sha256: dict):
         },
         "input_sha256": input_sha256,
     }
-    table = render_table(
-        {
-            "raw": {"ap_d": report.ap_d_raw},
-            "smoothed": {"ap_d": report.ap_d_smoothed},
-        }
-    )
-    return report, (json.dumps(payload, indent=2) + "\n").encode("utf-8"), table
+    return report, (json.dumps(payload, indent=2) + "\n").encode("utf-8"), render_table(report)
 
 
 def _same_length(**series):
@@ -506,13 +497,40 @@ def cli_command(fn):
     return wrapper
 
 
-def _fps_option(fn):
-    return click.option(
-        "--fps",
-        "fps_flag",
-        default=None,
-        help="Frame rate override, N or N/D (e.g. 30000/1001).",
-    )(fn)
+_INPUT_FILE = click.Path(exists=True, dir_okay=False)
+
+# The options more than one command takes, each with its one help string.
+_OPTIONS = {
+    decls[0]: click.option(*decls, type=kind, default=None, help=text)
+    for *decls, kind, text in [
+        ("--config", "config_path", _INPUT_FILE, "Pipeline config JSON; flags override its keys."),
+        ("--ceiling", "count_ceiling", int,
+         "Frames counting more people go to the density path (default 25)."),
+        ("--min-score", float, "Lowest detection score counted (default 0.5)."),
+        ("--person-class", "person_class_id", int,
+         "Detector class id counted as a person (default 0)."),
+        ("--threshold", "abnormal_threshold", int, "Abnormal count threshold (strict)."),
+        ("--min-duration", "min_duration_frames", int,
+         "Shortest segment kept, in frames (default: the window radius)."),
+        ("--merge-gap", "merge_gap_frames", int,
+         "Longest gap merged between segments, in frames (default: the window radius)."),
+        ("--divisor", "smoothing_divisor", int,
+         "Window radius = floor(fps/divisor), at least 1 (default 3)."),
+        ("--tie-break", click.Choice([t.value for t in TieBreak]),
+         "Which count a tied window keeps (default prefer-last-value)."),
+        ("--gray", "gray_path", _INPUT_FILE, "Gray frame container for the density path."),
+        ("--model", "density_model_path", _INPUT_FILE, "Fitted density model JSON."),
+        ("--fps", "fps_flag", str, "Frame rate override, N or N/D (e.g. 30000/1001)."),
+    ]
+}
+_OPTIONS["--out"] = click.option(
+    "--out", required=True, type=click.Path(file_okay=False), help="Output directory."
+)
+
+
+def _options(*flags):
+    """The ``_OPTIONS`` of ``flags``, listed by --help in that order."""
+    return lambda fn: functools.reduce(lambda f, flag: _OPTIONS[flag](f), reversed(flags), fn)
 
 
 def _parse_fps_flag(value):
@@ -536,8 +554,8 @@ def main():
 
 
 @main.command()
-@click.argument("detections", type=click.Path(exists=True, dir_okay=False))
-@click.option("--out", required=True, type=click.Path(file_okay=False))
+@click.argument("detections", type=_INPUT_FILE)
+@_options("--out")
 @cli_command
 def ingest(detections, out):
     """Validate a detections file; write the normalized copy and stream metadata."""
@@ -562,15 +580,10 @@ def ingest(detections, out):
 
 
 @main.command()
-@click.argument("detections", type=click.Path(exists=True, dir_okay=False))
-@click.option("--out", required=True, type=click.Path(file_okay=False))
-@click.option("--config", "config_path", default=None, type=click.Path(exists=True, dir_okay=False))
-@click.option("--ceiling", "count_ceiling", type=int, default=None, help="Detector count ceiling (default 25).")
-@click.option("--min-score", type=float, default=None)
-@click.option("--person-class", "person_class_id", type=int, default=None)
-@click.option("--gray", "gray_path", default=None, type=click.Path(exists=True, dir_okay=False), help="Gray frame container for the density path.")
-@click.option("--model", "density_model_path", default=None, type=click.Path(exists=True, dir_okay=False), help="Fitted density model JSON.")
-@_fps_option
+@click.argument("detections", type=_INPUT_FILE)
+@_options(
+    "--out", "--config", "--ceiling", "--min-score", "--person-class", "--gray", "--model", "--fps"
+)
 @cli_command
 def count(detections, out, config_path, gray_path, fps_flag, **settings):
     """Count people per frame and route over-ceiling frames to density estimation."""
@@ -588,12 +601,12 @@ def count(detections, out, config_path, gray_path, fps_flag, **settings):
 
 
 @main.command("density-fit")
-@click.argument("calibration", type=click.Path(exists=True, dir_okay=False))
-@click.option("--out", required=True, type=click.Path(dir_okay=False), help="Output model JSON path.")
+@click.argument("calibration", type=_INPUT_FILE)
+@click.option("--out", required=True, type=click.Path(dir_okay=False), help="Output file path.")
 @click.option("--fg-threshold", type=float, default=25.0, show_default=True)
 @cli_command
 def density_fit(calibration, out, fg_threshold):
-    """Fit the (area, edge) -> count regressor from a calibration CSV."""
+    """Fit the (area, edge) -> count regressor from a calibration CSV; write it as JSON to --out."""
     if not (math.isfinite(fg_threshold) and fg_threshold >= 0):
         raise ConfigError(f"--fg-threshold must be finite and >= 0, got {fg_threshold}")
     samples = read_calibration_csv(_read_bytes(calibration))
@@ -607,12 +620,12 @@ def density_fit(calibration, out, fg_threshold):
 
 
 @main.command("density-predict")
-@click.argument("gray", type=click.Path(exists=True, dir_okay=False))
-@click.argument("model", type=click.Path(exists=True, dir_okay=False))
-@click.option("--out", required=True, type=click.Path(dir_okay=False), help="Output CSV path.")
+@click.argument("gray", type=_INPUT_FILE)
+@click.argument("model", type=_INPUT_FILE)
+@click.option("--out", required=True, type=click.Path(dir_okay=False), help="Output file path.")
 @cli_command
 def density_predict(gray, model, out):
-    """Predict a density count for every frame of a gray container."""
+    """Predict a density count for every frame of a gray container; write them as CSV to --out."""
     frames = load_gray_frames(_map_bytes(gray))
     _check_gray_frames(frames, [])
     regressor = regressor_from_json(_read_bytes(model))
@@ -623,12 +636,8 @@ def density_predict(gray, model, out):
 
 
 @main.command()
-@click.argument("counts_csv", type=click.Path(exists=True, dir_okay=False))
-@click.option("--out", required=True, type=click.Path(file_okay=False))
-@click.option("--config", "config_path", default=None, type=click.Path(exists=True, dir_okay=False))
-@click.option("--divisor", "smoothing_divisor", type=int, default=None, help="Window = fps/divisor (default 3).")
-@click.option("--tie-break", type=click.Choice([t.value for t in TieBreak]), default=None)
-@_fps_option
+@click.argument("counts_csv", type=_INPUT_FILE)
+@_options("--out", "--config", "--divisor", "--tie-break", "--fps")
 @cli_command
 def smooth(counts_csv, out, config_path, fps_flag, **settings):
     """Remove detection jitter from a count series CSV."""
@@ -638,15 +647,10 @@ def smooth(counts_csv, out, config_path, fps_flag, **settings):
 
 
 @main.command()
-@click.argument("counts_csv", type=click.Path(exists=True, dir_okay=False))
-@click.option("--out", required=True, type=click.Path(file_okay=False))
-@click.option("--config", "config_path", default=None, type=click.Path(exists=True, dir_okay=False))
-@click.option("--threshold", "abnormal_threshold", type=int, default=None, help="Abnormal count threshold (strict).")
-@click.option("--min-duration", "min_duration_frames", type=int, default=None)
-@click.option("--merge-gap", "merge_gap_frames", type=int, default=None)
-@click.option("--divisor", "smoothing_divisor", type=int, default=None)
+@click.argument("counts_csv", type=_INPUT_FILE)
+@_options("--out", "--config", "--threshold", "--min-duration", "--merge-gap", "--divisor")
 @click.option("--source", default=None, help="Source video path used in the cut list.")
-@_fps_option
+@_options("--fps")
 @cli_command
 def segment(counts_csv, out, config_path, source, fps_flag, **settings):
     """Extract abnormal segments and emit the segment report and FFmpeg cut list."""
@@ -662,11 +666,10 @@ def segment(counts_csv, out, config_path, source, fps_flag, **settings):
 
 
 @main.command("eval")
-@click.option("--truth", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--raw", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--smoothed", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--out", required=True, type=click.Path(file_okay=False))
-@_fps_option
+@click.option("--truth", required=True, type=_INPUT_FILE, help="Ground-truth count CSV.")
+@click.option("--raw", required=True, type=_INPUT_FILE, help="Raw count CSV.")
+@click.option("--smoothed", required=True, type=_INPUT_FILE, help="Smoothed count CSV.")
+@_options("--out", "--fps")
 @cli_command
 def eval_cmd(truth, raw, smoothed, out, fps_flag):
     """Compare raw and smoothed series against ground truth."""
@@ -688,8 +691,7 @@ def eval_cmd(truth, raw, smoothed, out, fps_flag):
 @click.option("--spike-probability", "-p", type=float, default=0.1, show_default=True)
 @click.option("--magnitude", type=int, default=3, show_default=True)
 @click.option("--run-length", type=int, default=2, show_default=True)
-@click.option("--out", required=True, type=click.Path(file_okay=False))
-@_fps_option
+@_options("--out", "--fps")
 @cli_command
 def synth(profile, seed, spike_probability, magnitude, run_length, out, fps_flag):
     """Generate a reproducible (truth, jittered) synthetic count-series pair."""
@@ -710,22 +712,17 @@ def synth(profile, seed, spike_probability, magnitude, run_length, out, fps_flag
 
 
 @main.command()
-@click.argument("detections", type=click.Path(exists=True, dir_okay=False))
-@click.option("--out", required=True, type=click.Path(file_okay=False))
-@click.option("--config", "config_path", default=None, type=click.Path(exists=True, dir_okay=False))
-@click.option("--ceiling", "count_ceiling", type=int, default=None)
-@click.option("--min-score", type=float, default=None)
-@click.option("--person-class", "person_class_id", type=int, default=None)
-@click.option("--threshold", "abnormal_threshold", type=int, default=None)
-@click.option("--min-duration", "min_duration_frames", type=int, default=None)
-@click.option("--merge-gap", "merge_gap_frames", type=int, default=None)
-@click.option("--divisor", "smoothing_divisor", type=int, default=None)
-@click.option("--tie-break", type=click.Choice([t.value for t in TieBreak]), default=None)
-@click.option("--gray", "gray_path", default=None, type=click.Path(exists=True, dir_okay=False))
-@click.option("--model", "density_model_path", default=None, type=click.Path(exists=True, dir_okay=False))
-@click.option("--calibration", "calibration_path", default=None, type=click.Path(exists=True, dir_okay=False))
-@click.option("--truth", "truth_path", default=None, type=click.Path(exists=True, dir_okay=False))
-@_fps_option
+@click.argument("detections", type=_INPUT_FILE)
+@_options(
+    "--out", "--config", "--ceiling", "--min-score", "--person-class", "--threshold",
+    "--min-duration", "--merge-gap", "--divisor", "--tie-break", "--gray", "--model",
+)
+@click.option(
+    "--calibration", "calibration_path", default=None, type=_INPUT_FILE,
+    help="Calibration CSV to fit the density model from, unless --model is given.",
+)
+@click.option("--truth", "truth_path", default=None, type=_INPUT_FILE, help="Ground-truth count CSV.")
+@_options("--fps")
 @cli_command
 def run(detections, out, config_path, gray_path, calibration_path, truth_path, fps_flag, **settings):
     """Run the whole pipeline: count, route, smooth, segment, (optionally) evaluate."""

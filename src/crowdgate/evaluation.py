@@ -4,10 +4,10 @@ The headline metric is a count-level average precision: the ratio of
 frame-count-weighted detected objects to true objects. Grouped by distinct
 count value it reads sum_c m1(c)*c / sum_c m2(c)*c where m1(c)/m2(c) are
 the numbers of detected/true frames whose count is c; algebraically that
-equals total detected objects over total true objects, and both forms are
-computed and cross-checked on every call. The metric can exceed 1 under
-over-detection, so a stricter matched-frame variant is exposed alongside
-it for diagnostics.
+equals total detected objects over total true objects, which is how it is
+computed; criterion 5 of the acceptance tests and ``TestCounterOracle``
+check the identity. The metric can exceed 1 under over-detection, so a
+stricter matched-frame variant is exposed alongside it for diagnostics.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import numpy as np
 
 from .counting import CountSeries
 
-_CROSSCHECK_TOL = 1e-12
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
 
@@ -48,10 +47,13 @@ class JitterSpec:
 
 @dataclass(frozen=True)
 class EvalReport:
-    """Raw-vs-smoothed comparison against one ground-truth series."""
+    """Every figure of the eval report: the raw and the smoothed series
+    scored against one ground-truth series, as ``evaluate`` computes them."""
 
     ap_d_raw: float
     ap_d_smoothed: float
+    matched_ap_d_raw: float
+    matched_ap_d_smoothed: float
     per_count_table: dict[int, tuple[int, int]]
     total_detected_objects: int
     total_true_objects: int
@@ -64,25 +66,20 @@ def _as_counts(series) -> np.ndarray:
 
 
 def ap_d(detected, truth) -> float:
-    """Count-level average precision of ``detected`` against ``truth``.
-
-    Both the grouped-by-value form and the plain totals ratio are computed;
-    a disagreement beyond 1e-12 means a bug and raises.
-    """
+    """Count-level average precision of ``detected`` against ``truth``:
+    total detected objects over total true objects, which equals the
+    paper's grouped form (criterion 5 of the acceptance tests checks it)."""
     tru = _as_counts(truth)
     det = _aligned(detected, tru)
-    return _checked_ap_d(_reduced(det), _reduced(tru))
+    return _total(det) / _true_total(tru)
 
 
 def matched_ap_d(detected, truth) -> float:
-    """Strict variant: only frames whose detected count equals the true count score."""
+    """Strict variant: only frames whose detected count equals the true
+    count score; an exact-total ratio like ``ap_d``."""
     tru = _as_counts(truth)
     det = _aligned(detected, tru)
-    total_true = _total(tru)
-    if total_true == 0:
-        raise ValueError("truth series has no objects (zero denominator)")
-    matched = _total(det[det == tru])
-    return matched / total_true
+    return _total(det[det == tru]) / _true_total(tru)
 
 
 def _aligned(detected, tru: np.ndarray) -> np.ndarray:
@@ -100,93 +97,58 @@ def _total(counts: np.ndarray) -> int:
     return (int((counts >> 32).sum()) << 32) + int((counts & 0xFFFFFFFF).sum())
 
 
+def _true_total(tru: np.ndarray) -> int:
+    """``_total`` of a truth series; ValueError if it is zero."""
+    total = _total(tru)
+    if total == 0:
+        raise ValueError("truth series has no objects (zero denominator)")
+    return total
+
+
 def _frames_by_count(counts: np.ndarray) -> dict[int, int]:
     """count value -> number of frames at that count, as Python ints."""
     values, frames = np.unique(counts, return_counts=True)
     return dict(zip(values.tolist(), frames.tolist()))
 
 
-def _reduced(counts: np.ndarray) -> tuple[dict[int, int], int]:
-    """(frames by count value, exact total) of a series: the two independent
-    reductions the metric is checked by."""
-    return _frames_by_count(counts), _total(counts)
-
-
-def _checked_ap_d(detected, truth) -> float:
-    """ap_d of the ``_reduced`` detected and true series: the ratio of
-    their totals, checked against the ratio of their grouped totals."""
-    (det_frames, det_total), (tru_frames, tru_total) = detected, truth
-    if tru_total == 0:
-        raise ValueError("truth series has no objects (zero denominator)")
-    grouped = _grouped_total(det_frames) / _grouped_total(tru_frames)
-    totals = det_total / tru_total
-    if abs(grouped - totals) > _CROSSCHECK_TOL:
-        raise AssertionError(
-            f"metric self-check failed: grouped {grouped!r} vs totals {totals!r}"
-        )
-    return totals
-
-
-def _grouped_total(frames: dict[int, int]) -> int:
-    """sum_c c * (frames at count c), exact in Python ints."""
-    return sum(c * m for c, m in frames.items())
-
-
-def per_count_table(detected, truth) -> dict[int, tuple[int, int]]:
-    """count value -> (detected frames at that count, true frames at that count)."""
-    return _merged(_frames_by_count(_as_counts(detected)), _frames_by_count(_as_counts(truth)))
-
-
-def _merged(det: dict[int, int], tru: dict[int, int]) -> dict[int, tuple[int, int]]:
-    """The per-count table of two series' frames by count value."""
-    return {c: (det.get(c, 0), tru.get(c, 0)) for c in sorted(det.keys() | tru.keys())}
-
-
 def evaluate(truth, raw, smoothed) -> EvalReport:
-    """ap_d of the raw and the smoothed series against ``truth``, the
-    smoothed series' per-count table and the object totals.
+    """Every figure of the eval report: ap_d and matched_ap_d of the raw
+    and the smoothed series against ``truth``, the smoothed series'
+    per-count table (count value -> (smoothed frames, true frames) at that
+    count) and the object totals.
 
-    Each series is reduced once, to its frames by count value and its
-    exact total (``_reduced``), and every figure is read off those; the
-    errors are ap_d's, in the order ``ap_d(raw, truth)`` and then
-    ``ap_d(smoothed, truth)`` raise them.
+    The truth is reduced once, to one exact total and one frames-by-count
+    table. The errors are those of ``ap_d(raw, truth)`` and then
+    ``ap_d(smoothed, truth)``, in that order.
     """
-    tru_counts = _as_counts(truth)
-    raw_counts = _aligned(raw, tru_counts)
-    tru_frames, tru_total = tru = _reduced(tru_counts)
-    ap_d_raw = _checked_ap_d(_reduced(raw_counts), tru)
-    det_frames, det_total = det = _reduced(_aligned(smoothed, tru_counts))
+    tru = _as_counts(truth)
+    raw_counts = _aligned(raw, tru)
+    tru_total = _true_total(tru)
+    det = _aligned(smoothed, tru)
+    det_total = _total(det)
+    det_frames, tru_frames = _frames_by_count(det), _frames_by_count(tru)
     return EvalReport(
-        ap_d_raw=ap_d_raw,
-        ap_d_smoothed=_checked_ap_d(det, tru),
-        per_count_table=_merged(det_frames, tru_frames),
+        ap_d_raw=_total(raw_counts) / tru_total,
+        ap_d_smoothed=det_total / tru_total,
+        matched_ap_d_raw=_total(raw_counts[raw_counts == tru]) / tru_total,
+        matched_ap_d_smoothed=_total(det[det == tru]) / tru_total,
+        per_count_table={
+            c: (det_frames.get(c, 0), tru_frames.get(c, 0))
+            for c in sorted(det_frames.keys() | tru_frames.keys())
+        },
         total_detected_objects=det_total,
         total_true_objects=tru_total,
     )
 
 
-def render_table(results: dict[str, dict[str, float]]) -> str:
-    """Plain-text table, methods as rows and scenes as columns."""
-    scenes: list[str] = []
-    for per_scene in results.values():
-        for scene in per_scene:
-            if scene not in scenes:
-                scenes.append(scene)
-    method_width = max([len("method")] + [len(m) for m in results])
-    widths = [max(len(s), 7) for s in scenes]
-    lines = [
-        "  ".join(
-            ["method".ljust(method_width)]
-            + [s.rjust(w) for s, w in zip(scenes, widths)]
-        )
+def render_table(report: EvalReport) -> str:
+    """Plain-text table of the raw and the smoothed series' ap_d."""
+    rows = [
+        ("method", "ap_d"),
+        ("raw", f"{report.ap_d_raw:.4f}"),
+        ("smoothed", f"{report.ap_d_smoothed:.4f}"),
     ]
-    for method, per_scene in results.items():
-        cells = []
-        for scene, w in zip(scenes, widths):
-            value = per_scene.get(scene)
-            cells.append(("-" if value is None else f"{value:.4f}").rjust(w))
-        lines.append("  ".join([method.ljust(method_width)] + cells))
-    return "".join(line + "\n" for line in lines)
+    return "".join(f"{method:<8}  {cell:>7}\n" for method, cell in rows)
 
 
 def generate_synthetic(

@@ -3,6 +3,7 @@ import hashlib
 import json
 import mmap
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -1415,6 +1416,39 @@ class TestEvalCommand:
         assert result.exit_code == EXIT_INPUT_ERROR
         assert "(frames: truth 15, raw 20)" in result.output
         assert not out.exists()
+
+
+def option_help(help_text: str) -> dict[str, str]:
+    """Option column ("--out DIRECTORY") -> its help in a command's --help,
+    whitespace collapsed and click's trailing [required]/[default] note dropped."""
+    entries, current = {}, None
+    for line in help_text.split("Options:\n", 1)[1].splitlines():
+        if line.startswith("  -"):
+            column, _, rest = line.strip().partition("  ")
+            current = entries[column] = [rest]
+        elif current is not None:
+            current.append(line)
+    return {
+        column: re.sub(r"\s*\[[^\]]*\]$", "", " ".join(" ".join(parts).split()))
+        for column, parts in entries.items()
+    }
+
+
+def test_shared_flags_have_one_help_line(runner):
+    helps: dict[str, dict[str, str]] = {}
+    for command in main.commands:
+        result = runner.invoke(main, [command, "--help"])
+        assert result.exit_code == 0, result.output
+        for column, text in option_help(result.output).items():
+            helps.setdefault(column, {})[command] = text
+    shared = {column: texts for column, texts in helps.items() if len(texts) > 1}
+    assert {"--ceiling INTEGER", "--threshold INTEGER", "--divisor INTEGER", "--gray FILE",
+            "--model FILE", "--out DIRECTORY"} <= shared.keys()
+    differing = {column: texts for column, texts in shared.items() if len(set(texts.values())) > 1}
+    assert differing == {}
+    assert [column for column, texts in shared.items() if "" in texts.values()] == []
+    # the divisor sets the window radius, not the window
+    assert "Window radius = floor(fps/divisor)" in shared["--divisor INTEGER"]["run"]
 
 
 def test_python_m_crowdgate_runs_from_source_tree():

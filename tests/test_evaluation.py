@@ -9,7 +9,6 @@ from crowdgate.evaluation import (
     evaluate,
     generate_synthetic,
     matched_ap_d,
-    per_count_table,
     render_table,
 )
 
@@ -86,12 +85,14 @@ class TestMatchedApD:
 
 class TestPerCountTable:
     def test_counts_per_value(self):
-        table = per_count_table(series([2, 3, 3]), series([2, 2, 3]))
-        assert table == {2: (1, 2), 3: (2, 1)}
+        # the smoothed series' frames by count against the truth's
+        report = evaluate(series([2, 2, 3]), series([0, 0, 0]), series([2, 3, 3]))
+        assert report.per_count_table == {2: (1, 2), 3: (2, 1)}
 
 
 class TestCounterOracle:
-    """The np.unique tables and exact totals against Counter over lists."""
+    """evaluate's np.unique tables, exact totals and every ratio against
+    Counter and sums over lists."""
 
     def test_random_series(self, rng):
         for _ in range(200):
@@ -99,7 +100,6 @@ class TestCounterOracle:
             det, tru = random_counts(rng, n), random_counts(rng, n)
             tru[0] = max(tru[0], 1)
             assert ap_d(series(det), series(tru)) == reference_ap_d(det, tru)
-            assert per_count_table(series(det), series(tru)) == reference_per_count_table(det, tru)
             raw = random_counts(rng, n)
             report = evaluate(series(tru), series(raw), series(det))
             assert report.ap_d_raw == reference_ap_d(raw, tru)
@@ -109,6 +109,9 @@ class TestCounterOracle:
             assert report.total_true_objects == sum(tru.tolist())
             matched = sum(d for d, t in zip(det.tolist(), tru.tolist()) if d == t)
             assert matched_ap_d(series(det), series(tru)) == matched / sum(tru.tolist())
+            assert report.matched_ap_d_smoothed == matched / sum(tru.tolist())
+            matched_raw = sum(r for r, t in zip(raw.tolist(), tru.tolist()) if r == t)
+            assert report.matched_ap_d_raw == matched_raw / sum(tru.tolist())
 
 
 class TestEvaluate:
@@ -128,14 +131,27 @@ class TestEvaluate:
 
 
 class TestCompareMethods:
-    def test_render_table_layout(self):
-        text = render_table(
-            {"raw": {"scene1": 0.9, "scene2": 1.1}, "smoothed": {"scene1": 1.0}}
-        )
-        lines = text.splitlines()
-        assert lines[0].split() == ["method", "scene1", "scene2"]
-        assert lines[1].split() == ["raw", "0.9000", "1.1000"]
-        assert lines[2].split() == ["smoothed", "1.0000", "-"]
+    @pytest.mark.parametrize(
+        "truth,raw,smoothed,text",
+        [
+            # below 10, rounded to four places
+            (4, 3, 5, "method       ap_d\nraw        0.7500\nsmoothed   1.2500\n"),
+            (3, 2, 2, "method       ap_d\nraw        0.6667\nsmoothed   0.6667\n"),
+            # from 10 to 99.9999 the value fills the 7-wide column
+            (10**4, 123456, 999999, "method       ap_d\nraw       12.3456\nsmoothed  99.9999\n"),
+            # the float nearest 99.99995 lies below it, so it rounds down;
+            # 99.99999 rounds up to 100.0000, one character too wide
+            (10**5, 9999995, 9999999, "method       ap_d\nraw       99.9999\nsmoothed  100.0000\n"),
+            # at or above 100 the value overflows the column, unpadded
+            (4, 500, 4, "method       ap_d\nraw       125.0000\nsmoothed   1.0000\n"),
+            (1, 123456789, 10**9,
+             "method       ap_d\nraw       123456789.0000\nsmoothed  1000000000.0000\n"),
+        ],
+        ids=["below-10", "rounded", "10-to-99", "rounds-to-100", "overflow", "wide-overflow"],
+    )
+    def test_render_table_bytes(self, truth, raw, smoothed, text):
+        report = evaluate(series([truth]), series([raw]), series([smoothed]))
+        assert render_table(report) == text
 
 
 class TestGenerateSynthetic:

@@ -9,6 +9,7 @@ points, so each workload is also run here at its 60-frame floor, plainly
 and traced.
 """
 
+import ast
 import importlib
 import importlib.util
 import sys
@@ -42,6 +43,26 @@ def test_every_hook_resolves_to_a_callable(monkeypatch):
         if not callable(getattr(importlib.import_module(module), attr, None))
     ]
     assert missing == []
+
+
+def test_cli_imports_are_used_or_hooked(monkeypatch):
+    # A package name the CLI imports but never calls is there only for a
+    # hook at crowdgate.cli; once no hook wraps it, the import must go too.
+    hooked = {
+        attr for module, attr, _, _ in load_perfbench(monkeypatch, "tracer").HOOKS
+        if module == "crowdgate.cli"
+    }
+    cli_path = Path(importlib.import_module("crowdgate.cli").__file__)
+    tree = ast.parse(cli_path.read_text("utf-8"))
+    imported = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").startswith("crowdgate"))
+        for alias in node.names
+    }
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert sorted(imported - used - hooked) == []
 
 
 @pytest.mark.parametrize("workload", list(ROWS_READ))
