@@ -255,7 +255,7 @@ def stage_count(detections, config: PipelineConfig, gray_frames=None, regressor=
                 "frames exceed the count ceiling but no gray frame container was "
                 f"supplied (frames: {needed[:10].tolist()})"
             )
-        _check_gray_frames(gray_frames, needed.tolist())
+        _check_gray_frames(gray_frames, needed)
         density_counts = estimate_density_counts(gray_frames, regressor, needed)
         log.info("density-estimated %d over-ceiling frame(s)", len(needed))
     routed = route_counts(series, policy, density_counts)
@@ -263,12 +263,14 @@ def stage_count(detections, config: PipelineConfig, gray_frames=None, regressor=
     return routed, csv_bytes, meta
 
 
-def _check_gray_frames(gray_frames, wanted):
+def _check_gray_frames(gray_frames, wanted=None):
     """Raise InputFormatError unless the gray container holds a frame and
-    every frame of ``wanted``, a list of frame positions."""
-    beyond = [i for i in wanted if i >= len(gray_frames)]
-    if len(gray_frames) == 0 or beyond:
-        shown = f"; {len(beyond)} routed frame(s) beyond it: {beyond[:10]}" if beyond else ""
+    every frame of ``wanted``, an array of frame positions, if given."""
+    beyond = [] if wanted is None else wanted[wanted >= len(gray_frames)]
+    if len(gray_frames) == 0 or len(beyond):
+        shown = ""
+        if len(beyond):
+            shown = f"; {len(beyond)} routed frame(s) beyond it: {beyond[:10].tolist()}"
         raise InputFormatError(f"gray container holds {len(gray_frames)} frame(s){shown}")
 
 
@@ -627,7 +629,7 @@ def density_fit(calibration, out, fg_threshold):
 def density_predict(gray, model, out):
     """Predict a density count for every frame of a gray container; write them as CSV to --out."""
     frames = load_gray_frames(_map_bytes(gray))
-    _check_gray_frames(frames, [])
+    _check_gray_frames(frames)
     regressor = regressor_from_json(_read_bytes(model))
     counts = estimate_density_counts(frames, regressor, range(len(frames)))
     lines = ["frame_index,count"] + [f"{i},{c}" for i, c in enumerate(counts.tolist())]

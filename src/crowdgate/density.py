@@ -8,6 +8,7 @@ with a fitted linear regressor.
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 import re
@@ -32,10 +33,13 @@ _CALIBRATION_HEADER = ["frame_index", "area", "edge", "true_count"]
 _INT64_MAX = int(np.iinfo(np.int64).max)
 # ASCII digits, as in count CSVs; int() also takes "+1", " 1", "1_0" and "\u0663".
 _INTEGER = re.compile("-?[0-9]+")
-# Pixels per band of ``_density_loop``: 90 rows of a 640-wide frame. Taller
-# bands make fewer numpy calls, each handing the GIL to the other thread;
-# shorter ones keep a band's float64 buffers in cache. On 640x360 frames and
-# a 2-CPU host this height ran fastest on both 1 and 2 threads.
+# Pixels per band of ``_density_loop``: 90 rows of a 640-wide frame. A band
+# makes a few float64 steps over its rows per frame and a few uint8 steps
+# over a window of frames of them, so taller bands make fewer numpy calls,
+# each handing the GIL to the other thread; shorter ones keep a band's
+# buffers in cache. On 640x360 frames and a 2-CPU host, 90 rows ran the
+# loop in 81 ms on two threads, where 45, 60, 120 and 180 rows took 103,
+# 91, 100 and 87 ms (120 rows make three bands, two on one thread).
 _BAND_PIXELS = 57_600
 
 
@@ -198,23 +202,32 @@ def estimate_density_counts(
     strictly. Runs the background model sequentially over the stream (it is
     order-dependent) up to the last requested frame, and predicts only at
     the requested indices. The frame is processed in bands of rows, on up to
-    one thread per usable CPU, and the stream a window of frames at a time.
-    The pages of windows passed are released (``ingest._releaser``) when
+    one thread per usable CPU, and the stream a window of frames at a time:
+    the motion gate and the interior test run once a window, the blend and
+    the foreground test once a frame, on its rows cast to float64. The
+    pages of windows passed are released (``ingest._releaser``) when
     ``frames`` views a mapped container, so a long stream costs about a
     window of memory per thread (2 MiB), not its size (``_density_loop``). The
     background stays bit-identical to folding ``update_background`` over
-    the stream, and each mask to ``extract_foreground``. Other indices, an empty
-    stream, and frames of any dtype but uint8, raise ValueError.
+    the stream, and each mask to ``extract_foreground``. Other indices (the
+    message shows the first 10), an empty stream, and frames of any dtype
+    but uint8, raise ValueError.
     """
     wanted = np.asarray(frame_indices, dtype=np.int64)
     if len(frames) == 0:
         raise ValueError("no gray frames supplied")
     if (np.diff(wanted) <= 0).any():
-        raise ValueError(f"frame indices must rise strictly, got {wanted.tolist()}")
+        raise ValueError(f"frame indices must rise strictly, got {_first_ten(wanted)}")
     out_of_range = wanted[(wanted < 0) | (wanted >= len(frames))]
     if len(out_of_range):
-        raise ValueError(f"frame indices outside the gray stream: {out_of_range.tolist()}")
+        raise ValueError(f"frame indices outside the gray stream: {_first_ten(out_of_range)}")
     return _density_loop(frames, regressor, wanted.tolist())[0]
+
+
+def _first_ten(indices) -> str:
+    """The first 10 of an index array, and how many there are if more."""
+    shown = str(indices[:10].tolist())
+    return shown if len(indices) <= 10 else f"{shown} ({len(indices)} in all)"
 
 
 def _density_loop(frames, regressor: DensityRegressor, order):
@@ -226,7 +239,9 @@ def _density_loop(frames, regressor: DensityRegressor, order):
     at the last wanted frame (at frame 0 when none is wanted). The frame is
     cut into bands of whole rows, and each band runs over the stream on its
     own (``_band``), so its buffers stay in cache and bands can run on
-    separate threads. Each pixel's background evolves independently of
+    separate threads. A band makes its motion gate and its interior test
+    once a window, on the rows of all its frames, and about five float64
+    steps a frame. Each pixel's background evolves independently of
     every other pixel and the per-band features are integer sums, so counts
     and background are bit-identical for any band height and any number of
     threads. Counts are predicted here, in the calling thread.
@@ -235,10 +250,13 @@ def _density_loop(frames, regressor: DensityRegressor, order):
     ``_GRAY_WINDOW_BYTES`` (2 MiB, 9 frames at 640x360), and at least 2.
     Each worker of ``_map_threads`` takes a fixed group of bands, every
     ``workers``-th one, and advances them all through a window before the
-    next, with no barrier between workers. A worker that has finished
-    window w releases the whole pages before window w's first frame, with
-    its group's own ``ingest._releaser`` of ``frames``; the
-    window's last frame stays mapped for the next frame's motion gate. A
+    next, with no barrier between workers. A band runs a whole window
+    before the worker moves on to the next band, so the worker's bands
+    share one set of temporaries (``_temporaries``), and each band holds
+    only its background and the buffer it blends into. A worker that has
+    finished window w releases the whole pages before window w's first
+    frame, with its group's own ``ingest._releaser`` of ``frames``; the
+    window's last frame stays mapped for the next window's motion gate. A
     page another worker still reads is faulted in again from the page
     cache, so a release changes no result.
 
@@ -259,10 +277,11 @@ def _density_loop(frames, regressor: DensityRegressor, order):
 
     def advance(group):
         release = _releaser(frames)
+        temporaries = _temporaries(max(r1 - r0 for r0, r1 in group), width, window)
         runs = [
             _band(
                 frames, band, order, DEFAULT_LEARNING_RATE, DEFAULT_MOTION_THRESHOLD,
-                regressor.fg_threshold, window,
+                regressor.fg_threshold, window, temporaries,
             )
             for band in group
         ]
@@ -299,9 +318,27 @@ def _motion_gate(threshold: float) -> int:
     return int(np.count_nonzero(np.arange(256.0) < threshold))
 
 
+def _temporaries(rows: int, width: int, window: int):
+    """One worker's temporaries for ``_band``: those of bands of up to
+    ``rows`` rows of ``width`` pixels, run in windows of ``window`` frames.
+
+    A float64 scratch over a band's rows and halo rows, and two uint8
+    buffers of ``window`` times as many pixels. The first holds a window's
+    motion-gate differences, then the masks of its wanted frames; the
+    second the gate's minimum, then the moving mask, then the interior
+    test.
+    """
+    pixels = (rows + 2) * width
+    return (
+        np.empty(pixels),
+        np.empty(window * pixels, dtype=np.uint8),
+        np.empty(window * pixels, dtype=np.uint8),
+    )
+
+
 def _band(
     frames, rows, order, learning_rate: float, motion_threshold: float,
-    fg_threshold: float, window: int,
+    fg_threshold: float, window: int, temporaries,
 ):
     """Run image rows ``rows = (r0, r1)`` of uint8 ``frames`` up to the last frame of ``order``.
 
@@ -319,60 +356,92 @@ def _band(
     The band also keeps the background of the row above and the row below
     it (its halo rows), which give its edge rows their vertical neighbours;
     rows outside the image count as background, as in ``compute_features``.
-    The per-frame steps write into buffers allocated once. The motion gate
-    compares integer differences with ``_motion_gate``'s cutoff; every
-    float step is the operation of ``update_background`` and
-    ``extract_foreground``, so the result is the same bit for bit.
+
+    The band holds only its background and the buffer it blends into; every
+    other step writes into ``temporaries``, a ``_temporaries`` of at least
+    these rows and ``window``, which the band may overwrite whenever it is
+    advanced. The motion gate runs once a window, on the uint8 rows of all
+    its frames, and compares integer differences with ``_motion_gate``'s
+    cutoff. Each frame then blends its rows, cast into the float64
+    scratch, and a wanted frame's foreground subtracts its cast rows, into
+    the window's stack of masks; the interior test runs once a window on
+    that stack. Every float step is the operation of ``update_background``
+    and ``extract_foreground`` on the same float64 values, so the result
+    is the same bit for bit.
     """
     r0, r1 = rows
     height, width = frames.shape[1:]
     a0, a1 = max(r0 - 1, 0), min(r1 + 1, height)
     keep = 1.0 - learning_rate
     gate = _motion_gate(motion_threshold)
+    float_buf, stack_buf, test_buf = temporaries
+    scratch = float_buf[: (a1 - a0) * width].reshape(a1 - a0, width)
     background = frames[0, a0:a1].astype(np.float64)
     blend = np.empty_like(background)
-    scratch = np.empty_like(background)
-    diff = np.empty(background.shape, dtype=np.uint8)
-    low = np.empty_like(diff)
-    moving = np.empty(background.shape, dtype=bool)
-    # Mask rows r0 - 1 .. r1; a halo row outside the image stays False.
-    padded = np.zeros((r1 - r0 + 2, width), dtype=bool)
-    mask = padded[a0 - r0 + 1 : a1 - r0 + 1]
-    own = padded[1:-1]
-    vertical = np.empty(own.shape, dtype=bool)
-    interior = np.empty((own.shape[0], max(width - 2, 0)), dtype=bool)
     areas = np.zeros(len(order), dtype=np.int64)
     interiors = np.zeros(len(order), dtype=np.int64)
-    at = 0  # the frame ``background`` has seen last
-    for k, i in enumerate(order):
-        for j in range(at + 1, i + 1):
-            if j % window == 0:  # frames up to j - 1 are done: a window ends
-                yield areas, interiors, background[r0 - a0 : r1 - a0]
-            prev, curr = frames[j - 1, a0:a1], frames[j, a0:a1]
-            np.maximum(curr, prev, out=diff)
-            np.minimum(curr, prev, out=low)
-            np.subtract(diff, low, out=diff)
-            np.greater_equal(diff, gate, out=moving)
-            # Blend every pixel, then restore the moving ones, which are
-            # usually few: a masked copy costs by the pixels it copies.
-            np.multiply(background, keep, out=blend)
-            np.multiply(curr, learning_rate, out=scratch)
-            np.add(blend, scratch, out=blend)
-            np.copyto(blend, background, where=moving)
-            background, blend = blend, background
-        at = i
-        np.subtract(frames[i, a0:a1], background, out=scratch)
-        np.abs(scratch, out=scratch)
-        np.greater(scratch, fg_threshold, out=mask)
-        # Interior: foreground with all four neighbours foreground. The
-        # first and last columns border the outside, so never qualify.
-        np.logical_and(padded[:-2], padded[2:], out=vertical)
-        np.logical_and(vertical, own, out=vertical)
-        np.logical_and(vertical[:, 1:-1], own[:, :-2], out=interior)
-        np.logical_and(interior, own[:, 2:], out=interior)
-        areas[k] = np.count_nonzero(own)
-        interiors[k] = np.count_nonzero(interior)
-    yield areas, interiors, background[r0 - a0 : r1 - a0]
+    stop = order[-1] if order else 0
+    k = 0  # the wanted frames before order[k] are done
+    for first in range(0, stop + 1, window):
+        end = min(first + window, stop + 1)
+        # The gate of frames lo..end - 1 against the frames before them.
+        lo = max(first, 1)
+        shape = (end - lo, a1 - a0, width)
+        diff = stack_buf[: math.prod(shape)].reshape(shape)
+        low = test_buf[: diff.size].reshape(shape)
+        prev, curr = frames[lo - 1 : end - 1, a0:a1], frames[lo:end, a0:a1]
+        np.maximum(curr, prev, out=diff)
+        np.minimum(curr, prev, out=low)
+        np.subtract(diff, low, out=diff)
+        moving = low.view(bool)
+        np.greater_equal(diff, gate, out=moving)
+        # The masks of the window's wanted frames, rows r0 - 1 .. r1 each,
+        # over the gate's differences; a halo row outside the image is
+        # cleared to False.
+        k0 = k
+        wanted = bisect.bisect_left(order, end, k0) - k0
+        shape = (wanted, r1 - r0 + 2, width)
+        padded = stack_buf[: math.prod(shape)].view(bool).reshape(shape)
+        if a0 == r0:
+            padded[:, 0] = False
+        if a1 == r1:
+            padded[:, -1] = False
+        for j in range(first, end):
+            if j:
+                # Blend every pixel, then restore the moving ones, which
+                # are usually few: a masked copy costs by the pixels it
+                # copies.
+                np.multiply(background, keep, out=blend)
+                np.copyto(scratch, curr[j - lo])
+                np.multiply(scratch, learning_rate, out=scratch)
+                np.add(blend, scratch, out=blend)
+                np.copyto(blend, background, where=moving[j - lo])
+                background, blend = blend, background
+            if k < len(order) and order[k] == j:
+                np.copyto(scratch, frames[j, a0:a1])
+                np.subtract(scratch, background, out=scratch)
+                np.abs(scratch, out=scratch)
+                np.greater(scratch, fg_threshold, out=padded[k - k0, a0 - r0 + 1 : a1 - r0 + 1])
+                k += 1
+        if wanted:
+            # Interior: foreground with all four neighbours foreground. In
+            # each frame's flat rows the pixels beside a pixel are one
+            # before and one after it; the first and last columns border
+            # the outside, so they never qualify and are cleared.
+            own = padded[:, 1:-1]
+            shape = own.shape
+            interior = test_buf[: math.prod(shape)].view(bool).reshape(shape)
+            np.logical_and(padded[:, :-2], padded[:, 2:], out=interior)
+            np.logical_and(interior, own, out=interior)
+            flat, inner = padded.reshape(wanted, -1), interior.reshape(wanted, -1)
+            pixels = inner.shape[1]
+            np.logical_and(inner, flat[:, width - 1 : width - 1 + pixels], out=inner)
+            np.logical_and(inner, flat[:, width + 1 : width + 1 + pixels], out=inner)
+            interior[:, :, :: max(width - 1, 1)] = False
+            for w in range(wanted):
+                areas[k0 + w] = np.count_nonzero(own[w])
+                interiors[k0 + w] = np.count_nonzero(interior[w])
+        yield areas, interiors, background[r0 - a0 : r1 - a0]
 
 
 def regressor_to_json(regressor: DensityRegressor) -> str:

@@ -68,7 +68,12 @@ def smooth_counts(values, half_length, prefer_last):
     ends.append(n + 1)
     held_by.append(None)
     step = _exact_step
-    buf = raw.tolist()
+    # buf[i] is frame base + i: corrected before x, raw from x on. It holds
+    # only what the pass reads: raw values are converted up to the end of
+    # the window being read, a stretch of 2h + 1 frames at a time, and a
+    # jump drops all but the h frames a later window reads.
+    base = 0
+    buf = raw[: 2 * h + 1].tolist()
     last = buf[0]
     change_at, change_to = [0], [last]
     safe_from = h  # the safe zone starts h frames after the last change
@@ -80,17 +85,20 @@ def smooth_counts(values, half_length, prefer_last):
                 k += 1
             y = starts[k]
             if y > x:
-                # later windows read at most the last h frames skipped
-                a = y - h if y - h > x else x
-                buf[a:y] = [last] * (y - a)
-                x = y
-        value = buf[x]
+                # later windows read at most the h frames before y;
+                # those skipped hold the held value
+                a = y - h
+                buf = buf[a - base : x - base] + [last] * (y - max(a, x))
+                base, x = a, y
+        if x + h >= base + len(buf):
+            buf += raw[base + len(buf) : x + 2 * h + 1].tolist()
+        value = buf[x - base]
         if value == last:
             x += 1
             continue
-        mode = step(buf, x, h, last, prefer_last)
+        mode = step(buf, x - base, h, last, prefer_last)
         if mode != value:
-            buf[x] = mode
+            buf[x - base] = mode
         if mode != last:
             last = mode
             change_at.append(x)

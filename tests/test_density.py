@@ -327,6 +327,26 @@ class TestEstimateDensityCounts:
         with pytest.raises(ValueError, match=r"frame indices must rise strictly, got \["):
             estimate_density_counts(frames, DensityRegressor(1, 0, 0), indices)
 
+    @pytest.mark.parametrize(
+        "indices, message",
+        [
+            (np.arange(10**6)[::-1],
+             "frame indices must rise strictly, got [999999, 999998, 999997, 999996, "
+             "999995, 999994, 999993, 999992, 999991, 999990] (1000000 in all)"),
+            (np.arange(3, 10**6),
+             "frame indices outside the gray stream: [5, 6, 7, 8, 9, 10, 11, 12, 13, 14] "
+             "(999995 in all)"),
+            (np.arange(-10, 0),
+             "frame indices outside the gray stream: [-10, -9, -8, -7, -6, -5, -4, -3, -2, -1]"),
+        ],
+        ids=["falling", "beyond", "ten-negative"],
+    )
+    def test_messages_show_the_first_ten_indices(self, indices, message):
+        frames = np.full((5, 8, 8), 50, dtype=np.uint8)
+        with pytest.raises(ValueError) as info:
+            estimate_density_counts(frames, DensityRegressor(1, 0, 0), indices)
+        assert str(info.value) == message
+
 
 # Per-pixel steps between frames. +-15 is the motion threshold, which is not
 # static; +-10 and +-25 land a moving pixel exactly on a foreground threshold.
@@ -512,6 +532,69 @@ class TestInPlaceLoopParity:
         assert background.shape == shape
 
 
+def walking_stream(n, height, width, seed):
+    """``n`` frames of a scene that drifts by less than the motion threshold
+    (blended), with a bright block walking over it (moving and foreground)."""
+    rng = np.random.default_rng(seed)
+    scene = rng.integers(40, 90, (height, width))
+    pixels = []
+    for i in range(n):
+        frame = scene + rng.integers(-12, 13, (height, width))
+        frame[i % height : i % height + 3, i % width : i % width + 4] = 220
+        pixels.append(frame)
+    return gray_stream(pixels)
+
+
+class TestWindowEdges:
+    """The loop against ``reference_density`` where its windows begin and
+    end. Nine rows in bands of four: the last band is one row, and on one
+    worker it shares the worker's temporaries with two full bands."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize(
+        "window, wanted",
+        [
+            (3, [3]),
+            (3, [5]),
+            (3, [2, 3, 5, 6, 9]),
+            (4, [0]),
+            (3, [1, 7]),
+            (2, [0, 1, 4, 7, 8]),
+            (2, list(range(10))),
+        ],
+        ids=["first-of-window", "last-of-window", "firsts-and-lasts", "frame-0-alone",
+             "window-without-wanted", "2-frame-windows", "2-frame-windows-all"],
+    )
+    def test_counts_and_background_match_fold(self, window, wanted, workers):
+        frames = walking_stream(10, 9, 7, seed=window + len(wanted))
+        regressor = DensityRegressor(0.7, 0.4, 0.5, 10.0)
+        expected_counts, expected_background = reference_density(frames, regressor, set(wanted))
+        with banded(4, workers, 7), windowed(window, frames):
+            counts, background = _density_loop(frames, regressor, wanted)
+        assert counts.tolist() == expected_counts
+        assert len(set(counts.tolist())) > 1 or len(wanted) == 1
+        assert background.tobytes() == expected_background.tobytes()
+
+    @pytest.mark.parametrize("window", [2, 3])
+    def test_one_row_band_shares_a_worker_with_a_full_band(self, window):
+        # Five rows in bands of four on one worker. From frame 1 every pixel
+        # flips between 200 and 240, so it moves at every frame, the gate's
+        # differences are never 0 and the background stays at frame 0's 0:
+        # every pixel is foreground, and the temporaries that a band reuses
+        # for its masks hold non-zero bytes. Rows outside the image count as
+        # background all the same, so the interior is rows 1-3, columns 1-4.
+        pixels = [np.zeros((5, 6))] + [np.full((5, 6), 200 + 40 * (i % 2)) for i in range(1, 7)]
+        frames = gray_stream(pixels)
+        regressor = DensityRegressor(0.0, 1.0, 0.0)  # the count is the edge
+        wanted = list(range(7))
+        with banded(4, 1, 6), windowed(window, frames):
+            counts, background = _density_loop(frames, regressor, wanted)
+        assert counts.tolist() == [0] + [30 - 3 * 4] * 6
+        expected_counts, expected_background = reference_density(frames, regressor, set(wanted))
+        assert counts.tolist() == expected_counts
+        assert background.tobytes() == expected_background.tobytes()
+
+
 class TestUint8Frames:
     @pytest.mark.parametrize("dtype", [np.float64, np.int16, np.uint16, np.int8, bool])
     def test_other_dtypes_rejected(self, dtype):
@@ -536,7 +619,8 @@ class TestUint8Frames:
         frames = gray_stream([prev, curr])
         model = BackgroundModel(frames[0].astype(np.float64), motion_threshold=threshold)
         *_, (_, _, background) = density._band(
-            frames, (0, 256), [1], model.learning_rate, threshold, 25.0, 2
+            frames, (0, 256), [1], model.learning_rate, threshold, 25.0, 2,
+            density._temporaries(256, 256, 2),
         )
         expected = update_background(model, frames[0], frames[1]).background
         assert background.tobytes() == expected.tobytes()
@@ -604,10 +688,12 @@ class TestLoopPeak:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_peak_holds_no_full_frame_background(self, workers):
         # tracemalloc sees numpy's buffers, not the mapped frames. At 640x360
-        # the bands' buffers (three float64 and six uint8 or bool ones over
-        # their rows and halo rows) come to about 3.9 float64 frames, which
-        # is the loop's peak; a full-frame background held beside them made
-        # it 4.9.
+        # the loop's peak is its buffers over the bands' rows and halo rows:
+        # two float64 ones per band, and per worker a float64 scratch and
+        # two uint8 ones a window of frames deep. They come to about 2.9
+        # float64 frames on one worker and 3.7 on two. A full-frame
+        # background held beside them made the peak 4.9; temporaries held
+        # per band, not per worker, 3.85 to 3.89.
         frames = np.random.default_rng(3).integers(0, 256, (12, 360, 640)).astype(np.uint8)
         regressor = DensityRegressor(1.0, 0.4, 0.0)
         expected = _density_loop(frames, regressor, [1, 5, 11])
@@ -621,6 +707,7 @@ class TestLoopPeak:
         assert counts.tolist() == expected[0].tolist()
         assert background.tobytes() == expected[1].tobytes()
         assert peak < 4.4 * background.nbytes
+        assert peak <= 3.9 * background.nbytes
 
 
 class TestReleasedPages:
