@@ -282,14 +282,14 @@ def smooth_step(series, config: PipelineConfig, input_sha256: str):
     return smoothed, csv_bytes, params
 
 
-def stage_smooth(counts_csv: bytes, config: PipelineConfig, name="count CSV"):
-    """Counts CSV bytes -> smooth_step of the series they hold; InputFormatError
-    naming the CSV ``name`` if it holds no frame."""
+def stage_smooth(counts_csv, config: PipelineConfig, name="count CSV"):
+    """Counts CSV, bytes or a mapping -> smooth_step of the series it holds;
+    InputFormatError naming the CSV ``name`` if it holds no frame."""
     series, input_sha256 = _read_hashed(counts_csv, config.fps_override)
     return smooth_step(_nonempty(series, name), config, input_sha256)
 
 
-def _read_hashed(csv: bytes, fps=None):
+def _read_hashed(csv, fps=None):
     """(``read_count_series`` of ``csv``, hex SHA-256 of ``csv``), the hash
     taken on the read's threads."""
     digest = hashlib.sha256()
@@ -315,9 +315,9 @@ def segment_step(series, policy: SegmentPolicy, source: str, input_sha256: str):
     return segments, report.encode("utf-8"), (header + sheet).encode("utf-8")
 
 
-def stage_segment(smoothed_csv: bytes, config: PipelineConfig, source: str, name="count CSV"):
-    """Smoothed CSV bytes -> segment_step of the series they hold; InputFormatError
-    naming the CSV ``name`` if it holds no frame."""
+def stage_segment(smoothed_csv, config: PipelineConfig, source: str, name="count CSV"):
+    """Smoothed CSV, bytes or a mapping -> segment_step of the series it
+    holds; InputFormatError naming the CSV ``name`` if it holds no frame."""
     policy = config.segment_policy()
     series, input_sha256 = _read_hashed(smoothed_csv, config.fps_override)
     series = _nonempty(series, name)
@@ -356,10 +356,10 @@ def _same_length(**series):
 _EVAL_INPUTS = ("truth", "raw", "smoothed")
 
 
-def stage_eval(truth_csv: bytes, raw_csv: bytes, smoothed_csv: bytes, fps=None, names=None):
-    """Truth, raw and smoothed CSV bytes -> eval_step of the series they hold;
-    InputFormatError naming a CSV that holds no frame by its entry of
-    ``names`` ("truth count CSV" and so on by default)."""
+def stage_eval(truth_csv, raw_csv, smoothed_csv, fps=None, names=None):
+    """Truth, raw and smoothed CSVs, each bytes or a mapping -> eval_step of
+    the series they hold; InputFormatError naming a CSV that holds no frame
+    by its entry of ``names`` ("truth count CSV" and so on by default)."""
     names = names or [f"{key} count CSV" for key in _EVAL_INPUTS]
     series, input_sha256 = [], {}
     for key, csv, name in zip(_EVAL_INPUTS, (truth_csv, raw_csv, smoothed_csv), names):
@@ -423,9 +423,7 @@ def run_pipeline(
         # checked before any artifact is written: a mismatched truth leaves none
         truth = None
         if truth_path is not None:
-            truth_bytes = _read_bytes(truth_path)
-            truth, input_hashes["truth"] = _read_hashed(truth_bytes, raw.fps)
-            del truth_bytes
+            truth, input_hashes["truth"] = _read_hashed(_map_bytes(truth_path), raw.fps)
             _same_length(truth=truth, raw=raw)
         if fitted_bytes is not None:
             _write(out, "density_model.json", fitted_bytes)
@@ -644,7 +642,7 @@ def density_predict(gray, model, out):
 def smooth(counts_csv, out, config_path, fps_flag, **settings):
     """Remove detection jitter from a count series CSV."""
     config = _load_config(config_path, settings, fps_flag)
-    _, csv_bytes, _ = stage_smooth(_read_bytes(counts_csv), config, f"count CSV {counts_csv}")
+    _, csv_bytes, _ = stage_smooth(_map_bytes(counts_csv), config, f"count CSV {counts_csv}")
     _write(Path(out), "smoothed_counts.csv", csv_bytes)
 
 
@@ -657,9 +655,8 @@ def smooth(counts_csv, out, config_path, fps_flag, **settings):
 def segment(counts_csv, out, config_path, source, fps_flag, **settings):
     """Extract abnormal segments and emit the segment report and FFmpeg cut list."""
     config = _load_config(config_path, settings, fps_flag)
-    data = _read_bytes(counts_csv)
     segments, report_bytes, cutlist_bytes = stage_segment(
-        data, config, source=source or counts_csv, name=f"count CSV {counts_csv}"
+        _map_bytes(counts_csv), config, source=source or counts_csv, name=f"count CSV {counts_csv}"
     )
     out_dir = Path(out)
     _write(out_dir, "segments.json", report_bytes)
@@ -677,7 +674,7 @@ def eval_cmd(truth, raw, smoothed, out, fps_flag):
     """Compare raw and smoothed series against ground truth."""
     paths = (truth, raw, smoothed)
     report, eval_bytes, table = stage_eval(
-        *(_read_bytes(path) for path in paths),
+        *(_map_bytes(path) for path in paths),
         fps=_parse_fps_flag(fps_flag),
         names=[f"{key} count CSV {path}" for key, path in zip(_EVAL_INPUTS, paths)],
     )

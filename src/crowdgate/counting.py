@@ -18,12 +18,10 @@ import numpy as np
 
 from .errors import InputFormatError, RoutingError
 from .ingest import (
-    _SCAN_THREADS,
     Detections,
     StreamMeta,
     _join,
-    _line_blocks,
-    _map_threads,
+    _read_detections,
     _walk,
     decode_line,
     format_fps,
@@ -142,18 +140,17 @@ def count_detections(data, policy: RoutingPolicy) -> tuple[CountSeries, StreamMe
 
     ``data`` is the whole stream, bytes or a mapping of its file, and is
     parsed and checked as ``ingest.parse_detections`` does, with the same
-    errors. The stream is walked a window of blocks at a time
-    (``ingest._walk``): each block's person boxes are counted and its box
-    columns dropped, and a window's mapped pages are released once it is
-    parsed and hashed (``ingest._releaser``). So memory grows with the
-    frames (an int64 count per frame), not with the boxes or the stream's bytes.
+    errors. Each block's person boxes are counted as ``ingest._walk``
+    yields it, and its box columns dropped; the walk releases a mapped
+    stream's pages behind it. So memory grows with the frames (an int64
+    count per frame), not with the boxes or the stream's bytes.
     """
 
     def frame_counts(part):
         _, _, box_counts, *_, score, class_id = part
         return _person_counts(box_counts, score, class_id, policy)
 
-    meta, counts = _walk(data, frame_counts)
+    meta, counts = _read_detections(data, frame_counts)
     return CountSeries.from_counts(_join(counts), meta.fps), meta
 
 
@@ -250,8 +247,8 @@ def _render_digits(values: np.ndarray, digits: np.ndarray):
         rest = quotient
 
 
-def read_count_series(data: bytes, fps=None, digest=None) -> CountSeries:
-    """Parse the CSV count-series format from the bytes of a file.
+def read_count_series(data, fps=None, digest=None) -> CountSeries:
+    """Parse the CSV count-series format from a file's bytes or a mapping of it.
 
     Blank lines and ``#`` comment lines may appear anywhere, with LF or
     CRLF line ends; the last ``# fps=`` comment gives the frame rate, which
@@ -263,47 +260,36 @@ def read_count_series(data: bytes, fps=None, digest=None) -> CountSeries:
     quotes, signs or spaces. Every rejected input raises InputFormatError
     naming its line.
 
-    The preamble is read a line at a time. The body is cut at line ends
-    into blocks of about ``ingest._BLOCK_BYTES`` (``ingest._line_blocks``),
-    each scanned as whole arrays (``_scan_body``) on the package's threads
-    (``ingest._map_threads``); the scan takes only blocks of rows and empty
-    lines. The blocks are then read in file order, as ``ingest._walk``
-    reads its own: a scanned block whose first frame_index runs on from
-    the rows before it is joined as scanned, and any other block (one
-    holding a ``#`` line or a line to reject, or whose indices do not run
-    on) is read a line at a time (``_parse_rows``), which applies every
-    rule and raises the first error. So the scan only speeds the read up.
-
-    A ``hashlib`` hash given as ``digest`` is updated with ``data``, whole,
-    as the first item of the pool that scans the blocks, as ``_walk``
-    hashes its windows: ``hashlib`` releases the GIL while it hashes, so
-    the hash takes a CPU the scan leaves mostly idle.
+    The preamble is read a line at a time, and the body by ``ingest._walk``,
+    which also updates a ``hashlib`` hash given as ``digest`` with
+    ``data``, whole. Its scan is ``_scan_body``, its line parser
+    ``_parse_rows``, and a scanned block continues the rows before it if
+    its first frame_index is their number.
     """
-    file_fps, line_no, offset = _read_preamble(data)
-    blocks = _line_blocks(data, offset)
-    hashing = [functools.partial(digest.update, data)] if digest is not None else []
-    scans = [functools.partial(_scan_body, data, start, end) for start, end in blocks]
-    parts = _map_threads(lambda job: job(), hashing + scans, _SCAN_THREADS)[len(hashing) :]
-    # One list per column of the blocks' parts, an empty part first, so
-    # that a body without rows joins too.
-    counts, codes = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.uint8)]
+    file_fps, line_no, body = _read_preamble(data)
     rows = 0
-    for (start, end), part in zip(blocks, parts):
-        if part is None or part[0] not in (None, rows):
-            part = _parse_rows(data, start, end, line_no, rows)
-            file_fps = part[0] or file_fps
-        counts.append(part[1])
-        codes.append(part[2])
-        rows += len(part[1])
-        line_no += part[3]
-    parts.clear()  # so that each column's parts are dropped once joined
+
+    def parse(start, end, line_no):
+        nonlocal file_fps
+        block_fps, *part, lines = _parse_rows(data, start, end, line_no, rows)
+        file_fps = block_fps or file_fps
+        return (rows, *part), lines
+
+    # an empty part first, so that a body without rows joins too
+    counts, codes = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.uint8)]
+    scan = functools.partial(_scan_body, data)
+    parts = _walk(data, body, line_no, scan, parse, lambda part: part[0] in (None, rows), digest)
+    for _, block_counts, block_codes in parts:
+        counts.append(block_counts)
+        codes.append(block_codes)
+        rows += len(block_counts)
     effective_fps = Fraction(fps) if fps is not None else file_fps
     if effective_fps is None:
         raise InputFormatError("no fps available: file carries no '# fps=' and none was supplied")
     return CountSeries(_join(counts), effective_fps, _join(codes))
 
 
-def _read_preamble(data: bytes) -> tuple[Fraction | None, int, int]:
+def _read_preamble(data) -> tuple[Fraction | None, int, int]:
     """(fps of the last '# fps=' comment, first body line's number, body offset)."""
     file_fps = None
     pos = line_no = 0
@@ -336,9 +322,9 @@ def _comment_fps(text: str, line_no: int) -> Fraction | None:
         raise InputFormatError(str(exc), line=line_no) from None
 
 
-def _scan_body(data: bytes, start: int, end: int):
-    """(first frame_index or None, counts, provenance codes, number of line
-    ends) of the body lines in ``data[start:end]``, scanned as whole
+def _scan_body(data, start: int, end: int):
+    """((first frame_index or None, counts, provenance codes), number of
+    line ends) of the body lines in ``data[start:end]``, scanned as whole
     arrays; None unless every line is a row or empty, with LF or CRLF line
     ends, and the frame_index counts up by one from the first row's.
 
@@ -375,7 +361,7 @@ def _scan_body(data: bytes, start: int, end: int):
             return None
         starts, comma1, comma2, stops, line_ends = rows
     if not len(stops):
-        return None, np.zeros(0, np.int64), np.zeros(0, np.uint8), line_ends - added
+        return (None, np.zeros(0, np.int64), np.zeros(0, np.uint8)), line_ends - added
     index_width = comma1 - starts
     count_width = comma2 - comma1 - 1
     if min(index_width.min(), count_width.min()) < 1:
@@ -394,7 +380,7 @@ def _scan_body(data: bytes, start: int, end: int):
     counts = _digit_fields(buf, comma2, count_width)
     if counts.max() > _INT64_MAX:
         return None
-    return int(index[0]), counts.view(np.int64), codes, line_ends - added
+    return (int(index[0]), counts.view(np.int64), codes), line_ends - added
 
 
 def _split_rows(buf: np.ndarray, seps: np.ndarray, kinds: np.ndarray):
@@ -486,7 +472,7 @@ def _provenance_codes(buf: np.ndarray, starts: np.ndarray, stops: np.ndarray):
     return codes
 
 
-def _parse_rows(data: bytes, start: int, end: int, line_no: int, expected: int):
+def _parse_rows(data, start: int, end: int, line_no: int, expected: int):
     """(fps of the last '# fps=' comment or None, counts, provenance codes,
     number of line ends) of the body lines in ``data[start:end]``, read a
     line at a time; raises the InputFormatError of the first bad line.

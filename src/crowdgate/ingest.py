@@ -1,6 +1,5 @@
-"""Parsing and normalization of detector output and raw grayscale frames.
-
-Two on-disk formats are handled here:
+"""Parsing and normalization of detector output and raw grayscale frames,
+and the one block walk of the package's text formats.
 
 * Detections file: UTF-8, LF-terminated JSON lines. The first non-blank
   line is a header object ``{"fps": <number or "num/den">, "source_id": s}``;
@@ -12,9 +11,12 @@ Two on-disk formats are handled here:
 
 Parsed detections are held column-wise (:class:`Detections`): numpy arrays
 with one entry per frame or per box, so no Python object per box outlives
-the parse. Lines in the form ``serialize_detections`` writes are read as
-whole numpy arrays, in blocks on all CPUs, a window of blocks at a time
-(see ``parse_detections`` and ``_walk``).
+the parse. The body of a text stream, a detections file here or a count
+CSV (``counting.read_count_series``), is read by ``_walk``: in blocks on
+all CPUs, a window of blocks at a time, each block scanned as whole numpy
+arrays or parsed a line at a time, a mapped stream's pages released
+behind each window. A format passes only its scan, its line parser and
+its test that a scanned block continues the blocks before it.
 """
 
 from __future__ import annotations
@@ -45,13 +47,13 @@ _box_values = operator.itemgetter(*_BOX_FIELDS)
 _class_id = operator.itemgetter(_BOX_FIELDS.index("class_id"))
 _NUMBER_TYPES = frozenset((int, float))  # what json.loads makes of a JSON number
 _INT64_MAX = int(np.iinfo(np.int64).max)
-# parse_detections and counting.read_count_series cut the body into blocks
+# ``_walk`` cuts the body of a detections file or a count CSV into blocks
 # of this many bytes, each ended at the next line end (``_line_blocks``).
 # A block's temporaries stay in cache, and the blocks run on all CPUs.
 _BLOCK_BYTES = 1 << 18
-# Blocks scanned at once, at most, whatever the CPU count: a detections scan
-# holds about 15 times its block in temporaries, a count-CSV scan about 6
-# times.
+# Blocks ``_walk`` scans at once, at most, whatever the CPU count: a
+# detections scan holds about 15 times its block in temporaries, a
+# count-CSV scan about 6 times.
 _SCAN_THREADS = 4
 # Blocks per window of ``_walk`` (about 4 MiB): a mapped stream's
 # pages are released a window at a time, once parsed and hashed.
@@ -105,8 +107,7 @@ class StreamMeta:
     """Stream-level metadata; ``gaps`` lists (first, last) missing index ranges.
 
     ``sha256`` is the hex SHA-256 of the whole stream, header included, as
-    the detections walk (``_walk``) hashed it; empty for metadata made
-    without a walk.
+    ``_read_detections`` hashed it; empty for metadata made without a walk.
     """
 
     fps: Fraction
@@ -154,29 +155,24 @@ def parse_detections(data) -> tuple[Detections, StreamMeta]:
     class_id must be integers (``1.0`` counts, ``0.5`` does not). Every
     rejected input raises InputFormatError naming its line.
 
-    After the header line, the body is cut at line ends into blocks of
-    about ``_BLOCK_BYTES``. A block whose lines are all canonical is read
-    as whole numpy arrays (``scan.scan_block``). Canonical is what
+    The body is read by ``_walk``. A block whose lines are all canonical
+    is read as whole numpy arrays (``scan.scan_block``). Canonical is what
     ``serialize_detections``, and so ``crowdgate ingest``, writes: compact
     separators, the keys in the order frame_index, timestamp_ms, boxes and
     x, y, w, h, score, class_id, and numbers as Python writes them, where
     a float is scanned only when it has at most 15 significant digits and
     no exponent. Any other block, valid JSON laid out otherwise or a line
     to reject, is parsed a line at a time with ``json.loads``
-    (``_parse_lines``), and that code reports every error. Both give the
-    same columns, bit for bit. The first block is scanned alone: if it is
-    not canonical, no other block is scanned, so another form costs one
-    block's scan. Otherwise the other blocks are scanned on the threads the
-    density loop uses (``_map_threads``, one per usable CPU, at most
-    ``_SCAN_THREADS``), a window of ``_WINDOW_BLOCKS`` blocks at a time
-    (``_walk``), and all are joined in file order; a later block in another
-    form costs its scan on top of its per-line parse. A detector adapter
+    (``_parse_lines``), which reports every error; both give the same
+    columns, bit for bit. A stream whose first block is not canonical
+    costs one block's scan, and a later block in another form or out of
+    frame order its scan on top of its per-line parse. A detector adapter
     that wants the scan writes the canonical form with floats rounded to at
     most 15 significant digits. Python's float repr often has 16 or 17
     (``0.1 + 0.2`` is ``0.30000000000000004``), so ``normalized.jsonl`` is
     scanned only when the input's floats were so rounded.
     """
-    meta, parts = _walk(data, lambda part: part)
+    meta, parts = _read_detections(data, lambda part: part)
     # From here only `columns` holds the parts. They are joined a column at
     # a time, each column's parts dropped once joined, so the parse peaks
     # near its output, not at twice it.
@@ -186,78 +182,104 @@ def parse_detections(data) -> tuple[Detections, StreamMeta]:
     return Detections(frame_index, timestamp_ms, box_counts, Boxes(*boxes)), meta
 
 
-def _walk(data, keep) -> tuple[StreamMeta, list]:
-    """Walk a detections stream in windows: (StreamMeta, kept parts).
+def _read_detections(data, keep) -> tuple[StreamMeta, list]:
+    """Read a detections stream through ``_walk``: (StreamMeta, kept parts).
 
     ``data`` is the whole stream, as for ``parse_detections``. Each block
-    of the body is parsed to its columns, as ``_Block.columns`` gives
-    them, and checked as ``parse_detections`` describes; ``keep(part)``
-    then makes what is kept of it, and the block's columns are dropped.
-    The list of kept parts starts with ``keep`` of an empty part, so that
-    a stream without records joins too.
-
-    The blocks are taken ``_WINDOW_BLOCKS`` at a time. Hashing a window's
-    bytes (the first window's from the start of the stream) is one more
-    item of the pool that scans the window's blocks; ``hashlib`` releases
-    the GIL while it hashes. Each window's whole pages are released
-    (``_releaser``) once the pool has returned, so a mapped stream costs
-    about a window of memory, not its size, and no page is released
-    before it is hashed.
+    is parsed to its columns, as ``_Block.columns`` gives them, and checked
+    as ``parse_detections`` describes; ``keep(part)`` makes what is kept of
+    it. The kept parts start with ``keep`` of an empty part, so that a
+    stream without records joins too.
     """
     (fps, source_id), body, line_no = _read_header(data)
     # Imported here: without cached bytecode, compiling the scan would cost
     # every command at start-up, also those that parse no detections.
     from .scan import scan_block
 
-    def scan(block):
-        return scan_block(data, *block)
+    def parse(start, stop, line_no):
+        return _parse_lines(data, start, stop, line_no, last_index)
+
+    def follows(part):  # rises strictly, from above last_index
+        frame_index = part[0]
+        if last_index is not None and len(frame_index) and frame_index[0] <= last_index:
+            return False
+        return bool((np.diff(frame_index) > 0).all())
 
     kept = [keep(_Block().columns())]
     last_index = None
     frame_count, gaps = 0, []
-    # The first block decides: a stream written in another form is so
-    # throughout, as a rule, and its other blocks go straight to the
-    # per-line parse instead of each paying a scan first.
-    scanning = True
     digest = hashlib.sha256()
+    scan = functools.partial(scan_block, data)
+    for part in _walk(data, body, line_no, scan, parse, follows, digest):
+        frame_count += len(part[0])
+        gaps += _gaps(part[0], last_index)
+        if len(part[0]):
+            last_index = int(part[0][-1])
+        kept.append(keep(part))
+    meta = StreamMeta(fps, frame_count, source_id, tuple(gaps), digest.hexdigest())
+    return meta, kept
+
+
+def _walk(data, body, line_no, scan, parse, follows, digest=None):
+    """Yield the parts of a text stream's body in file order: the package's
+    one block walk, for detections and count CSVs alike.
+
+    ``data`` is the whole stream, bytes or an ``mmap``; its body starts at
+    offset ``body``, on line ``line_no``. The body is cut at line ends into
+    blocks of about ``_BLOCK_BYTES`` (``_line_blocks``), ``_WINDOW_BLOCKS``
+    to a window, and each window's blocks are scanned on ``_map_threads``.
+    ``scan(start, stop)`` reads a block as whole arrays and gives ``(part,
+    line ends)``, or None for a block it does not take; ``parse(start,
+    stop, line_no)`` reads a block a line at a time, gives the same or
+    raises the InputFormatError of its first bad line. The first block
+    decides: a stream in another form is so throughout, as a rule, so no
+    other block is scanned unless the scan takes the first. A scanned part
+    is yielded if ``follows(part)``, the format's test that it continues
+    the parts yielded before it; any other block is parsed, so the scan
+    only speeds the read up.
+
+    A ``hashlib`` hash given as ``digest`` is updated with each window's
+    bytes, from byte 0 on, as one more item of the window's pool. Each
+    window's whole pages are released (``_releaser``) once its parts are
+    taken, so a mapped stream costs about a window of memory, and no page
+    is released before it is hashed.
+    """
+    scanning = True
+    first_scanned = threading.Event()
+
+    def scan_in_turn(start, stop):
+        """``scan``; past the first block, wait for its scan, and scan only if it was taken."""
+        nonlocal scanning
+        if start != body:
+            first_scanned.wait()
+            return scan(start, stop) if scanning else None
+        try:
+            scanning = (result := scan(start, stop)) is not None
+            return result
+        finally:
+            first_scanned.set()
+
     release = _releaser(data)
     done = 0  # bytes of the stream hashed so far
     end = body
     with memoryview(data) as view:
-        for number in itertools.count():
+        while True:
             window = _line_blocks(data, end, _WINDOW_BLOCKS)
             end = window[-1][1] if window else len(data)
-            scanned = [None] * len(window)
-            first = 0
-            if number == 0 and window:
-                scanned[0] = scan(window[0])
-                scanning, first = scanned[0] is not None, 1
-            blocks = window[first:] if scanning else []
-            jobs = [functools.partial(digest.update, view[done:end])]
-            jobs += [functools.partial(scan, block) for block in blocks]
-            scanned[first : first + len(blocks)] = _map_threads(
-                lambda job: job(), jobs, _SCAN_THREADS
-            )[1:]
+            hashing = [] if digest is None else [functools.partial(digest.update, view[done:end])]
+            jobs = hashing + [functools.partial(scan_in_turn, *b) for b in window if scanning]
+            scanned = _map_threads(lambda job: job(), jobs, _SCAN_THREADS)[len(hashing) :]
             done = end
-            for (start, stop), part in zip(window, scanned):
-                if part is not None and _increasing(part[0], last_index):
-                    line_no += len(part[0])  # a canonical line is one record
-                else:
-                    # not canonical, or out of frame order: the per-line
-                    # code parses the block or raises its first error
-                    part, lines = _parse_lines(data, start, stop, line_no, last_index)
-                    line_no += lines
-                frame_count += len(part[0])
-                gaps += _gaps(part[0], last_index)
-                if len(part[0]):
-                    last_index = int(part[0][-1])
-                kept.append(keep(part))
+            for (start, stop), result in itertools.zip_longest(window, scanned):
+                if result is None or not follows(result[0]):
+                    result = parse(start, stop, line_no)
+                part, lines = result
+                line_no += lines
+                yield part
             scanned.clear()
             release(end)  # the page holding `end` still serves the next window
             if end == len(data):
-                break
-    meta = StreamMeta(fps, frame_count, source_id, tuple(gaps), digest.hexdigest())
-    return meta, kept
+                return
 
 
 def _releaser(data):
@@ -382,13 +404,6 @@ def _loads(text, line_no):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputFormatError(f"invalid JSON: {exc.msg}", line=line_no) from exc
-
-
-def _increasing(frame_index, last_index) -> bool:
-    """Whether ``frame_index`` rises strictly, from above ``last_index`` if given."""
-    if last_index is not None and len(frame_index) and frame_index[0] <= last_index:
-        return False
-    return bool((np.diff(frame_index) > 0).all())
 
 
 def _parse_lines(data, start, end, line_no, last_index):
@@ -566,10 +581,10 @@ def normalize_detections(data) -> tuple[list[bytes], StreamMeta]:
     """What ``serialize_detections(*parse_detections(data))`` writes, in
     parts whose join is that file, plus the stream metadata.
 
-    Each block is rendered as the walk parses it (``_walk``), so no box
-    columns outlive their block.
+    Each block is rendered as the walk parses it (``_read_detections``),
+    so no box columns outlive their block.
     """
-    meta, parts = _walk(data, lambda part: _render_records(*part))
+    meta, parts = _read_detections(data, lambda part: _render_records(*part))
     return [_render_header(meta), *parts], meta
 
 
@@ -663,10 +678,10 @@ def _map_threads(work, items, most=None):
     """``[work(item) for item in items]`` on up to one thread per usable CPU.
 
     The one pool of the package: the density loop runs its row bands
-    here, the detections walk its blocks and each window's hash, and the
-    count-CSV reader its blocks and the file's hash, on at most ``most``
-    threads. The calling thread is one of the workers; no thread is
-    started for a single item or a single CPU. The first exception an item
+    here, and ``_walk`` the scans and the hash of each window of a
+    detections file or a count CSV, on at most ``most`` threads. The
+    calling thread is one of the workers; no thread is started for a
+    single item or a single CPU. The first exception an item
     raises is re-raised here once every worker has stopped.
     """
     workers = _thread_count(len(items), most)

@@ -1,10 +1,10 @@
 """The whole-array scan of canonical detections lines.
 
-The detections walk (``ingest._walk``, under ``ingest.parse_detections``
-and ``counting.count_detections``) hands each block of the detections body
-to ``scan_block``, which reads the lines ``serialize_detections`` writes as
-numpy arrays, and returns None for anything else, which the per-line
-parser then reads or rejects. Only the walk imports this module.
+The block walk (``ingest._walk``) hands each block of a detections body
+(``ingest._read_detections``) to ``scan_block``, which reads the lines
+``serialize_detections`` writes as numpy arrays, and returns None for
+anything else, which the per-line parser then reads or rejects. Only
+``_read_detections`` and ``counting._digit_fields`` import it, when called.
 """
 
 from __future__ import annotations
@@ -71,7 +71,8 @@ _LAST_BYTES = np.array([(1 << 64) - (1 << (64 - 8 * n)) if n else 0 for n in ran
 
 
 def scan_block(data, start, end):
-    """Columns of the lines ``data[start:end]`` if all are canonical, else None.
+    """(Columns, line count) of the lines ``data[start:end]`` if all are
+    canonical, else None.
 
     Numbers are the maximal runs of ``-.0-9``. The bytes between two of
     them, and after the last, must be ``_SKELETONS`` in grammar order, so
@@ -136,7 +137,7 @@ def scan_block(data, start, end):
     exact = exact.view(np.int64)
     counts = (np.diff(lines, append=len(field_of)) - 2) // 6
     frame_index, timestamp_ms, class_id = (exact.take(at) for at in (lines, lines + 1, boxes + 5))
-    return frame_index, timestamp_ms, counts, x, y, w, h, score, class_id
+    return (frame_index, timestamp_ms, counts, x, y, w, h, score, class_id), len(lines)
 
 
 def _number_spans(buf):

@@ -8,12 +8,11 @@ import pytest
 from crowdgate import ingest
 from crowdgate.counting import CountSeries
 
-# Ways to read or write a count CSV in blocks: block sizes of one row, a
-# few rows and the default, each on one thread and on two.
-CSV_WAYS = [(block, cpus) for block in (1, 300, ingest._BLOCK_BYTES) for cpus in (1, 2)]
-# Ways to walk a detections stream: the blocks of CSV_WAYS, the small ones
-# also in windows of one block, a few blocks and the default. A default
-# block holds a test's stream alone, so its window size makes no difference.
+# Ways to walk a detections stream or a count CSV (``ingest._walk``):
+# blocks of one line, a few lines and the default, each on one thread and
+# on two, the small ones in windows of one block, a few blocks and the
+# default. A default block holds a test's stream alone, so its window size
+# makes no difference.
 WAYS = [
     (block, cpus, window)
     for block, windows in ((1, (1, 3, ingest._WINDOW_BLOCKS)),

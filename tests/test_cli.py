@@ -361,8 +361,8 @@ def test_stages_call_csv_reader_and_writer_through_module(monkeypatch):
 
 def test_run_hands_series_between_stages(monkeypatch, tmp_path):
     # with --truth, run_pipeline renders the raw and smoothed CSVs and reads
-    # only the truth CSV, which it checks before writing any: the stages get
-    # the series themselves, not the bytes
+    # only the truth CSV, mapped, which it checks before writing any: the
+    # stages get the series themselves, not the bytes
     calls = []
 
     def spy(name):
@@ -386,7 +386,8 @@ def test_run_hands_series_between_stages(monkeypatch, tmp_path):
     assert [name for name, _, _ in calls] == [
         "write_count_series", "read_count_series", "write_count_series"
     ]
-    assert calls[1][1] == (truth.read_bytes(),)
+    (mapping,) = calls[1][1]
+    assert isinstance(mapping, mmap.mmap) and mapping[:] == truth.read_bytes()
     assert [result for _, _, result in calls[::2]] == [
         (out / "raw_counts.csv").read_bytes(),
         (out / "smoothed_counts.csv").read_bytes(),
@@ -752,6 +753,65 @@ class TestDetectionsPath:
         run_pipeline(det, PipelineConfig(abnormal_threshold=5), tmp_path / "o")
         gc.collect()
         assert os.path.realpath(det) not in Path("/proc/self/maps").read_text()
+
+
+class TestCountCsvPath:
+    """``smooth``, ``segment``, ``eval`` and ``run --truth`` map a count CSV
+    that is a non-empty regular file, and read anything else whole."""
+
+    COUNTS = [3, 0, 7, 7, 7, 7, 2, 2] * 40
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no os.mkfifo")
+    @pytest.mark.parametrize("command", ["smooth", "segment", "eval", "run"])
+    def test_fifo_gives_the_file_artifacts(self, monkeypatch, runner, tmp_path, command):
+        data = write_count_series(series(self.COUNTS, fps=9))
+        csv = tmp_path / "c.csv"
+        csv.write_bytes(data)
+        other = tmp_path / "other.csv"
+        other.write_bytes(write_count_series(series([c + 1 for c in self.COUNTS], fps=9)))
+        det = write_detections(tmp_path / "d.jsonl", self.COUNTS)
+        fifo = tmp_path / "c.fifo"
+        os.mkfifo(fifo)
+
+        def args(path, out):
+            """The command, reading the CSV at ``path``, and the other inputs mapped."""
+            return {
+                "smooth": ["smooth", path],
+                "segment": ["segment", path, "--threshold", "5", "--source", "v.mp4"],
+                "eval": ["eval", "--truth", path, "--raw", str(other), "--smoothed", str(other)],
+                "run": ["run", det, "--threshold", "5", "--truth", path],
+            }[command] + ["--out", str(tmp_path / out)]
+
+        read = []
+        original = cli._map_bytes
+
+        def spy(path):
+            result = original(path)
+            read.append(type(result))
+            return result
+
+        monkeypatch.setattr(cli, "_map_bytes", spy)
+        result = run_cli(runner, args(str(csv), "file"))
+        assert result.exit_code == 0, result.output
+        mapped = read.copy()
+        read.clear()
+        writer = threading.Thread(target=fifo.write_bytes, args=(data,))
+        writer.start()
+        try:
+            result = run_cli(runner, args(str(fifo), "fifo"))
+        finally:
+            if writer.is_alive():  # the command failed before opening the FIFO
+                os.close(os.open(fifo, os.O_RDONLY | os.O_NONBLOCK))
+            writer.join(timeout=60)
+        assert result.exit_code == 0, result.output
+        assert mapped == [mmap.mmap] * {"eval": 3, "run": 2}.get(command, 1)
+        mapped[-1 if command == "run" else 0] = bytes  # the CSV through the FIFO
+        assert read == mapped
+        names = sorted(p.name for p in (tmp_path / "file").iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "fifo").iterdir())
+        assert len(names) == {"smooth": 1, "segment": 2, "eval": 2, "run": 7}[command]
+        for name in names:
+            assert (tmp_path / "fifo" / name).read_bytes() == (tmp_path / "file" / name).read_bytes()
 
 
 class TestGrayMappingHygiene:

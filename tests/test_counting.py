@@ -1,4 +1,6 @@
 import csv
+import hashlib
+import mmap
 import sys
 import tracemalloc
 from fractions import Fraction
@@ -29,7 +31,7 @@ from crowdgate.counting import (
 from crowdgate.errors import InputFormatError, RoutingError
 from crowdgate.ingest import Boxes, Detections, StreamMeta, format_fps, parse_fps
 
-from conftest import CSV_WAYS, parsed_in, series
+from conftest import WAYS, parsed_in, series
 
 PROVENANCES = (PROV_DETECTOR, PROV_DENSITY, PROV_SMOOTHED)
 INT64_MAX = 2**63 - 1
@@ -124,7 +126,7 @@ def assert_same_series(got: CountSeries, expected: CountSeries):
 def assert_reads_as_reference(data: bytes, fps=None) -> CountSeries:
     """Every way of reading ``data`` gives the oracle's series."""
     expected = reference_read_count_series(data, fps=fps)
-    for way in CSV_WAYS:
+    for way in WAYS:
         with parsed_in(*way):
             assert_same_series(read_count_series(data, fps=fps), expected)
     return expected
@@ -134,7 +136,7 @@ def assert_same_rejection(data: bytes, fps=None):
     """Every way of reading ``data`` raises the oracle's message and line."""
     with pytest.raises(InputFormatError) as expected:
         reference_read_count_series(data, fps=fps)
-    for way in CSV_WAYS:
+    for way in WAYS:
         with parsed_in(*way), pytest.raises(InputFormatError) as got:
             read_count_series(data, fps=fps)
         assert (str(got.value), got.value.line) == (str(expected.value), expected.value.line)
@@ -142,7 +144,7 @@ def assert_same_rejection(data: bytes, fps=None):
 
 def assert_rejected(data: bytes, message: str, line: int):
     """Every way of reading ``data`` raises ``message`` naming ``line``."""
-    for way in CSV_WAYS:
+    for way in WAYS:
         with parsed_in(*way), pytest.raises(InputFormatError) as got:
             read_count_series(data)
         assert (str(got.value), got.value.line) == (f"line {line}: {message}", line)
@@ -487,14 +489,14 @@ def hostile_edit(data: bytes, rng) -> bytes:
 
 
 def assert_scan_agrees(data: bytes):
-    """Cut into blocks of every size of CSV_WAYS, each block ``_scan_body``
+    """Cut into blocks of every size of WAYS, each block ``_scan_body``
     takes is one ``_parse_rows`` reads the same: rows, codes and line ends,
     and no '# fps=' line."""
     try:
         _, _, offset = counting._read_preamble(data)
     except InputFormatError:
         return
-    for block in sorted({block for block, _ in CSV_WAYS}):
+    for block in sorted({block for block, *_ in WAYS}):
         with parsed_in(block, 1):
             blocks = ingest._line_blocks(data, offset)
         for start, end in blocks:
@@ -502,12 +504,14 @@ def assert_scan_agrees(data: bytes):
 
 
 def assert_block_agrees(data: bytes, start: int, end: int):
-    """``_scan_body`` of the block ``data[start:end]``, after checking that
-    it is None or the rows, codes and line ends ``_parse_rows`` reads there,
+    """``_scan_body`` of the block ``data[start:end]`` as one tuple (first
+    frame_index, counts, codes, line ends), or None, after checking that it
+    is None or the rows, codes and line ends ``_parse_rows`` reads there,
     with no '# fps=' line."""
     scanned = counting._scan_body(data, start, end)
     if scanned is not None:
-        first, counts, codes, line_ends = scanned
+        (first, counts, codes), line_ends = scanned
+        scanned = first, counts, codes, line_ends
         assert (first is None) == (len(counts) == 0)
         parsed = counting._parse_rows(data, start, end, 1, first or 0)
         assert counts.dtype == np.int64 and codes.dtype == np.uint8
@@ -644,9 +648,9 @@ class TestRejectedCsvInput:
 
 
 class TestBlocks:
-    """The body read in blocks of every size of CSV_WAYS on one thread and on
-    two: the same series as the oracle reads, and the same errors at the
-    same lines."""
+    """The body read in every way of WAYS, in blocks and windows of every
+    size on one thread and on two: the same series as the oracle reads, and
+    the same errors at the same lines."""
 
     def lines(self, rows=100):
         """A header and ``rows`` rows, with comments holding commas, a
@@ -773,6 +777,108 @@ class TestCommentBlock:
         with parsed_in(300, cpus), pytest.raises(InputFormatError) as got:
             read_count_series(data)
         assert (str(got.value), got.value.line) == (f"line {line}: {message}", line)
+
+
+def read_or_rejection(data):
+    """The series ``read_count_series`` reads from ``data``, or the
+    (message, line) of its rejection."""
+    try:
+        return read_count_series(data)
+    except InputFormatError as exc:
+        return str(exc), exc.line
+
+
+class TestWindows:
+    """A count CSV walked a window of blocks at a time (``ingest._walk``)."""
+
+    @pytest.mark.parametrize("block", [300, 4096])
+    def test_hostile_edits_read_alike_in_windows(self, rng, block):
+        # Each edited CSV, of up to six 4096-byte blocks, reads in small
+        # blocks and windows as in one block: the same series, or the same
+        # message at the same line.
+        for _ in range(100):
+            s = random_series(rng, n=int(rng.integers(1, 1000)))
+            data = hostile_edit(write_count_series(s), rng)
+            whole = read_or_rejection(data)
+            for cpus, window in ((1, 1), (2, 3)):
+                with parsed_in(block, cpus, window):
+                    got = read_or_rejection(data)
+                if isinstance(whole, CountSeries):
+                    assert_same_series(got, whole)
+                else:
+                    assert got == whole
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_bad_row_in_the_last_window(self, cpus):
+        lines = ["# fps=30", HEADER] + [f"{i},{i % 50},{PROVENANCES[i % 3]}" for i in range(600)]
+        at = len(lines) - 5
+        lines[at] = lines[at].replace(",", ",x", 1)
+        data = ("\n".join(lines) + "\n").encode()
+        with parsed_in(300, cpus, 3):
+            _, _, offset = counting._read_preamble(data)
+            blocks = ingest._line_blocks(data, offset)
+            last_window = blocks[(len(blocks) - 1) // 3 * 3][0]
+            with pytest.raises(InputFormatError) as got:
+                read_count_series(data)
+        assert len(blocks) > 2 * 3 and last_window < data.index(lines[at].encode())
+        message = f"bad count row {lines[at]!r}"
+        assert (str(got.value), got.value.line) == (f"line {at + 1}: {message}", at + 1)
+        assert_same_rejection(data)
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_comment_in_the_first_block_sends_the_body_to_the_line_parser(self, cpus):
+        # The first block decides, as for a detections stream: it holds a
+        # '#' line, so no other block is scanned.
+        lines = ["# fps=30", HEADER, "# seed=7"]
+        lines += [f"{i},{i % 50},{PROVENANCES[i % 3]}" for i in range(200)]
+        data = ("\n".join(lines) + "\n").encode()
+        scan = mock.patch.object(counting, "_scan_body", wraps=counting._scan_body)
+        parse = mock.patch.object(counting, "_parse_rows", wraps=counting._parse_rows)
+        with parsed_in(300, cpus, 3), scan as scanned, parse as parsed:
+            got = read_count_series(data)
+        assert_same_series(got, reference_read_count_series(data))
+        assert scanned.call_count == 1 and parsed.call_count > 6
+
+    def test_mapped_csv_released_window_by_window(self, tmp_path):
+        # Windows of two one-page blocks: each window's whole pages are
+        # released once it is read and hashed, on from where the release
+        # before stopped, up to the end of the file.
+        data = write_count_series(random_series(np.random.default_rng(5), n=3000))
+        path = tmp_path / "c.csv"
+        path.write_bytes(data)
+        released = []
+
+        class Digest:
+            def __init__(self):
+                self.real, self.taken = hashlib.sha256(), 0
+
+            def update(self, chunk):
+                self.real.update(chunk)
+                self.taken += len(chunk)
+
+        class Mapping(mmap.mmap):
+            def madvise(self, option, start, length):
+                released.append((option, start, length, digest.taken))
+                return super().madvise(option, start, length)
+
+        digest = Digest()
+        with open(path, "rb") as fh:
+            mapped = Mapping(fh.fileno(), 0, access=mmap.ACCESS_READ)
+        with parsed_in(mmap.PAGESIZE, 2, 2):
+            _, _, offset = counting._read_preamble(data)
+            windows = -(-len(ingest._line_blocks(data, offset)) // 2)
+            got = read_count_series(mapped, digest=digest)
+        assert_same_series(got, read_count_series(data))
+        assert digest.real.hexdigest() == hashlib.sha256(data).hexdigest()
+        assert windows >= 3 and len(released) == windows
+        end = 0
+        for option, start, length, hashed in released:
+            assert option == mmap.MADV_DONTNEED
+            assert start == end and start % mmap.PAGESIZE == 0
+            end = start + length
+            assert end % mmap.PAGESIZE == 0 or end == len(data)
+            assert end <= hashed
+        assert end == len(data)
 
 
 class TestScanEdges:

@@ -714,7 +714,7 @@ class TestParseMemory:
 
 
 class TestFirstBlockDecides:
-    """The first block is scanned alone; the others are scanned only if it is canonical."""
+    """The first block decides: the others are scanned only if it is canonical."""
 
     def scans(self, monkeypatch, data):
         calls = []
@@ -779,6 +779,32 @@ class TestFirstBlockDecides:
                         assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
                     for name in ("x", "y", "w", "h", "score", "class_id"):
                         assert getattr(got.boxes, name).tobytes() == getattr(want.boxes, name).tobytes()
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_first_block_decides_on_many_threads(self, monkeypatch):
+        # The blocks past the first wait on the pool for the first block's
+        # scan. With more workers than cores, switching often, a first block
+        # in another form is still the only one scanned, and a canonical one
+        # lets every block be scanned once.
+        lines = canonical_lines(60)
+        spaced = [json.dumps(json.loads(line)) for line in lines]
+        calls = []
+        real = scan.scan_block
+        monkeypatch.setattr(
+            scan, "scan_block", lambda *args: calls.append(args[1:]) or real(*args)
+        )
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with parsed_in(300, 8, 3):
+                for body, canonical in ((spaced, False), (lines, True)):
+                    data = ("\n".join([HEADER] + body) + "\n").encode()
+                    blocks = ingest._line_blocks(data, len(HEADER) + 1)
+                    for _ in range(10):
+                        calls.clear()
+                        parse_detections(data)
+                        assert sorted(calls) == (blocks if canonical else blocks[:1])
         finally:
             sys.setswitchinterval(interval)
 
@@ -890,10 +916,9 @@ def test_parse_fps_forms():
         parse_fps(True)
 
 
-def test_only_ingest_maps_and_releases():
-    # One module owns the mapped-input rule (``_map_bytes``, ``_releaser``):
-    # no other module of the package imports mmap or calls madvise.
-    found = []
+def names_outside_ingest():
+    """("module:line", name) of each module imported, name imported from a
+    module and function called in the package's modules but ``ingest``."""
     for path in sorted(Path(ingest.__file__).parent.glob("*.py")):
         if path.name == "ingest.py":
             continue
@@ -901,15 +926,33 @@ def test_only_ingest_maps_and_releases():
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
             elif isinstance(node, ast.ImportFrom):
-                names = [node.module or ""]
+                names = [node.module or ""] + [alias.name for alias in node.names]
             elif isinstance(node, ast.Call):
                 func = node.func
                 names = [getattr(func, "attr", getattr(func, "id", ""))]
             else:
                 continue
-            found += [
-                f"{path.name}:{node.lineno} {name}"
-                for name in names
-                if name.split(".")[0] == "mmap" or name == "madvise"
-            ]
+            yield from ((f"{path.name}:{node.lineno}", name) for name in names)
+
+
+def test_only_ingest_maps_and_releases():
+    # One module owns the mapped-input rule (``_map_bytes``, ``_releaser``):
+    # no other module of the package imports mmap or calls madvise.
+    found = [
+        f"{place} {name}"
+        for place, name in names_outside_ingest()
+        if name.split(".")[0] == "mmap" or name == "madvise"
+    ]
+    assert found == []
+
+
+def test_only_ingest_cuts_blocks():
+    # One walk cuts and scans the blocks of both text formats (``_walk``):
+    # no other module of the package cuts blocks (``_line_blocks``) or
+    # sizes a pool of scans (``_SCAN_THREADS``).
+    found = [
+        f"{place} {name}"
+        for place, name in names_outside_ingest()
+        if name in ("_line_blocks", "_SCAN_THREADS")
+    ]
     assert found == []
