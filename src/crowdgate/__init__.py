@@ -27,7 +27,6 @@ from .ingest import (
     load_gray_frames,
     parse_detections,
     save_gray_frames,
-    serialize_detections,
 )
 from .segmenting import Segment, SegmentPolicy, emit_cutlist, extract_segments
 from .smoothing import SmoothingParams, TieBreak, smooth_series, window_length

@@ -35,7 +35,6 @@ from .counting import (
     frames_needing_density,
     read_count_series,
     route_counts,
-    with_fps,
     write_count_series,
 )
 from .density import (
@@ -216,12 +215,11 @@ def _read_bytes(path) -> bytes:
         raise InputFormatError(f"cannot read {path}: {exc}") from exc
 
 
-def _write(out_dir: Path, name: str, data) -> bytes:
+def _write(out_dir: Path, name: str, data) -> None:
     if isinstance(data, str):
         data = data.encode("utf-8")
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / name).write_bytes(data)
-    return data
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +242,7 @@ def stage_count(detections, config: PipelineConfig, gray_frames=None, regressor=
     """
     policy = config.routing_policy()
     series, meta = count_detections(detections, policy)
-    series = with_fps(series, config.fps_override or meta.fps)
+    series = dataclasses.replace(series, fps=Fraction(config.fps_override or meta.fps))
     needed = frames_needing_density(series, policy)
     density_counts = None
     if len(needed):
@@ -611,8 +609,7 @@ def density_fit(calibration, out, fg_threshold):
         raise ConfigError(f"--fg-threshold must be finite and >= 0, got {fg_threshold}")
     samples = read_calibration_csv(_read_bytes(calibration))
     regressor = fit_regressor(samples, fg_threshold=fg_threshold)
-    Path(out).parent.mkdir(parents=True, exist_ok=True)
-    Path(out).write_text(regressor_to_json(regressor), "utf-8")
+    _write(Path(out).parent, Path(out).name, regressor_to_json(regressor))
     click.echo(
         f"fit on {len(samples)} sample(s): area {regressor.coef_area:.6g}, "
         f"edge {regressor.coef_edge:.6g}, intercept {regressor.intercept:.6g}"
@@ -631,8 +628,7 @@ def density_predict(gray, model, out):
     regressor = regressor_from_json(_read_bytes(model))
     counts = estimate_density_counts(frames, regressor, range(len(frames)))
     lines = ["frame_index,count"] + [f"{i},{c}" for i, c in enumerate(counts.tolist())]
-    Path(out).parent.mkdir(parents=True, exist_ok=True)
-    Path(out).write_text("".join(line + "\n" for line in lines), "utf-8")
+    _write(Path(out).parent, Path(out).name, "".join(line + "\n" for line in lines))
 
 
 @main.command()

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -18,6 +18,8 @@ import numpy as np
 
 from .errors import InputFormatError, RoutingError
 from .ingest import (
+    _INT64_DIGITS,
+    _INT64_MAX,
     Detections,
     StreamMeta,
     _join,
@@ -40,8 +42,6 @@ _HEADER = ["frame_index", "count", "provenance"]
 # temporaries take about 60 bytes a row, so a long series is rendered a
 # block at a time and the writer's peak stays near its output.
 _RENDER_ROWS = 1 << 14
-_INT64_MAX = int(np.iinfo(np.int64).max)
-_MAX_DIGITS = len(str(_INT64_MAX))
 # One count-series row, as the line check splits it. A sign is matched only
 # so that a negative count or frame_index gets its own message.
 _ROW = re.compile(r'(-?[0-9]+),(-?[0-9]+),([^\s",]*)')
@@ -58,10 +58,9 @@ _ROW_ENDS = np.array(
 # The reader's buffer holds this many zero bytes before the body, so that
 # the three 8-byte words ending at any field's end lie inside it.
 _PAD = 24
-_ONES = np.uint64(0x0101010101010101)  # times a byte: that byte in all 8
 # _FIRST_BYTES[n]: the first n bytes of a little-endian word
 _FIRST_BYTES = np.array([(1 << 8 * n) - 1 for n in range(9)], np.uint64)
-_DIGIT_VALUES = _ONES * np.uint64(0x0F)  # the value of each digit byte of a word
+_DIGIT_VALUES = np.uint64(0x0F0F0F0F0F0F0F0F)  # the value of each digit byte of a word
 _NL, _CR, _COMMA = b"\n\r,"
 # The separators of a row, the bytes below "0" in it: two commas and its line end.
 _ROW_SEPARATORS = b",,\n"
@@ -106,6 +105,13 @@ class CountSeries:
         counts = np.asarray(counts, dtype=np.int64)
         codes = np.full(counts.shape, PROVENANCE.index(provenance), dtype=np.uint8)
         return cls(counts, Fraction(fps), codes)
+
+
+def _total(counts: np.ndarray) -> int:
+    """The exact sum of int64 counts, which ``counts.sum()`` wraps past
+    2**63 - 1: the int64 sums of the high and of the low 32 bits of fewer
+    than 2**31 counts cannot overflow."""
+    return (int((counts >> 32).sum()) << 32) + int((counts & 0xFFFFFFFF).sum())
 
 
 @dataclass(frozen=True)
@@ -366,7 +372,7 @@ def _scan_body(data, start: int, end: int):
     count_width = comma2 - comma1 - 1
     if min(index_width.min(), count_width.min()) < 1:
         return None
-    if max(index_width.max(), count_width.max()) > _MAX_DIGITS:
+    if max(index_width.max(), count_width.max()) > _INT64_DIGITS:
         return None
     digits = np.count_nonzero(text <= ord("9")) - len(seps)
     if digits != int((comma2 - starts).sum()) - len(starts):
@@ -497,14 +503,14 @@ def _parse_rows(data, start: int, end: int, line_no: int, expected: int):
         index, count, prov = row.groups()
         if count.startswith("-"):
             raise InputFormatError(f"negative count {count}", line=line_no)
-        if len(count) > _MAX_DIGITS or int(count) > _INT64_MAX:
+        if len(count) > _INT64_DIGITS or int(count) > _INT64_MAX:
             raise InputFormatError(
-                f"count {count} is over {_INT64_MAX} or longer than {_MAX_DIGITS} digits",
+                f"count {count} is over {_INT64_MAX} or longer than {_INT64_DIGITS} digits",
                 line=line_no,
             )
         if prov not in PROVENANCE:
             raise InputFormatError(f"unknown provenance {prov!r}", line=line_no)
-        if index.startswith("-") or len(index) > _MAX_DIGITS or int(index) != expected:
+        if index.startswith("-") or len(index) > _INT64_DIGITS or int(index) != expected:
             raise InputFormatError(
                 f"expected frame_index {expected}, got {index}", line=line_no
             )
@@ -512,7 +518,3 @@ def _parse_rows(data, start: int, end: int, line_no: int, expected: int):
         codes.append(PROVENANCE.index(prov))
         expected += 1
     return block_fps, np.array(counts, np.int64), np.array(codes, np.uint8), len(lines) - 1
-
-
-def with_fps(series: CountSeries, fps) -> CountSeries:
-    return replace(series, fps=Fraction(fps))

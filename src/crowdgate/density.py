@@ -19,6 +19,7 @@ import numpy as np
 from .errors import InputFormatError, RankDeficientError
 from .ingest import (
     _GRAY_WINDOW_BYTES,
+    _INT64_MAX,
     _map_threads,
     _releaser,
     _thread_count,
@@ -30,7 +31,6 @@ DEFAULT_LEARNING_RATE = 0.05
 DEFAULT_FG_THRESHOLD = 25.0
 
 _CALIBRATION_HEADER = ["frame_index", "area", "edge", "true_count"]
-_INT64_MAX = int(np.iinfo(np.int64).max)
 # ASCII digits, as in count CSVs; int() also takes "+1", " 1", "1_0" and "\u0663".
 _INTEGER = re.compile("-?[0-9]+")
 # Pixels per band of ``_density_loop``: 90 rows of a 640-wide frame. A band

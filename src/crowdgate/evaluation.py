@@ -17,9 +17,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .counting import CountSeries
-
-_INT64_MAX = int(np.iinfo(np.int64).max)
+from .counting import CountSeries, _total
+from .ingest import _INT64_MAX
 
 
 @dataclass(frozen=True)
@@ -88,13 +87,6 @@ def _aligned(detected, tru: np.ndarray) -> np.ndarray:
     if len(det) != len(tru):
         raise ValueError(f"length mismatch: detected {len(det)}, truth {len(tru)}")
     return det
-
-
-def _total(counts: np.ndarray) -> int:
-    """The exact sum of int64 counts, which ``counts.sum()`` wraps past
-    2**63 - 1: the int64 sums of the high and of the low 32 bits of fewer
-    than 2**31 counts cannot overflow."""
-    return (int((counts >> 32).sum()) << 32) + int((counts & 0xFFFFFFFF).sum())
 
 
 def _true_total(tru: np.ndarray) -> int:

@@ -46,7 +46,9 @@ _BOX_FIELDS = ("x", "y", "w", "h", "score", "class_id")
 _box_values = operator.itemgetter(*_BOX_FIELDS)
 _class_id = operator.itemgetter(_BOX_FIELDS.index("class_id"))
 _NUMBER_TYPES = frozenset((int, float))  # what json.loads makes of a JSON number
+# The bound, and its digits, of every integer the package reads or writes.
 _INT64_MAX = int(np.iinfo(np.int64).max)
+_INT64_DIGITS = len(str(_INT64_MAX))
 # ``_walk`` cuts the body of a detections file or a count CSV into blocks
 # of this many bytes, each ended at the next line end (``_line_blocks``).
 # A block's temporaries stay in cache, and the blocks run on all CPUs.
@@ -157,7 +159,7 @@ def parse_detections(data) -> tuple[Detections, StreamMeta]:
 
     The body is read by ``_walk``. A block whose lines are all canonical
     is read as whole numpy arrays (``scan.scan_block``). Canonical is what
-    ``serialize_detections``, and so ``crowdgate ingest``, writes: compact
+    ``crowdgate ingest`` writes (``normalize_detections``): compact
     separators, the keys in the order frame_index, timestamp_ms, boxes and
     x, y, w, h, score, class_id, and numbers as Python writes them, where
     a float is scanned only when it has at most 15 significant digits and
@@ -578,35 +580,21 @@ def _int_field(obj, name, line_no) -> int:
 
 
 def normalize_detections(data) -> tuple[list[bytes], StreamMeta]:
-    """What ``serialize_detections(*parse_detections(data))`` writes, in
-    parts whose join is that file, plus the stream metadata.
+    """The canonical form of a detections stream, what ``crowdgate ingest``
+    writes, in parts whose join is that file, plus the stream metadata.
 
     Each block is rendered as the walk parses it (``_read_detections``),
     so no box columns outlive their block.
     """
     meta, parts = _read_detections(data, lambda part: _render_records(*part))
-    return [_render_header(meta), *parts], meta
-
-
-def serialize_detections(detections: Detections, meta: StreamMeta) -> bytes:
-    """Write detections + metadata back to the detections file format."""
-    b = detections.boxes
-    return _render_header(meta) + _render_records(
-        detections.frame_index, detections.timestamp_ms, detections.box_counts,
-        b.x, b.y, b.w, b.h, b.score, b.class_id,
-    )
-
-
-def _render_header(meta: StreamMeta) -> bytes:
-    """The header line ``serialize_detections`` writes for ``meta``."""
     header = {"fps": format_fps(meta.fps), "source_id": meta.source_id}
-    return (json.dumps(header, separators=(",", ":")) + "\n").encode("utf-8")
+    return [(json.dumps(header, separators=(",", ":")) + "\n").encode("utf-8"), *parts], meta
 
 
 def _render_records(frame_index, timestamp_ms, box_counts, *boxes) -> bytes:
-    """The record lines ``serialize_detections`` writes for columns laid out
-    as ``_Block.columns`` gives them: one ``json.dumps`` per frame, over
-    Python values, so a float is written as Python's repr."""
+    """The canonical record lines of columns laid out as ``_Block.columns``
+    gives them: one ``json.dumps`` per frame, over Python values, so a float
+    is written as Python's repr."""
     rows = list(zip(*(column.tolist() for column in boxes)))
     ends = np.cumsum(box_counts).tolist()
     lines, start = [], 0
@@ -677,9 +665,11 @@ def decode_line(line: bytes, line_no: int) -> str:
 def _map_threads(work, items, most=None):
     """``[work(item) for item in items]`` on up to one thread per usable CPU.
 
-    The one pool of the package: the density loop runs its row bands
-    here, and ``_walk`` the scans and the hash of each window of a
-    detections file or a count CSV, on at most ``most`` threads. The
+    The one pool of the package's stages: the density loop runs its row
+    bands here, and ``_walk`` the scans and the hash of each window of a
+    detections file or a count CSV, on at most ``most`` threads. Only
+    ``run``'s hash of the gray container has a thread of its own, because
+    it runs beside every stage (``cli.run_pipeline``). The
     calling thread is one of the workers; no thread is started for a
     single item or a single CPU. The first exception an item
     raises is re-raised here once every worker has stopped.

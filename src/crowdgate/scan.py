@@ -1,19 +1,19 @@
 """The whole-array scan of canonical detections lines.
 
 The block walk (``ingest._walk``) hands each block of a detections body
-(``ingest._read_detections``) to ``scan_block``, which reads the lines
-``serialize_detections`` writes as numpy arrays, and returns None for
-anything else, which the per-line parser then reads or rejects. Only
-``_read_detections`` and ``counting._digit_fields`` import it, when called.
+(``ingest._read_detections``) to ``scan_block``, which reads the
+canonical lines, those ``crowdgate ingest`` writes, as numpy arrays, and
+returns None for anything else, which the per-line parser then reads or
+rejects. Only ``_read_detections`` and ``counting._digit_fields`` import
+it, when called.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .ingest import _BLOCK_BYTES
+from .ingest import _BLOCK_BYTES, _INT64_DIGITS, _INT64_MAX
 
-_INT64_MAX = int(np.iinfo(np.int64).max)
 # A block longer than this is left to the per-line parse; a block's scan
 # peaks at about 15 times its bytes. A block ends at the first line end past
 # _BLOCK_BYTES, so only a line of over three blocks makes one this long.
@@ -120,7 +120,7 @@ def scan_block(data, start, end):
     negative = buf[starts] == ord("-") if signed else False
     bad = np.where(
         _INT_FIELDS.take(field_of),
-        negative | (dots != 0) | (lengths > 19) | (exact > np.uint64(_INT64_MAX)),
+        negative | (dots != 0) | (lengths > _INT64_DIGITS) | (exact > np.uint64(_INT64_MAX)),
         (dots > 1) | (mantissa >= 1e15) | (fraction > 22),
     )
     if bad.any():

@@ -15,8 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .counting import CountSeries
-from .evaluation import _total
+from .counting import CountSeries, _total
 
 
 @dataclass(frozen=True)
@@ -90,8 +89,7 @@ def extract_segments(series: CountSeries, policy: SegmentPolicy) -> list[Segment
     """Maximal above-threshold runs, gap-merged and duration-filtered."""
     if len(series) == 0:
         raise ValueError("empty series")
-    min_duration = policy.min_duration_frames if policy.min_duration_frames is not None else 0
-    merge_gap = policy.merge_gap_frames if policy.merge_gap_frames is not None else 0
+    policy = policy.resolved(0)
 
     # a run starts where the padded flags rise and ends before they fall
     above = np.concatenate(([False], series.counts > policy.abnormal_threshold, [False]))
@@ -100,14 +98,14 @@ def extract_segments(series: CountSeries, policy: SegmentPolicy) -> list[Segment
 
     merged: list[list[int]] = []
     for run in runs:
-        if merged and run[0] - merged[-1][1] - 1 <= merge_gap:
+        if merged and run[0] - merged[-1][1] - 1 <= policy.merge_gap_frames:
             merged[-1][1] = run[1]
         else:
             merged.append(run)
 
     segments = []
     for s, e in merged:
-        if e - s + 1 < min_duration:
+        if e - s + 1 < policy.min_duration_frames:
             continue
         window = series.counts[s : e + 1]
         # int / int is the float nearest the exact mean; window.mean() sums
@@ -125,10 +123,6 @@ def extract_segments(series: CountSeries, policy: SegmentPolicy) -> list[Segment
     return segments
 
 
-def segment_report(segments) -> list[dict]:
-    return [asdict(seg) for seg in segments]
-
-
 def emit_cutlist(segments, source_path: str) -> tuple[str, str]:
     """Render (JSON segment report, FFmpeg trim command sheet).
 
@@ -143,7 +137,7 @@ def emit_cutlist(segments, source_path: str) -> tuple[str, str]:
                 f"overlapping segments: {prev.start_frame}..{prev.end_frame} and "
                 f"{curr.start_frame}..{curr.end_frame}"
             )
-    report = json.dumps(segment_report(ordered), indent=2) + "\n"
+    report = json.dumps([asdict(seg) for seg in ordered], indent=2) + "\n"
     source = shlex.quote(source_path)
     lines = []
     for k, seg in enumerate(ordered):

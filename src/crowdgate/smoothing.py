@@ -64,8 +64,6 @@ def window_length(fps, divisor: int = 3) -> int:
 
 def smooth_series(series: CountSeries, params: SmoothingParams) -> CountSeries:
     """Run the jitter-correction pass; replaced frames get Smoothed provenance."""
-    if len(series) == 0:
-        raise ValueError("empty series")
     prefer_last = params.tie_break is TieBreak.PREFER_LAST_VALUE
     # looked up on the module at call time, so a wrapper installed there sees it
     corrected, replaced = kernels.smooth_counts(

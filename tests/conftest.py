@@ -45,6 +45,17 @@ def detections_bytes(counts, fps=9, source_id="cam1", score=0.9, class_id=0):
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
+def serialize_detections(detections, meta) -> bytes:
+    """The canonical detections file of parsed ``detections`` and ``meta``:
+    what ``crowdgate ingest`` writes of the stream they were parsed from."""
+    header = {"fps": ingest.format_fps(meta.fps), "source_id": meta.source_id}
+    b = detections.boxes
+    return (json.dumps(header, separators=(",", ":")) + "\n").encode() + ingest._render_records(
+        detections.frame_index, detections.timestamp_ms, detections.box_counts,
+        b.x, b.y, b.w, b.h, b.score, b.class_id,
+    )
+
+
 def gray_stream(frames):
     """An (n, height, width) uint8 gray stream from 2-D pixel arrays."""
     return np.stack([np.asarray(frame, dtype=np.uint8) for frame in frames])

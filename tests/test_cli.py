@@ -29,16 +29,17 @@ from crowdgate.cli import (
     stage_smooth,
 )
 from crowdgate.counting import CODE_DENSITY, read_count_series, write_count_series
-from crowdgate.density import DensityRegressor, estimate_density_counts, regressor_to_json
-from crowdgate.errors import InputFormatError, RoutingError, StageError
-from crowdgate.ingest import (
-    load_gray_frames,
-    parse_detections,
-    save_gray_frames,
-    serialize_detections,
+from crowdgate.density import (
+    DensityRegressor,
+    estimate_density_counts,
+    fit_regressor,
+    read_calibration_csv,
+    regressor_to_json,
 )
+from crowdgate.errors import InputFormatError, RoutingError, StageError
+from crowdgate.ingest import load_gray_frames, parse_detections, save_gray_frames
 
-from conftest import detections_bytes, parsed_in, series
+from conftest import detections_bytes, parsed_in, serialize_detections, series
 
 
 @pytest.fixture
@@ -1347,6 +1348,26 @@ class TestDensityCommands:
         lines = out_csv.read_text().splitlines()
         assert lines[0] == "frame_index,count"
         assert len(lines) == 3
+
+    def test_fit_writes_the_run_model(self, runner, tmp_path):
+        # the fitted model, as run --calibration writes it, even where
+        # --out's directory does not exist yet
+        calib = write_calibration(tmp_path / "calib.csv")
+        model = tmp_path / "new" / "dir" / "model.json"
+        result = run_cli(runner, ["density-fit", calib, "--out", str(model)])
+        assert result.exit_code == 0, result.output
+        fitted = fit_regressor(read_calibration_csv(Path(calib).read_bytes()))
+        assert model.read_bytes() == regressor_to_json(fitted).encode()
+        det = write_detections(tmp_path / "d.jsonl", [3, 30, 3])
+        gray = write_moving_gray(tmp_path / "g.cgry", 3)
+        out = tmp_path / "o"
+        result = run_cli(
+            runner,
+            ["run", det, "--out", str(out), "--threshold", "5", "--gray", gray,
+             "--calibration", calib],
+        )
+        assert result.exit_code == 0, result.output
+        assert model.read_bytes() == (out / "density_model.json").read_bytes()
 
     @pytest.mark.parametrize("value", ["Infinity", "NaN"])
     def test_predict_non_finite_model_exit_2(self, runner, tmp_path, value):

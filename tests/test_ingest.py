@@ -21,10 +21,9 @@ from crowdgate.ingest import (
     parse_detections,
     parse_fps,
     save_gray_frames,
-    serialize_detections,
 )
 
-from conftest import WAYS, detections_bytes, parsed_in
+from conftest import WAYS, detections_bytes, parsed_in, serialize_detections
 
 HEADER = '{"fps":30,"source_id":"s"}'
 BOX_FIELDS = ("x", "y", "w", "h", "score", "class_id")
@@ -956,3 +955,21 @@ def test_only_ingest_cuts_blocks():
         if name in ("_line_blocks", "_SCAN_THREADS")
     ]
     assert found == []
+
+
+def test_no_constant_defined_twice():
+    # A module-level name is bound in one module of the package; another
+    # module that needs it imports it (``_INT64_MAX`` from ``ingest``).
+    owners = {}
+    for path in sorted(Path(ingest.__file__).parent.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8"), str(path)).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            for name in names:
+                owners.setdefault(name, set()).add(path.name)
+    assert {name: sorted(paths) for name, paths in owners.items() if len(paths) > 1} == {}

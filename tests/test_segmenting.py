@@ -3,6 +3,8 @@ import shlex
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from crowdgate.segmenting import (
     Segment,
@@ -98,6 +100,20 @@ class TestExtractSegments:
             policy = SegmentPolicy(*(int(v) for v in rng.integers([1, 0, 0], [10, 6, 6])))
             segs = extract_segments(series(counts), policy)
             assert [(s.start_frame, s.end_frame) for s in segs] == loop_segments(counts, policy)
+
+    @given(
+        runs=st.lists(st.tuples(st.integers(0, 9), st.integers(1, 4)), min_size=1, max_size=40),
+        threshold=st.integers(1, 8),
+        min_duration=st.none() | st.integers(0, 4),
+        merge_gap=st.none() | st.integers(0, 4),
+    )
+    def test_unset_settings_are_zero(self, runs, threshold, min_duration, merge_gap):
+        # runs of counts 1 to 4 frames long, so that short runs and gaps
+        # decide; an unset setting is 0
+        counts = np.repeat(*np.array(runs).T)
+        unset = SegmentPolicy(threshold, min_duration, merge_gap)
+        zero = SegmentPolicy(threshold, min_duration or 0, merge_gap or 0)
+        assert extract_segments(series(counts), unset) == extract_segments(series(counts), zero)
 
     def test_threshold_anti_monotone(self, rng):
         for _ in range(30):
