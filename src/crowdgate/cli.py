@@ -112,6 +112,12 @@ class PipelineConfig:
         for key in ("abnormal_threshold", "min_duration_frames", "merge_gap_frames"):
             _expect_type(key, getattr(self, key), (int, type(None)), "an integer or null")
         _expect_type("min_score", self.min_score, (int, float), "a number")
+        # load() parses a file's fps; a caller's must already be a Fraction
+        _expect_type(
+            "fps_override", self.fps_override, (Fraction, type(None)), "a Fraction or null"
+        )
+        if self.fps_override is not None and self.fps_override <= 0:
+            raise ConfigError(f"fps_override must be > 0, got {format_fps(self.fps_override)}")
         _expect_type("tie_break", self.tie_break, str, "a string")
         _expect_type(
             "density_model_path", self.density_model_path, (str, type(None)), "a string or null"

@@ -54,7 +54,7 @@ _INT64_DIGITS = len(str(_INT64_MAX))
 # A block's temporaries stay in cache, and the blocks run on all CPUs.
 _BLOCK_BYTES = 1 << 18
 # Blocks ``_walk`` scans at once, at most, whatever the CPU count: a
-# detections scan holds about 15 times its block in temporaries, a
+# detections scan holds about 7 times its block in temporaries, a
 # count-CSV scan about 6 times.
 _SCAN_THREADS = 4
 # Blocks per window of ``_walk`` (about 4 MiB): a mapped stream's

@@ -10,12 +10,15 @@ it, when called.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
+from .counting import _words
 from .ingest import _BLOCK_BYTES, _INT64_DIGITS, _INT64_MAX
 
 # A block longer than this is left to the per-line parse; a block's scan
-# peaks at about 15 times its bytes. A block ends at the first line end past
+# peaks at about 7 times its bytes. A block ends at the first line end past
 # _BLOCK_BYTES, so only a line of over three blocks makes one this long.
 _SCAN_BYTES_MAX = 4 * _BLOCK_BYTES
 _LINE_START = b'{"frame_index":'
@@ -38,9 +41,12 @@ _SKELETONS = (
     (b'}]}\n{"frame_index":', 7, 0),
     (b"}]}\n", 7, 8),
 )
+_BOX = b'{"x":,"y":,"w":,"h":,"score":,"class_id":}'  # a box's bytes outside its numbers
 _INT_FIELDS = np.array([True, True, False, False, False, False, False, True])
-# Bytes of a number's window before its end (the number) and after it (the
-# skeleton); a multiple of 8 and longer than every skeleton.
+# The longest number the scan reads, in bytes, and the zero bytes before a
+# block, which the words read back from its first number may reach: a
+# multiple of 8, and longer than any number the scan can take (25 bytes:
+# "-0." and 22 fraction digits).
 _SPAN = 32
 _ONES = np.uint64(0x0101010101010101)
 _POW10 = 10.0 ** np.arange(23)  # exact doubles
@@ -50,22 +56,19 @@ def _skeleton_tables():
     """Lookup tables of ``_SKELETONS``, indexed by skeleton kind.
 
     ``kind[length * 256 + third byte]`` is the kind of a gap, and
-    ``len(_SKELETONS)`` where there is none. A kind's skeleton is the
-    ``_SPAN`` bytes after a number masked to its length, as 8-byte words.
+    ``len(_SKELETONS)`` where there is none; a gap longer than every
+    skeleton has the length ``_GAP_MAX``.
     """
-    kind = np.full(_SPAN * 256, len(_SKELETONS), np.intp)
-    text = np.zeros((len(_SKELETONS), _SPAN // 8), np.uint64)
-    mask = np.zeros_like(text)
+    kind = np.full((_GAP_MAX + 1) * 256, len(_SKELETONS), np.int8)
     for k, (skeleton, _, _) in enumerate(_SKELETONS):
         kind[len(skeleton) * 256 + skeleton[2]] = k
-        text[k] = np.frombuffer(skeleton.ljust(_SPAN, b"\0"), "<u8")
-        mask[k] = np.frombuffer(b"\xff" * len(skeleton) + bytes(_SPAN - len(skeleton)), "<u8")
     before = np.array([b for _, b, _ in _SKELETONS], np.int8)
     after = np.array([a for _, _, a in _SKELETONS], np.int8)
-    return kind, text, mask, before, after
+    return kind, before, after
 
 
-_KIND, _SKELETON_TEXT, _SKELETON_MASK, _BEFORE, _AFTER = _skeleton_tables()
+_GAP_MAX = max(len(skeleton) for skeleton, _, _ in _SKELETONS) + 1
+_KIND, _BEFORE, _AFTER = _skeleton_tables()
 # _LAST_BYTES[n]: the last n bytes of a word, where an n-byte number ends
 _LAST_BYTES = np.array([(1 << 64) - (1 << (64 - 8 * n)) if n else 0 for n in range(9)], np.uint64)
 
@@ -74,50 +77,59 @@ def scan_block(data, start, end):
     """(Columns, line count) of the lines ``data[start:end]`` if all are
     canonical, else None.
 
-    Numbers are the maximal runs of ``-.0-9``. The bytes between two of
-    them, and after the last, must be ``_SKELETONS`` in grammar order, so
-    each number's field is known. A number must be JSON (no leading zero,
-    a digit each side of the dot, ``-`` only first). A float field has at
-    most 15 significant and 22 fraction digits: its digits make an integer
-    m < 10**15 and its value, m / 10**k for k fraction digits, is then the
-    correctly rounded double, as ``json.loads`` gives (Clinger's fast
-    path: Clinger 1990, "How to read floating point numbers accurately",
-    PLDI). An integer field has no sign or dot, at most 19 digits and fits
-    int64. Boxes must pass the per-line range checks. Anything else makes
-    the block fall back to the per-line parse, which also checks the
-    frame order here. Each step is a function of its own, so that its
-    temporaries are freed before the next.
+    Numbers are the maximal runs of ``-.0-9``. Each gap after a number must
+    be as long as one of ``_SKELETONS`` and share its third byte, and the
+    gaps must follow the grammar, which gives each number's field and each
+    line's box count. The block's bytes outside its numbers must then be,
+    as one string, the canonical lines' skeletons (``_line_skeleton``)
+    joined, so each gap is its skeleton byte for byte. A number must be
+    JSON (no leading zero, a digit each side of the dot, ``-`` only first).
+    A float field has at most 15 significant and 22 fraction digits: its
+    digits make an integer m < 10**15 and its value, m / 10**k for k
+    fraction digits, is then the correctly rounded double, as
+    ``json.loads`` gives (Clinger's fast path: Clinger 1990, "How to read
+    floating point numbers accurately", PLDI). An integer field has no sign
+    or dot, at most 19 digits and fits int64. Boxes must pass the per-line
+    range checks. Anything else makes the block fall back to the per-line
+    parse, which also checks the frame order here. Each step is a function
+    of its own, so that its temporaries are freed before the next, and the
+    number mask is made once for the steps that need it.
     """
     size = end - start
     if size > _SCAN_BYTES_MAX or data[start : start + len(_LINE_START)] != _LINE_START:
         return None
-    buf = np.zeros(size + 1 + 2 * _SPAN, np.uint8)  # zero padding each side
+    # zero padding: _SPAN bytes before, and after, a line end and the third
+    # byte of the gap after the last number
+    buf = np.zeros(_SPAN + size + 3, np.uint8)
     buf[_SPAN : _SPAN + size] = np.frombuffer(data, np.uint8, size, start)
     stop = _SPAN + size
     if buf[stop - 1] != ord("\n"):
         buf[stop] = ord("\n")  # the file's last line may lack its line end
         stop += 1
-    spans = _number_spans(buf)
+    if (buf == ord("/")).any():
+        return None  # "/" lies between "." and "0"
+    number = (buf - np.uint8(ord("-"))) < 13
+    signed = _number_syntax(buf, number)
+    spans = None if signed is None else _number_spans(number)
     if spans is None:
         return None
     starts, ends = spans
-    # Each number's window: the _SPAN bytes up to its end, then the _SPAN
-    # after it, as little-endian 8-byte words (the first byte is the lowest).
-    windows = np.ndarray((len(buf) - 2 * _SPAN + 1,), f"V{2 * _SPAN}", buf, strides=(1,))
-    window = windows[ends - _SPAN].view("<u8").reshape(len(ends), 2 * _SPAN // 8)
-    field_of = _skeleton_fields(window, starts, ends, stop)
+    field_of = _skeleton_fields(buf, starts, ends, stop)
+    if field_of is None:
+        return None
+    lines = np.flatnonzero(field_of == 0)
+    counts = (np.diff(lines, append=len(field_of)) - 2) // 6
+    if not _skeleton_text_matches(buf[_SPAN:stop], number[_SPAN:stop], counts):
+        return None
+    del number
     lengths = ends - starts
-    words = -(-int(lengths.max()) // 8)
-    if field_of is None or words > _SPAN // 8:
+    if lengths.max() > _SPAN:
         return None
-    # the words holding the numbers, the last first
-    tails = [window[:, _SPAN // 8 - 1 - i].copy() for i in range(words)]
-    del window
-    signed = _number_syntax(buf)
-    if signed is None:
-        return None
-    mantissa, exact, fraction, dots = _number_values(tails, lengths)
+    lengths = lengths.astype(np.int8)
     negative = buf[starts] == ord("-") if signed else False
+    del starts
+    mantissa, exact, fraction, dots = _number_values(buf, ends, lengths)
+    del buf, ends
     bad = np.where(
         _INT_FIELDS.take(field_of),
         negative | (dots != 0) | (lengths > _INT64_DIGITS) | (exact > np.uint64(_INT64_MAX)),
@@ -125,46 +137,43 @@ def scan_block(data, start, end):
     )
     if bad.any():
         return None
-    value = mantissa / _POW10.take(fraction.astype(np.intp))
+    value = mantissa
+    value /= _POW10.take(fraction)
     if signed:  # after the division, so that -0.0 stays negative; -0 is 0
-        np.negative(value, out=value, where=negative & ((dots != 0) | (mantissa != 0)))
+        np.negative(value, out=value, where=negative & ((dots != 0) | (value != 0)))
 
-    lines = np.flatnonzero(field_of == 0)
     boxes = np.flatnonzero(field_of == 2)
     x, y, w, h, score = (value.take(boxes + j) for j in range(5))
     if not ((w > 0) & (h > 0) & (score >= 0) & (score <= 1)).all():
         return None
     exact = exact.view(np.int64)
-    counts = (np.diff(lines, append=len(field_of)) - 2) // 6
     frame_index, timestamp_ms, class_id = (exact.take(at) for at in (lines, lines + 1, boxes + 5))
     return (frame_index, timestamp_ms, counts, x, y, w, h, score, class_id), len(lines)
 
 
-def _number_spans(buf):
-    """(starts, ends) of the numbers in the block, or None if one holds a "/"."""
-    if (buf == ord("/")).any():
-        return None  # "/" lies between "." and "0"
-    number = (buf - np.uint8(ord("-"))) < 13
+def _number_spans(number):
+    """(starts, ends) of the runs of ``number``, if the first starts after
+    ``_LINE_START``, else None."""
     edges = np.flatnonzero(number[1:] != number[:-1]) + 1
     if not len(edges) or edges[0] != _SPAN + len(_LINE_START):
         return None
     return edges[0::2].copy(), edges[1::2].copy()
 
 
-def _skeleton_fields(window, starts, ends, stop):
-    """Each number's field, or None unless the bytes around the numbers are
-    ``_SKELETONS`` in grammar order; ``stop`` ends the block's bytes."""
+def _skeleton_fields(buf, starts, ends, stop):
+    """Each number's field, or None unless the gap after each number, up to
+    the next or to ``stop``, has the length and third byte of a skeleton of
+    ``_SKELETONS``, and the skeletons follow the grammar."""
     n = len(starts)
     gap = np.empty(n, np.intp)
     np.subtract(starts[1:], ends[:-1], out=gap[:-1])
     gap[-1] = stop - ends[-1]
-    np.minimum(gap, _SPAN - 1, out=gap)
-    kind = _KIND.take(gap * 256 + window.view(np.uint8)[:, _SPAN + 2])
+    np.minimum(gap, _GAP_MAX, out=gap)
+    gap *= 256
+    gap += buf[ends + 2]
+    kind = _KIND.take(gap)
+    del gap
     if (kind == len(_SKELETONS)).any():
-        return None
-    skeleton = window[:, _SPAN // 8 :].copy()
-    skeleton &= _SKELETON_MASK.take(kind, axis=0)
-    if not np.array_equal(skeleton, _SKELETON_TEXT.take(kind, axis=0)):
         return None
     field_of = np.empty(n + 1, np.int8)
     field_of[0] = 0  # _LINE_START
@@ -174,68 +183,124 @@ def _skeleton_fields(window, starts, ends, stop):
     return field_of[:-1]
 
 
-def _number_syntax(buf):
-    """None unless every number is JSON; else whether any has a sign."""
-    number = (buf - np.uint8(ord("-"))) < 13
-    digit = (buf - np.uint8(ord("0"))) < 10
-    if ((buf[1:-1] == ord(".")) & ~(digit[:-2] & digit[2:])).any():
+def _skeleton_text_matches(text, number, counts):
+    """Whether the bytes of ``text`` outside its numbers are the skeletons of
+    canonical lines of ``counts`` boxes each, joined."""
+    skeleton = text[~number].tobytes()
+    return skeleton == b"".join([_line_skeleton(boxes) for boxes in counts.tolist()])
+
+
+@functools.lru_cache(maxsize=64)
+def _line_skeleton(boxes):
+    """The bytes of a canonical line of ``boxes`` boxes outside its numbers."""
+    return _LINE_START + b',"timestamp_ms":,"boxes":[' + b",".join([_BOX] * boxes) + b"]}\n"
+
+
+def _number_syntax(buf, number):
+    """None unless every number is JSON; else whether any has a sign.
+
+    Element ``i`` of each byte test is about byte ``i + 1`` of ``buf``,
+    which has a byte on each side; the tests share two arrays.
+    """
+    digit = buf >= ord("0")
+    digit &= number  # the number bytes from "0" up
+    both = digit[:-2] & digit[2:]  # a digit on each side
+    test = np.equal(buf[1:-1], ord("."))
+    if np.greater(test, both, out=test).any():
         return None  # a dot needs a digit on each side
-    first = ~number[:-2]  # first[i]: byte i + 1 starts its number
-    minus = buf == ord("-")
+    first = np.logical_not(number[:-2], out=both)  # the first byte of its number
+    minus = np.equal(buf[1:-1], ord("-"), out=test)
     signed = bool(minus.any())
     if signed:
-        if (minus[1:-1] & ~(first & digit[2:])).any():
+        if np.greater(minus, first).any() or np.greater(minus, digit[2:]).any():
             return None  # a sign comes first, before a digit
-        first |= minus[:-2]
-    if ((buf[1:-1] == ord("0")) & first & digit[2:]).any():
+        first[1:] |= minus[:-1]  # a digit after a sign starts its number
+    zero = np.equal(buf[1:-1], ord("0"), out=test)
+    zero &= first
+    zero &= digit[2:]
+    if zero.any():
         return None  # a leading zero
     return signed
 
 
-def _number_values(tails, lengths):
+def _number_values(buf, ends, lengths):
     """(mantissa, exact, fraction digits, dots) of each number.
 
-    ``tails[i]`` holds bytes ``8 * i`` to ``8 * i + 7`` from each number's
-    end. The digit bytes of each word, with the dot squeezed out, read as
-    one integer (SWAR); a word before the dot weighs a tenth as much. The
+    Word ``i`` of a number is the 8 bytes that end ``8 * i`` bytes before
+    the number does, read from ``buf`` with one gather (``ends`` is moved
+    back a word at a time, in place) and masked to the number's bytes. The
+    digit bytes of each word, with the dot squeezed out, read as one
+    integer (SWAR); a word before the dot weighs a tenth as much. The
     float64 mantissa is exact below 10**15; ``exact`` is the uint64
-    integer of numbers of at most 19 digits and no dot.
+    integer of numbers of at most 19 digits and no dot. The counts are
+    uint8, and every step but the first of a word runs in place.
     """
-    for i, word in enumerate(tails):
+    words = _words(buf)
+    for i in range(-(-int(lengths.max()) // 8)):
+        ends -= 8
+        word = words[ends]
         word &= _LAST_BYTES.take(np.clip(lengths - 8 * i, 0, 8))
-        digits = (word >> np.uint64(4)) & _ONES  # 1 in each digit byte
-        dot = (word >> np.uint64(1)) & ~word & ~digits & _ONES  # "." = 0x2e, "-" = 0x2d
-        below = dot - np.minimum(dot, np.uint64(1))  # the bytes before the dot
-        value = word & (digits * np.uint64(15))
-        value = (value & ~below) | ((value & below) << np.uint64(8))
-        value = _digits_to_int(value)
+        digits = word >> np.uint64(4)
+        digits &= _ONES  # 1 in each digit byte
+        # 1 in the dot's byte: bit 1 is set in "." (0x2e), not in "-" (0x2d),
+        # and the digits' bytes are cleared
+        dot = word >> np.uint64(1)
+        dot &= _ONES
+        dot |= digits
+        dot ^= digits
+        scratch = digits * np.uint64(15)
+        word &= scratch  # each digit's value, and 0 elsewhere
+        np.subtract(dot, dot != 0, out=scratch)  # the bytes before the dot
+        scratch &= word
+        word ^= scratch
+        scratch <<= np.uint64(8)
+        word |= scratch  # the dot squeezed out
+        del scratch
+        value = _digits_to_int(word)
+        if i == 0:
+            mantissa, exact = value.astype(np.float64), value
+        else:
+            scale = np.where(dots != 0, 10.0 ** (8 * i - 1), 10.0 ** (8 * i))
+            scale *= value
+            mantissa += scale
+            del scale
+            if i < 3:  # integer fields have at most 19 digits
+                value *= np.uint64(10 ** (8 * i))
+                exact += value
+        del value, word
         # digits after this word's dot; a dot in word i also has every digit
         # of words 0 to i - 1 (``seen``) after it
-        after = _byte_count(digits & ~((dot << np.uint64(1)) - np.uint64(1)))
+        after = dot << np.uint64(1)
+        after -= np.uint64(1)
+        np.invert(after, out=after)
+        after &= digits
+        after = _byte_count(after)
         if i == 0:
-            mantissa, exact, fraction = value.astype(np.float64), value, after
-            dots, seen = _byte_count(dot), _byte_count(digits)
+            fraction = after.astype(np.uint8)
+            dots, seen = _byte_count(dot).astype(np.uint8), _byte_count(digits).astype(np.uint8)
             continue
-        mantissa += value * np.where(dots != 0, 10.0 ** (8 * i - 1), 10.0 ** (8 * i))
-        if i < 3:  # integer fields have at most 19 digits
-            exact += value * np.uint64(10 ** (8 * i))
-        fraction = np.where((dots == 0) & (dot != 0), seen + after, fraction)
+        after += seen
+        np.copyto(fraction, after, casting="unsafe", where=(dots == 0) & (dot != 0))
         dots += _byte_count(dot)
         seen += _byte_count(digits)
     return mantissa, exact, fraction, dots
 
 
 def _digits_to_int(d):
-    """The integers of words of eight digit values each, the first in the low byte."""
-    d = d * np.uint64(10) + (d >> np.uint64(8))
-    d &= np.uint64(0x00FF00FF00FF00FF)
-    d = d * np.uint64(100) + (d >> np.uint64(16))
-    d &= np.uint64(0x0000FFFF0000FFFF)
-    d = d * np.uint64(10000) + (d >> np.uint64(32))
-    d &= np.uint64(0xFFFFFFFF)
+    """The integers of words of eight digit values each, the first in the
+    low byte; ``d`` is overwritten with them."""
+    t = np.empty_like(d)
+    for shift, mask in ((8, 0x00FF00FF00FF00FF), (16, 0x0000FFFF0000FFFF), (32, 0xFFFFFFFF)):
+        np.right_shift(d, np.uint64(shift), out=t)  # the next 1, 2 or 4 digits
+        d *= np.uint64(10 ** (shift // 8))
+        d += t
+        d &= np.uint64(mask)
     return d
 
 
 def _byte_count(flags):
-    """How many bytes of each word are 1, for words of 0 and 1 bytes."""
-    return (flags * _ONES) >> np.uint64(56)
+    """How many bytes of each word are 1, for words of 0 and 1 bytes;
+    ``flags`` is overwritten with the counts."""
+    flags *= _ONES
+    flags >>= np.uint64(56)
+    return flags

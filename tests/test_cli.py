@@ -9,6 +9,7 @@ import subprocess
 import sys
 import threading
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +37,7 @@ from crowdgate.density import (
     read_calibration_csv,
     regressor_to_json,
 )
-from crowdgate.errors import InputFormatError, RoutingError, StageError
+from crowdgate.errors import ConfigError, InputFormatError, RoutingError, StageError
 from crowdgate.ingest import load_gray_frames, parse_detections, save_gray_frames
 
 from conftest import detections_bytes, parsed_in, serialize_detections, series
@@ -262,6 +263,27 @@ def test_bad_settings_exit_3(runner, tmp_path, args, config):
     result = run_cli(runner, args)
     assert result.exit_code == EXIT_CONFIG_ERROR, result.output
     assert result.output.startswith("error: ")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "fps,message",
+    [
+        (29.97, "fps_override must be a Fraction or null, got 29.97"),
+        ("30", "fps_override must be a Fraction or null, got '30'"),
+        (Fraction(0), "fps_override must be > 0, got 0"),
+        (Fraction(-30000, 1001), "fps_override must be > 0, got -30000/1001"),
+    ],
+    ids=["float", "string", "zero", "negative"],
+)
+def test_library_fps_override_checked_before_any_write(tmp_path, fps, message):
+    # The CLI always passes a Fraction; a library caller's float used to
+    # fail only once four artifacts were written, while the manifest was made.
+    det = write_detections(tmp_path / "d.jsonl", [1, 2, 3])
+    with pytest.raises(ConfigError) as info:
+        run_pipeline(det, PipelineConfig(fps_override=fps, abnormal_threshold=2), tmp_path / "o")
+    assert str(info.value) == message
+    assert cli._exit_code_for(info.value) == EXIT_CONFIG_ERROR
     assert not (tmp_path / "o").exists()
 
 

@@ -509,7 +509,7 @@ class TestScanSeam:
     @pytest.mark.parametrize(
         "token",
         ["-0.0", "0", "-0", "0.0", "01", "1.", ".5", "-", "1.2.3", "1e5", "1E-7", "--1", "1-2",
-         "1/2", "/", "0.5", "7", "true", "null", '"1.5"', "[]"],
+         "1/2", "/", "0.5", "7", "true", "null", '"1.5"', "[]", "-01", "-00.5", "-0.05"],
     )
     @pytest.mark.parametrize(
         "field", ["x", "y", "score", "class_id", "frame_index", "timestamp_ms"]
@@ -579,6 +579,32 @@ class TestScanSeam:
                 else:
                     del data[at]
             assert_like_reference(bytes(data))
+
+    @pytest.mark.parametrize(
+        "edits",
+        [
+            # a digit inside a key, and a number left out of the same line
+            [('"score":', '"s1core":'), ('"x":1.0', '"x":')],
+            [('"class_id":0', '"class_id":'), ('"timestamp_ms":', '"timestamp_0ms":')],
+            # a number moved to the wrong side of its colon or comma
+            [('"x":1.0', '"x"1.0:')],
+            [('"frame_index":1,', '"frame_index":,1')],
+            [('"h":4.0,"score":0.5', '"h":4.0,0.5"score":')],
+        ],
+    )
+    def test_numbers_out_of_place_around_a_canonical_skeleton(self, edits):
+        # The bytes outside the numbers stay a canonical stream's, so only
+        # the gap lengths tell these lines from canonical ones.
+        lines = canonical_lines(6)
+        for old, new in edits:
+            assert old in lines[1]
+            lines[1] = lines[1].replace(old, new)
+        data = ("\n".join([HEADER] + lines) + "\n").encode()
+        canonical = ("\n".join([HEADER] + canonical_lines(6)) + "\n").encode()
+        digits = b"-.0123456789"
+        assert data.translate(None, digits) == canonical.translate(None, digits)
+        assert scan.scan_block(data, len(HEADER) + 1, len(data)) is None
+        assert_like_reference(data)
 
     def test_long_block_parsed_line_by_line(self, monkeypatch):
         # A block over scan._SCAN_BYTES_MAX, one very long line, is not scanned.
@@ -660,25 +686,48 @@ class TestIntegerFields:
         assert getattr(detections.boxes if field == "class_id" else detections, field)[1] == 1
 
 
+def random_canonical_stream(size, seed=8) -> tuple[bytes, int]:
+    """(A canonical stream of at least ``size`` bytes, its record count); each
+    record has 0 to 19 boxes of one- and two-digit values."""
+    rng = np.random.default_rng(seed)
+    lines, i = [HEADER], 0
+    while sum(map(len, lines)) < size:
+        boxes = ",".join(
+            f'{{"x":{x / 10},"y":{y / 10},"w":{w / 10},"h":{h / 10},'
+            f'"score":{s / 100},"class_id":{c}}}'
+            for x, y, w, h, s, c in rng.integers(1, 100, (int(rng.integers(0, 20)), 6))
+        )
+        lines.append(f'{{"frame_index":{i},"timestamp_ms":{33 * i},"boxes":[{boxes}]}}')
+        i += 1
+    return ("\n".join(lines) + "\n").encode(), i
+
+
 class TestParseMemory:
+    def test_one_scan_peaks_under_eight_blocks(self):
+        # One block's scan holds its padded copy, a number mask and a few
+        # arrays of one word per number at once: measured 6.8 times the
+        # block's bytes.
+        data, _ = random_canonical_stream(3 << 20)
+        body = len(HEADER) + 1
+        start, end = ingest._line_blocks(data, body)[1]  # a whole block of about 256 KiB
+        assert end - start >= ingest._BLOCK_BYTES
+        assert scan.scan_block(data, start, end) is not None
+        tracemalloc.start()
+        try:
+            scan.scan_block(data, start, end)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * (end - start)
+
     @pytest.mark.parametrize("cpus", [2, 8])
     def test_peak_is_columns_plus_blocks(self, monkeypatch, cpus):
         # A 3 MiB canonical stream, scanned in 12 blocks of 256 KiB. Each
-        # scan running at once holds about 3 MiB: measured 3.9 MiB above the
-        # output columns on one thread, 5.9-7.0 on two and, with eight CPUs
-        # patched in, 10.7-14.1 with the scans capped at four (20.0-25.9
-        # without the cap); scanning the whole buffer at once, 47 MiB.
-        rng = np.random.default_rng(8)
-        lines, i = [HEADER], 0
-        while sum(map(len, lines)) < 3 << 20:
-            boxes = ",".join(
-                f'{{"x":{x / 10},"y":{y / 10},"w":{w / 10},"h":{h / 10},'
-                f'"score":{s / 100},"class_id":{c}}}'
-                for x, y, w, h, s, c in rng.integers(1, 100, (int(rng.integers(0, 20)), 6))
-            )
-            lines.append(f'{{"frame_index":{i},"timestamp_ms":{33 * i},"boxes":[{boxes}]}}')
-            i += 1
-        data = ("\n".join(lines) + "\n").encode()
+        # scan running at once holds under 2 MiB: measured 1.5 MiB above the
+        # output columns on one thread, 2.4-3.0 on two and, with eight CPUs
+        # patched in, 3.5-4.8 with the scans capped at four; scanning the
+        # whole buffer at once, 47 MiB.
+        data, records = random_canonical_stream(3 << 20)
         monkeypatch.setattr(ingest, "_usable_cpus", lambda: cpus)
         tracemalloc.start()
         try:
@@ -689,9 +738,9 @@ class TestParseMemory:
         b = detections.boxes
         columns = (detections.frame_index, detections.timestamp_ms, detections.box_counts,
                    b.x, b.y, b.w, b.h, b.score, b.class_id)
-        assert len(detections) == i
+        assert len(detections) == records
         scans = min(cpus, 4)  # at most four scans at once, on any CPU count
-        assert peak < sum(c.nbytes for c in columns) + scans * (7 << 19) + (3 << 20)
+        assert peak < sum(c.nbytes for c in columns) + scans * (1 << 21) + (3 << 20)
 
     def test_scans_run_on_at_most_scan_threads(self, monkeypatch):
         started = []
