@@ -45,25 +45,23 @@ _RENDER_ROWS = 1 << 14
 # One count-series row, as the line check splits it. A sign is matched only
 # so that a negative count or frame_index gets its own message.
 _ROW = re.compile(r'(-?[0-9]+),(-?[0-9]+),([^\s",]*)')
-# Each provenance word as the little-endian uint64 of its bytes, zero-padded to 8.
-_PROVENANCE_KEYS = np.array(
-    [int.from_bytes(p.encode().ljust(8, b"\0"), "little") for p in PROVENANCE],
-    dtype=np.uint64,
+# The 8 bytes before each row's line end, by code, as a little-endian
+# uint64: the word, after its comma if it is shorter.
+_ROW_KEYS = np.array(
+    [int.from_bytes(f",{p}".encode()[-8:], "little") for p in PROVENANCE], dtype=np.uint64
 )
-# The end of a row, by code: the comma before the word, the word and its
-# line end, zero-padded.
+# How many bytes before a row's end its second comma lies, by code
+_SECOND_COMMA = np.array([len(p) + 1 for p in PROVENANCE])
 _ROW_ENDS = np.array(
     [np.frombuffer(f",{p}\n".encode().ljust(10, b"\0"), np.uint8) for p in PROVENANCE]
 )
 # The reader's buffer holds this many zero bytes before the body, so that
 # the three 8-byte words ending at any field's end lie inside it.
 _PAD = 24
-# _FIRST_BYTES[n]: the first n bytes of a little-endian word
-_FIRST_BYTES = np.array([(1 << 8 * n) - 1 for n in range(9)], np.uint64)
 _DIGIT_VALUES = np.uint64(0x0F0F0F0F0F0F0F0F)  # the value of each digit byte of a word
 _NL, _CR, _COMMA = b"\n\r,"
-# The separators of a row, the bytes below "0" in it: two commas and its line end.
-_ROW_SEPARATORS = b",,\n"
+# A frame_index's word plus one, where its last digit is not 9
+_NEXT_INDEX = np.uint64(1 << 56)
 
 
 @dataclass(frozen=True)
@@ -258,7 +256,8 @@ def read_count_series(data, fps=None, digest=None) -> CountSeries:
 
     Blank lines and ``#`` comment lines may appear anywhere, with LF or
     CRLF line ends; the last ``# fps=`` comment gives the frame rate, which
-    ``fps`` overrides (or supplies, when there is none). The first other
+    ``fps`` overrides (or supplies, when there is none). ``fps`` is read
+    as ``parse_fps`` reads a header's, before the file. The first other
     line is the header ``frame_index,count,provenance``. Every line after
     it that is not blank or a comment must be a row as write_count_series
     emits it: frame_index counting up from 0, a count of at most 19 ASCII
@@ -272,6 +271,7 @@ def read_count_series(data, fps=None, digest=None) -> CountSeries:
     ``_parse_rows``, and a scanned block continues the rows before it if
     its first frame_index is their number.
     """
+    fps = None if fps is None else parse_fps(fps)
     file_fps, line_no, body = _read_preamble(data)
     rows = 0
 
@@ -289,10 +289,10 @@ def read_count_series(data, fps=None, digest=None) -> CountSeries:
         counts.append(block_counts)
         codes.append(block_codes)
         rows += len(block_counts)
-    effective_fps = Fraction(fps) if fps is not None else file_fps
-    if effective_fps is None:
+    fps = fps or file_fps
+    if fps is None:
         raise InputFormatError("no fps available: file carries no '# fps=' and none was supplied")
-    return CountSeries(_join(counts), effective_fps, _join(codes))
+    return CountSeries(_join(counts), fps, _join(codes))
 
 
 def _read_preamble(data) -> tuple[Fraction | None, int, int]:
@@ -334,16 +334,20 @@ def _scan_body(data, start: int, end: int):
     arrays; None unless every line is a row or empty, with LF or CRLF line
     ends, and the frame_index counts up by one from the first row's.
 
-    One search finds the separators, every byte below "0". In a block of
-    LF rows they are exactly ", , \\n" repeated, so taking them by threes
-    gives each row's commas and line end, and each row starts after the
-    line end before it. Any other block is split by ``_split_rows``, which
-    takes only commas, line ends and CRs that end a line. One count then
-    checks both number fields: separators and provenance words hold no
-    digit (the words are checked for every row), so the block holds as
-    many digits as the fields' summed widths only if every byte of them is
-    a digit. Any other block, one holding a comment or a line to reject,
-    is left to _parse_rows.
+    The scan searches the block for its line ends alone and places every
+    field of a row from its ends. The block's lines are taken as LF rows,
+    or, if a line's end is not a row's, as the rows ``_split_rows`` finds.
+    The 8 bytes before a row's end must be a provenance word, after its
+    comma if the word is shorter, which gives the row's code and its
+    second comma (``_row_codes``). Its first comma lies as many bytes after
+    its start as its expected frame_index, the first row's plus its place
+    in the block, has digits, so an index with a leading zero is not
+    scanned. A "," is checked at both places. One count then checks both
+    number fields: line ends, CRs, commas and words hold no digit, so the
+    block holds as many digits as the fields' summed widths only if every
+    byte of them is a digit. The frame_index is checked by ``_counts_up``.
+    Any other block, one holding a comment or a line to reject, is left to
+    _parse_rows.
     """
     size = end - start
     # the lines, with zero bytes before and after them, so that a word
@@ -355,68 +359,110 @@ def _scan_body(data, start: int, end: int):
     if added:
         buf[_PAD + size] = _NL
     text = buf[_PAD : _PAD + size + added]
-    seps = np.flatnonzero(text < ord("0"))
-    kinds = text[seps]
-    if kinds.tobytes() == _ROW_SEPARATORS * (len(kinds) // 3):
-        comma1, comma2, stops = seps.reshape(-1, 3).T
-        starts = np.concatenate(([0], stops[:-1] + 1))
-        line_ends = len(stops)
-    else:
-        rows = _split_rows(buf, seps, kinds)
-        if rows is None:
+    stops = _line_ends(buf, len(text))
+    line_ends = len(stops) - added
+    starts = np.concatenate(([0], stops[:-1] + 1))
+    codes = _row_codes(buf, stops)
+    if codes is None:
+        starts, stops = _split_rows(buf, starts, stops)
+        codes = _row_codes(buf, stops)
+        if codes is None:
             return None
-        starts, comma1, comma2, stops, line_ends = rows
     if not len(stops):
-        return (None, np.zeros(0, np.int64), np.zeros(0, np.uint8)), line_ends - added
-    index_width = comma1 - starts
+        return (None, np.zeros(0, np.int64), codes), line_ends
+    comma2 = stops - _SECOND_COMMA.take(codes)
+    first_width = text[starts[0] : comma2[0]].tobytes().find(b",")
+    if not 0 < first_width <= _INT64_DIGITS:
+        return None
+    first = int(_digit_fields(buf, starts[:1] + first_width, np.array([first_width]))[0])
+    # each row's index width, which grows by one at each power of ten
+    index_width = np.full(len(stops), len(str(first)))
+    power = 10 ** len(str(first))
+    while power < first + len(stops):
+        index_width[power - first :] += 1
+        power *= 10
+    comma1 = starts + index_width
     count_width = comma2 - comma1 - 1
-    if min(index_width.min(), count_width.min()) < 1:
+    if not 1 <= count_width.min() <= count_width.max() <= _INT64_DIGITS:
         return None
-    if max(index_width.max(), count_width.max()) > _INT64_DIGITS:
+    if not ((text[comma1] == _COMMA).all() and (text[comma2] == _COMMA).all()):
         return None
-    digits = np.count_nonzero(text <= ord("9")) - len(seps)
+    digits = np.count_nonzero(text - np.uint8(ord("0")) < 10)
     if digits != int((comma2 - starts).sum()) - len(starts):
         return None
-    codes = _provenance_codes(buf, comma2 + 1, stops)
-    if codes is None:
-        return None
-    index = _digit_fields(buf, comma1, index_width)
-    if (np.diff(index) != 1).any():
+    if not _counts_up(buf, first, comma1, index_width):
         return None
     counts = _digit_fields(buf, comma2, count_width)
     if counts.max() > _INT64_MAX:
         return None
-    return (int(index[0]), counts.view(np.int64), codes), line_ends - added
+    return (first, counts.view(np.int64), codes), line_ends
 
 
-def _split_rows(buf: np.ndarray, seps: np.ndarray, kinds: np.ndarray):
-    """(row starts, first commas, second commas, row stops, line ends) of a
-    block from its separator bytes ``kinds`` at body offsets ``seps``; None
-    unless each is a comma, a line end or a CR.
+def _line_ends(buf: np.ndarray, size: int) -> np.ndarray:
+    """The offsets of the line ends in the first ``size`` bytes of the body.
 
-    A CR before a line end ends its line with it. A CR anywhere else lies
-    inside a field, which the digit and word checks then reject. Empty
-    lines, and lines holding only a CR, are dropped; every other line must
-    hold exactly two commas.
+    The line ends are marked, and the marks searched 8 at a time, as
+    uint64 words: a row is longer than 8 bytes, so a word of rows holds at
+    most one mark, and the top byte of its product with 0x0001020304050607
+    is the mark's place in it. A block with two marks in a word is searched
+    byte by byte.
     """
-    newline = kinds == _NL
-    comma = kinds == _COMMA
-    if np.count_nonzero(newline | comma | (kinds == _CR)) != len(kinds):
+    marks = buf[_PAD : _PAD + -(-size // 8) * 8] == _NL
+    words = marks.view("<u8")
+    found = np.flatnonzero(words != 0)
+    marked = words[found]
+    if (marked & (marked - np.uint64(1))).any():
+        return np.flatnonzero(marks)
+    marked *= np.uint64(0x0001020304050607)
+    marked >>= np.uint64(56)
+    return found * 8 + marked.view(np.int64)
+
+
+def _split_rows(buf: np.ndarray, starts: np.ndarray, stops: np.ndarray):
+    """(row starts, row stops) of the body lines ``starts[i]:stops[i]``
+    ending at line ends, less a CR before the line end, and then less the
+    empty lines. A CR anywhere else lies in a field or a word, which the
+    digit and word checks then reject."""
+    stops = stops - (buf[_PAD - 1 + stops] == _CR)
+    filled = stops > starts
+    return starts[filled], stops[filled]
+
+
+def _row_codes(buf: np.ndarray, stops: np.ndarray):
+    """The provenance code of each body row ending before ``stops[i]``, or
+    None unless the 8 bytes before every stop, as one uint64 key, are a
+    word, after its comma if it is shorter."""
+    keys = _words(buf)[_PAD - 8 + stops]
+    codes = (keys == _ROW_KEYS[CODE_DENSITY]).view(np.uint8)
+    codes |= (keys == _ROW_KEYS[CODE_SMOOTHED]).view(np.uint8) << 1
+    if not np.array_equal(_ROW_KEYS.take(codes), keys):
         return None
-    line_ends = seps[newline]
-    starts = np.concatenate(([0], line_ends[:-1] + 1))
-    stops = line_ends - (buf[_PAD - 1 + line_ends] == _CR)
-    filled = stops > starts  # every line but the empty ones must be a row
-    starts, stops = starts[filled], stops[filled]
-    # With 2 commas per row in all, and each row holding its pair, every
-    # row holds exactly two, so each field below lies within its row.
-    commas = seps[comma]
-    if len(commas) != 2 * len(starts):
-        return None
-    comma1, comma2 = commas[0::2], commas[1::2]
-    if not ((starts < comma1).all() and (comma2 < stops).all()):
-        return None
-    return starts, comma1, comma2, stops, len(line_ends)
+    return codes
+
+
+def _counts_up(buf: np.ndarray, first: int, ends: np.ndarray, width: np.ndarray) -> bool:
+    """Whether the body fields of ``width[i]`` ASCII digits ending before
+    ``ends[i]``, the first of which holds ``first``, count up by one.
+
+    Up to 8 digits, each field is taken as the 8-byte word ending at its
+    end, with the bytes before it cleared. Where a frame_index does not end
+    in 9, the next differs from it in its last digit alone: its word is
+    this one's plus 1 << 56. So only the fields after a carry, whose
+    frame_index ends in 0, are summed as numbers; wider fields all are.
+    """
+    if first + len(ends) > 10**8:
+        return not (np.diff(_digit_fields(buf, ends, width)) != 1).any()
+    from .scan import _LAST_BYTES, _digits_to_int
+
+    words = _words(buf)[_PAD - 8 + ends]
+    words &= _LAST_BYTES.take(width)
+    step = np.diff(words)
+    carried = -first % 10  # the first row whose frame_index ends in 0
+    step[(carried - 1) % 10 :: 10] = _NEXT_INDEX
+    if (step != _NEXT_INDEX).any():
+        return False
+    read = _digits_to_int(words[carried::10] & _DIGIT_VALUES)
+    return np.array_equal(read, np.arange(first + carried, first + len(ends), 10, dtype=np.uint64))
 
 
 def _words(buf: np.ndarray) -> np.ndarray:
@@ -456,26 +502,6 @@ def _digit_fields(buf: np.ndarray, ends: np.ndarray, width: np.ndarray) -> np.nd
         word &= _DIGIT_VALUES
         value += _digits_to_int(word) * np.uint64(10 ** (8 * i))
     return value
-
-
-def _provenance_codes(buf: np.ndarray, starts: np.ndarray, stops: np.ndarray):
-    """The code of each body field ``starts[i]:stops[i]``, or None unless
-    every field is one of the words.
-
-    Each field's first 8 bytes, zero-padded, are compared as one uint64
-    key with the word's. The fields hold no zero byte, so a key of at most
-    8 bytes equals a word's only if the field is that word.
-    """
-    width = stops - starts
-    if width.max() > 8:
-        return None
-    keys = _words(buf)[_PAD + starts]
-    keys &= _FIRST_BYTES.take(width)
-    codes = (keys == _PROVENANCE_KEYS[CODE_DENSITY]).view(np.uint8)
-    codes |= (keys == _PROVENANCE_KEYS[CODE_SMOOTHED]).view(np.uint8) << 1
-    if not np.array_equal(_PROVENANCE_KEYS.take(codes), keys):
-        return None
-    return codes
 
 
 def _parse_rows(data, start: int, end: int, line_no: int, expected: int):

@@ -124,13 +124,14 @@ class StreamMeta:
 
 
 def parse_fps(value) -> Fraction:
-    """Accept a JSON number or a "num/den" string; reject non-positive rates."""
+    """Accept a JSON number, read by its repr (29.97 is 2997/100), a
+    "num/den" string or a Fraction; reject non-positive rates."""
     if isinstance(value, str):
         try:
             fps = Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise InputFormatError(f"cannot parse fps {value!r}") from exc
-    elif isinstance(value, bool) or not isinstance(value, (int, float)):
+    elif isinstance(value, bool) or not isinstance(value, (int, float, Fraction)):
         raise InputFormatError(f"fps must be a number or 'num/den' string, got {value!r}")
     else:
         fps = Fraction(str(value))

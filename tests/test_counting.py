@@ -81,7 +81,7 @@ def reference_read_count_series(data: bytes, fps=None) -> CountSeries:
         rows.append((count, prov))
     if not header_seen:
         raise InputFormatError("count-series file has no header row")
-    effective_fps = Fraction(fps) if fps is not None else file_fps
+    effective_fps = parse_fps(fps) if fps is not None else file_fps
     if effective_fps is None:
         raise InputFormatError("no fps available: file carries no '# fps=' and none was supplied")
     counts = np.array([r[0] for r in rows], dtype=np.int64)
@@ -283,8 +283,20 @@ class TestCountSeriesCsv:
         assert lines[2] == "0,1,Detector"
 
     def test_fps_override(self):
+        # read as a header's fps is: a float by its repr, not its binary value
         data = write_count_series(series([1], fps=30))
-        assert read_count_series(data, fps=24).fps == 24
+        for fps, expected in [(24, Fraction(24)), (29.97, Fraction(2997, 100)),
+                              ("25", Fraction(25)), ("30000/1001", Fraction(30000, 1001)),
+                              (Fraction(30000, 1001), Fraction(30000, 1001))]:
+            got = read_count_series(data, fps=fps)
+            assert got.fps == expected
+            assert write_count_series(got).startswith(f"# fps={format_fps(expected)}\n".encode())
+
+    @pytest.mark.parametrize("fps", [0, -1.5, "0/5", "-3", Fraction(0), "abc", True])
+    def test_bad_fps_override_rejected(self, fps):
+        data = write_count_series(series([1], fps=30))
+        with pytest.raises(InputFormatError, match="fps"):
+            read_count_series(data, fps=fps)
 
     def test_missing_fps_rejected(self):
         data = b"frame_index,count,provenance\n0,1,Detector\n"
@@ -882,8 +894,8 @@ class TestWindows:
 
 
 class TestScanEdges:
-    """Blocks at the edges of the scan's separator rule: each is scanned as
-    the line parser reads it, or left to the line parser."""
+    """Blocks at the edges of the scan's line and comma rules: each is
+    scanned as the line parser reads it, or left to the line parser."""
 
     @pytest.mark.parametrize("word", PROVENANCES)
     def test_last_row_without_line_end(self, word):
@@ -949,6 +961,114 @@ class TestScanEdges:
         assert got.value.line == 4
 
 
+def rows_block(first: int, counts) -> bytes:
+    """LF rows of ``counts`` from frame_index ``first`` on, as the writer
+    renders them, with the three words in turn."""
+    rows = (f"{first + k},{c},{PROVENANCES[k % 3]}\n" for k, c in enumerate(counts))
+    return "".join(rows).encode()
+
+
+class TestPlacedFields:
+    """Blocks at the edges of the placed fields and of the frame_index's
+    word differences: each is scanned as the line parser reads it, or left
+    to the line parser, and read alike with the scan off."""
+
+    def assert_rows(self, block: bytes, first: int, counts, scanned=True):
+        """The block read as ``counts`` from ``first`` on by the line parser
+        and, if ``scanned`` and the scan is on, by the scan."""
+        got = assert_block_agrees(block, 0, len(block))
+        if scanned and counting._scan_body is not refuse_every_block:
+            assert got is not None and got[0] == first
+        parsed = counting._parse_rows(block, 0, len(block), 1, first)
+        assert parsed[1].tolist() == counts
+
+    def assert_file_rejected(self, rows: bytes, message: str, line: int):
+        """A file of ``rows`` after its header is rejected alike, and its
+        blocks are scanned only as the line parser reads them."""
+        data = f"# fps=30\n{HEADER}\n".encode() + rows
+        assert_scan_agrees(data)
+        assert_rejected(data, message, line)
+
+    @pytest.mark.parametrize("power", [10, 100, 10**7])
+    @pytest.mark.parametrize("before", [7, 1, 0], ids=["inside", "second-row", "first-row"])
+    def test_index_widens(self, power, before):
+        counts = list(range(20))
+        self.assert_rows(rows_block(power - before, counts), power - before, counts)
+
+    @pytest.mark.parametrize("first", [99_999_998, 99_999_999, 10**8])
+    def test_index_past_eight_digits(self, first):
+        counts = [5, 0, 12, 7][: 10**8 + 2 - first]
+        self.assert_rows(rows_block(first, counts), first, counts)
+        # a wrong digit before the last 8, in a row after no carry
+        block = rows_block(first, counts).replace(b"\n100000001,", b"\n200000001,")
+        assert counting._scan_body(block, 0, len(block)) is None
+
+    @pytest.mark.parametrize(
+        "index,wrong", [(20, 21), (30, 20), (19, 20)],
+        ids=["19-then-21", "29-then-20", "18-then-20"],
+    )
+    def test_wrong_digit_near_a_carry(self, index, wrong):
+        # the rows after it count up from the wrong frame_index
+        rows = rows_block(0, range(index)) + rows_block(wrong, range(index, 40))
+        self.assert_file_rejected(rows, f"expected frame_index {index}, got {wrong}", index + 3)
+        for first in (0, 8, 17, index - 1):
+            block = rows[rows.index(b"%d," % first) :]
+            assert counting._scan_body(block, 0, len(block)) is None
+
+    def test_index_with_a_leading_zero(self):
+        # the line parser takes "07" as 7; the scan leaves it to the line parser
+        rows = rows_block(0, list(range(12))).replace(b"\n7,", b"\n07,")
+        data = f"# fps=30\n{HEADER}\n".encode() + rows
+        assert_scan_agrees(data)
+        assert assert_reads_as_reference(data).counts.tolist() == list(range(12))
+        self.assert_rows(rows[rows.index(b"07,") :], 7, list(range(7, 12)), scanned=False)
+
+    @pytest.mark.parametrize(
+        "row,message",
+        [(b"5,1,Densit", "unknown provenance 'Densit'"),
+         (b"5,1,Densityy", "unknown provenance 'Densityy'"),
+         (b"5,1,Detectors", "unknown provenance 'Detectors'"),
+         (b"5,1,Smoothed,", "bad count row '5,1,Smoothed,'"),
+         (b"5,1,,Density", "bad count row '5,1,,Density'"),
+         (b"5,,1,Density", "bad count row '5,,1,Density'")],
+    )
+    def test_row_end_not_a_word(self, row, message):
+        rows = rows_block(0, list(range(10))).replace(b"5,5,Smoothed", row)
+        self.assert_file_rejected(rows, message, 8)
+        block = rows[rows.index(b"\n4,") + 1 :]
+        assert counting._scan_body(block, 0, len(block)) is None
+
+    def test_widest_counts(self):
+        counts = [10**18, INT64_MAX, 0, 10**18 + 7]
+        self.assert_rows(rows_block(3, counts), 3, counts)
+        block = rows_block(3, [1, 2**63, 3])
+        assert counting._scan_body(block, 0, len(block)) is None
+        over = f"count {2**63} is over {INT64_MAX} or longer than 19 digits"
+        self.assert_file_rejected(rows_block(0, [1, 2**63, 3]), over, 4)
+
+
+class TestScanTakesWrittenFiles:
+    """Every block of a file that write_count_series writes is scanned:
+    the line parser reads none of them."""
+
+    @pytest.mark.parametrize("way", WAYS)
+    def test_index_widths(self, rng, way):
+        for n in (9, 10, 11, 99, 100, 101, 999, 1000, 1001):
+            s = random_series(rng, n)
+            self.assert_scanned(write_count_series(s, ("seed=7",)), s, way)
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_long_series(self, rng, cpus):
+        s = random_series(rng, 150_000)
+        self.assert_scanned(write_count_series(s), s, (ingest._BLOCK_BYTES, cpus))
+
+    def assert_scanned(self, data, s, way):
+        spy = mock.patch.object(counting, "_parse_rows", wraps=counting._parse_rows)
+        with parsed_in(*way), spy as parse:
+            assert_same_series(read_count_series(data), s)
+        assert parse.call_count == 0
+
+
 def refuse_every_block(data, start, end):
     return None
 
@@ -1001,15 +1121,19 @@ class TestBlocksScanOff(ScanOff, TestBlocks):
     pass
 
 
+class TestPlacedFieldsScanOff(ScanOff, TestPlacedFields):
+    pass
+
+
 class TestReadMemory:
     @pytest.mark.parametrize("cpus", [1, 2, 8])
     def test_peak_is_columns_plus_blocks(self, monkeypatch, cpus):
         # A 150k-row CSV of 2.6 MB, read in 11 blocks of 256 KiB. Each block
         # being scanned holds about 1.5 MiB, and joining the blocks' counts
         # holds a second copy of the counts. Measured above the output
-        # columns: 1.9 MiB on one thread, 3.1-3.8 on two and, with eight CPUs
-        # patched in, 6.2-7.2 with the scans capped at four; scanning the
-        # whole body at once, 18.6 MiB.
+        # columns: 1.3 MiB on one thread, 1.5-2.3 on two and, with eight CPUs
+        # patched in, 2.3-4.3 with the scans capped at four; scanning the
+        # whole body at once, 13.3 MiB.
         rng = np.random.default_rng(7)
         n = 150_000
         s = CountSeries(rng.integers(0, 40, n), 30, rng.integers(0, 3, n).astype(np.uint8))
