@@ -44,7 +44,7 @@ from .density import (
     regressor_from_json,
     regressor_to_json,
 )
-from .errors import ConfigError, InputFormatError, RoutingError, StageError
+from .errors import ConfigError, InputFormatError, StageError
 from .evaluation import (
     JitterSpec,
     evaluate,
@@ -58,6 +58,7 @@ from .ingest import (
     _releaser,
     format_fps,
     load_gray_frames,
+    normalize_detections,
     parse_detections,
     parse_fps,
 )
@@ -91,7 +92,7 @@ class PipelineConfig:
         if config_path is not None:
             try:
                 settings = json.loads(Path(config_path).read_text("utf-8"))
-            except (OSError, json.JSONDecodeError) as exc:
+            except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
                 raise ConfigError(f"cannot read config {config_path}: {exc}") from exc
             if not isinstance(settings, dict):
                 raise ConfigError(f"config {config_path} must be a JSON object")
@@ -251,9 +252,8 @@ def stage_count(detections, config: PipelineConfig, gray_frames=None, regressor=
     series = dataclasses.replace(series, fps=Fraction(config.fps_override or meta.fps))
     needed = frames_needing_density(series, policy)
     density_counts = None
-    if len(needed):
-        if regressor is None:
-            raise RoutingError(needed.tolist())
+    # without a regressor, route_counts raises the RoutingError naming them
+    if len(needed) and regressor is not None:
         if gray_frames is None:
             raise StageError(
                 "frames exceed the count ceiling but no gray frame container was "
@@ -563,8 +563,6 @@ def main():
 @cli_command
 def ingest(detections, out):
     """Validate a detections file; write the normalized copy and stream metadata."""
-    from .ingest import normalize_detections
-
     # walked, hashed and rendered a block at a time, so no box columns
     # outlive their block, and the rendered parts are written unjoined
     parts, meta = normalize_detections(_map_bytes(detections))

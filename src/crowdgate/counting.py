@@ -29,6 +29,7 @@ from .ingest import (
     format_fps,
     parse_fps,
 )
+from .words import _DIGIT_VALUES, _LAST_BYTES, _digits_to_int, _padded, _words
 
 PROV_DETECTOR = "Detector"
 PROV_DENSITY = "Density"
@@ -58,7 +59,6 @@ _ROW_ENDS = np.array(
 # The reader's buffer holds this many zero bytes before the body, so that
 # the three 8-byte words ending at any field's end lie inside it.
 _PAD = 24
-_DIGIT_VALUES = np.uint64(0x0F0F0F0F0F0F0F0F)  # the value of each digit byte of a word
 _NL, _CR, _COMMA = b"\n\r,"
 # A frame_index's word plus one, where its last digit is not 9
 _NEXT_INDEX = np.uint64(1 << 56)
@@ -347,20 +347,17 @@ def _scan_body(data, start: int, end: int):
     block holds as many digits as the fields' summed widths only if every
     byte of them is a digit. The frame_index is checked by ``_counts_up``.
     Any other block, one holding a comment or a line to reject, is left to
-    _parse_rows.
+    _parse_rows. The block is copied and its fields read as 8-byte words by
+    ``words``, as the detections scan reads its numbers.
     """
     size = end - start
     # the lines, with zero bytes before and after them, so that a word
     # ending at any field's end, or starting at any field's start, stays
     # inside; a block without a final line end gets one in the padding
-    buf = np.zeros(_PAD + size + 8, dtype=np.uint8)
-    buf[_PAD : _PAD + size] = np.frombuffer(data, dtype=np.uint8, count=size, offset=start)
-    added = int(size > 0 and buf[_PAD + size - 1] != _NL)
-    if added:
-        buf[_PAD + size] = _NL
-    text = buf[_PAD : _PAD + size + added]
+    buf, stop = _padded(data, start, end, _PAD, 8)
+    text = buf[_PAD:stop]
     stops = _line_ends(buf, len(text))
-    line_ends = len(stops) - added
+    line_ends = len(stops) - (len(text) - size)  # less a line end _padded added
     starts = np.concatenate(([0], stops[:-1] + 1))
     codes = _row_codes(buf, stops)
     if codes is None:
@@ -452,8 +449,6 @@ def _counts_up(buf: np.ndarray, first: int, ends: np.ndarray, width: np.ndarray)
     """
     if first + len(ends) > 10**8:
         return not (np.diff(_digit_fields(buf, ends, width)) != 1).any()
-    from .scan import _LAST_BYTES, _digits_to_int
-
     words = _words(buf)[_PAD - 8 + ends]
     words &= _LAST_BYTES.take(width)
     step = np.diff(words)
@@ -465,11 +460,6 @@ def _counts_up(buf: np.ndarray, first: int, ends: np.ndarray, width: np.ndarray)
     return np.array_equal(read, np.arange(first + carried, first + len(ends), 10, dtype=np.uint64))
 
 
-def _words(buf: np.ndarray) -> np.ndarray:
-    """The little-endian uint64 of the 8 bytes at each offset of ``buf``."""
-    return np.ndarray((len(buf) - 7,), "<u8", buf, strides=(1,))
-
-
 def _digit_fields(buf: np.ndarray, ends: np.ndarray, width: np.ndarray) -> np.ndarray:
     """uint64 values of the body fields of ``width[i]`` ASCII digits, 1 to
     19, that end before offset ``ends[i]``.
@@ -477,7 +467,7 @@ def _digit_fields(buf: np.ndarray, ends: np.ndarray, width: np.ndarray) -> np.nd
     Fields of at most 3 digits are summed a byte at a time from their end.
     Wider ones are read as the 8-byte words ending at their end, with the
     bytes before the field cleared, and each word's eight digits summed at
-    once (``scan._digits_to_int``).
+    once (``words._digits_to_int``).
     """
     widest = int(width.max())
     last = ends + (_PAD - 1)
@@ -489,10 +479,6 @@ def _digit_fields(buf: np.ndarray, ends: np.ndarray, width: np.ndarray) -> np.nd
             digit = (buf[last - k] & np.uint8(0x0F)).astype(np.uint16)
             value += digit * (width > k) * np.uint16(10**k)
         return value.astype(np.uint64)
-    # Imported here, as parse_detections does: compiling the scan module
-    # would cost every command at start-up.
-    from .scan import _LAST_BYTES, _digits_to_int
-
     words = _words(buf)
     value = np.zeros(len(width), dtype=np.uint64)
     for i in range(-(-widest // 8)):

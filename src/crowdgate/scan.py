@@ -4,8 +4,8 @@ The block walk (``ingest._walk``) hands each block of a detections body
 (``ingest._read_detections``) to ``scan_block``, which reads the
 canonical lines, those ``crowdgate ingest`` writes, as numpy arrays, and
 returns None for anything else, which the per-line parser then reads or
-rejects. Only ``_read_detections`` and ``counting._digit_fields`` import
-it, when called.
+rejects. Only ``_read_detections`` imports it, when called; its 8-byte
+word arithmetic, which the count-CSV scan shares, is in ``words``.
 """
 
 from __future__ import annotations
@@ -14,8 +14,8 @@ import functools
 
 import numpy as np
 
-from .counting import _words
 from .ingest import _BLOCK_BYTES, _INT64_DIGITS, _INT64_MAX
+from .words import _LAST_BYTES, _ONES, _byte_count, _digits_to_int, _padded, _words
 
 # A block longer than this is left to the per-line parse; a block's scan
 # peaks at about 7 times its bytes. A block ends at the first line end past
@@ -48,7 +48,6 @@ _INT_FIELDS = np.array([True, True, False, False, False, False, False, True])
 # multiple of 8, and longer than any number the scan can take (25 bytes:
 # "-0." and 22 fraction digits).
 _SPAN = 32
-_ONES = np.uint64(0x0101010101010101)
 _POW10 = 10.0 ** np.arange(23)  # exact doubles
 
 
@@ -69,8 +68,6 @@ def _skeleton_tables():
 
 _GAP_MAX = max(len(skeleton) for skeleton, _, _ in _SKELETONS) + 1
 _KIND, _BEFORE, _AFTER = _skeleton_tables()
-# _LAST_BYTES[n]: the last n bytes of a word, where an n-byte number ends
-_LAST_BYTES = np.array([(1 << 64) - (1 << (64 - 8 * n)) if n else 0 for n in range(9)], np.uint64)
 
 
 def scan_block(data, start, end):
@@ -93,19 +90,15 @@ def scan_block(data, start, end):
     range checks. Anything else makes the block fall back to the per-line
     parse, which also checks the frame order here. Each step is a function
     of its own, so that its temporaries are freed before the next, and the
-    number mask is made once for the steps that need it.
+    number mask is made once for the steps that need it. The block is
+    copied and its numbers read as 8-byte words by ``words``, as the
+    count-CSV scan reads its fields.
     """
-    size = end - start
-    if size > _SCAN_BYTES_MAX or data[start : start + len(_LINE_START)] != _LINE_START:
+    if end - start > _SCAN_BYTES_MAX or data[start : start + len(_LINE_START)] != _LINE_START:
         return None
     # zero padding: _SPAN bytes before, and after, a line end and the third
     # byte of the gap after the last number
-    buf = np.zeros(_SPAN + size + 3, np.uint8)
-    buf[_SPAN : _SPAN + size] = np.frombuffer(data, np.uint8, size, start)
-    stop = _SPAN + size
-    if buf[stop - 1] != ord("\n"):
-        buf[stop] = ord("\n")  # the file's last line may lack its line end
-        stop += 1
+    buf, stop = _padded(data, start, end, _SPAN, 3)
     if (buf == ord("/")).any():
         return None  # "/" lies between "." and "0"
     number = (buf - np.uint8(ord("-"))) < 13
@@ -284,23 +277,3 @@ def _number_values(buf, ends, lengths):
         dots += _byte_count(dot)
         seen += _byte_count(digits)
     return mantissa, exact, fraction, dots
-
-
-def _digits_to_int(d):
-    """The integers of words of eight digit values each, the first in the
-    low byte; ``d`` is overwritten with them."""
-    t = np.empty_like(d)
-    for shift, mask in ((8, 0x00FF00FF00FF00FF), (16, 0x0000FFFF0000FFFF), (32, 0xFFFFFFFF)):
-        np.right_shift(d, np.uint64(shift), out=t)  # the next 1, 2 or 4 digits
-        d *= np.uint64(10 ** (shift // 8))
-        d += t
-        d &= np.uint64(mask)
-    return d
-
-
-def _byte_count(flags):
-    """How many bytes of each word are 1, for words of 0 and 1 bytes;
-    ``flags`` is overwritten with the counts."""
-    flags *= _ONES
-    flags >>= np.uint64(56)
-    return flags

@@ -267,6 +267,24 @@ def test_bad_settings_exit_3(runner, tmp_path, args, config):
 
 
 @pytest.mark.parametrize(
+    "text",
+    [b'{"count_ceiling": 3,}', b'{"tie_break": "prefer-\xfflast-value"}'],
+    ids=["json-syntax", "not-utf8"],
+)
+def test_unreadable_config_names_its_file_exit_3(runner, tmp_path, text):
+    csv = tmp_path / "c.csv"
+    csv.write_bytes(write_count_series(series([1, 2, 3])))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(text)
+    result = run_cli(
+        runner, ["smooth", str(csv), "--config", str(cfg), "--out", str(tmp_path / "o")]
+    )
+    assert result.exit_code == EXIT_CONFIG_ERROR, result.output
+    assert result.output.startswith(f"error: cannot read config {cfg}: ")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
     "fps,message",
     [
         (29.97, "fps_override must be a Fraction or null, got 29.97"),
@@ -1577,6 +1595,35 @@ def test_cli_import_leaves_the_detections_scan_unloaded():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "False"
+
+
+_SCANNED_READ = """
+import sys
+from crowdgate import counting
+
+scanned = []
+scan_body = counting._scan_body
+counting._scan_body = lambda *args: scanned.append(scan_body(*args)) or scanned[-1]
+with open(sys.argv[1], "rb") as fh:
+    frames = len(counting.read_count_series(fh.read()))
+print(frames, any(scanned), "crowdgate.scan" in sys.modules)
+"""
+
+
+def test_count_csv_read_leaves_the_detections_scan_unloaded(tmp_path):
+    # smooth, segment and eval read count CSVs alone: the count-CSV scan
+    # shares its word arithmetic with the detections scan through
+    # crowdgate.words, not by importing it
+    csv = tmp_path / "c.csv"
+    csv.write_bytes(write_count_series(series(np.arange(4000) * 123_456_789)))
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    result = subprocess.run(
+        [sys.executable, "-c", _SCANNED_READ, str(csv)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["4000", "True", "False"]
 
 
 def test_cli_import_loads_no_concurrent_futures():

@@ -1022,3 +1022,41 @@ def test_no_constant_defined_twice():
             for name in names:
                 owners.setdefault(name, set()).add(path.name)
     assert {name: sorted(paths) for name, paths in owners.items() if len(paths) > 1} == {}
+
+
+def _imported_modules(node):
+    """The top-level modules an import statement loads, with ``crowdgate.``
+    dropped from a package module's name and a relative one taken as the
+    package's."""
+    if isinstance(node, ast.Import):
+        names = [alias.name for alias in node.names]
+    elif node.level:
+        return [node.module] if node.module else [alias.name for alias in node.names]
+    else:
+        names = [node.module]
+    return [name.removeprefix("crowdgate.") for name in names]
+
+
+def test_package_imports_at_module_top_and_no_scan_cycle():
+    # Only the detections read defers an import, so that the commands that
+    # read no detections do not compile the detections scan. The two scans
+    # share their word arithmetic through ``words``, not through each other.
+    package = Path(ingest.__file__).parent
+    modules = {path.stem for path in package.glob("*.py")}
+    deferred, imported = set(), {}
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                imported.setdefault(path.stem, set()).update(_imported_modules(node))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                deferred |= {
+                    (path.stem, node.name, module)
+                    for inner in ast.walk(node)
+                    if isinstance(inner, (ast.Import, ast.ImportFrom))
+                    for module in _imported_modules(inner)
+                    if module in modules
+                }
+    assert deferred == {("ingest", "_read_detections", "scan")}
+    assert "scan" not in imported["counting"] and "counting" not in imported["scan"]
+    assert imported["words"] == {"__future__", "numpy"}
