@@ -52,7 +52,7 @@ _ROW_KEYS = np.array(
     [int.from_bytes(f",{p}".encode()[-8:], "little") for p in PROVENANCE], dtype=np.uint64
 )
 # How many bytes before a row's end its second comma lies, by code
-_SECOND_COMMA = np.array([len(p) + 1 for p in PROVENANCE])
+_SECOND_COMMA = np.array([len(p) + 1 for p in PROVENANCE], np.int8)
 _ROW_ENDS = np.array(
     [np.frombuffer(f",{p}\n".encode().ljust(10, b"\0"), np.uint8) for p in PROVENANCE]
 )
@@ -351,6 +351,8 @@ def _scan_body(data, start: int, end: int):
     ``words``, as the detections scan reads its numbers.
     """
     size = end - start
+    if size >= 1 << 31:
+        return None  # offsets are int32
     # the lines, with zero bytes before and after them, so that a word
     # ending at any field's end, or starting at any field's start, stays
     # inside; a block without a final line end gets one in the padding
@@ -358,7 +360,9 @@ def _scan_body(data, start: int, end: int):
     text = buf[_PAD:stop]
     stops = _line_ends(buf, len(text))
     line_ends = len(stops) - (len(text) - size)  # less a line end _padded added
-    starts = np.concatenate(([0], stops[:-1] + 1))
+    starts = np.empty_like(stops)
+    starts[:1] = 0
+    np.add(stops[:-1], 1, out=starts[1:])
     codes = _row_codes(buf, stops)
     if codes is None:
         starts, stops = _split_rows(buf, starts, stops)
@@ -367,26 +371,32 @@ def _scan_body(data, start: int, end: int):
             return None
     if not len(stops):
         return (None, np.zeros(0, np.int64), codes), line_ends
-    comma2 = stops - _SECOND_COMMA.take(codes)
+    comma2 = stops  # in place
+    comma2 -= _SECOND_COMMA.take(codes)
     first_width = text[starts[0] : comma2[0]].tobytes().find(b",")
     if not 0 < first_width <= _INT64_DIGITS:
         return None
     first = int(_digit_fields(buf, starts[:1] + first_width, np.array([first_width]))[0])
     # each row's index width, which grows by one at each power of ten
-    index_width = np.full(len(stops), len(str(first)))
+    index_width = np.full(len(stops), len(str(first)), np.int8)
     power = 10 ** len(str(first))
     while power < first + len(stops):
         index_width[power - first :] += 1
         power *= 10
-    comma1 = starts + index_width
-    count_width = comma2 - comma1 - 1
+    # the digits the fields hold if every byte of them is one
+    digits = int(comma2.sum(dtype=np.int64)) - int(starts.sum(dtype=np.int64)) - len(starts)
+    comma1 = starts  # in place
+    comma1 += index_width
+    count_width = comma2 - comma1
+    count_width -= 1
     if not 1 <= count_width.min() <= count_width.max() <= _INT64_DIGITS:
         return None
     if not ((text[comma1] == _COMMA).all() and (text[comma2] == _COMMA).all()):
         return None
-    digits = np.count_nonzero(text - np.uint8(ord("0")) < 10)
-    if digits != int((comma2 - starts).sum()) - len(starts):
+    digit = np.subtract(text, np.uint8(ord("0")))
+    if np.count_nonzero(np.less(digit, 10, out=digit.view(np.bool_))) != digits:
         return None
+    del digit
     if not _counts_up(buf, first, comma1, index_width):
         return None
     counts = _digit_fields(buf, comma2, count_width)
@@ -408,11 +418,16 @@ def _line_ends(buf: np.ndarray, size: int) -> np.ndarray:
     words = marks.view("<u8")
     found = np.flatnonzero(words != 0)
     marked = words[found]
-    if (marked & (marked - np.uint64(1))).any():
-        return np.flatnonzero(marks)
+    two = marked - np.uint64(1)
+    two &= marked
+    if two.any():
+        return np.flatnonzero(marks).astype(np.int32)
+    del marks, two
     marked *= np.uint64(0x0001020304050607)
     marked >>= np.uint64(56)
-    return found * 8 + marked.view(np.int64)
+    found <<= 3
+    found += marked.view(np.int64)
+    return found.astype(np.int32)
 
 
 def _split_rows(buf: np.ndarray, starts: np.ndarray, stops: np.ndarray):

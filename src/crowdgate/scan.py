@@ -18,9 +18,9 @@ from .ingest import _BLOCK_BYTES, _INT64_DIGITS, _INT64_MAX
 from .words import _LAST_BYTES, _ONES, _byte_count, _digits_to_int, _padded, _words
 
 # A block longer than this is left to the per-line parse; a block's scan
-# peaks at about 7 times its bytes. A block ends at the first line end past
-# _BLOCK_BYTES, so only a line of over three blocks makes one this long.
-_SCAN_BYTES_MAX = 4 * _BLOCK_BYTES
+# peaks at up to 5 times its bytes. A block ends at the first line end past
+# _BLOCK_BYTES, so only a line of over a block makes one this long.
+_SCAN_BYTES_MAX = 2 * _BLOCK_BYTES
 _LINE_START = b'{"frame_index":'
 # The text between two numbers of canonical lines, or after the last one:
 # (skeleton, field of the number before it, field of the number after it).
@@ -99,14 +99,14 @@ def scan_block(data, start, end):
     # zero padding: _SPAN bytes before, and after, a line end and the third
     # byte of the gap after the last number
     buf, stop = _padded(data, start, end, _SPAN, 3)
-    if (buf == ord("/")).any():
-        return None  # "/" lies between "." and "0"
-    number = (buf - np.uint8(ord("-"))) < 13
-    signed = _number_syntax(buf, number)
-    spans = None if signed is None else _number_spans(number)
-    if spans is None:
+    signed = _number_syntax(buf)
+    if signed is None:
         return None
-    starts, ends = spans
+    number = np.subtract(buf, np.uint8(ord("-")))
+    number = np.less(number, 13, out=number.view(np.bool_))  # "-./0-9"
+    starts, ends = _number_spans(number)
+    if starts is None:
+        return None
     field_of = _skeleton_fields(buf, starts, ends, stop)
     if field_of is None:
         return None
@@ -121,8 +121,10 @@ def scan_block(data, start, end):
     lengths = lengths.astype(np.int8)
     negative = buf[starts] == ord("-") if signed else False
     del starts
-    mantissa, exact, fraction, dots = _number_values(buf, ends, lengths)
+    words = _number_words(buf, ends, lengths)
     del buf, ends
+    mantissa, exact, fraction, dots = _number_values(words)
+    del words
     bad = np.where(
         _INT_FIELDS.take(field_of),
         negative | (dots != 0) | (lengths > _INT64_DIGITS) | (exact > np.uint64(_INT64_MAX)),
@@ -145,12 +147,18 @@ def scan_block(data, start, end):
 
 
 def _number_spans(number):
-    """(starts, ends) of the runs of ``number``, if the first starts after
-    ``_LINE_START``, else None."""
-    edges = np.flatnonzero(number[1:] != number[:-1]) + 1
-    if not len(edges) or edges[0] != _SPAN + len(_LINE_START):
-        return None
-    return edges[0::2].copy(), edges[1::2].copy()
+    """(starts, ends) of the runs of ``number``, int32, if the first starts
+    after ``_LINE_START``, else (None, None)."""
+    edge = np.greater(number[1:], number[:-1])
+    starts = np.flatnonzero(edge).astype(np.int32)
+    starts += 1
+    if not len(starts) or starts[0] != _SPAN + len(_LINE_START):
+        return None, None
+    ends = np.flatnonzero(np.less(number[1:], number[:-1], out=edge))
+    del edge
+    ends = ends.astype(np.int32)
+    ends += 1
+    return starts, ends
 
 
 def _skeleton_fields(buf, starts, ends, stop):
@@ -158,7 +166,7 @@ def _skeleton_fields(buf, starts, ends, stop):
     the next or to ``stop``, has the length and third byte of a skeleton of
     ``_SKELETONS``, and the skeletons follow the grammar."""
     n = len(starts)
-    gap = np.empty(n, np.intp)
+    gap = np.empty(n, np.int32)
     np.subtract(starts[1:], ends[:-1], out=gap[:-1])
     gap[-1] = stop - ends[-1]
     np.minimum(gap, _GAP_MAX, out=gap)
@@ -178,9 +186,18 @@ def _skeleton_fields(buf, starts, ends, stop):
 
 def _skeleton_text_matches(text, number, counts):
     """Whether the bytes of ``text`` outside its numbers are the skeletons of
-    canonical lines of ``counts`` boxes each, joined."""
-    skeleton = text[~number].tobytes()
-    return skeleton == b"".join([_line_skeleton(boxes) for boxes in counts.tolist()])
+    canonical lines of ``counts`` boxes each, joined; ``number`` is
+    inverted in place."""
+    skeleton = text[np.logical_not(number, out=number)].tobytes()
+    lines = [_line_skeleton(boxes) for boxes in counts.tolist()]
+    # joined an eighth at a time: a join holds 80 bytes a line besides its result
+    at, step = 0, len(lines) // 8 + 1
+    for i in range(0, len(lines), step):
+        part = b"".join(lines[i : i + step])
+        if not skeleton.startswith(part, at):
+            return False
+        at += len(part)
+    return at == len(skeleton)
 
 
 @functools.lru_cache(maxsize=64)
@@ -189,50 +206,70 @@ def _line_skeleton(boxes):
     return _LINE_START + b',"timestamp_ms":,"boxes":[' + b",".join([_BOX] * boxes) + b"]}\n"
 
 
-def _number_syntax(buf, number):
-    """None unless every number is JSON; else whether any has a sign.
+def _number_syntax(buf):
+    """None unless every number, a run of ``-./0-9``, is JSON; else whether
+    any has a sign.
 
     Element ``i`` of each byte test is about byte ``i + 1`` of ``buf``,
-    which has a byte on each side; the tests share two arrays.
+    which has a byte on each side. The tests share one array beside the
+    digit mask: a rule holds when as many bytes pass a test with its
+    conditions added as without.
     """
-    digit = buf >= ord("0")
-    digit &= number  # the number bytes from "0" up
-    both = digit[:-2] & digit[2:]  # a digit on each side
-    test = np.equal(buf[1:-1], ord("."))
-    if np.greater(test, both, out=test).any():
+    test = np.equal(buf[1:-1], ord("/"))
+    if test.any():
+        return None  # "/" lies between "." and "0"
+    digit = np.subtract(buf, np.uint8(ord("0")))
+    digit = np.less(digit, 10, out=digit.view(np.bool_))
+    dot = np.equal(buf[1:-1], ord("."), out=test)
+    dots = np.count_nonzero(dot)
+    dot &= digit[:-2]
+    dot &= digit[2:]
+    if np.count_nonzero(dot) != dots:
         return None  # a dot needs a digit on each side
-    first = np.logical_not(number[:-2], out=both)  # the first byte of its number
     minus = np.equal(buf[1:-1], ord("-"), out=test)
-    signed = bool(minus.any())
-    if signed:
-        if np.greater(minus, first).any() or np.greater(minus, digit[2:]).any():
-            return None  # a sign comes first, before a digit
-        first[1:] |= minus[:-1]  # a digit after a sign starts its number
+    signs = np.count_nonzero(minus)
+    if signs:
+        # not after a digit; after a dot, the dot check has failed, and
+        # after a sign, that sign is not before a digit
+        np.greater(minus, digit[:-2], out=minus)
+        minus &= digit[2:]
+        if np.count_nonzero(minus) != signs:
+            return None  # a sign comes first in its number, before a digit
     zero = np.equal(buf[1:-1], ord("0"), out=test)
-    zero &= first
     zero &= digit[2:]
-    if zero.any():
-        return None  # a leading zero
-    return signed
+    np.greater(zero, digit[:-2], out=zero)  # a "0" before a digit, not after one
+    if (buf[np.flatnonzero(zero)] != ord(".")).any():
+        return None  # a leading zero: first, or after a sign, not after the dot
+    return signs > 0
 
 
-def _number_values(buf, ends, lengths):
-    """(mantissa, exact, fraction digits, dots) of each number.
+def _number_words(buf, ends, lengths):
+    """Each number's words from ``buf``, one array per word: word ``i`` of a
+    number is the 8 bytes that end ``8 * i`` bytes before the number does,
+    masked to the number's bytes. ``ends`` is moved back a word at a time,
+    in place. The words hold all the scan reads of the numbers, so the
+    block is dropped once they are gathered."""
+    words = _words(buf)
+    gathered = []
+    for i in range(-(-int(lengths.max()) // 8)):
+        ends -= 8
+        word = words[ends]
+        word &= _LAST_BYTES.take(np.clip(lengths - 8 * i, 0, 8))
+        gathered.append(word)
+    return gathered
 
-    Word ``i`` of a number is the 8 bytes that end ``8 * i`` bytes before
-    the number does, read from ``buf`` with one gather (``ends`` is moved
-    back a word at a time, in place) and masked to the number's bytes. The
-    digit bytes of each word, with the dot squeezed out, read as one
+
+def _number_values(words):
+    """(mantissa, exact, fraction digits, dots) of each number, from its
+    words (``_number_words``), which are overwritten.
+
+    The digit bytes of each word, with the dot squeezed out, read as one
     integer (SWAR); a word before the dot weighs a tenth as much. The
     float64 mantissa is exact below 10**15; ``exact`` is the uint64
     integer of numbers of at most 19 digits and no dot. The counts are
     uint8, and every step but the first of a word runs in place.
     """
-    words = _words(buf)
-    for i in range(-(-int(lengths.max()) // 8)):
-        ends -= 8
-        word = words[ends]
-        word &= _LAST_BYTES.take(np.clip(lengths - 8 * i, 0, 8))
+    for i, word in enumerate(words):
         digits = word >> np.uint64(4)
         digits &= _ONES  # 1 in each digit byte
         # 1 in the dot's byte: bit 1 is set in "." (0x2e), not in "-" (0x2d),

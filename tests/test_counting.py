@@ -803,6 +803,21 @@ def read_or_rejection(data):
 class TestWindows:
     """A count CSV walked a window of blocks at a time (``ingest._walk``)."""
 
+    @pytest.mark.parametrize("hashed", [False, True])
+    def test_where_the_first_block_ends(self, hashed):
+        # The other blocks wait for the first one's scan: without a hash
+        # beside it, it ends at the first line end past an eighth of a block.
+        data = write_count_series(random_series(np.random.default_rng(3), n=100_000))
+        _, _, body = counting._read_preamble(data)
+        spy = mock.patch.object(counting, "_scan_body", wraps=counting._scan_body)
+        with spy as scanned:
+            read_count_series(data, digest=hashlib.sha256() if hashed else None)
+        blocks = sorted(call.args[1:] for call in scanned.call_args_list)
+        first = ingest._BLOCK_BYTES if hashed else ingest._BLOCK_BYTES // 8
+        assert blocks[0] == (body, data.index(b"\n", body + first - 1) + 1)
+        assert blocks == ingest._line_blocks(data, body, short_first=not hashed)
+        assert len(blocks) > 3
+
     @pytest.mark.parametrize("block", [300, 4096])
     def test_hostile_edits_read_alike_in_windows(self, rng, block):
         # Each edited CSV, of up to six 4096-byte blocks, reads in small
@@ -1125,19 +1140,40 @@ class TestPlacedFieldsScanOff(ScanOff, TestPlacedFields):
     pass
 
 
+def seed7_csv() -> tuple[bytes, CountSeries]:
+    """(A 150k-row count CSV of 2.6 MB, its series)."""
+    rng = np.random.default_rng(7)
+    n = 150_000
+    s = CountSeries(rng.integers(0, 40, n), 30, rng.integers(0, 3, n).astype(np.uint8))
+    return write_count_series(s), s
+
+
 class TestReadMemory:
+    def test_one_scan_peaks_under_four_blocks(self):
+        # One block's scan holds its padded copy, a digit mask and a few
+        # arrays of an int32 per row at once: measured 3.4 times the block.
+        data, _ = seed7_csv()
+        _, _, body = counting._read_preamble(data)
+        start, end = ingest._line_blocks(data, body)[1]  # a whole block of about 512 KiB
+        assert end - start >= ingest._BLOCK_BYTES
+        assert counting._scan_body(data, start, end) is not None
+        tracemalloc.start()
+        try:
+            counting._scan_body(data, start, end)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * (end - start)
+
     @pytest.mark.parametrize("cpus", [1, 2, 8])
     def test_peak_is_columns_plus_blocks(self, monkeypatch, cpus):
-        # A 150k-row CSV of 2.6 MB, read in 11 blocks of 256 KiB. Each block
-        # being scanned holds about 1.5 MiB, and joining the blocks' counts
-        # holds a second copy of the counts. Measured above the output
-        # columns: 1.3 MiB on one thread, 1.5-2.3 on two and, with eight CPUs
-        # patched in, 2.3-4.3 with the scans capped at four; scanning the
-        # whole body at once, 13.3 MiB.
-        rng = np.random.default_rng(7)
-        n = 150_000
-        s = CountSeries(rng.integers(0, 40, n), 30, rng.integers(0, 3, n).astype(np.uint8))
-        data = write_count_series(s)
+        # The CSV is read in 6 blocks, the first of 64 KiB and the others of
+        # 512 KiB. Each block being scanned holds up to 1.7 MiB, and joining
+        # the blocks' counts holds a second copy of the counts. Measured
+        # above the output columns: 1.3 MiB on one thread, 2.3-2.6 on two
+        # and, with eight CPUs patched in, 4.1-5.5 with the scans capped at
+        # four; scanning the whole body at once, 7.2 MiB.
+        data, s = seed7_csv()
         monkeypatch.setattr(ingest, "_usable_cpus", lambda: cpus)
         tracemalloc.start()
         try:

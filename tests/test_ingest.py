@@ -703,13 +703,14 @@ def random_canonical_stream(size, seed=8) -> tuple[bytes, int]:
 
 
 class TestParseMemory:
-    def test_one_scan_peaks_under_eight_blocks(self):
-        # One block's scan holds its padded copy, a number mask and a few
-        # arrays of one word per number at once: measured 6.8 times the
+    def test_one_scan_peaks_under_five_blocks(self):
+        # One block's scan holds its padded copy, a number mask, a byte mask
+        # and int32 offsets of its numbers, or the words of its numbers and a
+        # few arrays of one word per number, at once: measured 4.3 times the
         # block's bytes.
         data, _ = random_canonical_stream(3 << 20)
         body = len(HEADER) + 1
-        start, end = ingest._line_blocks(data, body)[1]  # a whole block of about 256 KiB
+        start, end = ingest._line_blocks(data, body)[1]  # a whole block of about 512 KiB
         assert end - start >= ingest._BLOCK_BYTES
         assert scan.scan_block(data, start, end) is not None
         tracemalloc.start()
@@ -718,15 +719,15 @@ class TestParseMemory:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 8 * (end - start)
+        assert peak <= 5 * (end - start)
 
     @pytest.mark.parametrize("cpus", [2, 8])
     def test_peak_is_columns_plus_blocks(self, monkeypatch, cpus):
-        # A 3 MiB canonical stream, scanned in 12 blocks of 256 KiB. Each
-        # scan running at once holds under 2 MiB: measured 1.5 MiB above the
-        # output columns on one thread, 2.4-3.0 on two and, with eight CPUs
-        # patched in, 3.5-4.8 with the scans capped at four; scanning the
-        # whole buffer at once, 47 MiB.
+        # A 3 MiB canonical stream, scanned in 6 blocks of 512 KiB. Each
+        # scan running at once holds up to 2.2 MiB: measured 1.8 MiB above
+        # the output columns on one thread, 2.9-3.5 on two and, with eight
+        # CPUs patched in, 5.6-6.2 with the scans capped at four; scanning
+        # the whole buffer at once, 10.6 MiB.
         data, records = random_canonical_stream(3 << 20)
         monkeypatch.setattr(ingest, "_usable_cpus", lambda: cpus)
         tracemalloc.start()
