@@ -96,11 +96,13 @@ class PipelineConfig:
                 raise ConfigError(f"cannot read config {config_path}: {exc}") from exc
             if not isinstance(settings, dict):
                 raise ConfigError(f"config {config_path} must be a JSON object")
-            unknown = set(settings) - {f.name for f in dataclasses.fields(cls)}
-            if unknown:
-                raise ConfigError(f"unknown config key(s): {sorted(unknown)}")
-            if settings.get("fps_override") is not None:
-                settings["fps_override"] = _config_fps(settings["fps_override"])
+            with _named(config_path):  # the file's own settings, checked before the flags
+                unknown = set(settings) - {f.name for f in dataclasses.fields(cls)}
+                if unknown:
+                    raise ConfigError(f"unknown config key(s): {sorted(unknown)}")
+                if settings.get("fps_override") is not None:
+                    settings["fps_override"] = _config_fps(settings["fps_override"])
+                cls(**settings).validate()
         settings.update((key, value) for key, value in overrides.items() if value is not None)
         config = cls(**settings)
         config.validate()
@@ -222,6 +224,18 @@ def _read_bytes(path) -> bytes:
         raise InputFormatError(f"cannot read {path}: {exc}") from exc
 
 
+@contextlib.contextmanager
+def _named(path):
+    """Name ``path`` in an input or config error raised inside, unless the
+    error names its line or the path already, or ``path`` is None."""
+    try:
+        yield
+    except (InputFormatError, ConfigError) as exc:
+        if path is None or getattr(exc, "line", None) is not None or str(path) in str(exc):
+            raise
+        raise type(exc)(f"{exc} (in {path})") from exc
+
+
 def _write(out_dir: Path, name: str, data) -> None:
     if isinstance(data, str):
         data = data.encode("utf-8")
@@ -289,7 +303,8 @@ def smooth_step(series, config: PipelineConfig, input_sha256: str):
 def stage_smooth(counts_csv, config: PipelineConfig, name="count CSV"):
     """Counts CSV, bytes or a mapping -> smooth_step of the series it holds;
     InputFormatError naming the CSV ``name`` if it holds no frame."""
-    series, input_sha256 = _read_hashed(counts_csv, config.fps_override)
+    with _named(name):
+        series, input_sha256 = _read_hashed(counts_csv, config.fps_override)
     return smooth_step(_nonempty(series, name), config, input_sha256)
 
 
@@ -323,7 +338,8 @@ def stage_segment(smoothed_csv, config: PipelineConfig, source: str, name="count
     """Smoothed CSV, bytes or a mapping -> segment_step of the series it
     holds; InputFormatError naming the CSV ``name`` if it holds no frame."""
     policy = config.segment_policy()
-    series, input_sha256 = _read_hashed(smoothed_csv, config.fps_override)
+    with _named(name):
+        series, input_sha256 = _read_hashed(smoothed_csv, config.fps_override)
     series = _nonempty(series, name)
     resolved = policy.resolved(window_length(series.fps, config.smoothing_divisor))
     return segment_step(series, resolved, source, input_sha256)
@@ -367,9 +383,11 @@ def stage_eval(truth_csv, raw_csv, smoothed_csv, fps=None, names=None):
     names = names or [f"{key} count CSV" for key in _EVAL_INPUTS]
     series, input_sha256 = [], {}
     for key, csv, name in zip(_EVAL_INPUTS, (truth_csv, raw_csv, smoothed_csv), names):
-        one, input_sha256[key] = _read_hashed(csv, fps)
+        with _named(name):
+            one, input_sha256[key] = _read_hashed(csv, fps)
         series.append(_nonempty(one, name))
-    return eval_step(*series, input_sha256)
+    with _named(", ".join(names)):  # series of unequal lengths
+        return eval_step(*series, input_sha256)
 
 
 def run_pipeline(
@@ -400,12 +418,15 @@ def run_pipeline(
     elif calibration_path is not None:
         calibration_bytes = _read_bytes(calibration_path)
         input_hashes["calibration"] = _sha256(calibration_bytes)
-        fitted = fit_regressor(read_calibration_csv(calibration_bytes))
+        with _named(calibration_path):
+            samples = read_calibration_csv(calibration_bytes)
+        fitted = fit_regressor(samples)
         model_bytes = fitted_bytes = regressor_to_json(fitted).encode("utf-8")
     regressor = None
     if model_bytes is not None:
         input_hashes["density_model"] = _sha256(model_bytes)
-        regressor = regressor_from_json(model_bytes)
+        with _named(config.density_model_path):
+            regressor = regressor_from_json(model_bytes)
 
     with contextlib.ExitStack() as stack:
         # The gray container is mapped, not copied, and hashed on a thread
@@ -417,18 +438,21 @@ def run_pipeline(
 
             gray = _map_bytes(gray_frames_path)
             gray_sha256 = stack.enter_context(ThreadPoolExecutor(1)).submit(_sha256, gray)
-            gray_frames = load_gray_frames(gray)
+            with _named(gray_frames_path):
+                gray_frames = load_gray_frames(gray)
 
-        raw, raw_csv, meta = stage_count(
-            detections, config, gray_frames=gray_frames, regressor=regressor
-        )
+        with _named(gray_frames_path):  # a container too short for a routed frame
+            raw, raw_csv, meta = stage_count(
+                detections, config, gray_frames=gray_frames, regressor=regressor
+            )
         _nonempty(raw, f"detections stream {detections_path}")
         input_hashes["detections"] = meta.sha256
         # checked before any artifact is written: a mismatched truth leaves none
         truth = None
         if truth_path is not None:
-            truth, input_hashes["truth"] = _read_hashed(_map_bytes(truth_path), raw.fps)
-            _same_length(truth=truth, raw=raw)
+            with _named(truth_path):
+                truth, input_hashes["truth"] = _read_hashed(_map_bytes(truth_path), raw.fps)
+                _same_length(truth=truth, raw=raw)
         if fitted_bytes is not None:
             _write(out, "density_model.json", fitted_bytes)
         # Only the series go on: a CSV's bytes, as long as the stream, are
@@ -541,10 +565,15 @@ def _parse_fps_flag(value):
     return _config_fps(value) if value is not None else None
 
 
-def _load_config(config_path, settings: dict, fps_flag) -> PipelineConfig:
-    """A command's config; ``settings`` holds its options named after config keys."""
+def _load_config(config_path, settings: dict, fps_flag, segmenting=False) -> PipelineConfig:
+    """A command's config; ``settings`` holds its options named after config
+    keys. A ``segmenting`` command needs a threshold, from the file or a flag."""
     overrides = {**settings, "fps_override": _parse_fps_flag(fps_flag)}
-    return PipelineConfig.load(config_path, overrides)
+    config = PipelineConfig.load(config_path, overrides)
+    if segmenting:
+        with _named(config_path):
+            config.segment_policy()
+    return config
 
 
 @click.group()
@@ -563,8 +592,9 @@ def main():
 @cli_command
 def ingest(detections, out):
     """Validate a detections file; write the normalized copy and stream metadata."""
-    # walked, hashed and rendered a block at a time, so no box columns
-    # outlive their block, and the rendered parts are written unjoined
+    # walked and hashed a window at a time, each window rendered once it is
+    # scanned, so no box columns outlive their window, and the rendered
+    # parts are written unjoined
     parts, meta = normalize_detections(_map_bytes(detections))
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -592,13 +622,16 @@ def count(detections, out, config_path, gray_path, fps_flag, **settings):
     config = _load_config(config_path, settings, fps_flag)
     regressor = None
     if config.density_model_path is not None:
-        regressor = regressor_from_json(_read_bytes(config.density_model_path))
+        with _named(config.density_model_path):
+            regressor = regressor_from_json(_read_bytes(config.density_model_path))
     gray_frames = None
     if gray_path is not None:
-        gray_frames = load_gray_frames(_map_bytes(gray_path))
-    _, csv_bytes, _ = stage_count(
-        _map_bytes(detections), config, gray_frames=gray_frames, regressor=regressor
-    )
+        with _named(gray_path):
+            gray_frames = load_gray_frames(_map_bytes(gray_path))
+    with _named(gray_path):  # a container too short for a routed frame
+        _, csv_bytes, _ = stage_count(
+            _map_bytes(detections), config, gray_frames=gray_frames, regressor=regressor
+        )
     _write(Path(out), "raw_counts.csv", csv_bytes)
 
 
@@ -611,7 +644,8 @@ def density_fit(calibration, out, fg_threshold):
     """Fit the (area, edge) -> count regressor from a calibration CSV; write it as JSON to --out."""
     if not (math.isfinite(fg_threshold) and fg_threshold >= 0):
         raise ConfigError(f"--fg-threshold must be finite and >= 0, got {fg_threshold}")
-    samples = read_calibration_csv(_read_bytes(calibration))
+    with _named(calibration):
+        samples = read_calibration_csv(_read_bytes(calibration))
     regressor = fit_regressor(samples, fg_threshold=fg_threshold)
     _write(Path(out).parent, Path(out).name, regressor_to_json(regressor))
     click.echo(
@@ -627,9 +661,11 @@ def density_fit(calibration, out, fg_threshold):
 @cli_command
 def density_predict(gray, model, out):
     """Predict a density count for every frame of a gray container; write them as CSV to --out."""
-    frames = load_gray_frames(_map_bytes(gray))
-    _check_gray_frames(frames)
-    regressor = regressor_from_json(_read_bytes(model))
+    with _named(gray):
+        frames = load_gray_frames(_map_bytes(gray))
+        _check_gray_frames(frames)
+    with _named(model):
+        regressor = regressor_from_json(_read_bytes(model))
     counts = estimate_density_counts(frames, regressor, range(len(frames)))
     lines = ["frame_index,count"] + [f"{i},{c}" for i, c in enumerate(counts.tolist())]
     _write(Path(out).parent, Path(out).name, "".join(line + "\n" for line in lines))
@@ -654,7 +690,7 @@ def smooth(counts_csv, out, config_path, fps_flag, **settings):
 @cli_command
 def segment(counts_csv, out, config_path, source, fps_flag, **settings):
     """Extract abnormal segments and emit the segment report and FFmpeg cut list."""
-    config = _load_config(config_path, settings, fps_flag)
+    config = _load_config(config_path, settings, fps_flag, segmenting=True)
     segments, report_bytes, cutlist_bytes = stage_segment(
         _map_bytes(counts_csv), config, source=source or counts_csv, name=f"count CSV {counts_csv}"
     )
@@ -725,7 +761,7 @@ def synth(profile, seed, spike_probability, magnitude, run_length, out, fps_flag
 @cli_command
 def run(detections, out, config_path, gray_path, calibration_path, truth_path, fps_flag, **settings):
     """Run the whole pipeline: count, route, smooth, segment, (optionally) evaluate."""
-    config = _load_config(config_path, settings, fps_flag)
+    config = _load_config(config_path, settings, fps_flag, segmenting=True)
     manifest = run_pipeline(
         detections,
         config,

@@ -144,17 +144,20 @@ def count_detections(data, policy: RoutingPolicy) -> tuple[CountSeries, StreamMe
 
     ``data`` is the whole stream, bytes or a mapping of its file, and is
     parsed and checked as ``ingest.parse_detections`` does, with the same
-    errors. Each block's person boxes are counted as ``ingest._walk``
-    yields it, and its box columns dropped; the walk releases a mapped
-    stream's pages behind it. So memory grows with the frames (an int64
-    count per frame), not with the boxes or the stream's bytes.
+    errors. Each block's person boxes are counted where it is read, a
+    scanned block's on the worker that scanned it (``ingest._read_detections``),
+    and its box columns are dropped there. So a window of the walk
+    (``ingest._walk``) holds each block's frame indices and counts, not its
+    boxes, and the walk releases a mapped stream's pages behind it: memory
+    grows with the frames (an int64 count per frame), not with the boxes or
+    the stream's bytes.
     """
 
-    def frame_counts(part):
-        _, _, box_counts, *_, score, class_id = part
-        return _person_counts(box_counts, score, class_id, policy)
+    def frame_counts(columns):
+        frame_index, _, box_counts, *_, score, class_id = columns
+        return frame_index, _person_counts(box_counts, score, class_id, policy)
 
-    meta, counts = _read_detections(data, frame_counts)
+    meta, counts = _read_detections(data, lambda part: part[1], frame_counts)
     return CountSeries.from_counts(_join(counts), meta.fps), meta
 
 

@@ -129,18 +129,18 @@ class StreamMeta:
 
 def parse_fps(value) -> Fraction:
     """Accept a JSON number, read by its repr (29.97 is 2997/100), a
-    "num/den" string or a Fraction; reject non-positive rates."""
-    if isinstance(value, str):
-        try:
-            fps = Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InputFormatError(f"cannot parse fps {value!r}") from exc
-    elif isinstance(value, bool) or not isinstance(value, (int, float, Fraction)):
+    "num/den" string or a Fraction; reject non-positive rates, and rates
+    past int64, whose smoothing window would be too."""
+    if isinstance(value, bool) or not isinstance(value, (str, int, float, Fraction)):
         raise InputFormatError(f"fps must be a number or 'num/den' string, got {value!r}")
-    else:
-        fps = Fraction(str(value))
+    try:
+        fps = Fraction(value if isinstance(value, str) else str(value))
+    except (ValueError, ZeroDivisionError) as exc:  # also an infinite or NaN float
+        raise InputFormatError(f"cannot parse fps {value!r}") from exc
     if fps <= 0:
         raise InputFormatError(f"fps must be > 0, got {value!r}")
+    if fps > _INT64_MAX:
+        raise InputFormatError(f"fps must be <= {_INT64_MAX}, got {value!r}")
     return fps
 
 
@@ -189,22 +189,36 @@ def parse_detections(data) -> tuple[Detections, StreamMeta]:
     return Detections(frame_index, timestamp_ms, box_counts, Boxes(*boxes)), meta
 
 
-def _read_detections(data, keep) -> tuple[StreamMeta, list]:
+def _read_detections(data, keep, reduce=None) -> tuple[StreamMeta, list]:
     """Read a detections stream through ``_walk``: (StreamMeta, kept parts).
 
     ``data`` is the whole stream, as for ``parse_detections``. Each block
     is parsed to its columns, as ``_Block.columns`` gives them, and checked
-    as ``parse_detections`` describes; ``keep(part)`` makes what is kept of
-    it. The kept parts start with ``keep`` of an empty part, so that a
-    stream without records joins too.
+    as ``parse_detections`` describes. The two hooks run in different
+    places. ``reduce(columns)``, if given, runs where the block is read: a
+    scanned block's on the worker that scanned it, so that its box columns
+    are dropped there, and a block parsed a line at a time on the calling
+    thread; it makes the block's part, whose first item must stay its
+    frame_index column. ``keep(part)`` runs on the calling thread, on each
+    part in file order, and makes what is kept of it; so Python work that
+    would hold the interpreter lock against the other scans, such as
+    rendering records, belongs here. The kept parts start with ``keep`` of
+    an empty block's part, so that a stream without records joins too.
     """
     (fps, source_id), body, line_no = _read_header(data)
     # Imported here: without cached bytecode, compiling the scan would cost
     # every command at start-up, also those that parse no detections.
     from .scan import scan_block
 
+    reduce = reduce or (lambda columns: columns)
+
+    def scan(start, stop):
+        result = scan_block(data, start, stop)
+        return None if result is None else (reduce(result[0]), result[1])
+
     def parse(start, stop, line_no):
-        return _parse_lines(data, start, stop, line_no, last_index)
+        columns, lines = _parse_lines(data, start, stop, line_no, last_index)
+        return reduce(columns), lines
 
     def follows(part):  # rises strictly, from above last_index
         frame_index = part[0]
@@ -212,11 +226,10 @@ def _read_detections(data, keep) -> tuple[StreamMeta, list]:
             return False
         return bool((np.diff(frame_index) > 0).all())
 
-    kept = [keep(_Block().columns())]
+    kept = [keep(reduce(_Block().columns()))]
     last_index = None
     frame_count, gaps = 0, []
     digest = hashlib.sha256()
-    scan = functools.partial(scan_block, data)
     for part in _walk(data, body, line_no, scan, parse, follows, digest):
         frame_count += len(part[0])
         gaps += _gaps(part[0], last_index)
@@ -245,7 +258,10 @@ def _walk(data, body, line_no, scan, parse, follows, digest=None):
     it to an eighth of a block (``_line_blocks``). A scanned part
     is yielded if ``follows(part)``, the format's test that it continues
     the parts yielded before it; any other block is parsed, so the scan
-    only speeds the read up.
+    only speeds the read up. A window's parts are all held, as ``scan``
+    gives them, before the first is yielded: a format that keeps less of
+    a block than its columns makes the smaller part inside ``scan``, on
+    the worker (``_read_detections``'s ``reduce``), so a window holds that.
 
     A ``hashlib`` hash given as ``digest`` is updated with each window's
     bytes, from byte 0 on, as one more item of the window's pool. Each
@@ -400,7 +416,8 @@ def _join(parts: list) -> np.ndarray:
 def _read_header(data) -> tuple[tuple[Fraction, str], int, int]:
     """((fps, source_id), offset of the next line, its line number) of the header.
 
-    The header is the first line that is not blank.
+    The header is the first line that is not blank; a stream with none is
+    rejected naming its last line.
     """
     start, line_no = 0, 1
     while start < len(data):
@@ -410,7 +427,9 @@ def _read_header(data) -> tuple[tuple[Fraction, str], int, int]:
         if text:
             return _header(_loads(text, line_no), line_no), end, line_no + 1
         start, line_no = end, line_no + 1
-    raise InputFormatError("empty detections stream (no header)")
+    if data[-1:] not in (b"", b"\n"):  # the last line has no line end
+        line_no -= 1
+    raise InputFormatError("empty detections stream (no header)", line=line_no)
 
 
 def _loads(text, line_no):
@@ -595,8 +614,12 @@ def normalize_detections(data) -> tuple[list[bytes], StreamMeta]:
     """The canonical form of a detections stream, what ``crowdgate ingest``
     writes, in parts whose join is that file, plus the stream metadata.
 
-    Each block is rendered as the walk parses it (``_read_detections``),
-    so no box columns outlive their block.
+    A window's blocks are rendered on the calling thread, in file order,
+    once the window is scanned (``_read_detections``'s ``keep``), so a
+    block's box columns outlive it until its window is rendered, and no
+    longer. Rendered on the scan workers, the walk ran 12-15% slower:
+    ``_render_records`` is Python and holds the interpreter lock against
+    the other scans.
     """
     meta, parts = _read_detections(data, lambda part: _render_records(*part))
     header = {"fps": format_fps(meta.fps), "source_id": meta.source_id}

@@ -1,12 +1,18 @@
 import contextlib
 import json
+import threading
 from unittest import mock
 
 import numpy as np
 import pytest
 
 from crowdgate import ingest
+from crowdgate import scan  # noqa: F401 - see below
 from crowdgate.counting import CountSeries
+
+# ``scan._SCAN_BYTES_MAX`` is twice the block size ``scan`` finds when it is
+# first imported. Imported here, before any test patches the block size,
+# it is the default's, whichever test first reads detections.
 
 # Ways to walk a detections stream or a count CSV (``ingest._walk``):
 # blocks of one line, a few lines and the default, each on one thread and
@@ -63,6 +69,17 @@ def gray_stream(frames):
 
 def series(counts, fps=30):
     return CountSeries.from_counts(counts, fps)
+
+
+@pytest.fixture(autouse=True)
+def no_thread_outlives_its_test():
+    """Fail a test that leaves running a thread it did not start with: every
+    pool of the package, and ``run``'s hash thread, stop before their call
+    returns, also when it raises."""
+    before = set(threading.enumerate())
+    yield
+    left = [t for t in threading.enumerate() if t not in before]
+    assert not left, f"threads left running: {left}"
 
 
 @pytest.fixture

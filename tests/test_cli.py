@@ -558,7 +558,7 @@ class TestGrayContainerPath:
         result = run_cli(runner, args + (["--threshold", "5"] if command == "run" else []))
         assert result.exit_code == EXIT_INPUT_ERROR, result.output
         message = f"gray container holds {n_frames} frame(s); {len(beyond)} routed frame(s)"
-        assert f"error: {message} beyond it: {beyond}\n" in result.output
+        assert f"error: {message} beyond it: {beyond} (in {gray})\n" in result.output
         assert not out.exists()
 
     def test_predict_on_empty_container_exit_2(self, runner, tmp_path):
@@ -568,7 +568,7 @@ class TestGrayContainerPath:
         out = tmp_path / "o" / "pred.csv"
         result = run_cli(runner, ["density-predict", str(gray), model, "--out", str(out)])
         assert result.exit_code == EXIT_INPUT_ERROR, result.output
-        assert "error: gray container holds 0 frame(s)\n" in result.output
+        assert f"error: gray container holds 0 frame(s) (in {gray})\n" in result.output
         assert not out.parent.exists()
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no os.mkfifo")
@@ -1636,3 +1636,58 @@ def test_cli_import_loads_no_concurrent_futures():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "False"
+
+
+class TestErrorsNameTheirInput:
+    """Cases that tests/test_hostile_inputs.py found, or that no small edit reaches."""
+
+    @pytest.mark.parametrize("command", ["ingest", "count", "run"])
+    def test_blank_detections_stream_names_its_last_line(self, runner, tmp_path, command):
+        det = tmp_path / "d.jsonl"
+        det.write_bytes(b"\n \n")
+        out = tmp_path / "o"
+        threshold = ["--threshold", "5"] if command == "run" else []
+        result = run_cli(runner, [command, str(det), "--out", str(out), *threshold])
+        assert result.exit_code == EXIT_INPUT_ERROR, result.output
+        assert "error: line 3: empty detections stream (no header)\n" in result.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "fps, message",
+        [("1e999", "cannot parse fps inf"), ("NaN", "cannot parse fps nan"),
+         (str(2**63), f"fps must be <= {2**63 - 1}, got {2**63}")],
+    )
+    def test_detections_rate_not_finite_or_past_int64(self, runner, tmp_path, fps, message):
+        det = tmp_path / "d.jsonl"
+        det.write_bytes(detections_bytes([1, 2]).replace(b'"fps": 9', f'"fps": {fps}'.encode()))
+        result = run_cli(runner, ["count", str(det), "--out", str(tmp_path / "o")])
+        assert result.exit_code == EXIT_INPUT_ERROR, result.output
+        assert f"error: line 1: {message}\n" in result.output
+
+    def test_count_csv_rate_past_int64(self, runner, tmp_path):
+        # an fps of 1e999 used to reach the smoothing kernel and overflow there
+        csv = tmp_path / "c.csv"
+        csv.write_bytes(b"# fps=1e999\nframe_index,count,provenance\n0,2,Detector\n")
+        result = run_cli(runner, ["smooth", str(csv), "--out", str(tmp_path / "o")])
+        assert result.exit_code == EXIT_INPUT_ERROR, result.output
+        assert f"error: line 1: fps must be <= {2**63 - 1}, got '1e999'\n" in result.output
+
+    def test_config_file_values_are_checked_before_the_flags(self, runner, tmp_path):
+        det = write_detections(tmp_path / "d.jsonl", [1, 2])
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"count_ceiling": 0}))
+        args = ["count", det, "--config", str(cfg), "--ceiling", "5", "--out", str(tmp_path / "o")]
+        result = run_cli(runner, args)
+        assert result.exit_code == EXIT_CONFIG_ERROR, result.output
+        assert f"error: count_ceiling must be >= 1, got 0 (in {cfg})\n" in result.output
+
+    def test_missing_threshold_names_the_config_file(self, runner, tmp_path):
+        csv = tmp_path / "c.csv"
+        csv.write_bytes(write_count_series(series([1, 2, 3])))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("{}")
+        args = ["segment", str(csv), "--config", str(cfg), "--out", str(tmp_path / "o")]
+        result = run_cli(runner, args)
+        assert result.exit_code == EXIT_CONFIG_ERROR, result.output
+        message = f"abnormal_threshold is required for segment extraction (in {cfg})"
+        assert f"error: {message}\n" in result.output

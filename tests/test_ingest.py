@@ -84,8 +84,8 @@ def reference_parse_detections(data: bytes):
                 gaps.append((last_index + 1, frame_index - 1))
         last_index = frame_index
         frames.append((frame_index, timestamp_ms, boxes))
-    if header is None:
-        raise InputFormatError("empty detections stream (no header)")
+    if header is None:  # named by the stream's last line
+        raise InputFormatError("empty detections stream (no header)", line=line_no)
     return frames, header[0], header[1], tuple(gaps)
 
 
@@ -1061,3 +1061,8 @@ def test_package_imports_at_module_top_and_no_scan_cycle():
     assert deferred == {("ingest", "_read_detections", "scan")}
     assert "scan" not in imported["counting"] and "counting" not in imported["scan"]
     assert imported["words"] == {"__future__", "numpy"}
+
+
+@pytest.mark.parametrize("data", [b"", b"  ", b"\n", b"\n  ", b" \n\r\n"])
+def test_blank_stream_names_its_last_line(data):
+    assert_same_rejection(data)

@@ -6,7 +6,9 @@ The oracle is ``parse_detections`` on the whole stream as one block, plus
 ``count_series``: the parse that ``crowdgate ingest`` runs.
 """
 
+import functools
 import hashlib
+import itertools
 import json
 import mmap
 import threading
@@ -16,9 +18,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from crowdgate import cli, ingest
+from crowdgate import cli, counting, ingest
 from crowdgate.cli import PipelineConfig, stage_count
-from crowdgate.counting import count_series, write_count_series
+from crowdgate.counting import count_detections, count_series, write_count_series
 from crowdgate.errors import InputFormatError
 from crowdgate.ingest import parse_detections
 
@@ -164,6 +166,7 @@ class TestWindowBoundaries:
         assert str(error) == "line 35: bad box: box width/height must be > 0, got w=0.0, h=4.25"
 
 
+@functools.cache
 def canonical_stream(frames, boxes_per_frame=12) -> bytes:
     rng = np.random.default_rng(10)
     lines = [HEADER]
@@ -202,6 +205,67 @@ class TestBoundedMemory:
         large_peak, large_series = self.peak(large)
         assert (len(small_series), len(large_series)) == (self.FRAMES, 4 * self.FRAMES)
         assert large_peak < small_peak + 3 * self.FRAMES * 200
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_peak_is_the_running_scans_plus_a_block(self, cpus):
+        # Three windows and more of default blocks. Each block's person
+        # boxes are counted on the thread that scanned it, so a window
+        # holds its blocks' frame indices and counts, not their box
+        # columns. Allowed above the output: 4.5 blocks per scan running
+        # at once (one scan peaks under 5, TestParseMemory), plus one block.
+        # Measured 4.4 blocks on one CPU and 8.2 on two; holding each
+        # window's box columns until it was counted, 10.5 and 13.5.
+        data = canonical_stream(17 * self.FRAMES)
+        assert len(data) > 3 * ingest._WINDOW_BLOCKS * ingest._BLOCK_BYTES
+        with parsed_in(ingest._BLOCK_BYTES, cpus):
+            tracemalloc.start()
+            try:
+                series, meta = count_detections(data, CONFIG.routing_policy())
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert meta.frame_count == len(series) == 17 * self.FRAMES
+        scans = min(cpus, ingest._SCAN_THREADS)
+        output = series.counts.nbytes + series.provenance.nbytes
+        assert peak - output <= (4.5 * scans + 1) * ingest._BLOCK_BYTES
+
+    @pytest.mark.parametrize("fault", ["bad line", "hash", "count"])
+    def test_errors_reach_the_caller_once_the_workers_stop(self, monkeypatch, fault):
+        # On two CPUs, a late block's bad line (read on the calling thread),
+        # the hash and a scanned block's count (both on the window's pool)
+        # each raise to the caller as themselves, and no worker outlives
+        # the call.
+        class Fault(Exception):
+            pass
+
+        data = canonical_stream(self.FRAMES)
+        if fault == "bad line":  # on line 953 of 1001, frame 951's
+            lines = data.decode().split("\n")
+            lines[-50] = record(self.FRAMES - 49, [box(0, score=2.0)])
+            data = "\n".join(lines).encode()
+        if fault == "hash":
+            class Sha256:
+                def update(self, chunk):
+                    raise Fault
+
+            monkeypatch.setattr(hashlib, "sha256", Sha256)
+        if fault == "count":
+            calls = itertools.count()
+            person_counts = counting._person_counts
+
+            def late_fault(*args):
+                if next(calls) == 100:
+                    raise Fault
+                return person_counts(*args)
+
+            monkeypatch.setattr(counting, "_person_counts", late_fault)
+        before = set(threading.enumerate())
+        error = InputFormatError if fault == "bad line" else Fault
+        with parsed_in(1 << 12, 2), pytest.raises(error) as got:
+            count_detections(data, CONFIG.routing_policy())
+        assert set(threading.enumerate()) == before
+        if fault == "bad line":
+            assert str(got.value) == "line 953: bad box: score must be in [0, 1], got 2.0"
 
     def test_mapped_bytes_are_hashed_before_release(self, monkeypatch, tmp_path):
         # Every madvise range is whole pages (the last may end at the end of
